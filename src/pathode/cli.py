@@ -9,10 +9,8 @@ JSON documents matching report_schema.json; sweeps emit one CSV row per
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -396,19 +394,9 @@ def cmd_sweep(args) -> int:
     if any(e <= 0.0 for e in eps_list):
         raise CliArgumentError("all eps values must be positive")
     x0 = initialize_x0(problem, args, min(eps_list))
-    workers = max(1, int(os.environ.get("PATHODE_THREADS", "1")))
     all_rows: list[str] = []
-    if workers == 1 or len(methods) == 1:
-        for method in methods:
-            all_rows.extend(_sweep_method_rows(problem, meta, method, eps_list, args, x0))
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_sweep_method_rows, problem, meta, method, eps_list, args, x0)
-                for method in methods
-            ]
-            for future in futures:
-                all_rows.extend(future.result())
+    for method in methods:
+        all_rows.extend(_sweep_method_rows(problem, meta, method, eps_list, args, x0))
     text = SWEEP_COLUMNS + "\n" + "\n".join(all_rows) + "\n"
     write_json_atomic(text, args.out)
     print(f"wrote {len(all_rows)} sweep rows to {args.out}")

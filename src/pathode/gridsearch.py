@@ -14,13 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linsolve import solve_spd
 from .paths import PathKnot, PiecewiseConstantPath
 from .problems import DegenerateProblemError, DomainError, ProblemOracle, TheoryConstants
 from .reports import OracleCounters, RunReport, Stopwatch
+from .steppers import MaxIterationsError, newton_solve
 
 INNER_SOLVERS = ("newton", "agd")
-MAX_HALVINGS = 30
 DEFAULT_NEWTON_CAP = 200
 DEFAULT_AGD_CAP = 2_000_000
 
@@ -86,30 +85,6 @@ def _grad_norm(problem: ProblemOracle, x, lam, counters: OracleCounters):
     counters.grad_f += 1
     counters.grad_omega += 1
     return g, float(np.linalg.norm(g))
-
-
-def _newton_inner(problem, lam, x, tol, counters, cap):
-    """Warm-started Newton with an objective-decrease halving guard."""
-    for it in range(cap + 1):
-        g, gnorm = _grad_norm(problem, x, lam, counters)
-        if gnorm <= tol:
-            return x, it, gnorm
-        H = problem.f_hess(x) + lam * problem.omega_hess(x)
-        counters.hess_builds += 1
-        d = solve_spd(H, g).direction
-        counters.linear_solves += 1
-        f0 = problem.total_value(x, lam)
-        t = 1.0
-        for _ in range(MAX_HALVINGS + 1):
-            cand = x + t * d
-            if problem.domain_check(cand):
-                if problem.total_value(cand, lam) <= f0 + 1e-12 * (1.0 + abs(f0)):
-                    x = cand
-                    break
-            t *= 0.5
-        else:
-            raise DomainError("newton inner step found no acceptable point")
-    raise GridSearchError(f"newton inner solver exceeded {cap} iterations", [], -1)
 
 
 def agd_inner(
@@ -188,8 +163,8 @@ def solve_grid(
         for idx, lam in enumerate(lams):
             try:
                 if config.inner_solver == "newton":
-                    x, iters, exit_res = _newton_inner(
-                        problem, float(lam), x, config.inner_tol, counters, config.cap
+                    x, iters, exit_res = newton_solve(
+                        problem, float(lam), x, config.inner_tol, config.cap, counters
                     )
                 else:
                     mu_eff = problem.mu + float(lam) * problem.sigma
@@ -208,7 +183,7 @@ def solve_grid(
                         np.linalg.norm(problem.f_grad(x) + float(lam) * problem.omega_grad(x))
                     )
                     counters.metric_evals += 1
-            except (GridSearchError, DomainError) as exc:
+            except (GridSearchError, DomainError, MaxIterationsError) as exc:
                 raise GridSearchError(
                     f"grid point {idx} (lambda = {lam:g}) failed: {exc}", knots, idx
                 ) from exc

@@ -7,14 +7,15 @@ system
     dx/dt = v(x, lambda) = -(hess f + lambda hess Omega)^{-1} grad f,
     dlambda/dt = -lambda,
 
-which the three schemes below discretize with a fixed multiplicative
-lambda-decay per step.  Directions come from a pluggable oracle: exact
+which the three Runge-Kutta schemes in SCHEMES discretize with a fixed
+multiplicative lambda-decay per step.  Directions come from a pluggable oracle: exact
 Cholesky solves, or warm-started CG with a residual tolerance delta.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,7 +163,8 @@ class ExactDirections:
     def __init__(self, counters: OracleCounters):
         self.counters = counters
 
-    def direction(self, problem: ProblemOracle, x, lam, slot="d", warm_from=None):
+    def direction(self, problem: ProblemOracle, x, lam, warm=None):
+        """Exact direction at (x, lam); warm is accepted for the common interface and ignored."""
         g = problem.f_grad(x)
         self.counters.grad_f += 1
         H = problem.f_hess(x) + lam * problem.omega_hess(x)
@@ -173,11 +175,9 @@ class ExactDirections:
 
 
 class CGDirections:
-    """Direction oracle running warm-started CG to residual tolerance delta.
+    """Direction oracle running CG to residual tolerance delta from a warm start.
 
-    Warm starts chain through named slots: each call warm-starts from the
-    vector stored under warm_from (its own slot by default) and stores its
-    result under slot, so consecutive steps and stages hand directions along.
+    The caller passes the warm-start vector; None starts from zero.
     """
 
     mode = "cg"
@@ -188,9 +188,8 @@ class CGDirections:
         self.counters = counters
         self.delta = delta
         self.max_iters = max_iters
-        self.warm: dict[str, np.ndarray] = {}
 
-    def direction(self, problem: ProblemOracle, x, lam, slot="d", warm_from=None):
+    def direction(self, problem: ProblemOracle, x, lam, warm=None):
         g = problem.f_grad(x)
         self.counters.grad_f += 1
 
@@ -198,12 +197,9 @@ class CGDirections:
             self.counters.hessvec += 1
             return problem.f_hessvec(x, v) + lam * problem.omega_hessvec(x, v)
 
-        start = self.warm.get(warm_from if warm_from is not None else slot)
-        if start is None:
-            start = np.zeros(problem.dim)
+        start = warm if warm is not None else np.zeros(problem.dim)
         result = cg_solve(hessvec, g, start, self.delta, self.max_iters)
         self.counters.cg_iters_total += result.inner_iterations
-        self.warm[slot] = result.direction
         if not result.converged:
             raise CGNoConvergenceError(
                 f"CG stopped at {self.max_iters} iterations with residual "
@@ -218,22 +214,78 @@ def vector_field(problem: ProblemOracle, x: np.ndarray, lam: float) -> np.ndarra
     return solve_spd(H, problem.f_grad(x)).direction
 
 
-def _require_domain(problem: ProblemOracle, x: np.ndarray, what: str) -> None:
-    if not problem.domain_check(x):
-        raise DomainError(f"{what} left the domain")
+@dataclass(frozen=True)
+class Scheme:
+    """One explicit Runge-Kutta scheme on the joint (x, lambda) system, as data.
+
+    Stage 1 sits at x_k; stage i > 1 sits at x_k + (shifts[i-2] s) d_{i-1},
+    where s is the increment length (h unless the domain forced halvings).
+    stage_factors(h) gives each stage's lambda as a multiple of lambda_k and
+    decay(h) the step's.  Stage 1 has weight 1, and the step is
+    x_k + (s / divisor) (d_1 + sum_{i>1} weights[i-2] d_i).
+    In CG mode stage i > 1 warm-starts from d_{i-1}, and the direction of
+    stage `carry` warm-starts stage 1 of the next step.
+    """
+
+    stage_factors: Callable[[float], tuple[float, ...]]
+    decay: Callable[[float], float]
+    shifts: tuple[float, ...]
+    weights: tuple[float, ...]
+    divisor: float
+    carry: int
 
 
-def _backoff(scale: float, backoffs: int) -> tuple[float, int]:
-    backoffs += 1
-    if backoffs > MAX_DOMAIN_BACKOFFS:
-        raise DomainError(
-            f"step still leaves the domain after {MAX_DOMAIN_BACKOFFS} increment halvings"
-        )
-    return scale * 0.5, backoffs
+SCHEMES = {
+    # semi-implicit: the one stage takes its Hessian at lambda_{k+1}
+    "euler": Scheme(lambda h: (1.0 - h,), lambda h: 1.0 - h, (), (), 1.0, 1),
+    "trapezoid": Scheme(
+        lambda h: (1.0, 1.0 - h + h * h), lambda h: 1.0 - h + 0.5 * h * h,
+        (1.0,), (1.0,), 2.0, 1,
+    ),
+    # stage lambdas follow the polynomial recursion of dlambda/dt = -lambda
+    "rk4": Scheme(
+        lambda h: (
+            1.0, 1.0 - 0.5 * h, 1.0 - 0.5 * h + 0.25 * h * h, 1.0 - h + 0.5 * h * h - 0.25 * h**3
+        ),
+        decay_polynomial,
+        (0.5, 0.5, 1.0), (2.0, 2.0, 1.0), 6.0, 4,
+    ),
+}
 
 
-def _diag(lambda_k, results, stage_lambdas, stage_points, backoffs, record):
-    return StepDiagnostics(
+def take_step(scheme, problem, x_k, lambda_k, h, directions, warm=None, record=False):
+    """One step of scheme from (x_k, lambda_k); returns (x_next, lambda_next, diag, carry).
+
+    Stage 1 is solved once.  While a later stage point or the new point
+    leaves the domain, the increment is halved and stages 2.. are redone, at
+    most MAX_DOMAIN_BACKOFFS times; lambda_next never changes.  warm seeds
+    stage 1 in CG mode, and carry is the direction that seeds the next step.
+    """
+    lams = [f * lambda_k for f in scheme.stage_factors(h)]
+    first = directions.direction(problem, x_k, lams[0], warm)
+    s, backoffs = h, 0
+    while True:
+        results, points = [first], [x_k]
+        for shift, lam in zip(scheme.shifts, lams[1:]):
+            x_stage = x_k + (shift * s) * results[-1].direction
+            if not problem.domain_check(x_stage):
+                break
+            results.append(directions.direction(problem, x_stage, lam, results[-1].direction))
+            points.append(x_stage)
+        else:
+            increment = first.direction
+            for w, res in zip(scheme.weights, results[1:]):
+                increment = increment + w * res.direction
+            x_next = x_k + (s / scheme.divisor) * increment
+            if problem.domain_check(x_next):
+                break
+        backoffs += 1
+        if backoffs > MAX_DOMAIN_BACKOFFS:
+            raise DomainError(
+                f"step still leaves the domain after {MAX_DOMAIN_BACKOFFS} increment halvings"
+            )
+        s *= 0.5
+    diag = StepDiagnostics(
         k=-1,
         lambda_k=lambda_k,
         residual_r_k=float("nan"),
@@ -241,12 +293,13 @@ def _diag(lambda_k, results, stage_lambdas, stage_points, backoffs, record):
         cg_iterations=[r.inner_iterations for r in results],
         direction_residuals=[r.residual_norm for r in results],
         cg_initial_residuals=[r.initial_residual for r in results],
-        stage_lambdas=list(stage_lambdas),
+        stage_lambdas=lams,
         domain_backoffs=backoffs,
         direction_vectors=[r.direction for r in results] if record else None,
         residual_vectors=[r.residual_vector for r in results] if record else None,
-        stage_points=[np.array(p) for p in stage_points] if record else None,
+        stage_points=[np.array(p) for p in points] if record else None,
     )
+    return x_next, scheme.decay(h) * lambda_k, diag, results[scheme.carry - 1].direction
 
 
 def euler_step(problem, x_k, lambda_k, h, directions, record=False):
@@ -255,16 +308,7 @@ def euler_step(problem, x_k, lambda_k, h, directions, record=False):
     x_{k+1} = x_k - h (hess f(x_k) + lambda_{k+1} hess Omega(x_k))^{-1} grad f(x_k),
     lambda_{k+1} = (1 - h) lambda_k.
     """
-    lam_next = (1.0 - h) * lambda_k
-    res = directions.direction(problem, x_k, lam_next, slot="d")
-    scale, backoffs = 1.0, 0
-    while True:
-        x_next = x_k + (scale * h) * res.direction
-        if problem.domain_check(x_next):
-            break
-        scale, backoffs = _backoff(scale, backoffs)
-    diag = _diag(lambda_k, [res], [lam_next], [x_k], backoffs, record)
-    return x_next, lam_next, diag
+    return take_step(SCHEMES["euler"], problem, x_k, lambda_k, h, directions, record=record)[:3]
 
 
 def trapezoid_step(problem, x_k, lambda_k, h, directions, record=False):
@@ -273,24 +317,7 @@ def trapezoid_step(problem, x_k, lambda_k, h, directions, record=False):
     d1 at (x_k, lambda_k); d2 at (x_k + h d1, (1 - h + h^2) lambda_k);
     x_{k+1} = x_k + h (d1 + d2)/2; lambda_{k+1} = (1 - h + h^2/2) lambda_k.
     """
-    lam_stage = (1.0 - h + h * h) * lambda_k
-    lam_next = (1.0 - h + 0.5 * h * h) * lambda_k
-    res1 = directions.direction(problem, x_k, lambda_k, slot="d1")
-    d1 = res1.direction
-    scale, backoffs = 1.0, 0
-    while True:
-        try:
-            s = scale * h
-            x_stage = x_k + s * d1
-            _require_domain(problem, x_stage, "trapezoid stage point")
-            res2 = directions.direction(problem, x_stage, lam_stage, slot="d2", warm_from="d1")
-            x_next = x_k + (0.5 * s) * (d1 + res2.direction)
-            _require_domain(problem, x_next, "trapezoid step")
-            break
-        except DomainError:
-            scale, backoffs = _backoff(scale, backoffs)
-    diag = _diag(lambda_k, [res1, res2], [lambda_k, lam_stage], [x_k, x_stage], backoffs, record)
-    return x_next, lam_next, diag
+    return take_step(SCHEMES["trapezoid"], problem, x_k, lambda_k, h, directions, record=record)[:3]
 
 
 def rk4_step(problem, x_k, lambda_k, h, directions, record=False):
@@ -299,44 +326,7 @@ def rk4_step(problem, x_k, lambda_k, h, directions, record=False):
     Stage lambdas follow the exact polynomial recursion of dlambda/dt = -lambda;
     the new lambda is lambda_k times the quartic decay polynomial.
     """
-    lam2 = (1.0 - 0.5 * h) * lambda_k
-    lam3 = (1.0 - 0.5 * h + 0.25 * h * h) * lambda_k
-    lam4 = (1.0 - h + 0.5 * h * h - 0.25 * h**3) * lambda_k
-    lam_next = decay_polynomial(h) * lambda_k
-    res1 = directions.direction(problem, x_k, lambda_k, slot="d")
-    d1 = res1.direction
-    scale, backoffs = 1.0, 0
-    while True:
-        try:
-            s = scale * h
-            x2 = x_k + (0.5 * s) * d1
-            _require_domain(problem, x2, "rk4 stage 2")
-            res2 = directions.direction(problem, x2, lam2, slot="d")
-            x3 = x_k + (0.5 * s) * res2.direction
-            _require_domain(problem, x3, "rk4 stage 3")
-            res3 = directions.direction(problem, x3, lam3, slot="d")
-            x4 = x_k + s * res3.direction
-            _require_domain(problem, x4, "rk4 stage 4")
-            res4 = directions.direction(problem, x4, lam4, slot="d")
-            x_next = x_k + (s / 6.0) * (
-                d1 + 2.0 * res2.direction + 2.0 * res3.direction + res4.direction
-            )
-            _require_domain(problem, x_next, "rk4 step")
-            break
-        except DomainError:
-            scale, backoffs = _backoff(scale, backoffs)
-    diag = _diag(
-        lambda_k,
-        [res1, res2, res3, res4],
-        [lambda_k, lam2, lam3, lam4],
-        [x_k, x2, x3, x4],
-        backoffs,
-        record,
-    )
-    return x_next, lam_next, diag
-
-
-_STEP_FUNCTIONS = {"euler": euler_step, "trapezoid": trapezoid_step, "rk4": rk4_step}
+    return take_step(SCHEMES["rk4"], problem, x_k, lambda_k, h, directions, record=record)[:3]
 
 
 def run_path(
@@ -371,7 +361,8 @@ def run_path(
     else:
         max_iters = config.cg_max_iters if config.cg_max_iters is not None else 20 * problem.dim
         directions = CGDirections(counters, config.delta, max_iters)
-    step_fn = _STEP_FUNCTIONS[config.method]
+    scheme = SCHEMES[config.method]
+    warm = None
     knots: list[PathKnot] = []
     diags: list[StepDiagnostics] = []
     with Stopwatch() as sw:
@@ -379,8 +370,8 @@ def run_path(
         knots.append(PathKnot(lam, x.copy(), residual_norm(problem, x, lam, counters)))
         for k in range(config.K):
             try:
-                x, lam_next, diag = step_fn(
-                    problem, x, lam, config.h, directions, record=config.record_diagnostics
+                x, lam_next, diag, warm = take_step(
+                    scheme, problem, x, lam, config.h, directions, warm, config.record_diagnostics
                 )
             except (DomainError, NotPositiveDefiniteError, CGNoConvergenceError) as exc:
                 raise PathRunError(
@@ -438,11 +429,9 @@ def initialize_by_newton(
     x_start: np.ndarray | None = None,
     max_iters: int = 100,
 ) -> np.ndarray:
-    """Damped Newton on F_{lambda_max} until the gradient norm reaches tol.
+    """Damped Newton (newton_solve) on F_{lambda_max} until the gradient norm reaches tol.
 
-    Starts from x_start, else the Omega minimizer, else zero.  Steps are
-    undamped Newton with halving until the objective stops increasing and
-    the iterate stays in the domain.
+    Starts from x_start, else the Omega minimizer, else zero.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -454,24 +443,48 @@ def initialize_by_newton(
         x = np.zeros(problem.dim)
     if not problem.domain_check(x):
         raise DomainError("starting point violates the problem domain")
-    for _ in range(max_iters):
-        g = problem.total_grad(x, lambda_max)
-        if float(np.linalg.norm(g)) <= tol:
-            return x
-        H = problem.total_hess(x, lambda_max)
-        d = solve_spd(H, g).direction
-        f0 = problem.total_value(x, lambda_max)
+    return newton_solve(problem, lambda_max, x, tol, max_iters)[0]
+
+
+def newton_solve(
+    problem: ProblemOracle,
+    lam: float,
+    x: np.ndarray,
+    tol: float,
+    max_iters: int,
+    counters: OracleCounters | None = None,
+) -> tuple[np.ndarray, int, float]:
+    """Damped Newton on F_lam from x until ||grad F_lam|| <= tol; returns (x, iters, gnorm).
+
+    Each step is the Newton step, halved until the iterate stays in the
+    domain and the objective does not increase.  When counters is given,
+    each gradient charges grad_f and grad_omega and each step one Hessian
+    build and one linear solve.  Raises MaxIterationsError when no halving
+    is acceptable or the gradient is still above tol after max_iters steps.
+    """
+    for it in range(max_iters + 1):
+        g = problem.total_grad(x, lam)
+        gnorm = float(np.linalg.norm(g))
+        if counters is not None:
+            counters.grad_f += 1
+            counters.grad_omega += 1
+        if gnorm <= tol:
+            return x, it, gnorm
+        if it == max_iters:
+            break
+        d = solve_spd(problem.total_hess(x, lam), g).direction
+        if counters is not None:
+            counters.hess_builds += 1
+            counters.linear_solves += 1
+        f0 = problem.total_value(x, lam)
         t = 1.0
         for _ in range(MAX_DOMAIN_BACKOFFS + 1):
             cand = x + t * d
             if problem.domain_check(cand):
-                if problem.total_value(cand, lambda_max) <= f0 + 1e-12 * (1.0 + abs(f0)):
+                if problem.total_value(cand, lam) <= f0 + 1e-12 * (1.0 + abs(f0)):
                     x = cand
                     break
             t *= 0.5
         else:
             raise MaxIterationsError("newton damping found no acceptable step")
-    g = problem.total_grad(x, lambda_max)
-    if float(np.linalg.norm(g)) <= tol:
-        return x
     raise MaxIterationsError(f"newton stalled above tol = {tol} after {max_iters} iterations")

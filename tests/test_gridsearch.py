@@ -83,12 +83,12 @@ class TestNewtonInner:
         path, rep = solve_grid(problem, np.zeros(20), quad_config(10, tol=1e-10))
         warm_total = sum(rep.inner_iterations)
         cold_total = 0
-        from pathode.gridsearch import _newton_inner
+        from pathode.steppers import newton_solve
         from pathode import OracleCounters
 
         for lam in grid_points(quad_config(10, tol=1e-10)):
-            _, iters, _ = _newton_inner(
-                problem, float(lam), np.zeros(20), 1e-10, OracleCounters(), 50
+            _, iters, _ = newton_solve(
+                problem, float(lam), np.zeros(20), 1e-10, 50, OracleCounters()
             )
             cold_total += iters
         assert warm_total <= cold_total

@@ -163,24 +163,37 @@ class TestRk4Step:
         assert np.array_equal(x1, np.zeros(1))
 
 
-class TestDomainBackoff:
-    def test_euler_halves_increment_until_feasible(self):
-        # pull toward y = 1.2, outside the simplex; the full step exits,
-        # one halving lands back inside
-        A, b = np.array([[0.5]]), np.array([0.6])
-        problem = make_moment_matching(A, b)
-        x1, _, diag = euler_step(
-            problem, np.array([0.9]), 1e-6, 0.5, exact_directions()
-        )
-        assert diag.domain_backoffs == 1
-        assert problem.domain_check(x1)
-        assert 0.97 < x1[0] < 0.98
+# step function and its per-step lambda factor at h = 1/2
+STEP_DECAYS = {
+    "euler": (euler_step, 0.5),
+    "trapezoid": (trapezoid_step, 0.625),
+    "rk4": (rk4_step, decay_polynomial(0.5)),
+}
 
-    def test_lambda_schedule_unchanged_by_backoff(self):
+
+class TestDomainBackoff:
+    @pytest.mark.parametrize("method", list(STEP_DECAYS))
+    def test_backoff_halves_increment_until_feasible(self, method):
+        # pull toward y = 1.2, outside the simplex; the full step exits,
+        # halving the increment lands back inside
         A, b = np.array([[0.5]]), np.array([0.6])
         problem = make_moment_matching(A, b)
-        _, lam1, diag = euler_step(problem, np.array([0.9]), 1e-6, 0.5, exact_directions())
-        assert lam1 == pytest.approx(0.5e-6, rel=1e-15)  # (1 - h) lambda regardless
+        step, _ = STEP_DECAYS[method]
+        x1, _, diag = step(problem, np.array([0.9]), 1e-6, 0.5, exact_directions())
+        assert diag.domain_backoffs >= 1
+        assert problem.domain_check(x1)
+        if method == "euler":
+            assert diag.domain_backoffs == 1  # one halving suffices
+            assert 0.97 < x1[0] < 0.98
+
+    @pytest.mark.parametrize("method", list(STEP_DECAYS))
+    def test_lambda_schedule_unchanged_by_backoff(self, method):
+        A, b = np.array([[0.5]]), np.array([0.6])
+        problem = make_moment_matching(A, b)
+        step, decay = STEP_DECAYS[method]
+        _, lam1, diag = step(problem, np.array([0.9]), 1e-6, 0.5, exact_directions())
+        assert diag.domain_backoffs >= 1
+        assert lam1 == pytest.approx(decay * 1e-6, rel=1e-15)  # the scheme's decay regardless
 
     def test_unrecoverable_step_raises(self):
         A, b = np.array([[0.5]]), np.array([60.0])
@@ -189,6 +202,41 @@ class TestDomainBackoff:
         # increment 30 times still lands outside, so the step gives up
         with pytest.raises(DomainError):
             euler_step(problem, np.array([1.0 - 1e-15]), 1e-9, 0.9, exact_directions())
+
+
+# --------------------------------------------------------- CG warm starts
+
+
+class TestCgWarmStartChain:
+    # stage whose direction seeds stage 1 of the next step
+    CARRY_STAGE = {"euler": 0, "trapezoid": 0, "rk4": 3}
+
+    @pytest.mark.parametrize("method", ["euler", "trapezoid", "rk4"])
+    def test_each_stage_starts_from_the_previous_direction(self, logistic_small, method):
+        # stage i > 1 warm-starts from d_{i-1}; stage 1 of step k > 0 from the
+        # carry stage of step k - 1; step 0 starts cold, where ||H 0 + g|| = ||g||
+        x0 = initialize_by_newton(logistic_small, 10.0, 1e-10)
+        cfg = StepperConfig(
+            method=method, K=12, lambda_min=0.1, lambda_max=10.0,
+            direction_mode="cg", delta=1e-8, record_diagnostics=True,
+        )
+        _, rep = run_path(logistic_small, x0, cfg)
+        diags = rep.step_diagnostics
+        assert diags[0].cg_initial_residuals[0] == pytest.approx(
+            float(np.linalg.norm(logistic_small.f_grad(x0))), rel=1e-12
+        )
+        previous = None
+        for diag in diags:
+            assert diag.domain_backoffs == 0
+            warm = [previous] + diag.direction_vectors[:-1]
+            for i, d in enumerate(warm):
+                if d is None:
+                    continue
+                x, lam = diag.stage_points[i], diag.stage_lambdas[i]
+                H = logistic_small.total_hess(x, lam)
+                expect = float(np.linalg.norm(H @ d + logistic_small.f_grad(x)))
+                assert diag.cg_initial_residuals[i] == pytest.approx(expect, rel=1e-12)
+            previous = diag.direction_vectors[self.CARRY_STAGE[method]]
 
 
 # ---------------------------------------------------------------- run_path
