@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import lapack
 
 RECOMPUTE_EVERY = 50  # CG refreshes the true residual this often
 
@@ -40,24 +40,38 @@ class DirectionResult:
 
 
 def solve_spd(H: np.ndarray, g: np.ndarray) -> DirectionResult:
-    """Cholesky solve of H y = -g for symmetric positive definite H."""
+    """Cholesky solve of H y = -g for symmetric positive definite H.
+
+    LAPACK potrf reads only the lower triangle of H and works on a copy, so
+    H (often a problem's shared matrix) is never written.  A non-finite
+    entry anywhere in H or g reaches the residual H y + g, so the O(p^2)
+    finiteness scan runs only when the factorization fails or the residual
+    norm is not finite.
+    """
     H = np.asarray(H, dtype=float)
     g = np.asarray(g, dtype=float)
-    if not (np.all(np.isfinite(H)) and np.all(np.isfinite(g))):
-        raise ValueError("non-finite entries in linear system")
-    try:
-        factor = cho_factor(H, lower=True, check_finite=False)
-    except LinAlgError as exc:
-        raise NotPositiveDefiniteError(f"Cholesky factorization failed: {exc}") from exc
-    y = cho_solve(factor, -g, check_finite=False)
-    residual = H @ y + g
-    rnorm = float(np.linalg.norm(residual))
+    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+        raise ValueError(f"H must be a square matrix, got shape {H.shape}")
+    c, info = lapack.dpotrf(H, lower=1, clean=0)
+    if info == 0:
+        y, _ = lapack.dpotrs(c, -g, lower=1)
+        with np.errstate(invalid="ignore", over="ignore"):  # inf/NaN in H meets y here
+            residual = H @ y + g
+        rnorm = math.sqrt(float(residual @ residual))
+    if info != 0 or not math.isfinite(rnorm):
+        if not (np.all(np.isfinite(H)) and np.all(np.isfinite(g))):
+            raise ValueError("non-finite entries in linear system")
+        if info > 0:
+            raise NotPositiveDefiniteError(
+                f"Cholesky factorization failed: {info}-th leading minor of the array "
+                "is not positive definite"
+            )
     return DirectionResult(
         direction=y,
         residual_norm=rnorm,
         inner_iterations=0,
         mode="exact",
-        initial_residual=float(np.linalg.norm(g)),
+        initial_residual=math.sqrt(float(g @ g)),
         converged=True,
         residual_vector=residual,
     )

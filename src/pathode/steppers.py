@@ -253,13 +253,15 @@ SCHEMES = {
 }
 
 
-def take_step(scheme, problem, x_k, lambda_k, h, directions, warm=None, record=False):
-    """One step of scheme from (x_k, lambda_k); returns (x_next, lambda_next, diag, carry).
+def take_step(scheme, problem, x_k, lambda_k, h, directions, warm=None):
+    """One step of scheme from (x_k, lambda_k); returns (x_next, lambda_next, carry, stages).
 
     Stage 1 is solved once.  While a later stage point or the new point
     leaves the domain, the increment is halved and stages 2.. are redone, at
     most MAX_DOMAIN_BACKOFFS times; lambda_next never changes.  warm seeds
     stage 1 in CG mode, and carry is the direction that seeds the next step.
+    stages = (stage lambdas, stage DirectionResults, stage points, backoffs)
+    is the raw material of step_diagnostics, built only when recorded.
     """
     lams = [f * lambda_k for f in scheme.stage_factors(h)]
     first = directions.direction(problem, x_k, lams[0], warm)
@@ -285,10 +287,17 @@ def take_step(scheme, problem, x_k, lambda_k, h, directions, warm=None, record=F
                 f"step still leaves the domain after {MAX_DOMAIN_BACKOFFS} increment halvings"
             )
         s *= 0.5
-    diag = StepDiagnostics(
-        k=-1,
+    stages = (lams, results, points, backoffs)
+    return x_next, scheme.decay(h) * lambda_k, results[scheme.carry - 1].direction, stages
+
+
+def step_diagnostics(lambda_k, stages, record, k=-1, residual_r_k=float("nan")):
+    """The StepDiagnostics of one take_step; record adds the vector payloads."""
+    lams, results, points, backoffs = stages
+    return StepDiagnostics(
+        k=k,
         lambda_k=lambda_k,
-        residual_r_k=float("nan"),
+        residual_r_k=residual_r_k,
         direction_norms=[float(np.linalg.norm(r.direction)) for r in results],
         cg_iterations=[r.inner_iterations for r in results],
         direction_residuals=[r.residual_norm for r in results],
@@ -299,7 +308,13 @@ def take_step(scheme, problem, x_k, lambda_k, h, directions, warm=None, record=F
         residual_vectors=[r.residual_vector for r in results] if record else None,
         stage_points=[np.array(p) for p in points] if record else None,
     )
-    return x_next, scheme.decay(h) * lambda_k, diag, results[scheme.carry - 1].direction
+
+
+def _public_step(method, problem, x_k, lambda_k, h, directions, record):
+    x_next, lambda_next, _, stages = take_step(
+        SCHEMES[method], problem, x_k, lambda_k, h, directions
+    )
+    return x_next, lambda_next, step_diagnostics(lambda_k, stages, record)
 
 
 def euler_step(problem, x_k, lambda_k, h, directions, record=False):
@@ -308,7 +323,7 @@ def euler_step(problem, x_k, lambda_k, h, directions, record=False):
     x_{k+1} = x_k - h (hess f(x_k) + lambda_{k+1} hess Omega(x_k))^{-1} grad f(x_k),
     lambda_{k+1} = (1 - h) lambda_k.
     """
-    return take_step(SCHEMES["euler"], problem, x_k, lambda_k, h, directions, record=record)[:3]
+    return _public_step("euler", problem, x_k, lambda_k, h, directions, record)
 
 
 def trapezoid_step(problem, x_k, lambda_k, h, directions, record=False):
@@ -317,7 +332,7 @@ def trapezoid_step(problem, x_k, lambda_k, h, directions, record=False):
     d1 at (x_k, lambda_k); d2 at (x_k + h d1, (1 - h + h^2) lambda_k);
     x_{k+1} = x_k + h (d1 + d2)/2; lambda_{k+1} = (1 - h + h^2/2) lambda_k.
     """
-    return take_step(SCHEMES["trapezoid"], problem, x_k, lambda_k, h, directions, record=record)[:3]
+    return _public_step("trapezoid", problem, x_k, lambda_k, h, directions, record)
 
 
 def rk4_step(problem, x_k, lambda_k, h, directions, record=False):
@@ -326,7 +341,7 @@ def rk4_step(problem, x_k, lambda_k, h, directions, record=False):
     Stage lambdas follow the exact polynomial recursion of dlambda/dt = -lambda;
     the new lambda is lambda_k times the quartic decay polynomial.
     """
-    return take_step(SCHEMES["rk4"], problem, x_k, lambda_k, h, directions, record=record)[:3]
+    return _public_step("rk4", problem, x_k, lambda_k, h, directions, record)
 
 
 def run_path(
@@ -370,19 +385,17 @@ def run_path(
         knots.append(PathKnot(lam, x.copy(), residual_norm(problem, x, lam, counters)))
         for k in range(config.K):
             try:
-                x, lam_next, diag, warm = take_step(
-                    scheme, problem, x, lam, config.h, directions, warm, config.record_diagnostics
+                x, lam_next, warm, stages = take_step(
+                    scheme, problem, x, lam, config.h, directions, warm
                 )
             except (DomainError, NotPositiveDefiniteError, CGNoConvergenceError) as exc:
                 raise PathRunError(
                     f"step {k} failed: {exc}", knots=knots, diagnostics=diags, step_index=k
                 ) from exc
-            diag.k = k
-            diag.residual_r_k = knots[-1].residual
+            if config.record_diagnostics:
+                diags.append(step_diagnostics(lam, stages, True, k, knots[-1].residual))
             lam = lam_next
             knots.append(PathKnot(lam, x.copy(), residual_norm(problem, x, lam, counters)))
-            if config.record_diagnostics:
-                diags.append(diag)
     report = RunReport(
         method=config.method_label,
         K=config.K,

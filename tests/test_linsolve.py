@@ -1,7 +1,10 @@
 """Direct SPD solves, the CG fallback, and its iteration bound."""
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from pathode import NotPositiveDefiniteError, cg_iteration_bound, cg_solve, solve_spd
 
@@ -42,6 +45,81 @@ class TestSolveSpd:
     def test_not_positive_definite(self):
         with pytest.raises(NotPositiveDefiniteError):
             solve_spd(-np.eye(3), np.ones(3))
+
+    @pytest.mark.parametrize("dim", [1, 2, 20, 200])
+    def test_bit_identical_to_scipy_cholesky(self, dim):
+        # the raw LAPACK calls are the ones cho_factor/cho_solve make, and the
+        # norms are the dot-product sqrt that np.linalg.norm takes
+        for seed in range(40, 45):
+            H, g = random_spd(dim, seed + dim)
+            res = solve_spd(H, g)
+            assert np.array_equal(res.direction, cho_solve(cho_factor(H, lower=True), -g))
+            assert res.residual_norm == np.linalg.norm(H @ res.direction + g)
+            assert res.initial_residual == np.linalg.norm(g)
+
+
+def _poke(H, g, where, value):
+    H, g = H.copy(), g.copy()
+    if where == "g":
+        g[2] = value
+    else:
+        H[where] = value
+    return H, g
+
+
+class TestSolveSpdFailures:
+    """Bad systems raise the documented class, warn nothing and write nothing."""
+
+    @pytest.mark.parametrize(
+        "where, value",
+        [
+            ((3, 1), np.nan),  # lower triangle, read by the factorization
+            ((1, 3), np.nan),  # upper triangle only, never factored
+            ((2, 2), np.inf),  # diagonal
+            ("g", np.nan),
+            ("g", -np.inf),
+        ],
+    )
+    def test_nonfinite_input_rejected(self, where, value):
+        H, g = _poke(*random_spd(5, 61), where, value)
+        H0, g0 = H.copy(), g.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite") as info:
+                solve_spd(H, g)
+        assert not isinstance(info.value, NotPositiveDefiniteError)
+        assert np.array_equal(H, H0, equal_nan=True) and np.array_equal(g, g0, equal_nan=True)
+
+    def test_nonfinite_upper_entry_facing_a_zero_of_the_solution(self):
+        # y = (-1, 0, 0): the NaN at H[0, 1] meets y[1] = 0 in H y + g
+        H = np.diag([1.0, 2.0, 3.0])
+        H[0, 1] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                solve_spd(H, np.array([1.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize(
+        "H", [-np.eye(4), np.zeros((4, 4)), np.diag([2.0, 1.0, -1.0, 3.0])],
+        ids=["minus-identity", "zeros", "indefinite-diagonal"],
+    )
+    def test_not_positive_definite_rejected(self, H):
+        g = np.arange(1.0, 5.0)
+        H0, g0 = H.copy(), g.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotPositiveDefiniteError):
+                solve_spd(H, g)
+        assert np.array_equal(H, H0) and np.array_equal(g, g0)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_success_leaves_inputs_unwritten(self, order):
+        # a Fortran-ordered H is the one LAPACK could factor in place
+        H, g = random_spd(20, 62)
+        H = np.asarray(H, order=order)
+        H0, g0 = H.copy(), g.copy()
+        solve_spd(H, g)
+        assert np.array_equal(H, H0) and np.array_equal(g, g0)
 
 
 class TestCgSolve:

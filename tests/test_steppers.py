@@ -319,6 +319,36 @@ class TestRunPath:
         _, rep = run_path(problem, quad30_start, cfg)
         assert rep.step_diagnostics == []
 
+    @pytest.mark.parametrize("mode", ["exact", "cg"])
+    @pytest.mark.parametrize("method", ["euler", "trapezoid", "rk4"])
+    @pytest.mark.parametrize("instance", ["logistic", "backoff-1d"])
+    def test_recording_is_observation_only(self, logistic_small, instance, method, mode):
+        # the backoff-1d instance is TestDomainBackoff's; its steps halve
+        if instance == "logistic":
+            problem, lam_min, lam_max = logistic_small, 0.1, 10.0
+        else:
+            problem = make_moment_matching(np.array([[0.5]]), np.array([0.6]))
+            lam_min, lam_max = 1e-4, 1.0
+        x0 = initialize_by_newton(problem, lam_max, 1e-10)
+        runs = {}
+        for record in (False, True):
+            cfg = StepperConfig(
+                method=method, K=20, lambda_min=lam_min, lambda_max=lam_max,
+                direction_mode=mode, delta=1e-6 if mode == "cg" else None,
+                record_diagnostics=record,
+            )
+            runs[record] = run_path(problem, x0, cfg)
+        (quiet_path, quiet), (loud_path, loud) = runs[False], runs[True]
+        assert quiet.step_diagnostics == [] and len(loud.step_diagnostics) == 20
+        for field in ("lam", "x", "residual"):
+            assert np.array_equal(
+                [getattr(kn, field) for kn in quiet_path.knots],
+                [getattr(kn, field) for kn in loud_path.knots],
+            )
+        assert quiet.counters.as_dict() == loud.counters.as_dict()
+        if instance == "backoff-1d":
+            assert sum(d.domain_backoffs for d in loud.step_diagnostics) > 0
+
     def test_domain_violating_start_rejected(self):
         A, b = build_moment_problem(np.array([0.5, 0.0]), np.array([0.5, 0.5]), 1)
         problem = make_moment_matching(A, b)
