@@ -18,10 +18,6 @@ import numpy as np
 
 from .problems import ProblemOracle, TheoryConstants
 
-POWER_ITER_TOL = 1e-6
-POWER_ITER_CAP = 1000
-
-
 @dataclass
 class BoundReport:
     """An evaluated iteration bound with its term breakdown.
@@ -299,27 +295,9 @@ def step_bound_trapezoid_approx(
     )
 
 
-def _power_norm(M: np.ndarray) -> float:
-    """Spectral norm of a symmetric matrix by power iteration, 1e-6 relative.
-
-    The start vector is a fixed ramp so repeated calls on the same matrix
-    agree bit-for-bit, keeping estimates monotone over growing sample sets.
-    """
-    p = M.shape[0]
-    v = np.linspace(1.0, 2.0, p)
-    v /= np.linalg.norm(v)
-    est = 0.0
-    for _ in range(POWER_ITER_CAP):
-        w = M @ v
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            return 0.0
-        new_est = norm_w
-        v = w / norm_w
-        if abs(new_est - est) <= POWER_ITER_TOL * max(new_est, 1e-300):
-            return new_est
-        est = new_est
-    return est
+def _sym_norm(evals: np.ndarray) -> float:
+    """Spectral norm of a symmetric matrix from its ascending eigvalsh spectrum."""
+    return max(abs(float(evals[0])), abs(float(evals[-1])))
 
 
 def estimate_f_gap(
@@ -367,8 +345,10 @@ def estimate_constants(
     else zero), shrinks each toward the base until it satisfies the domain,
     and keeps those passing the level-set filter f(x) <= f(base).  Over the
     kept points plus the base: L-hat is the max of Hessian spectral norms
-    (power iteration) and pairwise Hessian-difference ratios, G-hat the max
-    gradient norm, mu-hat and sigma-hat the min Hessian eigenvalues.  The
+    and pairwise Hessian-difference ratios, G-hat the max gradient norm,
+    mu-hat and sigma-hat the min Hessian eigenvalues.  Every spectral norm is
+    the largest |eigenvalue| from eigvalsh, one symmetric eigensolve per
+    matrix, so L-hat is not biased low by an iterative stopping rule.  The
     draw stream is prefix-stable in sample_count, so estimates from a larger
     sample dominate those from a smaller one.
     """
@@ -406,18 +386,20 @@ def estimate_constants(
         Hf = np.asarray(problem.f_hess(x), dtype=float)
         Ho = np.asarray(problem.omega_hess(x), dtype=float)
         hessians_f.append((x, Hf))
-        L_hat = max(L_hat, _power_norm(Hf), _power_norm(Ho))
+        evals_f = np.linalg.eigvalsh(Hf)
+        evals_o = np.linalg.eigvalsh(Ho)
+        L_hat = max(L_hat, _sym_norm(evals_f), _sym_norm(evals_o))
         G_hat = max(
             G_hat,
             float(np.linalg.norm(problem.f_grad(x))),
             float(np.linalg.norm(problem.omega_grad(x))),
         )
-        mu_hat = min(mu_hat, float(np.linalg.eigvalsh(Hf)[0]))
-        sigma_hat = min(sigma_hat, float(np.linalg.eigvalsh(Ho)[0]))
+        mu_hat = min(mu_hat, float(evals_f[0]))
+        sigma_hat = min(sigma_hat, float(evals_o[0]))
     for (x_a, H_a), (x_b, H_b) in zip(hessians_f, hessians_f[1:]):
         gap = float(np.linalg.norm(x_a - x_b))
         if gap > 1e-12:
-            L_hat = max(L_hat, _power_norm(H_a - H_b) / gap)
+            L_hat = max(L_hat, _sym_norm(np.linalg.eigvalsh(H_a - H_b)) / gap)
 
     return TheoryConstants.derive(
         mu=max(0.0, mu_hat),

@@ -11,6 +11,16 @@ quadratic ridge      f = 0.5 ||A x - b||^2,        Omega = 0.5 ||x||^2
 logistic ridge       f = mean log(1 + exp(-b a'x)), Omega = 0.5 ||x||^2
 reweighted logistic  f, Omega = class-split logistic losses (sigma = 0)
 moment matching      f = 0.5 ||A'y - b'||^2,       Omega = simplex entropy
+
+Structured Hessians
+-------------------
+A family whose Hessian f'' + lambda Omega'' is a positive diagonal plus a
+low-rank term sets the optional field hess_lowrank(x, lam) -> (d, V) with
+hess F_lambda(x) = diag(d) + V V'.  steppers.newton_direction then solves
+each exact Newton system by Woodbury (linsolve.solve_diag_lowrank) in
+O(p k^2) for V of shape (p, k), instead of assembling the p x p matrix and
+factoring it.  Only the moment family sets it: A'A has rank <= n_moments and
+the entropy Hessian is diag(1/y) + 11'/(1 - sum y).
 """
 
 from __future__ import annotations
@@ -47,6 +57,13 @@ class ProblemOracle:
     lipschitz, when not None, is a single shared constant bounding the
     Lipschitz moduli of f, its gradient and Hessian, and Omega's; it may
     be None for families without a global certificate (entropy).
+
+    hess_lowrank, when set, takes (x, lam) and returns (d, V) with
+    f''(x) + lam Omega''(x) = diag(d) + V V', d of shape (dim,) and V of
+    shape (dim, k) for a small k.  It is the only structure hook:
+    steppers.newton_direction uses it for every exact Newton direction and
+    otherwise factors total_hess.  It must raise DomainError where the
+    Hessian callables do.
     """
 
     name: str
@@ -66,6 +83,7 @@ class ProblemOracle:
     lipschitz: float | None
     f_grad_batch: Callable[[Array], Array] | None = None
     omega_grad_batch: Callable[[Array], Array] | None = None
+    hess_lowrank: Callable[[Array, float], tuple[Array, Array]] | None = None
 
     def total_value(self, x: Array, lam: float) -> float:
         return self.f_value(x) + lam * self.omega_value(x)
@@ -471,6 +489,12 @@ def make_moment_matching(A_reduced: Array, b_reduced: Array) -> ProblemOracle:
     the identity because every 1/y_j > 1 there, so sigma = 1 holds on the
     whole domain.  The entropy Hessian has no global Lipschitz constant,
     hence lipschitz is None; estimate constants numerically downstream.
+
+    A'A has rank at most n_moments, so mu = 0 exactly when there are fewer
+    moments than coordinates.  The f side is applied in factored form,
+    O(p n_moments) per point; the p x p Q = A'A backs only f_hess.  The total
+    Hessian is diag(lam / y) + V V' with V = [A' | sqrt(lam / (1 - sum y)) 1],
+    which hess_lowrank returns for the Woodbury direction solve.
     """
     A = np.asarray(A_reduced, dtype=float)
     b = np.asarray(b_reduced, dtype=float)
@@ -478,14 +502,16 @@ def make_moment_matching(A_reduced: Array, b_reduced: Array) -> ProblemOracle:
         raise ValueError(f"shape mismatch: A {A.shape}, b {b.shape}")
     n, p = A.shape
     Q = A.T @ A
-    Atb = A.T @ b
-    mu = max(0.0, _min_eig(Q))
+    mu = max(0.0, _min_eig(Q)) if n >= p else 0.0
+    # column-major, so the per-call copy and the write of its last column stay contiguous
+    V_base = np.asfortranarray(np.hstack([A.T, np.ones((p, 1))]))
 
     def domain_check(y: Array) -> bool:
         y = np.asarray(y)
-        if y.shape != (p,) or not np.all(np.isfinite(y)):
+        if y.shape != (p,):
             return False
-        return bool(np.all(y > 0.0) and float(np.sum(y)) < 1.0)
+        # min > 0 fails on a NaN or -inf entry, and sum < 1 on +inf
+        return bool(y.min() > 0.0 and y.sum() < 1.0)
 
     def _require_domain(y: Array) -> Array:
         y = np.asarray(y, dtype=float)
@@ -513,6 +539,13 @@ def make_moment_matching(A_reduced: Array, b_reduced: Array) -> ProblemOracle:
         rest = 1.0 - float(np.sum(y))
         return v / y + np.sum(v) / rest
 
+    def hess_lowrank(y: Array, lam: float) -> tuple[Array, Array]:
+        y = _require_domain(y)
+        rest = 1.0 - float(np.sum(y))
+        V = V_base.copy(order="F")
+        V[:, n] = math.sqrt(lam / rest)
+        return lam / y, V
+
     def omega_grad_batch(Y: Array) -> Array:
         Y = np.asarray(Y, dtype=float)
         if np.any(Y <= 0.0):
@@ -530,9 +563,9 @@ def make_moment_matching(A_reduced: Array, b_reduced: Array) -> ProblemOracle:
         name="moment",
         dim=p,
         f_value=f_value,
-        f_grad=lambda y: Q @ y - Atb,
+        f_grad=lambda y: A.T @ (A @ y - b),
         f_hess=lambda y: Q,
-        f_hessvec=lambda y, v: Q @ v,
+        f_hessvec=lambda y, v: A.T @ (A @ v),
         omega_value=omega_value,
         omega_grad=omega_grad,
         omega_hess=omega_hess,
@@ -542,6 +575,7 @@ def make_moment_matching(A_reduced: Array, b_reduced: Array) -> ProblemOracle:
         mu=mu,
         sigma=1.0,
         lipschitz=None,
-        f_grad_batch=lambda Y: np.asarray(Y, dtype=float) @ Q - Atb,
+        f_grad_batch=lambda Y: (np.asarray(Y, dtype=float) @ A.T - b) @ A,
         omega_grad_batch=omega_grad_batch,
+        hess_lowrank=hess_lowrank,
     )

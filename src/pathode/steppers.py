@@ -9,7 +9,7 @@ system
 
 which the three Runge-Kutta schemes in SCHEMES discretize with a fixed
 multiplicative lambda-decay per step.  Directions come from a pluggable oracle: exact
-Cholesky solves, or warm-started CG with a residual tolerance delta.
+Newton solves (newton_direction), or warm-started CG with a residual tolerance delta.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linsolve import NotPositiveDefiniteError, cg_solve, solve_spd
+from .linsolve import NotPositiveDefiniteError, cg_solve, solve_diag_lowrank, solve_spd
 from .paths import PathKnot, PiecewiseLinearPath, residual_norm
 from .problems import DegenerateProblemError, DomainError, ProblemOracle
 from .reports import OracleCounters, RunReport, Stopwatch
@@ -155,8 +155,22 @@ class StepDiagnostics:
         }
 
 
+def newton_direction(problem: ProblemOracle, x, lam, g):
+    """Exact solve of (hess f + lam hess Omega)(x) y = -g with its residual certificate.
+
+    The one way to an exact Newton direction: Woodbury on the problem's
+    diag(d) + V V' form when it sets hess_lowrank, otherwise a Cholesky
+    solve of the assembled Hessian.  Either way it is one Hessian build and
+    one linear solve in the paper's counting; callers charge the counters.
+    """
+    if problem.hess_lowrank is not None:
+        d, V = problem.hess_lowrank(x, lam)
+        return solve_diag_lowrank(d, V, g)
+    return solve_spd(problem.total_hess(x, lam), g)
+
+
 class ExactDirections:
-    """Direction oracle backed by Cholesky solves of the assembled Hessian."""
+    """Direction oracle backed by exact Newton solves (newton_direction)."""
 
     mode = "exact"
 
@@ -167,9 +181,8 @@ class ExactDirections:
         """Exact direction at (x, lam); warm is accepted for the common interface and ignored."""
         g = problem.f_grad(x)
         self.counters.grad_f += 1
-        H = problem.f_hess(x) + lam * problem.omega_hess(x)
+        result = newton_direction(problem, x, lam, g)
         self.counters.hess_builds += 1
-        result = solve_spd(H, g)
         self.counters.linear_solves += 1
         return result
 
@@ -210,8 +223,7 @@ class CGDirections:
 
 def vector_field(problem: ProblemOracle, x: np.ndarray, lam: float) -> np.ndarray:
     """Exact ODE direction v(x, lambda) = -(hess F_lambda)^{-1} grad f (uncounted)."""
-    H = problem.total_hess(x, lam)
-    return solve_spd(H, problem.f_grad(x)).direction
+    return newton_direction(problem, x, lam, problem.f_grad(x)).direction
 
 
 @dataclass(frozen=True)
@@ -424,8 +436,7 @@ def initialize_from_omega(problem: ProblemOracle, lambda_max: float):
         raise ValueError("problem has no omega_minimizer to initialize from")
     x_om = np.array(problem.omega_minimizer, dtype=float, copy=True)
     g = problem.f_grad(x_om)
-    H = problem.total_hess(x_om, lambda_max)
-    x0 = x_om + solve_spd(H, g).direction
+    x0 = x_om + newton_direction(problem, x_om, lambda_max, g).direction
     gnorm = float(np.linalg.norm(g))
     denom = problem.mu + lambda_max * problem.sigma
     if problem.lipschitz is None or denom <= 0.0:
@@ -485,7 +496,7 @@ def newton_solve(
             return x, it, gnorm
         if it == max_iters:
             break
-        d = solve_spd(problem.total_hess(x, lam), g).direction
+        d = newton_direction(problem, x, lam, g).direction
         if counters is not None:
             counters.hess_builds += 1
             counters.linear_solves += 1

@@ -17,12 +17,14 @@ from pathode import (
     k_trapezoid,
     k_trapezoid_approx,
     lipschitz_v,
+    make_logistic_ridge,
     step_bound_euler,
     step_bound_euler_approx,
     step_bound_trapezoid,
     step_bound_trapezoid_approx,
     stepsize_conditions,
 )
+from pathode.datasets import generate_synthetic_logistic
 
 
 def tau_one_euler():
@@ -267,6 +269,15 @@ class TestEstimators:
         true_L = float(np.linalg.eigvalsh(A.T @ A)[-1])
         assert cons.L == pytest.approx(true_L, rel=1e-4)
         assert cons.estimated
+
+    def test_L_is_not_biased_low(self):
+        # the mean logistic Hessian is largest at x = 0, a sampled point; an
+        # iterative norm estimate stopped at 1e-6 relative lands 1.4e-5 low here
+        X, y = generate_synthetic_logistic(200, 30, 11)
+        problem = make_logistic_ridge(X * 16.0, y)
+        cons = estimate_constants(problem, (1e-2, 1e2), sample_count=64, seed=1)
+        exact = float(np.linalg.norm(problem.f_hess(np.zeros(30)), 2))
+        assert cons.L >= exact * (1.0 - 1e-14)
 
     def test_sigma_identity_regularizer(self, quad30):
         _, _, problem = quad30

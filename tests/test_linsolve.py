@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
-from pathode import NotPositiveDefiniteError, cg_iteration_bound, cg_solve, solve_spd
+from pathode import (
+    NotPositiveDefiniteError,
+    cg_iteration_bound,
+    cg_solve,
+    solve_diag_lowrank,
+    solve_spd,
+)
 
 
 def random_spd(dim, seed, cond=50.0):
@@ -120,6 +126,105 @@ class TestSolveSpdFailures:
         H0, g0 = H.copy(), g.copy()
         solve_spd(H, g)
         assert np.array_equal(H, H0) and np.array_equal(g, g0)
+
+
+def random_diag_lowrank(dim, rank, seed):
+    rng = np.random.Generator(np.random.Philox(seed))
+    d = rng.uniform(0.5, 4.0, size=dim)
+    V = rng.normal(size=(dim, rank))
+    g = rng.normal(size=dim)
+    return d, V, g
+
+
+class TestSolveDiagLowrank:
+    @pytest.mark.parametrize("dim, rank", [(1, 1), (1, 2), (5, 2), (40, 6), (200, 6)])
+    def test_matches_cholesky_of_the_assembled_matrix(self, dim, rank):
+        d, V, g = random_diag_lowrank(dim, rank, 70 + dim)
+        H = np.diag(d) + V @ V.T
+        res = solve_diag_lowrank(d, V, g)
+        ref = solve_spd(H, g)
+        err = np.linalg.norm(res.direction - ref.direction)
+        assert err <= 1e-12 * np.linalg.norm(ref.direction)
+        assert res.mode == "exact" and res.inner_iterations == 0 and res.converged
+        assert res.initial_residual == np.linalg.norm(g)
+
+    def test_residual_certificate_is_explicit(self):
+        d, V, g = random_diag_lowrank(30, 4, 71)
+        res = solve_diag_lowrank(d, V, g)
+        y = res.direction
+        assert np.array_equal(res.residual_vector, d * y + V @ (V.T @ y) + g)
+        assert res.residual_norm == np.linalg.norm(res.residual_vector)
+        H = np.diag(d) + V @ V.T
+        assert res.residual_norm == pytest.approx(np.linalg.norm(H @ y + g), abs=1e-13)
+
+    def test_diagonal_only(self):
+        # V = 0 leaves y = -g / d exactly
+        d, g = np.array([2.0, 4.0, 8.0]), np.array([2.0, -4.0, 1.0])
+        res = solve_diag_lowrank(d, np.zeros((3, 2)), g)
+        assert np.array_equal(res.direction, [-1.0, 1.0, -0.125])
+        assert res.residual_norm == 0.0
+
+    @pytest.mark.parametrize("d_shape, V_shape", [((3,), (4, 2)), ((3, 1), (3, 2)), ((3,), (3,))])
+    def test_shape_mismatch_rejected(self, d_shape, V_shape):
+        with pytest.raises(ValueError, match="shape"):
+            solve_diag_lowrank(np.ones(d_shape), np.ones(V_shape), np.ones(3))
+
+
+class TestSolveDiagLowrankFailures:
+    """The solve_spd failure contract: same classes, no warnings, inputs unwritten."""
+
+    @staticmethod
+    def _call(d, V, g):
+        d0, V0, g0 = d.copy(), V.copy(), g.copy()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                return solve_diag_lowrank(d, V, g)
+        finally:
+            assert np.array_equal(d, d0, equal_nan=True)
+            assert np.array_equal(V, V0, equal_nan=True)
+            assert np.array_equal(g, g0, equal_nan=True)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["d", "V", "V-last-column", "g"])
+    def test_nonfinite_input_rejected(self, where, value):
+        d, V, g = random_diag_lowrank(6, 3, 72)
+        target = {"d": d, "V": V, "V-last-column": V, "g": g}[where]
+        index = {"d": 2, "V": (4, 0), "V-last-column": (1, 2), "g": 3}[where]
+        target[index] = value
+        with pytest.raises(ValueError, match="non-finite") as info:
+            self._call(d, V, g)
+        assert not isinstance(info.value, NotPositiveDefiniteError)
+
+    def test_nonfinite_beats_nonpositive(self):
+        # a system that is both non-finite and indefinite reports the former, as solve_spd does
+        d, V, g = random_diag_lowrank(5, 2, 73)
+        d[0], V[3, 1] = -1.0, np.nan
+        with pytest.raises(ValueError, match="non-finite") as info:
+            self._call(d, V, g)
+        assert not isinstance(info.value, NotPositiveDefiniteError)
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            np.array([1.0, 0.0, 2.0, 3.0]),
+            np.array([1.0, 2.0, -1e-300, 3.0]),
+            np.array([-1.0, -2.0, -3.0, -4.0]),
+            np.zeros(4),
+        ],
+        ids=["zero", "tiny-negative", "negative", "zeros"],
+    )
+    def test_nonpositive_diagonal_rejected(self, d):
+        # V V' could make some of these matrices SPD, but Woodbury needs D > 0
+        V = np.full((4, 2), 10.0)
+        with pytest.raises(NotPositiveDefiniteError):
+            self._call(d, V, np.arange(1.0, 5.0))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_success_leaves_inputs_unwritten(self, order):
+        d, V, g = random_diag_lowrank(20, 4, 74)
+        res = self._call(d, np.asarray(V, order=order), g)
+        assert np.isfinite(res.residual_norm)
 
 
 class TestCgSolve:

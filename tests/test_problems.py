@@ -4,8 +4,12 @@ Closed-form expectations are hand-computed; derivative consistency is checked
 against central finite differences at seeded interior points.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from pathode import (
     DegenerateProblemError,
@@ -17,8 +21,10 @@ from pathode import (
     make_logistic_ridge,
     make_moment_matching,
     make_quadratic_ridge,
+    newton_direction,
     quadratic_path_point,
     quadratic_theory_constants,
+    solve_spd,
 )
 from pathode.datasets import generate_synthetic_logistic
 
@@ -319,6 +325,131 @@ class TestMomentMatching:
     def test_unpinned_closing_atom_rejected(self):
         with pytest.raises(ValueError):
             build_moment_problem(np.array([0.5, 0.6]), np.array([0.5, 0.5]), 1)
+
+
+    @pytest.mark.parametrize("p", [6, 50])
+    def test_mu_is_exactly_zero_below_full_rank(self, p):
+        # A'A has rank <= 5 < p: any positive mu would be eigvalsh rounding
+        w, x_true = generate_synthetic_moment_data(p, 3)
+        problem = make_moment_matching(*build_moment_problem(w, x_true, 5))
+        assert problem.mu == 0.0
+
+    def test_mu_is_the_min_eigenvalue_at_full_rank(self):
+        w, x_true = generate_synthetic_moment_data(3, 3)
+        A, b = build_moment_problem(w, x_true, 5)
+        problem = make_moment_matching(A, b)
+        assert problem.mu == np.linalg.eigvalsh(A.T @ A)[0] > 0.0
+
+    def test_factored_f_side_matches_the_gram_matrix(self):
+        w, x_true = generate_synthetic_moment_data(40, 6)
+        A, b = build_moment_problem(w, x_true, 5)
+        problem = make_moment_matching(A, b)
+        Q = A.T @ A
+        rng = np.random.Generator(np.random.Philox(86))
+        Y = np.array(interior_moment_points(problem, rng, 6))
+        for y in Y:
+            v = rng.normal(size=40)
+            assert np.allclose(problem.f_grad(y), Q @ y - A.T @ b, rtol=1e-12, atol=1e-14)
+            assert np.allclose(problem.f_hessvec(y, v), Q @ v, rtol=1e-12, atol=1e-14)
+        G = problem.f_grad_batch(Y)
+        assert G.shape == Y.shape
+        for i, y in enumerate(Y):
+            assert np.allclose(G[i], problem.f_grad(y), rtol=1e-12, atol=1e-14)
+
+    def test_hess_lowrank_checks_the_domain(self):
+        w, x_true = generate_synthetic_moment_data(2, 4)
+        problem = make_moment_matching(*build_moment_problem(w, x_true, 1))
+        for bad in ([-0.1, 0.5], [0.6, 0.4], [np.nan, 0.1]):
+            with pytest.raises(DomainError):
+                problem.hess_lowrank(np.array(bad), 1.0)
+
+    def test_only_the_moment_family_is_structured(self, quad30, logistic_small):
+        assert quad30[2].hess_lowrank is None
+        assert logistic_small.hess_lowrank is None
+        X, y = generate_synthetic_logistic(20, 3, 1)
+        assert make_logistic_reweighted(X, y).hess_lowrank is None
+
+
+@st.composite
+def moment_points(draw):
+    """A random moment instance, lambda, and an interior point that may hug the boundary.
+
+    The point keeps 1 - sum y >= rest (down to 1e-9) and pulls one
+    coordinate down to min_y (down to 1e-12).
+    """
+    p = draw(st.integers(1, 60))
+    n_moments = draw(st.integers(1, min(p + 1, 10)))
+    seed = draw(st.integers(0, 2**16))
+    lam = 10.0 ** draw(st.floats(-4.0, 4.0))
+    rest = 10.0 ** -draw(st.floats(0.3, 9.0))
+    min_y = 10.0 ** -draw(st.floats(0.0, 12.0))
+    w, x_true = generate_synthetic_moment_data(p, seed)
+    problem = make_moment_matching(*build_moment_problem(w, x_true, n_moments))
+    rng = np.random.Generator(np.random.Philox(seed))
+    u = rng.uniform(0.1, 1.0, size=p)
+    y = u / u.sum() * (1.0 - rest)
+    j = int(rng.integers(p))
+    y[j] = min(y[j], min_y)
+    assume(problem.domain_check(y))
+    return problem, lam, y, rng.normal(size=p)
+
+
+EPS = np.finfo(float).eps
+PROPERTY_SETTINGS = settings(
+    max_examples=150, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+class TestMomentHessianStructure:
+    """diag(d) + V V' is the moment Hessian, and Woodbury solves it like Cholesky."""
+
+    @PROPERTY_SETTINGS
+    @given(moment_points())
+    def test_factored_form_is_the_total_hessian(self, case):
+        problem, lam, y, _ = case
+        d, V = problem.hess_lowrank(y, lam)
+        H = problem.total_hess(y, lam)
+        assert d.shape == (problem.dim,) and V.shape[0] == problem.dim
+        assert np.linalg.norm(np.diag(d) + V @ V.T - H) <= 1e-12 * np.linalg.norm(H)
+
+    @PROPERTY_SETTINGS
+    @given(moment_points())
+    def test_direction_matches_cholesky_within_conditioning(self, case):
+        problem, lam, y, g = case
+        H = problem.total_hess(y, lam)
+        res = newton_direction(problem, y, lam, g)
+        ref = solve_spd(H, g).direction
+        dense = newton_direction(dataclasses.replace(problem, hess_lowrank=None), y, lam, g)
+        assert np.array_equal(dense.direction, ref)
+        # Cholesky's forward error scales with cond(H); Woodbury's also with
+        # the cancellation in D^-1 g - D^-1 V C^-1 V' D^-1 g, which grows with
+        # the norm of the capacitance matrix C = I + V' D^-1 V
+        evals = np.linalg.eigvalsh(H)
+        kappa = evals[-1] / evals[0] if evals[0] > 0.0 else np.inf
+        d, V = problem.hess_lowrank(y, lam)
+        cap = np.eye(V.shape[1]) + V.T @ (V / d[:, None])
+        scale = max(kappa, np.linalg.norm(cap, 2))
+        assert np.linalg.norm(res.direction - ref) <= 32.0 * scale * EPS * np.linalg.norm(ref)
+
+    @PROPERTY_SETTINGS
+    @given(moment_points())
+    def test_certificate_is_the_dense_residual(self, case):
+        problem, lam, y, g = case
+        res = newton_direction(problem, y, lam, g)
+        d, V = problem.hess_lowrank(y, lam)
+        H = problem.total_hess(y, lam)
+        x = res.direction
+        # both residuals are rounded evaluations of H x + g: they agree to
+        # within the componentwise error bound of the two products
+        ax = np.abs(x)
+        scale = (
+            np.linalg.norm(np.abs(H) @ ax)
+            + np.linalg.norm(np.abs(V) @ (np.abs(V).T @ ax))
+            + np.linalg.norm(g)
+        )
+        gamma = (problem.dim + V.shape[1] + 2) * EPS
+        assert abs(res.residual_norm - np.linalg.norm(H @ x + g)) <= gamma * scale
+        assert res.residual_norm == np.linalg.norm(res.residual_vector)
 
 
 # --------------------------------------------------------- TheoryConstants

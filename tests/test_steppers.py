@@ -1,5 +1,7 @@
 """Step schemes, the lambda schedule, run_path bookkeeping, and initializers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,12 @@ from pathode import (
     DegenerateProblemError,
     DomainError,
     ExactDirections,
+    accuracy_midpoint,
     OracleCounters,
     StepperConfig,
     build_moment_problem,
     decay_polynomial,
+    generate_synthetic_moment_data,
     euler_step,
     initialize_by_newton,
     initialize_from_omega,
@@ -202,6 +206,79 @@ class TestDomainBackoff:
         # increment 30 times still lands outside, so the step gives up
         with pytest.raises(DomainError):
             euler_step(problem, np.array([1.0 - 1e-15]), 1e-9, 0.9, exact_directions())
+
+
+# ------------------------------------------- structured (Woodbury) directions
+
+
+def _moment_instance(p):
+    w, x_true = generate_synthetic_moment_data(p, 7)
+    problem = make_moment_matching(*build_moment_problem(w, x_true, 5))
+    return problem, initialize_by_newton(problem, 1e2, 1e-10), (1e-2, 1e2), 64
+
+
+def _boundary_instance():
+    # the TestDomainBackoff instance: every scheme backs off over a hundred
+    # times and Euler's knots come within 1e-12 of the simplex face
+    problem = make_moment_matching(np.array([[0.5]]), np.array([0.6]))
+    return problem, np.array([0.9]), (1e-6, 1e-3), 16
+
+
+PATH_INSTANCES = {
+    "moment-p50": lambda: _moment_instance(50),
+    "moment-p200": lambda: _moment_instance(200),
+    "boundary-1d": _boundary_instance,
+}
+
+
+class TestStructuredDirections:
+    """hess_lowrank changes how exact directions are solved, not the path."""
+
+    @pytest.mark.parametrize("method", ["euler", "trapezoid", "rk4"])
+    @pytest.mark.parametrize("instance", list(PATH_INSTANCES))
+    def test_path_matches_the_dense_solve(self, instance, method):
+        problem, x0, (lam_min, lam_max), K = PATH_INSTANCES[instance]()
+        dense = dataclasses.replace(problem, hess_lowrank=None)
+        cfg = StepperConfig(method=method, K=K, lambda_min=lam_min, lambda_max=lam_max)
+        path, rep = run_path(problem, x0, cfg)
+        ref_path, ref_rep = run_path(dense, x0, cfg)
+        assert rep.counters == ref_rep.counters
+        assert np.array_equal(path.lams, ref_path.lams)
+        X = np.array([kn.x for kn in path.knots])
+        X_ref = np.array([kn.x for kn in ref_path.knots])
+        assert np.all(np.abs(X - X_ref).max(axis=1) <= 1e-12 * np.abs(X_ref).max(axis=1))
+        res = np.array([kn.residual for kn in path.knots])
+        res_ref = np.array([kn.residual for kn in ref_path.knots])
+        tol = 1e-11
+        if instance == "boundary-1d":
+            # knots agreeing to rounding move the residual by up to ||H|| ||dx||,
+            # and H ~ lambda / (1 - sum y) is ~1e6 where a knot hugs the face
+            tol += 4.0 * np.array(
+                [
+                    np.linalg.norm(dense.total_hess(x, lam), 2) * np.linalg.norm(x - x_ref)
+                    for x, x_ref, lam in zip(X, X_ref, path.lams)
+                ]
+            )
+        assert np.all(np.abs(res - res_ref) <= tol)
+        acc, acc_ref = accuracy_midpoint(problem, path), accuracy_midpoint(dense, ref_path)
+        assert acc == pytest.approx(acc_ref, rel=1e-9)
+
+    def test_no_assembly_when_the_structure_is_set(self):
+        # every exact-direction caller goes through newton_direction, so with
+        # the Hessian callables disabled all of them still run
+        problem, x0, (lam_min, lam_max), _ = _moment_instance(30)
+
+        def no_assembly(x):
+            raise AssertionError("dense Hessian assembled")
+
+        blind = dataclasses.replace(problem, f_hess=no_assembly, omega_hess=no_assembly)
+        for method in ("euler", "trapezoid", "rk4"):
+            cfg = StepperConfig(method=method, K=16, lambda_min=lam_min, lambda_max=lam_max)
+            run_path(blind, x0, cfg)
+        assert np.array_equal(vector_field(blind, x0, 1.0), vector_field(problem, x0, 1.0))
+        x_omega = initialize_from_omega(problem, lam_max)[0]
+        assert np.array_equal(initialize_from_omega(blind, lam_max)[0], x_omega)
+        assert np.array_equal(initialize_by_newton(blind, lam_max, 1e-10), x0)
 
 
 # --------------------------------------------------------- CG warm starts
