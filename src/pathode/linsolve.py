@@ -3,7 +3,8 @@
 Every entry point solves H y = -g and returns the direction together with an
 explicitly computed residual certificate ||H y + g||; callers never have to
 trust a recurrence or a factorization.  solve_spd factors an assembled H,
-solve_diag_lowrank takes H = diag(d) + V V' in factored form, and cg_solve
+solve_diag_lowrank takes H = diag(d) + V V' in factored form,
+solve_shifted_eigh takes H + lam I from H's eigendecomposition, and cg_solve
 needs only products with H.
 """
 
@@ -16,6 +17,10 @@ import numpy as np
 from scipy.linalg import lapack
 
 RECOMPUTE_EVERY = 50  # CG refreshes the true residual this often
+# solve_diag_lowrank refines once when ||r|| > REFINE_FLOOR ||g||: four times the
+# largest residual of the moment benchmark's directions (470 eps), a fifth of
+# the 1.1e4 eps that cancellation leaves near the simplex face
+REFINE_FLOOR = 2048 * np.finfo(float).eps
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -59,24 +64,23 @@ def solve_spd(H: np.ndarray, g: np.ndarray) -> DirectionResult:
         y, _ = lapack.dpotrs(c, -g, lower=1)
         with np.errstate(invalid="ignore", over="ignore"):  # inf/NaN in H meets y here
             residual = H @ y + g
-        rnorm = math.sqrt(float(residual @ residual))
+        rnorm = _norm(residual)
     if info != 0 or not math.isfinite(rnorm):
-        if not (np.all(np.isfinite(H)) and np.all(np.isfinite(g))):
-            raise ValueError("non-finite entries in linear system")
-        if info > 0:
-            raise NotPositiveDefiniteError(
-                f"Cholesky factorization failed: {info}-th leading minor of the array "
-                "is not positive definite"
-            )
-    return DirectionResult(
-        direction=y,
-        residual_norm=rnorm,
-        inner_iterations=0,
-        mode="exact",
-        initial_residual=math.sqrt(float(g @ g)),
-        converged=True,
-        residual_vector=residual,
-    )
+        _reject((H, g), info > 0 and f"Cholesky factorization failed: {info}-th leading minor "
+                "of the array is not positive definite")
+    return _exact(y, residual, rnorm, _norm(g))
+
+
+def _exact(y, residual, rnorm, gnorm) -> DirectionResult:
+    return DirectionResult(y, rnorm, 0, "exact", gnorm, True, residual)
+
+
+def _reject(arrays, message) -> None:
+    """Failure contract: ValueError on non-finite input, else NotPositiveDefiniteError(message)."""
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise ValueError("non-finite entries in linear system")
+    if message:
+        raise NotPositiveDefiniteError(message)
 
 
 def solve_diag_lowrank(d: np.ndarray, V: np.ndarray, g: np.ndarray) -> DirectionResult:
@@ -87,7 +91,10 @@ def solve_diag_lowrank(d: np.ndarray, V: np.ndarray, g: np.ndarray) -> Direction
     the O(p^3) of factoring the assembled matrix (Golub & Van Loan, Matrix
     Computations, 2.1.4).  C is factored by the LAPACK calls solve_spd makes,
     and the certificate is the explicitly evaluated residual
-    d * y + V (V' y) + g.  The failure contract is solve_spd's: a non-finite
+    r = d * y + V (V' y) + g.  That subtraction cancels when C is ill
+    conditioned (near the simplex face for the moment family), so when
+    ||r|| > REFINE_FLOOR ||g|| one refinement step y += solve(r) is taken
+    (Golub & Van Loan, 3.5.3).  The failure contract is solve_spd's: a non-finite
     entry of d, V or g raises ValueError, and d <= 0 or a failed capacitance
     factorization raises NotPositiveDefiniteError; the finiteness scan runs
     only when one of those checks fails.  Inputs are never written.
@@ -105,30 +112,47 @@ def solve_diag_lowrank(d: np.ndarray, V: np.ndarray, g: np.ndarray) -> Direction
         cap.flat[:: cap.shape[0] + 1] += 1.0
         c, info = lapack.dpotrf(cap, lower=1, clean=0, overwrite_a=1)
         if positive and info == 0:
-            z = dinv * g
-            t, _ = lapack.dpotrs(c, V.T @ z, lower=1)
-            y = W @ t - z
+
+            def solve(r):  # -(D + V V')^-1 r
+                z = dinv * r
+                t, _ = lapack.dpotrs(c, V.T @ z, lower=1)
+                return W @ t - z
+
+            gnorm = _norm(g)
+            y = solve(g)
             residual = d * y + V @ (V.T @ y) + g
-            rnorm = math.sqrt(float(residual @ residual))
+            rnorm = _norm(residual)
+            if rnorm > REFINE_FLOOR * gnorm:
+                y += solve(residual)
+                residual = d * y + V @ (V.T @ y) + g
+                rnorm = _norm(residual)
     if not positive or info != 0 or not math.isfinite(rnorm):
-        if not (np.all(np.isfinite(d)) and np.all(np.isfinite(V)) and np.all(np.isfinite(g))):
-            raise ValueError("non-finite entries in linear system")
-        if not positive:
-            raise NotPositiveDefiniteError("diagonal part has a nonpositive entry")
-        if info > 0:
-            raise NotPositiveDefiniteError(
-                f"Cholesky factorization of the capacitance matrix failed at its {info}-th "
-                "leading minor"
-            )
-    return DirectionResult(
-        direction=y,
-        residual_norm=rnorm,
-        inner_iterations=0,
-        mode="exact",
-        initial_residual=math.sqrt(float(g @ g)),
-        converged=True,
-        residual_vector=residual,
-    )
+        message = "diagonal part has a nonpositive entry" if not positive else info > 0 and (
+            f"Cholesky factorization of the capacitance matrix failed at its {info}-th "
+            "leading minor")
+        _reject((d, V, g), message)
+    return _exact(y, residual, rnorm, gnorm)
+
+
+def solve_shifted_eigh(H, evals, evecs, lam: float, g: np.ndarray) -> DirectionResult:
+    """Solve (H + lam I) y = -g from H's ascending eigendecomposition (numpy.linalg.eigh).
+
+    y = -evecs diag(1 / (evals + lam)) evecs' g is two O(p^2) products, and
+    the certificate is the explicitly evaluated H y + lam y + g.  solve_spd's
+    failure contract is checked before any product: non-finite lam or g
+    raises ValueError, and evals[0] + lam <= 0 NotPositiveDefiniteError.
+    """
+    g = np.asarray(g, dtype=float)
+    gnorm = _norm(g)
+    if not (math.isfinite(gnorm) and math.isfinite(lam) and evals[0] + lam > 0.0):
+        _reject((g, lam), "shifted matrix has a nonpositive eigenvalue")
+    y = evecs @ ((evecs.T @ g) / (-lam - evals))
+    residual = H @ y + lam * y + g
+    return _exact(y, residual, _norm(residual), gnorm)
+
+
+def _norm(v) -> float:
+    return math.sqrt(float(v @ v))
 
 
 def cg_solve(

@@ -12,25 +12,28 @@ logistic ridge       f = mean log(1 + exp(-b a'x)), Omega = 0.5 ||x||^2
 reweighted logistic  f, Omega = class-split logistic losses (sigma = 0)
 moment matching      f = 0.5 ||A'y - b'||^2,       Omega = simplex entropy
 
-Structured Hessians
--------------------
-A family whose Hessian f'' + lambda Omega'' is a positive diagonal plus a
-low-rank term sets the optional field hess_lowrank(x, lam) -> (d, V) with
-hess F_lambda(x) = diag(d) + V V'.  steppers.newton_direction then solves
-each exact Newton system by Woodbury (linsolve.solve_diag_lowrank) in
-O(p k^2) for V of shape (p, k), instead of assembling the p x p matrix and
-factoring it.  Only the moment family sets it: A'A has rank <= n_moments and
-the entropy Hessian is diag(1/y) + 11'/(1 - sum y).
+Hessian handles
+---------------
+Exact and CG directions and the Newton loops reach hess F_lambda(x) only
+through ProblemOracle.hessian(x, lam), a handle with grad_f(), solve(g) and
+matvec(v) that does its per-point work once.  The reweighted family gets a
+DenseHessian (total_hess and solve_spd); the others set hessian_at:
+quadratic  one eigh of A'A per problem, then O(p^2) per solve
+logistic   the sigmoid once per point; solve assembles B'B + lam I by syrk,
+           B = A sqrt(w / n)
+moment     Woodbury on diag(lam / y) + V V', V = [A' | sqrt(lam / (1 - sum y)) 1]
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
 from scipy.special import expit
+
+from .linsolve import DirectionResult, solve_diag_lowrank, solve_shifted_eigh, solve_spd
 
 Array = np.ndarray
 
@@ -58,11 +61,10 @@ class ProblemOracle:
     Lipschitz moduli of f, its gradient and Hessian, and Omega's; it may
     be None for families without a global certificate (entropy).
 
-    hess_lowrank, when set, takes (x, lam) and returns (d, V) with
-    f''(x) + lam Omega''(x) = diag(d) + V V', d of shape (dim,) and V of
-    shape (dim, k) for a small k.  It is the only structure hook:
-    steppers.newton_direction uses it for every exact Newton direction and
-    otherwise factors total_hess.  It must raise DomainError where the
+    hessian_at, when set, takes (x, lam) and returns a handle on
+    H = f''(x) + lam Omega''(x) like DenseHessian's: grad_f() is f_grad(x),
+    matvec(v) is H v, and solve(g) solves H y = -g with an explicit residual
+    and solve_spd's failure contract.  It must raise DomainError where the
     Hessian callables do.
     """
 
@@ -83,7 +85,7 @@ class ProblemOracle:
     lipschitz: float | None
     f_grad_batch: Callable[[Array], Array] | None = None
     omega_grad_batch: Callable[[Array], Array] | None = None
-    hess_lowrank: Callable[[Array, float], tuple[Array, Array]] | None = None
+    hessian_at: Callable[[Array, float], "DenseHessian"] | None = None
 
     def total_value(self, x: Array, lam: float) -> float:
         return self.f_value(x) + lam * self.omega_value(x)
@@ -93,6 +95,94 @@ class ProblemOracle:
 
     def total_hess(self, x: Array, lam: float) -> Array:
         return self.f_hess(x) + lam * self.omega_hess(x)
+
+    def hessian(self, x: Array, lam: float) -> "DenseHessian":
+        """The handle on hess F_lam(x): hessian_at's when set, else a DenseHessian."""
+        if self.hessian_at is not None:
+            return self.hessian_at(x, lam)
+        return DenseHessian(self, x, lam)
+
+
+class DenseHessian:
+    """Handle on hess F_lam(x) built from the oracle's callables; solve assembles it."""
+
+    def __init__(self, problem: ProblemOracle, x: Array, lam: float):
+        self.problem, self.x, self.lam = problem, x, lam
+
+    def grad_f(self) -> Array:
+        return self.problem.f_grad(self.x)
+
+    def solve(self, g: Array) -> DirectionResult:
+        return solve_spd(self.problem.total_hess(self.x, self.lam), g)
+
+    def matvec(self, v: Array) -> Array:
+        return self.problem.f_hessvec(self.x, v) + self.lam * self.problem.omega_hessvec(self.x, v)
+
+
+class _QuadraticHessian:
+    """A'A + lam I, solved from the problem's one eigendecomposition of A'A."""
+
+    def __init__(self, Q, Atb, eig, x, lam):
+        self.Q, self.Atb, self.eig, self.x, self.lam = Q, Atb, eig, x, lam
+
+    def grad_f(self):
+        return self.Q @ self.x - self.Atb
+
+    def solve(self, g):
+        return solve_shifted_eigh(self.Q, *self.eig, self.lam, g)
+
+    def matvec(self, v):
+        return self.Q @ v + self.lam * v
+
+
+class _LogisticHessian:
+    """Mean logistic loss f'' = A' diag(w) A / n (+ lam I), with s and w = s (1 - s) taken once."""
+
+    def __init__(self, A, Ab, x, lam=0.0):
+        self.A, self.Ab, self.lam = A, Ab, lam
+        self.s = expit(-(Ab @ x))
+        self.w = self.s * (1.0 - self.s)
+
+    def grad_f(self):
+        return -(self.Ab.T @ self.s) / self.A.shape[0]
+
+    def f_hess(self):
+        B = self.A * np.sqrt(self.w / self.A.shape[0])[:, None]
+        return B.T @ B  # a matrix times its own transpose: numpy calls BLAS syrk
+
+    def f_hessvec(self, v):
+        return self.A.T @ (self.w * (self.A @ v)) / self.A.shape[0]
+
+    def solve(self, g):
+        H = self.f_hess()
+        H.flat[:: H.shape[0] + 1] += self.lam
+        return solve_spd(H, g)
+
+    def matvec(self, v):
+        return self.f_hessvec(v) + self.lam * v
+
+
+class _MomentHessian:
+    """A'A + lam (diag(1/y) + 11'/rest), rest = 1 - sum y, domain checked once."""
+
+    def __init__(self, A, b, V_base, y, lam):
+        self.A, self.b, self.V_base, self.y, self.lam = A, b, V_base, y, lam
+        self.rest = 1.0 - float(y.sum())
+
+    def grad_f(self):
+        return self.A.T @ (self.A @ self.y - self.b)
+
+    def lowrank(self) -> tuple[Array, Array]:
+        """(d, V) with this Hessian = diag(d) + V V'; at lam <= 0, d <= 0 fails the solve."""
+        V = self.V_base.copy(order="F")
+        V[:, -1] = math.sqrt(max(self.lam, 0.0) / self.rest)
+        return self.lam / self.y, V
+
+    def solve(self, g):
+        return solve_diag_lowrank(*self.lowrank(), g)
+
+    def matvec(self, v):
+        return self.A.T @ (self.A @ v) + self.lam * (v / self.y + np.sum(v) / self.rest)
 
 
 @dataclass(frozen=True)
@@ -158,27 +248,11 @@ class TheoryConstants:
         )
 
     def as_dict(self) -> dict:
-        return {
-            "mu": self.mu,
-            "sigma": self.sigma,
-            "L": self.L,
-            "G": self.G,
-            "lambda_min": self.lambda_min,
-            "lambda_max": self.lambda_max,
-            "tau": self.tau,
-            "T_euler": self.T_euler,
-            "T_trap": self.T_trap,
-            "mu_tilde": self.mu_tilde,
-            "estimated": self.estimated,
-        }
+        return asdict(self)
 
 
 def _spectral_norm(M: Array) -> float:
     return float(np.linalg.norm(M, 2))
-
-
-def _min_eig(M: Array) -> float:
-    return float(np.linalg.eigvalsh(M)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +265,8 @@ def make_quadratic_ridge(A: Array, b: Array) -> ProblemOracle:
     mu is the smallest eigenvalue of A'A (clipped at zero for rank-deficient
     designs), sigma = 1, and the shared Lipschitz constant is
     max(||A'A||_2, 1): the Hessians are constant so only the gradient
-    moduli bind.
+    moduli bind.  Both come from the one eigh of A'A that backs the
+    hessian_at solves.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -201,8 +276,9 @@ def make_quadratic_ridge(A: Array, b: Array) -> ProblemOracle:
     Q = A.T @ A
     Atb = A.T @ b
     eye = np.eye(p)
-    mu = max(0.0, _min_eig(Q))
-    L = max(_spectral_norm(Q), 1.0)
+    eig = np.linalg.eigh(Q)
+    mu = max(0.0, float(eig[0][0]))
+    L = max(float(np.abs(eig[0]).max()), 1.0)
 
     def f_value(x: Array) -> float:
         r = A @ x - b
@@ -235,6 +311,7 @@ def make_quadratic_ridge(A: Array, b: Array) -> ProblemOracle:
         lipschitz=L,
         f_grad_batch=f_grad_batch,
         omega_grad_batch=omega_grad_batch,
+        hessian_at=lambda x, lam: _QuadraticHessian(Q, Atb, eig, x, lam),
     )
 
 
@@ -259,7 +336,7 @@ def quadratic_theory_constants(
     b = np.asarray(b, dtype=float)
     x0 = np.asarray(x0, dtype=float)
     Q = A.T @ A
-    mu = _min_eig(Q)
+    mu = float(np.linalg.eigvalsh(Q)[0])
     if mu <= 0.0:
         raise ValueError("analytic gradient bound needs full column rank (mu > 0)")
     L = max(_spectral_norm(Q), 1.0)
@@ -314,17 +391,11 @@ def _logistic_pieces(A: Array, labels: Array):
         s = expit(-(Ab @ x))
         return -(Ab.T @ s) / n
 
-    def weights(x: Array) -> Array:
-        s = expit(-(Ab @ x))
-        return s * (1.0 - s)
-
     def hess(x: Array) -> Array:
-        w = weights(x)
-        return (A.T * w) @ A / n
+        return _LogisticHessian(A, Ab, x).f_hess()
 
     def hessvec(x: Array, v: Array) -> Array:
-        w = weights(x)
-        return A.T @ (w * (A @ v)) / n
+        return _LogisticHessian(A, Ab, x).f_hessvec(v)
 
     def grad_batch(X: Array) -> Array:
         # blocked so the (rows, n) sigmoid intermediate stays bounded
@@ -335,7 +406,8 @@ def _logistic_pieces(A: Array, labels: Array):
             out[start : start + rows] = -(S @ Ab) / n
         return out
 
-    return value, grad, hess, hessvec, grad_batch
+    # the handle of the ridge oracle, Omega = 0.5 ||x||^2
+    return value, grad, hess, hessvec, grad_batch, lambda x, lam: _LogisticHessian(A, Ab, x, lam)
 
 
 def _check_labels(labels: Array) -> Array:
@@ -352,7 +424,7 @@ def make_logistic_ridge(features: Array, labels: Array) -> ProblemOracle:
     if A.ndim != 2 or A.shape[0] != labels.shape[0]:
         raise ValueError(f"shape mismatch: features {A.shape}, labels {labels.shape}")
     n, p = A.shape
-    value, grad, hess, hessvec, grad_batch = _logistic_pieces(A, labels)
+    value, grad, hess, hessvec, grad_batch, hessian_at = _logistic_pieces(A, labels)
     eye = np.eye(p)
     cs = _logistic_constants(A)
     L = max(1.0, cs["value"], cs["grad"], cs["hess"], cs["third"])
@@ -378,6 +450,7 @@ def make_logistic_ridge(features: Array, labels: Array) -> ProblemOracle:
         lipschitz=L,
         f_grad_batch=grad_batch,
         omega_grad_batch=omega_grad_batch,
+        hessian_at=hessian_at,
     )
 
 
@@ -402,8 +475,8 @@ def make_logistic_reweighted(features: Array, labels: Array) -> ProblemOracle:
     if not pos.any() or not neg.any():
         raise ValueError("need at least one row of each class")
     p = A.shape[1]
-    fv, fg, fh, fhv, fgb = _logistic_pieces(A[pos], labels[pos])
-    ov, og, oh, ohv, ogb = _logistic_pieces(A[neg], labels[neg])
+    fv, fg, fh, fhv, fgb, _ = _logistic_pieces(A[pos], labels[pos])
+    ov, og, oh, ohv, ogb, _ = _logistic_pieces(A[neg], labels[neg])
     cs_pos = _logistic_constants(A[pos])
     cs_neg = _logistic_constants(A[neg])
     L = max(*cs_pos.values(), *cs_neg.values())
@@ -494,7 +567,7 @@ def make_moment_matching(A_reduced: Array, b_reduced: Array) -> ProblemOracle:
     moments than coordinates.  The f side is applied in factored form,
     O(p n_moments) per point; the p x p Q = A'A backs only f_hess.  The total
     Hessian is diag(lam / y) + V V' with V = [A' | sqrt(lam / (1 - sum y)) 1],
-    which hess_lowrank returns for the Woodbury direction solve.
+    which hessian_at's handle solves by Woodbury.
     """
     A = np.asarray(A_reduced, dtype=float)
     b = np.asarray(b_reduced, dtype=float)
@@ -502,7 +575,7 @@ def make_moment_matching(A_reduced: Array, b_reduced: Array) -> ProblemOracle:
         raise ValueError(f"shape mismatch: A {A.shape}, b {b.shape}")
     n, p = A.shape
     Q = A.T @ A
-    mu = max(0.0, _min_eig(Q)) if n >= p else 0.0
+    mu = max(0.0, float(np.linalg.eigvalsh(Q)[0])) if n >= p else 0.0
     # column-major, so the per-call copy and the write of its last column stay contiguous
     V_base = np.asfortranarray(np.hstack([A.T, np.ones((p, 1))]))
 
@@ -539,13 +612,6 @@ def make_moment_matching(A_reduced: Array, b_reduced: Array) -> ProblemOracle:
         rest = 1.0 - float(np.sum(y))
         return v / y + np.sum(v) / rest
 
-    def hess_lowrank(y: Array, lam: float) -> tuple[Array, Array]:
-        y = _require_domain(y)
-        rest = 1.0 - float(np.sum(y))
-        V = V_base.copy(order="F")
-        V[:, n] = math.sqrt(lam / rest)
-        return lam / y, V
-
     def omega_grad_batch(Y: Array) -> Array:
         Y = np.asarray(Y, dtype=float)
         if np.any(Y <= 0.0):
@@ -577,5 +643,5 @@ def make_moment_matching(A_reduced: Array, b_reduced: Array) -> ProblemOracle:
         lipschitz=None,
         f_grad_batch=lambda Y: (np.asarray(Y, dtype=float) @ A.T - b) @ A,
         omega_grad_batch=omega_grad_batch,
-        hess_lowrank=hess_lowrank,
+        hessian_at=lambda y, lam: _MomentHessian(A, b, V_base, _require_domain(y), lam),
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 SCHEMA_VERSION = 1
 
@@ -21,8 +21,9 @@ class OracleCounters:
     """Tallies of every oracle call made by one run.
 
     grad_f / grad_omega count gradient evaluations performed for solver
-    work (directions, inner stopping rules).  hess_builds counts full
-    Hessian assemblies f_hess + lambda * omega_hess.  hessvec counts
+    work (directions, inner stopping rules).  hess_builds counts Hessian
+    builds, one per exact direction or Newton step however the problem's
+    Hessian handle solves it.  hessvec counts
     Hessian-vector products (CG work).  metric_evals counts residual
     evaluations made for accuracy reporting, which are deliberately kept
     out of the solver budget.
@@ -37,15 +38,7 @@ class OracleCounters:
     metric_evals: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "grad_f": self.grad_f,
-            "grad_omega": self.grad_omega,
-            "hess_builds": self.hess_builds,
-            "hessvec": self.hessvec,
-            "linear_solves": self.linear_solves,
-            "cg_iters_total": self.cg_iters_total,
-            "metric_evals": self.metric_evals,
-        }
+        return asdict(self)
 
     def check_nonnegative(self) -> None:
         for name, value in self.as_dict().items():

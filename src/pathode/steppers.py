@@ -9,18 +9,19 @@ system
 
 which the three Runge-Kutta schemes in SCHEMES discretize with a fixed
 multiplicative lambda-decay per step.  Directions come from a pluggable oracle: exact
-Newton solves (newton_direction), or warm-started CG with a residual tolerance delta.
+Newton solves, or warm-started CG with a residual tolerance delta, both through the
+problem's per-point Hessian handle (ProblemOracle.hessian).
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .linsolve import NotPositiveDefiniteError, cg_solve, solve_diag_lowrank, solve_spd
+from .linsolve import NotPositiveDefiniteError, cg_solve
 from .paths import PathKnot, PiecewiseLinearPath, residual_norm
 from .problems import DegenerateProblemError, DomainError, ProblemOracle
 from .reports import OracleCounters, RunReport, Stopwatch
@@ -142,35 +143,12 @@ class StepDiagnostics:
     stage_points: list[np.ndarray] | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "lambda_k": self.lambda_k,
-            "residual_r_k": self.residual_r_k,
-            "direction_norms": self.direction_norms,
-            "cg_iterations": self.cg_iterations,
-            "direction_residuals": self.direction_residuals,
-            "cg_initial_residuals": self.cg_initial_residuals,
-            "stage_lambdas": self.stage_lambdas,
-            "domain_backoffs": self.domain_backoffs,
-        }
-
-
-def newton_direction(problem: ProblemOracle, x, lam, g):
-    """Exact solve of (hess f + lam hess Omega)(x) y = -g with its residual certificate.
-
-    The one way to an exact Newton direction: Woodbury on the problem's
-    diag(d) + V V' form when it sets hess_lowrank, otherwise a Cholesky
-    solve of the assembled Hessian.  Either way it is one Hessian build and
-    one linear solve in the paper's counting; callers charge the counters.
-    """
-    if problem.hess_lowrank is not None:
-        d, V = problem.hess_lowrank(x, lam)
-        return solve_diag_lowrank(d, V, g)
-    return solve_spd(problem.total_hess(x, lam), g)
+        vectors = ("direction_vectors", "residual_vectors", "stage_points")
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name not in vectors}
 
 
 class ExactDirections:
-    """Direction oracle backed by exact Newton solves (newton_direction)."""
+    """Direction oracle backed by exact Newton solves of the problem's Hessian handle."""
 
     mode = "exact"
 
@@ -179,9 +157,10 @@ class ExactDirections:
 
     def direction(self, problem: ProblemOracle, x, lam, warm=None):
         """Exact direction at (x, lam); warm is accepted for the common interface and ignored."""
-        g = problem.f_grad(x)
+        hess = problem.hessian(x, lam)
+        g = hess.grad_f()
         self.counters.grad_f += 1
-        result = newton_direction(problem, x, lam, g)
+        result = hess.solve(g)
         self.counters.hess_builds += 1
         self.counters.linear_solves += 1
         return result
@@ -203,12 +182,13 @@ class CGDirections:
         self.max_iters = max_iters
 
     def direction(self, problem: ProblemOracle, x, lam, warm=None):
-        g = problem.f_grad(x)
+        hess = problem.hessian(x, lam)
+        g = hess.grad_f()
         self.counters.grad_f += 1
 
         def hessvec(v):
             self.counters.hessvec += 1
-            return problem.f_hessvec(x, v) + lam * problem.omega_hessvec(x, v)
+            return hess.matvec(v)
 
         start = warm if warm is not None else np.zeros(problem.dim)
         result = cg_solve(hessvec, g, start, self.delta, self.max_iters)
@@ -223,7 +203,8 @@ class CGDirections:
 
 def vector_field(problem: ProblemOracle, x: np.ndarray, lam: float) -> np.ndarray:
     """Exact ODE direction v(x, lambda) = -(hess F_lambda)^{-1} grad f (uncounted)."""
-    return newton_direction(problem, x, lam, problem.f_grad(x)).direction
+    hess = problem.hessian(x, lam)
+    return hess.solve(hess.grad_f()).direction
 
 
 @dataclass(frozen=True)
@@ -435,8 +416,9 @@ def initialize_from_omega(problem: ProblemOracle, lambda_max: float):
     if problem.omega_minimizer is None:
         raise ValueError("problem has no omega_minimizer to initialize from")
     x_om = np.array(problem.omega_minimizer, dtype=float, copy=True)
-    g = problem.f_grad(x_om)
-    x0 = x_om + newton_direction(problem, x_om, lambda_max, g).direction
+    hess = problem.hessian(x_om, lambda_max)
+    g = hess.grad_f()
+    x0 = x_om + hess.solve(g).direction
     gnorm = float(np.linalg.norm(g))
     denom = problem.mu + lambda_max * problem.sigma
     if problem.lipschitz is None or denom <= 0.0:
@@ -496,7 +478,7 @@ def newton_solve(
             return x, it, gnorm
         if it == max_iters:
             break
-        d = newton_direction(problem, x, lam, g).direction
+        d = problem.hessian(x, lam).solve(g).direction
         if counters is not None:
             counters.hess_builds += 1
             counters.linear_solves += 1

@@ -5,6 +5,7 @@ against central finite differences at seeded interior points.
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from hypothesis import strategies as st
 
 from pathode import (
     DegenerateProblemError,
+    DenseHessian,
     DomainError,
+    NotPositiveDefiniteError,
     TheoryConstants,
     build_moment_problem,
     generate_synthetic_moment_data,
@@ -21,12 +24,11 @@ from pathode import (
     make_logistic_ridge,
     make_moment_matching,
     make_quadratic_ridge,
-    newton_direction,
     quadratic_path_point,
     quadratic_theory_constants,
     solve_spd,
 )
-from pathode.datasets import generate_synthetic_logistic
+from pathode.datasets import generate_synthetic_logistic, generate_synthetic_quadratic
 
 
 def fd_gradient(fn, x, h=1e-6):
@@ -356,18 +358,22 @@ class TestMomentMatching:
         for i, y in enumerate(Y):
             assert np.allclose(G[i], problem.f_grad(y), rtol=1e-12, atol=1e-14)
 
-    def test_hess_lowrank_checks_the_domain(self):
+    def test_hessian_handle_checks_the_domain(self):
         w, x_true = generate_synthetic_moment_data(2, 4)
         problem = make_moment_matching(*build_moment_problem(w, x_true, 1))
         for bad in ([-0.1, 0.5], [0.6, 0.4], [np.nan, 0.1]):
             with pytest.raises(DomainError):
-                problem.hess_lowrank(np.array(bad), 1.0)
+                problem.hessian(np.array(bad), 1.0)
 
-    def test_only_the_moment_family_is_structured(self, quad30, logistic_small):
-        assert quad30[2].hess_lowrank is None
-        assert logistic_small.hess_lowrank is None
+    def test_only_the_reweighted_family_falls_back_to_dense(self, quad30, logistic_small):
+        assert quad30[2].hessian_at is not None
+        assert logistic_small.hessian_at is not None
+        w, x_true = generate_synthetic_moment_data(2, 4)
+        assert make_moment_matching(*build_moment_problem(w, x_true, 1)).hessian_at is not None
         X, y = generate_synthetic_logistic(20, 3, 1)
-        assert make_logistic_reweighted(X, y).hess_lowrank is None
+        reweighted = make_logistic_reweighted(X, y)
+        assert reweighted.hessian_at is None
+        assert isinstance(reweighted.hessian(np.zeros(3), 1.0), DenseHessian)
 
 
 @st.composite
@@ -407,7 +413,7 @@ class TestMomentHessianStructure:
     @given(moment_points())
     def test_factored_form_is_the_total_hessian(self, case):
         problem, lam, y, _ = case
-        d, V = problem.hess_lowrank(y, lam)
+        d, V = problem.hessian(y, lam).lowrank()
         H = problem.total_hess(y, lam)
         assert d.shape == (problem.dim,) and V.shape[0] == problem.dim
         assert np.linalg.norm(np.diag(d) + V @ V.T - H) <= 1e-12 * np.linalg.norm(H)
@@ -417,16 +423,16 @@ class TestMomentHessianStructure:
     def test_direction_matches_cholesky_within_conditioning(self, case):
         problem, lam, y, g = case
         H = problem.total_hess(y, lam)
-        res = newton_direction(problem, y, lam, g)
+        res = problem.hessian(y, lam).solve(g)
         ref = solve_spd(H, g).direction
-        dense = newton_direction(dataclasses.replace(problem, hess_lowrank=None), y, lam, g)
+        dense = dataclasses.replace(problem, hessian_at=None).hessian(y, lam).solve(g)
         assert np.array_equal(dense.direction, ref)
         # Cholesky's forward error scales with cond(H); Woodbury's also with
         # the cancellation in D^-1 g - D^-1 V C^-1 V' D^-1 g, which grows with
         # the norm of the capacitance matrix C = I + V' D^-1 V
         evals = np.linalg.eigvalsh(H)
         kappa = evals[-1] / evals[0] if evals[0] > 0.0 else np.inf
-        d, V = problem.hess_lowrank(y, lam)
+        d, V = problem.hessian(y, lam).lowrank()
         cap = np.eye(V.shape[1]) + V.T @ (V / d[:, None])
         scale = max(kappa, np.linalg.norm(cap, 2))
         assert np.linalg.norm(res.direction - ref) <= 32.0 * scale * EPS * np.linalg.norm(ref)
@@ -435,8 +441,8 @@ class TestMomentHessianStructure:
     @given(moment_points())
     def test_certificate_is_the_dense_residual(self, case):
         problem, lam, y, g = case
-        res = newton_direction(problem, y, lam, g)
-        d, V = problem.hess_lowrank(y, lam)
+        res = problem.hessian(y, lam).solve(g)
+        d, V = problem.hessian(y, lam).lowrank()
         H = problem.total_hess(y, lam)
         x = res.direction
         # both residuals are rounded evaluations of H x + g: they agree to
@@ -450,6 +456,129 @@ class TestMomentHessianStructure:
         gamma = (problem.dim + V.shape[1] + 2) * EPS
         assert abs(res.residual_norm - np.linalg.norm(H @ x + g)) <= gamma * scale
         assert res.residual_norm == np.linalg.norm(res.residual_vector)
+
+
+# ------------------------------------------------------ Hessian handles
+
+
+@st.composite
+def oracle_points(draw):
+    """(problem, rows, lam, x, g, v) for a random oracle of any family.
+
+    rows is the number of terms summed into one Hessian entry (data rows,
+    or moments plus one), which scales the rounding bars below.  The
+    reweighted family has no hessian_at, so its handle is the dense one.
+    """
+    family = draw(st.sampled_from(["quadratic", "logistic", "moment", "reweighted"]))
+    if family == "moment":
+        problem, lam, x, _ = draw(moment_points())
+        rows = problem.hessian(x, lam).lowrank()[1].shape[1]
+    else:
+        p, rows = draw(st.integers(1, 25)), draw(st.integers(2, 60))
+        seed = draw(st.integers(0, 2**16))
+        lam = 10.0 ** draw(st.floats(-3.0, 3.0))
+        scale = draw(st.sampled_from([0.1, 1.0, 16.0]))
+        if family == "quadratic":
+            problem = make_quadratic_ridge(*generate_synthetic_quadratic(rows, p, seed))
+        else:
+            X, y = generate_synthetic_logistic(rows, p, seed)
+            make = make_logistic_ridge if family == "logistic" else make_logistic_reweighted
+            problem = make(scale * X, y)
+        x = scale * np.random.Generator(np.random.Philox(seed)).normal(size=p)
+    # the reweighted Omega is only semidefinite
+    assume(np.linalg.eigvalsh(problem.total_hess(x, lam))[0] > 0.0)
+    rng = np.random.Generator(np.random.Philox(draw(st.integers(0, 2**16))))
+    return problem, rows, lam, x, rng.normal(size=problem.dim), rng.normal(size=problem.dim)
+
+
+def handle_variants(problem):
+    """The problem as given and with its structured handle switched off."""
+    return problem, dataclasses.replace(problem, hessian_at=None)
+
+
+class TestHessianHandles:
+    """Every family's handle is hess F_lam(x) as the dense callables define it."""
+
+    @PROPERTY_SETTINGS
+    @given(oracle_points())
+    def test_grad_and_matvec_are_the_callables(self, case):
+        problem, _, lam, x, _, v = case
+        handle = problem.hessian(x, lam)
+        assert np.array_equal(handle.grad_f(), problem.f_grad(x))
+        dense = problem.f_hessvec(x, v) + lam * problem.omega_hessvec(x, v)
+        assert np.array_equal(handle.matvec(v), dense)
+
+    @PROPERTY_SETTINGS
+    @given(oracle_points())
+    def test_solve_matches_cholesky_of_total_hess(self, case):
+        problem, rows, lam, x, g, _ = case
+        H = problem.total_hess(x, lam)
+        res = problem.hessian(x, lam).solve(g)
+        ref = solve_spd(H, g)
+        y, dim = res.direction, problem.dim
+        assert res.mode == "exact" and res.converged and res.inner_iterations == 0
+        assert res.initial_residual == np.linalg.norm(g)
+        assert res.residual_norm == np.linalg.norm(res.residual_vector)
+        # the certificate is H y + g up to the rounding of either evaluation;
+        # |H| entries are bounded by sqrt(H_ii H_jj), so || |H| |y| || <= sqrt(p) ||H||_F ||y||
+        gamma = 2.0 * (rows + dim + 8) * EPS
+        size = np.sqrt(dim) * np.linalg.norm(H)
+        gnorm, ynorm, refnorm = (np.linalg.norm(v) for v in (g, y, ref.direction))
+        recomputed = np.linalg.norm(H @ y + g)
+        assert abs(res.residual_norm - recomputed) <= gamma * (size * ynorm + gnorm)
+        # each direction lies within its true residual / lambda_min(H) of the exact one
+        slack = gamma * (size * (ynorm + refnorm) + 2.0 * gnorm)
+        distance = np.linalg.norm(y - ref.direction)
+        assert distance <= (recomputed + ref.residual_norm + slack) / np.linalg.eigvalsh(H)[0]
+
+    @PROPERTY_SETTINGS
+    @given(oracle_points(), st.sampled_from([np.nan, np.inf, -np.inf]), st.booleans())
+    def test_nonfinite_input_raises_value_error(self, case, value, in_lam):
+        problem, _, lam, x, g, _ = case
+        if in_lam:
+            lam = float("nan")
+        else:
+            g[len(g) // 2] = value
+        for variant in handle_variants(problem):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="non-finite") as info:
+                    variant.hessian(x, lam).solve(g)
+            assert not isinstance(info.value, NotPositiveDefiniteError)
+
+    @PROPERTY_SETTINGS
+    @given(oracle_points())
+    def test_negative_definite_system_raises(self, case):
+        problem, _, _, x, g, _ = case
+        # hess Omega >= sigma_min I, so this lam leaves hess F_lam <= -I
+        sigma_min = np.linalg.eigvalsh(problem.omega_hess(x))[0]
+        assume(sigma_min > 1e-6)
+        lam = -(np.linalg.norm(problem.f_hess(x), 2) + 1.0) / sigma_min
+        for variant in handle_variants(problem):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NotPositiveDefiniteError):
+                    variant.hessian(x, lam).solve(g)
+
+    @pytest.mark.parametrize("bad", [[-0.1, 0.5], [0.6, 0.4], [np.nan, 0.1], [np.inf, 0.1]])
+    def test_out_of_domain_point_raises(self, bad):
+        w, x_true = generate_synthetic_moment_data(2, 4)
+        problem = make_moment_matching(*build_moment_problem(w, x_true, 1))
+        for variant in handle_variants(problem):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError):
+                    variant.hessian(np.array(bad), 1.0).solve(np.ones(2))
+
+    def test_refinement_recovers_the_direction_near_the_face(self):
+        # y = 0.9999 leaves 1 - sum y = 1e-4: the rank-one entropy term is 1e4
+        # and Woodbury alone cancels to 2.5e-12 relative
+        problem = make_moment_matching(np.array([[0.5]]), np.array([0.6]))
+        y = np.array([0.9999])
+        handle = problem.hessian(y, 1.0)
+        g = handle.grad_f()
+        ref = solve_spd(problem.total_hess(y, 1.0), g).direction
+        assert np.linalg.norm(handle.solve(g).direction - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
 # --------------------------------------------------------- TheoryConstants

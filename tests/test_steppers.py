@@ -19,8 +19,10 @@ from pathode import (
     initialize_by_newton,
     initialize_from_omega,
     make_logistic_reweighted,
+    make_logistic_ridge,
     make_moment_matching,
     make_quadratic_ridge,
+    quadratic_path_point,
     residual_norm,
     rk4_step,
     run_path,
@@ -28,7 +30,7 @@ from pathode import (
     trapezoid_step,
     vector_field,
 )
-from pathode.datasets import generate_synthetic_logistic
+from pathode.datasets import generate_synthetic_logistic, generate_synthetic_quadratic
 
 from conftest import fit_loglog_slope
 
@@ -224,6 +226,22 @@ def _boundary_instance():
     return problem, np.array([0.9]), (1e-6, 1e-3), 16
 
 
+def _quadratic_instance():
+    A, b = generate_synthetic_quadratic(30, 20, 1)
+    return make_quadratic_ridge(A, b), quadratic_path_point(A, b, 10.0), (0.01, 10.0), 40
+
+
+def _logistic_instance():
+    problem = make_logistic_ridge(*generate_synthetic_logistic(50, 10, 3))
+    return problem, initialize_by_newton(problem, 10.0, 1e-10), (0.1, 10.0), 40
+
+
+FAMILY_INSTANCES = {
+    "quadratic": _quadratic_instance,
+    "logistic": _logistic_instance,
+    "moment": lambda: _moment_instance(50),
+}
+
 PATH_INSTANCES = {
     "moment-p50": lambda: _moment_instance(50),
     "moment-p200": lambda: _moment_instance(200),
@@ -232,13 +250,13 @@ PATH_INSTANCES = {
 
 
 class TestStructuredDirections:
-    """hess_lowrank changes how exact directions are solved, not the path."""
+    """A family's Hessian handle changes how directions are solved, not the path."""
 
     @pytest.mark.parametrize("method", ["euler", "trapezoid", "rk4"])
     @pytest.mark.parametrize("instance", list(PATH_INSTANCES))
     def test_path_matches_the_dense_solve(self, instance, method):
         problem, x0, (lam_min, lam_max), K = PATH_INSTANCES[instance]()
-        dense = dataclasses.replace(problem, hess_lowrank=None)
+        dense = dataclasses.replace(problem, hessian_at=None)
         cfg = StepperConfig(method=method, K=K, lambda_min=lam_min, lambda_max=lam_max)
         path, rep = run_path(problem, x0, cfg)
         ref_path, ref_rep = run_path(dense, x0, cfg)
@@ -263,8 +281,35 @@ class TestStructuredDirections:
         acc, acc_ref = accuracy_midpoint(problem, path), accuracy_midpoint(dense, ref_path)
         assert acc == pytest.approx(acc_ref, rel=1e-9)
 
+    @pytest.mark.parametrize("mode", ["exact", "cg"])
+    @pytest.mark.parametrize("method", ["euler", "trapezoid", "rk4"])
+    @pytest.mark.parametrize("family", list(FAMILY_INSTANCES))
+    def test_every_handle_matches_the_dense_handle(self, family, method, mode):
+        problem, x0, (lam_min, lam_max), K = FAMILY_INSTANCES[family]()
+        dense = dataclasses.replace(problem, hessian_at=None)
+        cfg = StepperConfig(
+            method=method, K=K, lambda_min=lam_min, lambda_max=lam_max,
+            direction_mode=mode, delta=1e-6 if mode == "cg" else None,
+        )
+        path, rep = run_path(problem, x0, cfg)
+        ref_path, ref_rep = run_path(dense, x0, cfg)
+        assert rep.counters == ref_rep.counters
+        assert np.array_equal(path.lams, ref_path.lams)
+        X = np.array([kn.x for kn in path.knots])
+        X_ref = np.array([kn.x for kn in ref_path.knots])
+        res = np.array([kn.residual for kn in path.knots])
+        res_ref = np.array([kn.residual for kn in ref_path.knots])
+        if mode == "cg":
+            # a handle's gradient and products are the dense callables' arithmetic
+            assert np.array_equal(X, X_ref) and np.array_equal(res, res_ref)
+            return
+        assert np.all(np.abs(X - X_ref).max(axis=1) <= 1e-12 * np.abs(X_ref).max(axis=1))
+        assert np.all(np.abs(res - res_ref) <= 1e-11)
+        acc, acc_ref = accuracy_midpoint(problem, path), accuracy_midpoint(dense, ref_path)
+        assert acc == pytest.approx(acc_ref, rel=1e-9)
+
     def test_no_assembly_when_the_structure_is_set(self):
-        # every exact-direction caller goes through newton_direction, so with
+        # every exact-direction caller goes through the Hessian handle, so with
         # the Hessian callables disabled all of them still run
         problem, x0, (lam_min, lam_max), _ = _moment_instance(30)
 
