@@ -300,6 +300,21 @@ def _sym_norm(evals: np.ndarray) -> float:
     return max(abs(float(evals[0])), abs(float(evals[-1])))
 
 
+def _domain_samples(problem: ProblemOracle, base, sample_count: int, seed: int, radius: float):
+    """Philox draws around base, each halved toward it into the domain (<= 60 times) or skipped."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    for _ in range(sample_count):
+        step = radius * rng.normal(size=problem.dim)
+        cand = base + step
+        shrink = 0
+        while not problem.domain_check(cand) and shrink < 60:
+            step *= 0.5
+            cand = base + step
+            shrink += 1
+        if problem.domain_check(cand):
+            yield cand
+
+
 def estimate_f_gap(
     problem: ProblemOracle,
     x0: np.ndarray,
@@ -315,21 +330,10 @@ def estimate_f_gap(
     """
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
-    rng = np.random.Generator(np.random.Philox(seed))
     x0 = np.asarray(x0, dtype=float)
     f0 = problem.f_value(x0)
-    best = f0
-    for _ in range(sample_count):
-        step = radius * rng.normal(size=problem.dim)
-        cand = x0 + step
-        shrink = 0
-        while not problem.domain_check(cand) and shrink < 60:
-            step *= 0.5
-            cand = x0 + step
-            shrink += 1
-        if problem.domain_check(cand):
-            best = min(best, problem.f_value(cand))
-    return max(0.0, f0 - best)
+    samples = _domain_samples(problem, x0, sample_count, seed, radius)
+    return max(0.0, f0 - min([f0] + [problem.f_value(x) for x in samples]))
 
 
 def estimate_constants(
@@ -355,27 +359,15 @@ def estimate_constants(
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
     lambda_min, lambda_max = lambda_range
-    rng = np.random.Generator(np.random.Philox(seed))
-    if problem.omega_minimizer is not None:
-        base = np.array(problem.omega_minimizer, dtype=float, copy=True)
-    else:
-        base = np.zeros(problem.dim)
+    base = problem.base_point()
     if not problem.domain_check(base):
         raise ValueError("base point violates the problem domain")
     f_base = problem.f_value(base)
-    points = [base]
-    for _ in range(sample_count):
-        step = radius * rng.normal(size=problem.dim)
-        cand = base + step
-        shrink = 0
-        while not problem.domain_check(cand) and shrink < 60:
-            step *= 0.5
-            cand = base + step
-            shrink += 1
-        if not problem.domain_check(cand):
-            continue
-        if problem.f_value(cand) <= f_base + 1e-12 * (1.0 + abs(f_base)):
-            points.append(cand)
+    points = [base] + [
+        x
+        for x in _domain_samples(problem, base, sample_count, seed, radius)
+        if problem.f_value(x) <= f_base + 1e-12 * (1.0 + abs(f_base))
+    ]
 
     L_hat = 0.0
     G_hat = 0.0

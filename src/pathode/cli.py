@@ -293,12 +293,7 @@ def _constants_from_args(args) -> tuple[problems.TheoryConstants, float]:
         if args.f_gap is not None:
             f_gap = args.f_gap
         else:
-            base = (
-                np.array(problem.omega_minimizer, dtype=float)
-                if problem.omega_minimizer is not None
-                else np.zeros(problem.dim)
-            )
-            f_gap = bounds.estimate_f_gap(problem, base, args.samples, args.seed)
+            f_gap = bounds.estimate_f_gap(problem, problem.base_point(), args.samples, args.seed)
         return constants, f_gap
     missing = [
         flag

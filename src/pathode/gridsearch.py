@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import PathKnot, PiecewiseConstantPath
-from .problems import DegenerateProblemError, DomainError, ProblemOracle, TheoryConstants
+from .linsolve import NotPositiveDefiniteError
+from .paths import PiecewiseConstantPath
+from .problems import DomainError, ProblemOracle, TheoryConstants
 from .reports import OracleCounters, RunReport, Stopwatch
 from .steppers import MaxIterationsError, newton_solve
 
@@ -25,11 +26,11 @@ DEFAULT_AGD_CAP = 2_000_000
 
 
 class GridSearchError(RuntimeError):
-    """An inner solve failed; carries the grid points finished so far."""
+    """An inner solve failed; carries the grid points finished so far (lams, X, residuals)."""
 
-    def __init__(self, message: str, knots, point_index: int):
+    def __init__(self, message: str, lams, X, residuals, point_index: int):
         super().__init__(message)
-        self.knots = knots
+        self.lams, self.X, self.residuals = lams, X, residuals
         self.point_index = point_index
 
 
@@ -80,13 +81,6 @@ def grid_k_from_eps(c: TheoryConstants, eps: float) -> int:
     return max(K, 2)
 
 
-def _grad_norm(problem: ProblemOracle, x, lam, counters: OracleCounters):
-    g = problem.f_grad(x) + lam * problem.omega_grad(x)
-    counters.grad_f += 1
-    counters.grad_omega += 1
-    return g, float(np.linalg.norm(g))
-
-
 def agd_inner(
     problem: ProblemOracle,
     lam: float,
@@ -101,8 +95,8 @@ def agd_inner(
 
     Momentum (sqrt(kappa) - 1)/(sqrt(kappa) + 1) with kappa = L_eff/mu_eff,
     step 1/L_eff; stops when the gradient norm at the extrapolated point
-    reaches tol and returns (point, iterations).  One gradient pair per
-    iteration.
+    reaches tol and returns (point, iterations, gradient norm).  One gradient
+    pair per iteration.  Raises MaxIterationsError after cap iterations.
     """
     if mu_eff <= 0.0 or L_eff < mu_eff:
         raise ValueError("need 0 < mu_eff <= L_eff")
@@ -114,9 +108,12 @@ def agd_inner(
     x = np.array(x_start, dtype=float, copy=True)
     y = x.copy()
     for it in range(cap + 1):
-        g, gnorm = _grad_norm(problem, y, lam, counters)
+        g = problem.total_grad(y, lam)
+        gnorm = float(np.linalg.norm(g))
+        counters.grad_f += 1
+        counters.grad_omega += 1
         if gnorm <= tol:
-            return y, it
+            return y, it, gnorm
         x_new = y - g / L_eff
         if not problem.domain_check(x_new):
             raise DomainError("accelerated gradient left the domain")
@@ -124,7 +121,7 @@ def agd_inner(
         if not problem.domain_check(y):
             raise DomainError("accelerated gradient extrapolation left the domain")
         x = x_new
-    raise GridSearchError(f"agd inner solver exceeded {cap} iterations", [], -1)
+    raise MaxIterationsError(f"agd inner solver exceeded {cap} iterations")
 
 
 def solve_grid(
@@ -144,50 +141,34 @@ def solve_grid(
     residuals reuse the inner solver's exit gradient norm, so no extra metric
     evaluations are made here.
     """
-    if problem.sigma <= 0.0 and not allow_degenerate:
-        raise DegenerateProblemError(
-            "Omega is not strongly convex (sigma = 0); pass allow_degenerate=True to run anyway"
-        )
-    x = np.asarray(x0, dtype=float)
-    if x.shape != (problem.dim,):
-        raise ValueError(f"x0 has shape {x.shape}, expected ({problem.dim},)")
-    if not problem.domain_check(x):
-        raise DomainError("x0 violates the problem domain")
+    x = problem.checked_start(x0, allow_degenerate)
     if problem.lipschitz is None and config.inner_solver == "agd":
         raise ValueError("agd needs a Lipschitz certificate for its step size")
     counters = OracleCounters()
     lams = grid_points(config)
-    knots: list[PathKnot] = []
+    X = np.empty((len(lams), problem.dim))
+    res = np.empty(len(lams))
     iterations: list[int] = []
     with Stopwatch() as sw:
         for idx, lam in enumerate(lams):
+            lam = float(lam)
             try:
                 if config.inner_solver == "newton":
-                    x, iters, exit_res = newton_solve(
-                        problem, float(lam), x, config.inner_tol, config.cap, counters
+                    x, iters, res[idx] = newton_solve(
+                        problem, lam, x, config.inner_tol, config.cap, counters
                     )
                 else:
-                    mu_eff = problem.mu + float(lam) * problem.sigma
-                    L_eff = problem.lipschitz * (1.0 + float(lam))
-                    x, iters = agd_inner(
-                        problem,
-                        float(lam),
-                        x,
-                        config.inner_tol,
-                        mu_eff,
-                        L_eff,
-                        counters,
-                        config.cap,
+                    mu_eff = problem.mu + lam * problem.sigma
+                    L_eff = problem.lipschitz * (1.0 + lam)
+                    x, iters, res[idx] = agd_inner(
+                        problem, lam, x, config.inner_tol, mu_eff, L_eff, counters, config.cap
                     )
-                    exit_res = float(
-                        np.linalg.norm(problem.f_grad(x) + float(lam) * problem.omega_grad(x))
-                    )
-                    counters.metric_evals += 1
-            except (GridSearchError, DomainError, MaxIterationsError) as exc:
+            except (DomainError, MaxIterationsError, NotPositiveDefiniteError) as exc:
                 raise GridSearchError(
-                    f"grid point {idx} (lambda = {lam:g}) failed: {exc}", knots, idx
+                    f"grid point {idx} (lambda = {lam:g}) failed: {exc}",
+                    lams[:idx], X[:idx], res[:idx], idx,
                 ) from exc
-            knots.append(PathKnot(float(lam), x.copy(), exit_res))
+            X[idx] = x
             iterations.append(iters)
     method = f"grid-{config.inner_solver}"
     report = RunReport(
@@ -202,4 +183,4 @@ def solve_grid(
         seed=seed,
         inner_iterations=iterations,
     )
-    return PiecewiseConstantPath(knots), report
+    return PiecewiseConstantPath(lams, X, res), report

@@ -1,16 +1,15 @@
 """Path containers, interpolation, and accuracy metrics.
 
-A discrete run produces knots (lambda_k, x_k, r_k) with strictly decreasing
-lambda.  Between knots the continuous surrogate is piecewise linear in
-lambda for ODE methods and piecewise constant for grid search.  Accuracy is
-always the gradient-norm residual ||grad F_lambda(x(lambda))||, charged to a
-metric counter separate from solver work.
+A discrete run produces K + 1 knots, stored as three arrays: strictly
+decreasing lams, the iterates X (one row per knot) and their residuals.
+Between knots the continuous surrogate is piecewise linear in lambda for
+ODE methods and piecewise constant for grid search.  Accuracy is always the
+gradient-norm residual ||grad F_lambda(x(lambda))||, computed for a batch of
+points by `residuals` and charged to a metric counter separate from solver
+work.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,28 +19,21 @@ from .reports import OracleCounters
 DENSE_CHUNK = 262144  # residual evaluations per batched block
 
 
-@dataclass(frozen=True)
-class PathKnot:
-    """One computed path point: parameter value, iterate, and its residual."""
-
-    lam: float
-    x: np.ndarray
-    residual: float
-
-
 class _PathBase:
-    def __init__(self, knots: list[PathKnot]):
-        if len(knots) < 2:
+    def __init__(self, lams: np.ndarray, X: np.ndarray, residuals: np.ndarray):
+        lams = np.asarray(lams, dtype=float)
+        if len(lams) < 2:
             raise ValueError("a path needs at least two knots")
-        lams = np.array([k.lam for k in knots], dtype=float)
         if not np.all(np.diff(lams) < 0.0):
             raise ValueError("knot lambdas must be strictly decreasing")
         if lams[-1] <= 0.0:
             raise ValueError("lambdas must stay positive")
-        self.knots = list(knots)
         self.lams = lams
+        self.X = np.asarray(X, dtype=float)
+        self.residuals = np.asarray(residuals, dtype=float)
+        if self.X.ndim != 2 or len(self.X) != len(lams) or self.residuals.shape != lams.shape:
+            raise ValueError("lams, X and residuals need one entry (X one row) per knot")
         self._asc = lams[::-1]
-        self._X = np.vstack([k.x for k in knots])
 
     @property
     def lambda_max(self) -> float:
@@ -64,6 +56,7 @@ class _PathBase:
         return len(self.lams) - 1 - j
 
     def query(self, lam: float) -> np.ndarray:
+        """The path surrogate at one lambda (range-checked)."""
         return self.query_batch(np.array([lam], dtype=float))[0]
 
     def query_batch(self, lam: np.ndarray) -> np.ndarray:
@@ -80,7 +73,7 @@ class PiecewiseLinearPath(_PathBase):
         lam_k = self.lams[k]
         lam_k1 = self.lams[k + 1]
         alpha = (lam - lam_k1) / (lam_k - lam_k1)
-        return alpha[:, None] * self._X[k] + (1.0 - alpha)[:, None] * self._X[k + 1]
+        return alpha[:, None] * self.X[k] + (1.0 - alpha)[:, None] * self.X[k + 1]
 
 
 class PiecewiseConstantPath(_PathBase):
@@ -91,48 +84,20 @@ class PiecewiseConstantPath(_PathBase):
         self._check_range(lam)
         # x_k owns (lambda_{k+1}, lambda_k]; the bottom endpoint maps to x_K
         j = np.searchsorted(self._asc, lam, side="left")
-        return self._X[len(self.lams) - 1 - j]
+        return self.X[len(self.lams) - 1 - j]
 
 
-def interpolate(path: _PathBase, lam: float) -> np.ndarray:
-    """Evaluate the path surrogate at one lambda (range-checked)."""
-    return path.query(lam)
-
-
-def residual_norm(
-    problem: ProblemOracle,
-    x: np.ndarray,
-    lam: float,
-    counters: OracleCounters | None = None,
-) -> float:
-    """||grad f(x) + lambda grad Omega(x)||, charged to metric_evals."""
-    if lam <= 0.0 or not math.isfinite(lam):
-        raise ValueError(f"lambda must be positive and finite, got {lam}")
-    g = problem.f_grad(x) + lam * problem.omega_grad(x)
-    if counters is not None:
-        counters.metric_evals += 1
-    return float(np.linalg.norm(g))
-
-
-def _residuals_batch(
+def residuals(
     problem: ProblemOracle,
     X: np.ndarray,
     lams: np.ndarray,
-    counters: OracleCounters | None,
+    counters: OracleCounters | None = None,
 ) -> np.ndarray:
-    if problem.f_grad_batch is not None and problem.omega_grad_batch is not None:
-        G = problem.f_grad_batch(X) + lams[:, None] * problem.omega_grad_batch(X)
-        out = np.linalg.norm(G, axis=1)
-    else:
-        out = np.array(
-            [
-                np.linalg.norm(problem.f_grad(x) + lam * problem.omega_grad(x))
-                for x, lam in zip(X, lams)
-            ]
-        )
+    """||grad f(x_i) + lam_i grad Omega(x_i)|| for each row x_i of X, charged to metric_evals."""
+    G = problem.f_grad_batch(X) + lams[:, None] * problem.omega_grad_batch(X)
     if counters is not None:
         counters.metric_evals += len(lams)
-    return out
+    return np.linalg.norm(G, axis=1)
 
 
 def accuracy_midpoint(
@@ -147,8 +112,7 @@ def accuracy_midpoint(
     worst = 0.0
     for start in range(0, len(eval_lams), DENSE_CHUNK):
         chunk = eval_lams[start : start + DENSE_CHUNK]
-        X = path.query_batch(chunk)
-        res = _residuals_batch(problem, X, chunk, counters)
+        res = residuals(problem, path.query_batch(chunk), chunk, counters)
         worst = max(worst, float(np.max(res)))
     return worst
 
@@ -177,18 +141,15 @@ def accuracy_dense(
         hi = lams[start:stop, None]
         lo = lams[start + 1 : stop + 1, None]
         grid = (hi + (lo - hi) * t[None, :]).ravel()
-        X = path.query_batch(grid)
-        res = _residuals_batch(problem, X, grid, counters)
+        res = residuals(problem, path.query_batch(grid), grid, counters)
         worst = max(worst, float(np.max(res)))
     return worst
 
 
 def export_path_csv(path: _PathBase, file_path: str) -> None:
     """Write knots as CSV with header lambda,x_1,...,x_p at 17 significant digits."""
-    dim = path._X.shape[1]
-    header = "lambda," + ",".join(f"x_{j}" for j in range(1, dim + 1))
+    header = "lambda," + ",".join(f"x_{j}" for j in range(1, path.X.shape[1] + 1))
     with open(file_path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for knot in path.knots:
-            row = [format(knot.lam, ".17g")] + [format(v, ".17g") for v in knot.x]
-            fh.write(",".join(row) + "\n")
+        for lam, x in zip(path.lams, path.X):
+            fh.write(",".join(format(v, ".17g") for v in (lam, *x)) + "\n")

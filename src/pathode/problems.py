@@ -51,10 +51,9 @@ class ProblemOracle:
     """Callable bundle for one parametric problem instance.
 
     All gradient/Hessian callables take a point x of shape (dim,).  The
-    hessvec callables take (x, v).  The optional batch gradients take a
-    matrix of row points, shape (m, dim), and return an (m, dim) matrix;
-    they exist so accuracy sweeps over many path points can run as matrix
-    products instead of Python loops.
+    hessvec callables take (x, v).  The batch gradients take a matrix of row
+    points, shape (m, dim), and return an (m, dim) matrix, so residuals over
+    many path points run as matrix products instead of Python loops.
 
     mu and sigma are certified strong-convexity constants of f and Omega.
     lipschitz, when not None, is a single shared constant bounding the
@@ -83,8 +82,8 @@ class ProblemOracle:
     mu: float
     sigma: float
     lipschitz: float | None
-    f_grad_batch: Callable[[Array], Array] | None = None
-    omega_grad_batch: Callable[[Array], Array] | None = None
+    f_grad_batch: Callable[[Array], Array]
+    omega_grad_batch: Callable[[Array], Array]
     hessian_at: Callable[[Array, float], "DenseHessian"] | None = None
 
     def total_value(self, x: Array, lam: float) -> float:
@@ -95,6 +94,26 @@ class ProblemOracle:
 
     def total_hess(self, x: Array, lam: float) -> Array:
         return self.f_hess(x) + lam * self.omega_hess(x)
+
+    def base_point(self) -> Array:
+        """A fresh copy of the Omega minimizer, or zero when the problem has none."""
+        if self.omega_minimizer is None:
+            return np.zeros(self.dim)
+        return np.array(self.omega_minimizer, dtype=float, copy=True)
+
+    def checked_start(self, x0: Array, allow_degenerate: bool) -> Array:
+        """x0 as a float array, once it and the problem pass the path solvers' entry checks."""
+        if self.sigma <= 0.0 and not allow_degenerate:
+            raise DegenerateProblemError(
+                "Omega is not strongly convex (sigma = 0); pass allow_degenerate=True "
+                "to run anyway without the accompanying guarantees"
+            )
+        x0 = np.asarray(x0, dtype=float)
+        if x0.shape != (self.dim,):
+            raise ValueError(f"x0 has shape {x0.shape}, expected ({self.dim},)")
+        if not self.domain_check(x0):
+            raise DomainError("x0 violates the problem domain")
+        return x0
 
     def hessian(self, x: Array, lam: float) -> "DenseHessian":
         """The handle on hess F_lam(x): hessian_at's when set, else a DenseHessian."""
@@ -255,6 +274,25 @@ def _spectral_norm(M: Array) -> float:
     return float(np.linalg.norm(M, 2))
 
 
+def _ridge_omega(p: int) -> dict:
+    """The ProblemOracle fields of Omega = 0.5 ||x||^2 on all of R^p (sigma = 1)."""
+    eye = np.eye(p)
+
+    def copy(x: Array) -> Array:
+        return np.array(x, dtype=float, copy=True)
+
+    return dict(
+        omega_value=lambda x: 0.5 * float(x @ x),
+        omega_grad=copy,
+        omega_hess=lambda x: eye,
+        omega_hessvec=lambda x, v: copy(v),
+        omega_grad_batch=copy,
+        domain_check=lambda x: bool(np.all(np.isfinite(x))),
+        omega_minimizer=np.zeros(p),
+        sigma=1.0,
+    )
+
+
 # ---------------------------------------------------------------------------
 # quadratic ridge
 
@@ -275,7 +313,6 @@ def make_quadratic_ridge(A: Array, b: Array) -> ProblemOracle:
     n, p = A.shape
     Q = A.T @ A
     Atb = A.T @ b
-    eye = np.eye(p)
     eig = np.linalg.eigh(Q)
     mu = max(0.0, float(eig[0][0]))
     L = max(float(np.abs(eig[0]).max()), 1.0)
@@ -290,9 +327,6 @@ def make_quadratic_ridge(A: Array, b: Array) -> ProblemOracle:
     def f_grad_batch(X: Array) -> Array:
         return X @ Q - Atb
 
-    def omega_grad_batch(X: Array) -> Array:
-        return np.array(X, dtype=float, copy=True)
-
     return ProblemOracle(
         name="quadratic",
         dim=p,
@@ -300,18 +334,11 @@ def make_quadratic_ridge(A: Array, b: Array) -> ProblemOracle:
         f_grad=f_grad,
         f_hess=lambda x: Q,
         f_hessvec=lambda x, v: Q @ v,
-        omega_value=lambda x: 0.5 * float(x @ x),
-        omega_grad=lambda x: np.array(x, dtype=float, copy=True),
-        omega_hess=lambda x: eye,
-        omega_hessvec=lambda x, v: np.array(v, dtype=float, copy=True),
-        domain_check=lambda x: bool(np.all(np.isfinite(x))),
-        omega_minimizer=np.zeros(p),
         mu=mu,
-        sigma=1.0,
         lipschitz=L,
         f_grad_batch=f_grad_batch,
-        omega_grad_batch=omega_grad_batch,
         hessian_at=lambda x, lam: _QuadraticHessian(Q, Atb, eig, x, lam),
+        **_ridge_omega(p),
     )
 
 
@@ -425,13 +452,8 @@ def make_logistic_ridge(features: Array, labels: Array) -> ProblemOracle:
         raise ValueError(f"shape mismatch: features {A.shape}, labels {labels.shape}")
     n, p = A.shape
     value, grad, hess, hessvec, grad_batch, hessian_at = _logistic_pieces(A, labels)
-    eye = np.eye(p)
     cs = _logistic_constants(A)
     L = max(1.0, cs["value"], cs["grad"], cs["hess"], cs["third"])
-
-    def omega_grad_batch(X: Array) -> Array:
-        return np.array(X, dtype=float, copy=True)
-
     return ProblemOracle(
         name="logistic",
         dim=p,
@@ -439,18 +461,11 @@ def make_logistic_ridge(features: Array, labels: Array) -> ProblemOracle:
         f_grad=grad,
         f_hess=hess,
         f_hessvec=hessvec,
-        omega_value=lambda x: 0.5 * float(x @ x),
-        omega_grad=lambda x: np.array(x, dtype=float, copy=True),
-        omega_hess=lambda x: eye,
-        omega_hessvec=lambda x, v: np.array(v, dtype=float, copy=True),
-        domain_check=lambda x: bool(np.all(np.isfinite(x))),
-        omega_minimizer=np.zeros(p),
         mu=0.0,
-        sigma=1.0,
         lipschitz=L,
         f_grad_batch=grad_batch,
-        omega_grad_batch=omega_grad_batch,
         hessian_at=hessian_at,
+        **_ridge_omega(p),
     )
 
 

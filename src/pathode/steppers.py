@@ -1,4 +1,4 @@
-"""ODE-style path steppers: vector field, schedules, update schemes, initializers.
+"""ODE-style path steppers: schedules, update schemes, path runs, initializers.
 
 The exact path x(lambda) solves grad F_lambda(x) = 0.  Differentiating along
 the exponential schedule lambda(t) = lambda_max exp(-t) gives the autonomous
@@ -22,8 +22,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .linsolve import NotPositiveDefiniteError, cg_solve
-from .paths import PathKnot, PiecewiseLinearPath, residual_norm
-from .problems import DegenerateProblemError, DomainError, ProblemOracle
+from .paths import PiecewiseLinearPath, residuals
+from .problems import DomainError, ProblemOracle
 from .reports import OracleCounters, RunReport, Stopwatch
 
 METHODS = ("euler", "trapezoid", "rk4")
@@ -40,11 +40,11 @@ class MaxIterationsError(RuntimeError):
 
 
 class PathRunError(RuntimeError):
-    """A step failed mid-run; carries the partial results computed so far."""
+    """A step failed mid-run; carries the knots (lams, X, residuals) and diagnostics so far."""
 
-    def __init__(self, message: str, knots, diagnostics, step_index: int):
+    def __init__(self, message: str, lams, X, residuals, diagnostics, step_index: int):
         super().__init__(message)
-        self.knots = knots
+        self.lams, self.X, self.residuals = lams, X, residuals
         self.diagnostics = diagnostics
         self.step_index = step_index
 
@@ -124,9 +124,9 @@ class StepperConfig:
 class StepDiagnostics:
     """Per-step record: one entry per stage in the stage-ordered lists.
 
-    Vector payloads (direction_vectors, residual_vectors, stage_points) are
-    populated only when the run records diagnostics, so long production runs
-    do not hold O(K p) memory.
+    Runs build these only when they record diagnostics, so long production
+    runs do not hold the O(K p) vector payloads (direction_vectors,
+    residual_vectors, stage_points); as_dict leaves those out.
     """
 
     k: int
@@ -137,10 +137,10 @@ class StepDiagnostics:
     direction_residuals: list[float]
     cg_initial_residuals: list[float]
     stage_lambdas: list[float]
-    domain_backoffs: int = 0
-    direction_vectors: list[np.ndarray] | None = None
-    residual_vectors: list[np.ndarray] | None = None
-    stage_points: list[np.ndarray] | None = None
+    domain_backoffs: int
+    direction_vectors: list[np.ndarray]
+    residual_vectors: list[np.ndarray]
+    stage_points: list[np.ndarray]
 
     def as_dict(self) -> dict:
         vectors = ("direction_vectors", "residual_vectors", "stage_points")
@@ -149,8 +149,6 @@ class StepDiagnostics:
 
 class ExactDirections:
     """Direction oracle backed by exact Newton solves of the problem's Hessian handle."""
-
-    mode = "exact"
 
     def __init__(self, counters: OracleCounters):
         self.counters = counters
@@ -171,8 +169,6 @@ class CGDirections:
 
     The caller passes the warm-start vector; None starts from zero.
     """
-
-    mode = "cg"
 
     def __init__(self, counters: OracleCounters, delta: float, max_iters: int):
         if delta <= 0.0:
@@ -201,12 +197,6 @@ class CGDirections:
         return result
 
 
-def vector_field(problem: ProblemOracle, x: np.ndarray, lam: float) -> np.ndarray:
-    """Exact ODE direction v(x, lambda) = -(hess F_lambda)^{-1} grad f (uncounted)."""
-    hess = problem.hessian(x, lam)
-    return hess.solve(hess.grad_f()).direction
-
-
 @dataclass(frozen=True)
 class Scheme:
     """One explicit Runge-Kutta scheme on the joint (x, lambda) system, as data.
@@ -217,7 +207,9 @@ class Scheme:
     decay(h) the step's.  Stage 1 has weight 1, and the step is
     x_k + (s / divisor) (d_1 + sum_{i>1} weights[i-2] d_i).
     In CG mode stage i > 1 warm-starts from d_{i-1}, and the direction of
-    stage `carry` warm-starts stage 1 of the next step.
+    stage `carry` warm-starts stage 1 of the next step.  Each direction is
+    d(x, lam) = -(hess f(x) + lam hess Omega(x))^{-1} grad f(x), the ODE's
+    vector field, solved by the problem's Hessian handle.
     """
 
     stage_factors: Callable[[float], tuple[float, ...]]
@@ -228,14 +220,16 @@ class Scheme:
     carry: int
 
 
+# x_{k+1} of each scheme, with d(x, lam) the direction in Scheme's docstring:
+#   euler      x_k + h d(x_k, (1 - h) lambda_k), semi-implicit: its Hessian is at lambda_{k+1}
+#   trapezoid  x_k + h (d1 + d2)/2, d1 = d(x_k, lambda_k), d2 = d(x_k + h d1, (1-h+h^2) lambda_k)
+#   rk4        x_k + h (d1 + 2 d2 + 2 d3 + d4)/6, stage lambdas exact for dlambda/dt = -lambda
 SCHEMES = {
-    # semi-implicit: the one stage takes its Hessian at lambda_{k+1}
     "euler": Scheme(lambda h: (1.0 - h,), lambda h: 1.0 - h, (), (), 1.0, 1),
     "trapezoid": Scheme(
         lambda h: (1.0, 1.0 - h + h * h), lambda h: 1.0 - h + 0.5 * h * h,
         (1.0,), (1.0,), 2.0, 1,
     ),
-    # stage lambdas follow the polynomial recursion of dlambda/dt = -lambda
     "rk4": Scheme(
         lambda h: (
             1.0, 1.0 - 0.5 * h, 1.0 - 0.5 * h + 0.25 * h * h, 1.0 - h + 0.5 * h * h - 0.25 * h**3
@@ -284,8 +278,8 @@ def take_step(scheme, problem, x_k, lambda_k, h, directions, warm=None):
     return x_next, scheme.decay(h) * lambda_k, results[scheme.carry - 1].direction, stages
 
 
-def step_diagnostics(lambda_k, stages, record, k=-1, residual_r_k=float("nan")):
-    """The StepDiagnostics of one take_step; record adds the vector payloads."""
+def step_diagnostics(k, lambda_k, residual_r_k, stages):
+    """The StepDiagnostics of step k, from the stages of its take_step."""
     lams, results, points, backoffs = stages
     return StepDiagnostics(
         k=k,
@@ -297,44 +291,10 @@ def step_diagnostics(lambda_k, stages, record, k=-1, residual_r_k=float("nan")):
         cg_initial_residuals=[r.initial_residual for r in results],
         stage_lambdas=lams,
         domain_backoffs=backoffs,
-        direction_vectors=[r.direction for r in results] if record else None,
-        residual_vectors=[r.residual_vector for r in results] if record else None,
-        stage_points=[np.array(p) for p in points] if record else None,
+        direction_vectors=[r.direction for r in results],
+        residual_vectors=[r.residual_vector for r in results],
+        stage_points=[np.array(p) for p in points],
     )
-
-
-def _public_step(method, problem, x_k, lambda_k, h, directions, record):
-    x_next, lambda_next, _, stages = take_step(
-        SCHEMES[method], problem, x_k, lambda_k, h, directions
-    )
-    return x_next, lambda_next, step_diagnostics(lambda_k, stages, record)
-
-
-def euler_step(problem, x_k, lambda_k, h, directions, record=False):
-    """Semi-implicit Euler: Hessian at the new lambda, gradient at the old point.
-
-    x_{k+1} = x_k - h (hess f(x_k) + lambda_{k+1} hess Omega(x_k))^{-1} grad f(x_k),
-    lambda_{k+1} = (1 - h) lambda_k.
-    """
-    return _public_step("euler", problem, x_k, lambda_k, h, directions, record)
-
-
-def trapezoid_step(problem, x_k, lambda_k, h, directions, record=False):
-    """Two-stage trapezoid step.
-
-    d1 at (x_k, lambda_k); d2 at (x_k + h d1, (1 - h + h^2) lambda_k);
-    x_{k+1} = x_k + h (d1 + d2)/2; lambda_{k+1} = (1 - h + h^2/2) lambda_k.
-    """
-    return _public_step("trapezoid", problem, x_k, lambda_k, h, directions, record)
-
-
-def rk4_step(problem, x_k, lambda_k, h, directions, record=False):
-    """Classical RK4 on the joint (x, lambda) system, fully explicit in lambda.
-
-    Stage lambdas follow the exact polynomial recursion of dlambda/dt = -lambda;
-    the new lambda is lambda_k times the quartic decay polynomial.
-    """
-    return _public_step("rk4", problem, x_k, lambda_k, h, directions, record)
 
 
 def run_path(
@@ -349,20 +309,12 @@ def run_path(
     """Run K steps of the configured scheme from (x0, lambda_max).
 
     Returns the piecewise-linear path over the K + 1 knots and a report whose
-    counters tally every oracle call the run made.  Knot residuals are charged
-    to the metric counter, not to solver gradients.  A failed step raises
-    PathRunError carrying the partial knots and diagnostics.
+    counters tally every oracle call the run made.  The knot residuals are
+    computed in one batch after the last step and charged to the metric
+    counter, not to solver gradients.  A failed step raises PathRunError
+    carrying the partial knots and diagnostics.
     """
-    if problem.sigma <= 0.0 and not allow_degenerate:
-        raise DegenerateProblemError(
-            "Omega is not strongly convex (sigma = 0); pass allow_degenerate=True "
-            "to run anyway without the accompanying guarantees"
-        )
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (problem.dim,):
-        raise ValueError(f"x0 has shape {x0.shape}, expected ({problem.dim},)")
-    if not problem.domain_check(x0):
-        raise DomainError("x0 violates the problem domain")
+    x0 = problem.checked_start(x0, allow_degenerate)
     counters = OracleCounters()
     if config.direction_mode == "exact":
         directions = ExactDirections(counters)
@@ -370,25 +322,33 @@ def run_path(
         max_iters = config.cg_max_iters if config.cg_max_iters is not None else 20 * problem.dim
         directions = CGDirections(counters, config.delta, max_iters)
     scheme = SCHEMES[config.method]
-    warm = None
-    knots: list[PathKnot] = []
-    diags: list[StepDiagnostics] = []
+    lams = np.empty(config.K + 1)
+    X = np.empty((config.K + 1, problem.dim))
+    steps = []  # (lambda_k, stages) per step, kept only to build diagnostics
+
+    def knots_and_diagnostics(n):
+        res = residuals(problem, X[:n], lams[:n], counters)
+        diags = [step_diagnostics(k, lam_k, res[k], st) for k, (lam_k, st) in enumerate(steps)]
+        return res, diags
+
     with Stopwatch() as sw:
-        x, lam = x0.copy(), config.lambda_max
-        knots.append(PathKnot(lam, x.copy(), residual_norm(problem, x, lam, counters)))
+        x, lam, warm = x0, config.lambda_max, None
+        lams[0], X[0] = lam, x
         for k in range(config.K):
             try:
                 x, lam_next, warm, stages = take_step(
                     scheme, problem, x, lam, config.h, directions, warm
                 )
             except (DomainError, NotPositiveDefiniteError, CGNoConvergenceError) as exc:
+                res, diags = knots_and_diagnostics(k + 1)
                 raise PathRunError(
-                    f"step {k} failed: {exc}", knots=knots, diagnostics=diags, step_index=k
+                    f"step {k} failed: {exc}", lams[: k + 1], X[: k + 1], res, diags, k
                 ) from exc
             if config.record_diagnostics:
-                diags.append(step_diagnostics(lam, stages, True, k, knots[-1].residual))
+                steps.append((lam, stages))
             lam = lam_next
-            knots.append(PathKnot(lam, x.copy(), residual_norm(problem, x, lam, counters)))
+            lams[k + 1], X[k + 1] = lam, x
+        res, diags = knots_and_diagnostics(config.K + 1)
     report = RunReport(
         method=config.method_label,
         K=config.K,
@@ -402,7 +362,7 @@ def run_path(
         seed=seed,
         step_diagnostics=diags,
     )
-    return PiecewiseLinearPath(knots), report
+    return PiecewiseLinearPath(lams, X, res), report
 
 
 def initialize_from_omega(problem: ProblemOracle, lambda_max: float):
@@ -441,12 +401,7 @@ def initialize_by_newton(
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    if x_start is not None:
-        x = np.array(x_start, dtype=float, copy=True)
-    elif problem.omega_minimizer is not None:
-        x = np.array(problem.omega_minimizer, dtype=float, copy=True)
-    else:
-        x = np.zeros(problem.dim)
+    x = problem.base_point() if x_start is None else np.array(x_start, dtype=float, copy=True)
     if not problem.domain_check(x):
         raise DomainError("starting point violates the problem domain")
     return newton_solve(problem, lambda_max, x, tol, max_iters)[0]

@@ -125,7 +125,7 @@ def quad_ladder_runs(quad30, quad30_start):
                 t0 = time.perf_counter()
                 dense = accuracy_dense(problem, path, points_per_interval=1000)
                 dense_wall = time.perf_counter() - t0
-            knot_res = np.array([kn.residual for kn in path.knots])
+            knot_res = path.residuals
             out[(method, K)] = {
                 "midpoint": accuracy_midpoint(problem, path),
                 "dense": dense,
@@ -153,7 +153,7 @@ def logistic_ladder_runs(logistic_small):
             path, _ = run_path(logistic_small, x0, cfg)
             out[(method, K)] = {
                 "midpoint": accuracy_midpoint(logistic_small, path),
-                "knots": np.array([kn.residual for kn in path.knots]),
+                "knots": path.residuals,
             }
     return out
 

@@ -39,7 +39,6 @@ from pathode import (
     make_logistic_ridge,
     make_moment_matching,
     quadratic_theory_constants,
-    residual_norm,
     run_path,
     solve_grid,
     step_bound_euler,
@@ -200,16 +199,16 @@ def _measured_constants(problem, path):
     knots; a smaller G than the true level-set constant only tightens the
     per-step bounds being verified."""
     G = max(
-        max(np.linalg.norm(problem.f_grad(k.x)), np.linalg.norm(problem.omega_grad(k.x)))
-        for k in path.knots
+        max(np.linalg.norm(problem.f_grad(x)), np.linalg.norm(problem.omega_grad(x)))
+        for x in path.X
     )
     return TheoryConstants.derive(
         mu=problem.mu,
         sigma=problem.sigma,
         L=problem.lipschitz,
         G=G,
-        lambda_min=path.knots[-1].lam,
-        lambda_max=path.knots[0].lam,
+        lambda_min=path.lams[-1],
+        lambda_max=path.lams[0],
     )
 
 
@@ -230,9 +229,8 @@ def _min_step_slack(problem, x0, lo, hi, K, delta):
             )
             path, rep = run_path(problem, x0, cfg)
             c = _measured_constants(problem, path)
-            knots = path.knots
             for d in rep.step_diagnostics:
-                lam_k, lam_n = knots[d.k].lam, knots[d.k + 1].lam
+                lam_k, lam_n = path.lams[d.k], path.lams[d.k + 1]
                 if method == "euler":
                     if mode == "exact":
                         bound = step_bound_euler(
@@ -265,7 +263,7 @@ def _min_step_slack(problem, x0, lo, hi, K, delta):
                             d.residual_vectors[0],
                             d.residual_vectors[1],
                         )
-                worst = min(worst, bound - knots[d.k + 1].residual)
+                worst = min(worst, bound - path.residuals[d.k + 1])
     return worst
 
 
@@ -293,19 +291,19 @@ def test_c05_interpolation_and_uniform_bounds(quad30, quad30_start, quad30_const
     cfg = StepperConfig(method="euler", K=K, lambda_min=0.01, lambda_max=10.0)
     path, rep = run_path(problem, quad30_start, cfg)
     ahat = accuracy_midpoint(problem, path)
-    knots = path.knots
+    lams, X = path.lams, path.X
     h, L = rep.h, constants.L
-    r_max = max(k.residual for k in knots)
+    r_max = max(path.residuals)
     interp = (L / 8.0) * max(
-        (1.0 + knots[k].lam) * float(np.linalg.norm(knots[k + 1].x - knots[k].x)) ** 2
-        + 2.0 * h * knots[k].lam * float(np.linalg.norm(knots[k + 1].x - knots[k].x))
+        (1.0 + lams[k]) * float(np.linalg.norm(X[k + 1] - X[k])) ** 2
+        + 2.0 * h * lams[k] * float(np.linalg.norm(X[k + 1] - X[k]))
         for k in range(K)
     )
     interp_ok = ahat <= r_max + interp + 1e-9
     # the uniform bound applies because h satisfies the simplified step rule
-    premise = stepsize_conditions(constants, h, knots[0].lam, knots[1].lam).simplified_ok
+    premise = stepsize_conditions(constants, h, lams[0], lams[1]).simplified_ok
     uniform = (
-        knots[0].residual
+        path.residuals[0]
         + 2.0 * h * constants.tau * L * f_gap
         + h * h * L / 8.0 * (constants.tau * constants.G + 1.0) ** 2
     )
@@ -398,9 +396,9 @@ def test_c07_exact_oracle_counts(quad30, quad30_start, criterion_report):
 def test_c10_initializer_bound(quad30, logistic_small, criterion_report):
     _, _, quad = quad30
     x_q, bound_q = initialize_from_omega(quad, 10.0)
-    meas_q = residual_norm(quad, x_q, 10.0)
+    meas_q = float(np.linalg.norm(quad.total_grad(x_q, 10.0)))
     x_l, bound_l = initialize_from_omega(logistic_small, 10.0)
-    meas_l = residual_norm(logistic_small, x_l, 10.0)
+    meas_l = float(np.linalg.norm(logistic_small.total_grad(x_l, 10.0)))
     ok = meas_q <= bound_q + 1e-10 and meas_l <= bound_l + 1e-10
     record_criterion(
         criterion_report,
@@ -502,7 +500,7 @@ def test_c09_moment_knots_stay_interior(criterion_report):
         K, _, path = _double_until(
             problem, method, eps, 16, x0, 1e-2, 1e2, delta=eps / 4.0, inner_tol=eps / 2.0
         )
-        interior = all(problem.domain_check(k.x) for k in path.knots)
+        interior = all(problem.domain_check(x) for x in path.X)
         all_interior = all_interior and interior
         details.append(f"{method} K={K}{'' if interior else ' EXITED DOMAIN'}")
     record_criterion(

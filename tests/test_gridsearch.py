@@ -7,6 +7,7 @@ from pathode import (
     DegenerateProblemError,
     GridSearchConfig,
     GridSearchError,
+    MaxIterationsError,
     PiecewiseConstantPath,
     TheoryConstants,
     agd_inner,
@@ -15,7 +16,6 @@ from pathode import (
     make_logistic_reweighted,
     make_quadratic_ridge,
     quadratic_theory_constants,
-    residual_norm,
     solve_grid,
 )
 from pathode.datasets import generate_synthetic_logistic
@@ -97,16 +97,17 @@ class TestNewtonInner:
         _, _, problem = quad30
         tol = 1e-9
         path, rep = solve_grid(problem, np.zeros(20), quad_config(8, tol=tol))
-        for kn in path.knots:
-            assert kn.residual <= tol
+        for r in path.residuals:
+            assert r <= tol
 
-    def test_exit_residual_reused_not_remeasured(self, quad30):
+    @pytest.mark.parametrize("solver", ["newton", "agd"])
+    def test_exit_residual_reused_not_remeasured(self, quad30, solver):
         _, _, problem = quad30
-        path, rep = solve_grid(problem, np.zeros(20), quad_config(8))
+        path, rep = solve_grid(problem, np.zeros(20), quad_config(8, solver=solver))
         assert rep.counters.metric_evals == 0
-        for kn in path.knots:
-            assert kn.residual == pytest.approx(
-                residual_norm(problem, kn.x, kn.lam), rel=1e-12, abs=1e-15
+        for x, lam, r in zip(path.X, path.lams, path.residuals):
+            assert r == pytest.approx(
+                float(np.linalg.norm(problem.total_grad(x, lam))), rel=1e-12, abs=1e-15
             )
 
     def test_inner_cap_exceeded_names_the_point(self, quad30):
@@ -125,21 +126,22 @@ class TestNewtonInner:
 class TestAgdInner:
     def test_optimal_start_zero_iterations(self):
         problem = make_quadratic_ridge(np.array([[1.0]]), np.array([0.0]))
-        x, iters = agd_inner(problem, 1.0, np.zeros(1), 1e-8, mu_eff=2.0, L_eff=2.0)
-        assert iters == 0
+        x, iters, gnorm = agd_inner(problem, 1.0, np.zeros(1), 1e-8, mu_eff=2.0, L_eff=2.0)
+        assert iters == 0 and gnorm == 0.0
 
     def test_scalar_quadratic_converges_quickly(self):
         # F(x) = x^2 at kappa = 1: a handful of iterations to 1e-8
         problem = make_quadratic_ridge(np.array([[1.0]]), np.array([0.0]))
-        x, iters = agd_inner(problem, 1.0, np.ones(1), 1e-8, mu_eff=2.0, L_eff=2.0)
+        x, iters, gnorm = agd_inner(problem, 1.0, np.ones(1), 1e-8, mu_eff=2.0, L_eff=2.0)
         assert np.linalg.norm(problem.total_grad(x, 1.0)) <= 1e-8
+        assert gnorm == np.linalg.norm(problem.total_grad(x, 1.0))
         assert iters <= 40
 
     def test_gradient_norm_at_return_meets_tol(self, quad30):
         _, _, problem = quad30
         evals = np.linalg.eigvalsh(problem.f_hess(np.zeros(20)))
         lam = 1.0
-        x, iters = agd_inner(
+        x, iters, _ = agd_inner(
             problem, lam, np.zeros(20), 1e-6,
             mu_eff=evals[0] + lam, L_eff=evals[-1] + lam, cap=100000,
         )
@@ -152,6 +154,11 @@ class TestAgdInner:
         with pytest.raises(ValueError):
             agd_inner(problem, 1.0, np.zeros(1), 1e-8, mu_eff=2.0, L_eff=1.0)
 
+    def test_cap_exceeded_raises(self):
+        problem = make_quadratic_ridge(np.array([[1.0]]), np.array([0.0]))
+        with pytest.raises(MaxIterationsError):
+            agd_inner(problem, 1.0, np.ones(1), 1e-8, mu_eff=2.0, L_eff=2.0, cap=0)
+
 
 class TestSolveGridModes:
     def test_agd_matches_newton_path(self, quad30):
@@ -160,8 +167,8 @@ class TestSolveGridModes:
         agd_path, agd_rep = solve_grid(
             problem, np.zeros(20), quad_config(6, tol=1e-8, solver="agd")
         )
-        for kn, ka in zip(newton_path.knots, agd_path.knots):
-            assert np.linalg.norm(kn.x - ka.x) <= 1e-6
+        for xn, xa in zip(newton_path.X, agd_path.X):
+            assert np.linalg.norm(xn - xa) <= 1e-6
         # AGD charges gradients only
         assert agd_rep.counters.hess_builds == 0
         assert agd_rep.counters.linear_solves == 0
@@ -187,7 +194,7 @@ class TestSolveGridModes:
         path, _ = solve_grid(
             problem, np.zeros(3), quad_config(4), allow_degenerate=True
         )
-        assert len(path.knots) == 4
+        assert len(path.lams) == 4
 
     def test_counters_reconcile_with_inner_iterations(self, quad30):
         _, _, problem = quad30

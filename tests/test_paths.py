@@ -7,39 +7,40 @@ import pytest
 
 from pathode import (
     OracleCounters,
-    PathKnot,
     PiecewiseConstantPath,
     PiecewiseLinearPath,
     StepperConfig,
     accuracy_dense,
     accuracy_midpoint,
     export_path_csv,
-    interpolate,
-    residual_norm,
     run_path,
 )
 from pathode import paths as paths_mod
+from pathode.paths import residuals
 
 
 def two_knot_scalar_path():
     """Exact endpoints of x(lam) = 1/(1+lam) on [0.5, 1]."""
-    return PiecewiseLinearPath(
-        [
-            PathKnot(1.0, np.array([0.5]), 0.0),
-            PathKnot(0.5, np.array([2.0 / 3.0]), 0.0),
-        ]
-    )
+    return PiecewiseLinearPath(np.array([1.0, 0.5]), np.array([[0.5], [2.0 / 3.0]]), np.zeros(2))
 
 
 class TestContainers:
     def test_needs_two_knots(self):
         with pytest.raises(ValueError):
-            PiecewiseLinearPath([PathKnot(1.0, np.zeros(1), 0.0)])
+            PiecewiseLinearPath(np.array([1.0]), np.zeros((1, 1)), np.zeros(1))
 
     def test_lambdas_must_decrease(self):
-        ks = [PathKnot(1.0, np.zeros(1), 0.0), PathKnot(1.5, np.zeros(1), 0.0)]
         with pytest.raises(ValueError):
-            PiecewiseLinearPath(ks)
+            PiecewiseLinearPath(np.array([1.0, 1.5]), np.zeros((2, 1)), np.zeros(2))
+
+    def test_one_row_and_residual_per_knot(self):
+        lams = np.array([1.0, 0.5])
+        with pytest.raises(ValueError):
+            PiecewiseLinearPath(lams, np.zeros((3, 1)), np.zeros(2))
+        with pytest.raises(ValueError):
+            PiecewiseLinearPath(lams, np.zeros(2), np.zeros(2))
+        with pytest.raises(ValueError):
+            PiecewiseLinearPath(lams, np.zeros((2, 1)), np.zeros(3))
 
     def test_lambda_range_properties(self):
         path = two_knot_scalar_path()
@@ -50,13 +51,13 @@ class TestContainers:
 class TestInterpolate:
     def test_endpoints_exact(self):
         path = two_knot_scalar_path()
-        assert interpolate(path, 1.0) == pytest.approx([0.5])
-        assert interpolate(path, 0.5) == pytest.approx([2.0 / 3.0])
+        assert path.query(1.0) == pytest.approx([0.5])
+        assert path.query(0.5) == pytest.approx([2.0 / 3.0])
 
     def test_midpoint_blend(self):
         path = two_knot_scalar_path()
         # alpha = (1 - 0.75)/(1 - 0.5) = 1/2: average of the endpoints
-        got = interpolate(path, 0.75)
+        got = path.query(0.75)
         assert got == pytest.approx([0.5 * (0.5 + 2.0 / 3.0)], rel=1e-14)
 
     def test_linear_in_lambda(self):
@@ -64,44 +65,51 @@ class TestInterpolate:
         lam = 0.6
         alpha = (1.0 - lam) / 0.5
         expect = (1 - alpha) * 0.5 + alpha * (2.0 / 3.0)
-        assert interpolate(path, lam) == pytest.approx([expect], rel=1e-13)
+        assert path.query(lam) == pytest.approx([expect], rel=1e-13)
 
     def test_out_of_range_rejected(self):
         path = two_knot_scalar_path()
         with pytest.raises(ValueError):
-            interpolate(path, 1.2)
+            path.query(1.2)
         with pytest.raises(ValueError):
-            interpolate(path, 0.4)
+            path.query(0.4)
 
     def test_piecewise_constant_holds_left_knot(self):
         path = PiecewiseConstantPath(
-            [
-                PathKnot(1.0, np.array([1.0]), 0.0),
-                PathKnot(0.5, np.array([2.0]), 0.0),
-                PathKnot(0.25, np.array([3.0]), 0.0),
-            ]
+            np.array([1.0, 0.5, 0.25]), np.array([[1.0], [2.0], [3.0]]), np.zeros(3)
         )
         # x_k owns [lambda_{k+1}, lambda_k)
-        assert interpolate(path, 1.0) == pytest.approx([1.0])
-        assert interpolate(path, 0.7) == pytest.approx([1.0])
-        assert interpolate(path, 0.5) == pytest.approx([2.0])
-        assert interpolate(path, 0.3) == pytest.approx([2.0])
-        assert interpolate(path, 0.25) == pytest.approx([3.0])
+        assert path.query(1.0) == pytest.approx([1.0])
+        assert path.query(0.7) == pytest.approx([1.0])
+        assert path.query(0.5) == pytest.approx([2.0])
+        assert path.query(0.3) == pytest.approx([2.0])
+        assert path.query(0.25) == pytest.approx([3.0])
 
 
 class TestResidualNorm:
     def test_exact_point_is_zero(self, scalar_ridge):
-        assert residual_norm(scalar_ridge, np.array([0.5]), 1.0) <= 1e-16
+        assert residuals(scalar_ridge, np.array([[0.5]]), np.array([1.0]))[0] <= 1e-16
 
     def test_scalar_value(self, scalar_ridge):
         # grad F_1(1) = (1 - 1) + 1*1 = 1
-        assert residual_norm(scalar_ridge, np.array([1.0]), 1.0) == pytest.approx(1.0)
+        assert residuals(scalar_ridge, np.array([[1.0]]), np.array([1.0]))[0] == pytest.approx(1.0)
 
     def test_counts_into_metric_counter(self, scalar_ridge):
         c = OracleCounters()
-        residual_norm(scalar_ridge, np.array([1.0]), 1.0, c)
-        assert c.metric_evals == 1
+        residuals(scalar_ridge, np.array([[1.0], [0.5]]), np.array([1.0, 2.0]), c)
+        assert c.metric_evals == 2
         assert c.grad_f == 0 and c.grad_omega == 0
+
+    def test_rows_match_the_pointwise_gradient(self, quad30, quad30_start):
+        # the batched kernel is the per-point ||grad F_lam(x)||, up to rounding
+        _, _, problem = quad30
+        cfg = StepperConfig(method="rk4", K=20, lambda_min=0.01, lambda_max=10.0)
+        path, _ = run_path(problem, quad30_start, cfg)
+        pointwise = [
+            np.linalg.norm(problem.total_grad(x, lam)) for x, lam in zip(path.X, path.lams)
+        ]
+        assert np.allclose(path.residuals, pointwise, rtol=0.0, atol=1e-13)
+        assert np.array_equal(path.residuals, residuals(problem, path.X, path.lams))
 
 
 class TestAccuracyMetrics:
@@ -167,11 +175,11 @@ class TestCsvExport:
         with open(out) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["lambda", "x_1"]
-        assert len(rows) == 1 + len(path.knots)
+        assert len(rows) == 1 + len(path.lams)
         lams = np.array([float(r[0]) for r in rows[1:]])
         xs = np.array([float(r[1]) for r in rows[1:]])
         assert np.array_equal(lams, path.lams)
-        assert np.array_equal(xs, np.concatenate([k.x for k in path.knots]))
+        assert np.array_equal(xs, path.X.ravel())
 
     def test_header_names_every_coordinate(self, tmp_path, quad30, quad30_start):
         _, _, problem = quad30

@@ -1,6 +1,7 @@
 """Step schemes, the lambda schedule, run_path bookkeeping, and initializers."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from pathode import (
     build_moment_problem,
     decay_polynomial,
     generate_synthetic_moment_data,
-    euler_step,
     initialize_by_newton,
     initialize_from_omega,
     make_logistic_reweighted,
@@ -23,13 +23,10 @@ from pathode import (
     make_moment_matching,
     make_quadratic_ridge,
     quadratic_path_point,
-    residual_norm,
-    rk4_step,
     run_path,
     stepsize,
-    trapezoid_step,
-    vector_field,
 )
+from pathode.steppers import SCHEMES, step_diagnostics, take_step
 from pathode.datasets import generate_synthetic_logistic, generate_synthetic_quadratic
 
 from conftest import fit_loglog_slope
@@ -37,6 +34,19 @@ from conftest import fit_loglog_slope
 
 def exact_directions():
     return ExactDirections(OracleCounters())
+
+
+def one_step(method, problem, x_k, lambda_k, h):
+    """take_step of SCHEMES[method] with exact directions: (x_next, lambda_next, diagnostics)."""
+    x_next, lambda_next, _, stages = take_step(
+        SCHEMES[method], problem, x_k, lambda_k, h, exact_directions()
+    )
+    return x_next, lambda_next, step_diagnostics(0, lambda_k, math.nan, stages)
+
+
+def direction(problem, x, lam):
+    """The exact ODE direction -(hess F_lam(x))^{-1} grad f(x), uncounted."""
+    return problem.hessian(x, lam).solve(problem.f_grad(x)).direction
 
 
 @pytest.fixture(scope="module")
@@ -84,15 +94,15 @@ class TestStepsize:
 class TestVectorField:
     def test_scalar_example(self, pure_scalar):
         # v = -x/(1+lambda): at x=3, lambda=2 this is -1
-        v = vector_field(pure_scalar, np.array([3.0]), 2.0)
+        v = direction(pure_scalar, np.array([3.0]), 2.0)
         assert v == pytest.approx([-1.0], rel=1e-14)
 
     def test_zero_gradient_is_stationary(self, pure_scalar):
-        assert vector_field(pure_scalar, np.zeros(1), 1.0) == pytest.approx([0.0], abs=1e-15)
+        assert direction(pure_scalar, np.zeros(1), 1.0) == pytest.approx([0.0], abs=1e-15)
 
     def test_identity_design(self):
         problem = make_quadratic_ridge(np.eye(2), np.array([2.0, 4.0]))
-        v = vector_field(problem, np.zeros(2), 1.0)
+        v = direction(problem, np.zeros(2), 1.0)
         assert v == pytest.approx([1.0, 2.0], rel=1e-14)
 
 
@@ -103,7 +113,7 @@ class TestEulerStep:
     def test_scalar_closed_form(self, scalar_ridge):
         # from the exact point x(1) = 1/2 with h = 0.1:
         # lambda_next = 0.9, d = (1/2)/1.9, x1 = 1/2 + 0.05/1.9 = 1/1.9
-        x1, lam1, diag = euler_step(scalar_ridge, np.array([0.5]), 1.0, 0.1, exact_directions())
+        x1, lam1, diag = one_step("euler", scalar_ridge, np.array([0.5]), 1.0, 0.1)
         assert lam1 == pytest.approx(0.9, rel=1e-15)
         assert abs(x1[0] - 1.0 / 1.9) == 0.0
         assert diag.stage_lambdas == [pytest.approx(0.9)]
@@ -112,13 +122,13 @@ class TestEulerStep:
         A, b, problem = quad30
         h = 0.05
         lam_next = 0.95 * 10.0
-        x1, _, _ = euler_step(problem, quad30_start, 10.0, h, exact_directions())
+        x1, _, _ = one_step("euler", problem, quad30_start, 10.0, h)
         g = problem.f_grad(quad30_start)
         d = np.linalg.solve(A.T @ A + lam_next * np.eye(20), -g)
         assert np.allclose(x1, quad30_start + h * d, rtol=1e-12, atol=1e-14)
 
     def test_fixed_point_at_zero_gradient(self, pure_scalar):
-        x1, _, _ = euler_step(pure_scalar, np.zeros(1), 1.0, 0.2, exact_directions())
+        x1, _, _ = one_step("euler", pure_scalar, np.zeros(1), 1.0, 0.2)
         assert np.array_equal(x1, np.zeros(1))
 
 
@@ -126,9 +136,7 @@ class TestTrapezoidStep:
     def test_scalar_closed_form(self, pure_scalar):
         # x0=1, lambda=1, h=1/2: d1 = -1/2; stage lambda (1-h+h^2) = 3/4,
         # stage point 3/4, d2 = -(3/4)/(7/4) = -3/7; x1 = 1 - (1/4)(13/14) = 43/56
-        x1, lam1, diag = trapezoid_step(
-            pure_scalar, np.array([1.0]), 1.0, 0.5, exact_directions(), record=True
-        )
+        x1, lam1, diag = one_step("trapezoid", pure_scalar, np.array([1.0]), 1.0, 0.5)
         assert x1[0] == pytest.approx(43.0 / 56.0, rel=1e-14)
         assert lam1 == pytest.approx(0.625, rel=1e-15)
         assert diag.stage_lambdas == [pytest.approx(1.0), pytest.approx(0.75)]
@@ -138,9 +146,7 @@ class TestTrapezoidStep:
 
     def test_first_stage_uses_old_lambda(self, quad30, quad30_start):
         A, b, problem = quad30
-        _, _, diag = trapezoid_step(
-            problem, quad30_start, 10.0, 0.05, exact_directions(), record=True
-        )
+        _, _, diag = one_step("trapezoid", problem, quad30_start, 10.0, 0.05)
         g = problem.f_grad(quad30_start)
         d1 = np.linalg.solve(A.T @ A + 10.0 * np.eye(20), -g)
         assert np.allclose(diag.direction_vectors[0], d1, rtol=1e-12, atol=1e-14)
@@ -149,7 +155,7 @@ class TestTrapezoidStep:
 class TestRk4Step:
     def test_stage_lambda_polynomials(self, scalar_ridge):
         h = 0.3
-        _, lam1, diag = rk4_step(scalar_ridge, np.array([0.5]), 1.0, h, exact_directions())
+        _, lam1, diag = one_step("rk4", scalar_ridge, np.array([0.5]), 1.0, h)
         expect = [1.0, 1 - h / 2, 1 - h / 2 + h * h / 4, 1 - h + h * h / 2 - h**3 / 4]
         assert diag.stage_lambdas == pytest.approx(expect, rel=1e-15)
         assert lam1 == pytest.approx(decay_polynomial(h), rel=1e-15)
@@ -159,22 +165,18 @@ class TestRk4Step:
         # halving h should shrink it by about 2^5 = 32
         errs = {}
         for h in (0.2, 0.1):
-            x1, lam1, _ = rk4_step(scalar_ridge, np.array([0.5]), 1.0, h, exact_directions())
+            x1, lam1, _ = one_step("rk4", scalar_ridge, np.array([0.5]), 1.0, h)
             errs[h] = abs(x1[0] - 1.0 / (1.0 + lam1))
         ratio = errs[0.2] / errs[0.1]
         assert 25.0 < ratio < 45.0
 
     def test_fixed_point_at_zero_gradient(self, pure_scalar):
-        x1, _, _ = rk4_step(pure_scalar, np.zeros(1), 1.0, 0.2, exact_directions())
+        x1, _, _ = one_step("rk4", pure_scalar, np.zeros(1), 1.0, 0.2)
         assert np.array_equal(x1, np.zeros(1))
 
 
-# step function and its per-step lambda factor at h = 1/2
-STEP_DECAYS = {
-    "euler": (euler_step, 0.5),
-    "trapezoid": (trapezoid_step, 0.625),
-    "rk4": (rk4_step, decay_polynomial(0.5)),
-}
+# per-step lambda factor of each scheme at h = 1/2
+STEP_DECAYS = {"euler": 0.5, "trapezoid": 0.625, "rk4": decay_polynomial(0.5)}
 
 
 class TestDomainBackoff:
@@ -184,8 +186,7 @@ class TestDomainBackoff:
         # halving the increment lands back inside
         A, b = np.array([[0.5]]), np.array([0.6])
         problem = make_moment_matching(A, b)
-        step, _ = STEP_DECAYS[method]
-        x1, _, diag = step(problem, np.array([0.9]), 1e-6, 0.5, exact_directions())
+        x1, _, diag = one_step(method, problem, np.array([0.9]), 1e-6, 0.5)
         assert diag.domain_backoffs >= 1
         assert problem.domain_check(x1)
         if method == "euler":
@@ -196,8 +197,8 @@ class TestDomainBackoff:
     def test_lambda_schedule_unchanged_by_backoff(self, method):
         A, b = np.array([[0.5]]), np.array([0.6])
         problem = make_moment_matching(A, b)
-        step, decay = STEP_DECAYS[method]
-        _, lam1, diag = step(problem, np.array([0.9]), 1e-6, 0.5, exact_directions())
+        decay = STEP_DECAYS[method]
+        _, lam1, diag = one_step(method, problem, np.array([0.9]), 1e-6, 0.5)
         assert diag.domain_backoffs >= 1
         assert lam1 == pytest.approx(decay * 1e-6, rel=1e-15)  # the scheme's decay regardless
 
@@ -207,7 +208,7 @@ class TestDomainBackoff:
         # start glued to the boundary with a huge outward pull: halving the
         # increment 30 times still lands outside, so the step gives up
         with pytest.raises(DomainError):
-            euler_step(problem, np.array([1.0 - 1e-15]), 1e-9, 0.9, exact_directions())
+            one_step("euler", problem, np.array([1.0 - 1e-15]), 1e-9, 0.9)
 
 
 # ------------------------------------------- structured (Woodbury) directions
@@ -262,11 +263,9 @@ class TestStructuredDirections:
         ref_path, ref_rep = run_path(dense, x0, cfg)
         assert rep.counters == ref_rep.counters
         assert np.array_equal(path.lams, ref_path.lams)
-        X = np.array([kn.x for kn in path.knots])
-        X_ref = np.array([kn.x for kn in ref_path.knots])
+        X, X_ref = path.X, ref_path.X
         assert np.all(np.abs(X - X_ref).max(axis=1) <= 1e-12 * np.abs(X_ref).max(axis=1))
-        res = np.array([kn.residual for kn in path.knots])
-        res_ref = np.array([kn.residual for kn in ref_path.knots])
+        res, res_ref = path.residuals, ref_path.residuals
         tol = 1e-11
         if instance == "boundary-1d":
             # knots agreeing to rounding move the residual by up to ||H|| ||dx||,
@@ -295,10 +294,8 @@ class TestStructuredDirections:
         ref_path, ref_rep = run_path(dense, x0, cfg)
         assert rep.counters == ref_rep.counters
         assert np.array_equal(path.lams, ref_path.lams)
-        X = np.array([kn.x for kn in path.knots])
-        X_ref = np.array([kn.x for kn in ref_path.knots])
-        res = np.array([kn.residual for kn in path.knots])
-        res_ref = np.array([kn.residual for kn in ref_path.knots])
+        X, X_ref = path.X, ref_path.X
+        res, res_ref = path.residuals, ref_path.residuals
         if mode == "cg":
             # a handle's gradient and products are the dense callables' arithmetic
             assert np.array_equal(X, X_ref) and np.array_equal(res, res_ref)
@@ -320,7 +317,7 @@ class TestStructuredDirections:
         for method in ("euler", "trapezoid", "rk4"):
             cfg = StepperConfig(method=method, K=16, lambda_min=lam_min, lambda_max=lam_max)
             run_path(blind, x0, cfg)
-        assert np.array_equal(vector_field(blind, x0, 1.0), vector_field(problem, x0, 1.0))
+        assert np.array_equal(direction(blind, x0, 1.0), direction(problem, x0, 1.0))
         x_omega = initialize_from_omega(problem, lam_max)[0]
         assert np.array_equal(initialize_from_omega(blind, lam_max)[0], x_omega)
         assert np.array_equal(initialize_by_newton(blind, lam_max, 1e-10), x0)
@@ -462,11 +459,8 @@ class TestRunPath:
             runs[record] = run_path(problem, x0, cfg)
         (quiet_path, quiet), (loud_path, loud) = runs[False], runs[True]
         assert quiet.step_diagnostics == [] and len(loud.step_diagnostics) == 20
-        for field in ("lam", "x", "residual"):
-            assert np.array_equal(
-                [getattr(kn, field) for kn in quiet_path.knots],
-                [getattr(kn, field) for kn in loud_path.knots],
-            )
+        for field in ("lams", "X", "residuals"):
+            assert np.array_equal(getattr(quiet_path, field), getattr(loud_path, field))
         assert quiet.counters.as_dict() == loud.counters.as_dict()
         if instance == "backoff-1d":
             assert sum(d.domain_backoffs for d in loud.step_diagnostics) > 0
@@ -485,16 +479,14 @@ class TestRunPath:
         with pytest.raises(DegenerateProblemError):
             run_path(problem, np.zeros(3), cfg)
         path, _ = run_path(problem, np.zeros(3), cfg, allow_degenerate=True)
-        assert len(path.knots) == 11
+        assert len(path.lams) == 11
 
     def test_deterministic_across_runs(self, quad30, quad30_start):
         _, _, problem = quad30
         cfg = StepperConfig(method="rk4", K=20, lambda_min=0.01, lambda_max=10.0)
         p1, _ = run_path(problem, quad30_start, cfg)
         p2, _ = run_path(problem, quad30_start, cfg)
-        X1 = np.vstack([k.x for k in p1.knots])
-        X2 = np.vstack([k.x for k in p2.knots])
-        assert np.array_equal(X1, X2)
+        assert np.array_equal(p1.X, p2.X)
 
 
 # ------------------------------------------- knot accuracy vs K, by family
@@ -510,7 +502,7 @@ class TestKnotConvergence:
         _, _, problem = quad30
         cfg = StepperConfig(method="euler", K=200, lambda_min=0.01, lambda_max=10.0)
         path, _ = run_path(problem, quad30_start, cfg)
-        assert max(kn.residual for kn in path.knots[1:]) <= 1e-10
+        assert max(path.residuals[1:]) <= 1e-10
 
     def test_trapezoid_knots_on_quadratics_beat_second_order(self, quad30, quad30_start):
         # Same mechanism: the h^3 local term carries the cubic Taylor
@@ -521,7 +513,7 @@ class TestKnotConvergence:
         for K in (100, 400):
             cfg = StepperConfig(method="trapezoid", K=K, lambda_min=0.01, lambda_max=10.0)
             path, _ = run_path(problem, quad30_start, cfg)
-            vals[K] = max(kn.residual for kn in path.knots[1:])
+            vals[K] = max(path.residuals[1:])
         slope = fit_loglog_slope([100, 400], [vals[100], vals[400]])
         assert slope <= -2.5
 
@@ -534,7 +526,7 @@ class TestKnotConvergence:
         for K in (400, 1600):
             cfg = StepperConfig(method="euler", K=K, lambda_min=0.01, lambda_max=100.0)
             path, _ = run_path(problem, x0, cfg)
-            vals[K] = max(kn.residual for kn in path.knots[1:])
+            vals[K] = max(path.residuals[1:])
         slope = fit_loglog_slope([400, 1600], [vals[400], vals[1600]])
         assert -1.2 <= slope <= -0.8
 
@@ -550,7 +542,7 @@ class TestInitializers:
         from pathode import quadratic_path_point
 
         assert np.allclose(x0, quadratic_path_point(A, b, 10.0), rtol=1e-12, atol=1e-14)
-        measured = residual_norm(problem, x0, 10.0)
+        measured = np.linalg.norm(problem.total_grad(x0, 10.0))
         assert measured <= bound + 1e-10
         assert measured <= 1e-10
 
@@ -570,7 +562,7 @@ class TestInitializers:
     def test_newton_reaches_tight_tolerance(self, quad30):
         _, _, problem = quad30
         x0 = initialize_by_newton(problem, 10.0, 1e-12)
-        assert residual_norm(problem, x0, 10.0) <= 1e-12
+        assert np.linalg.norm(problem.total_grad(x0, 10.0)) <= 1e-12
 
     def test_newton_respects_given_start(self, quad30):
         A, b, problem = quad30
@@ -584,4 +576,4 @@ class TestInitializers:
     def test_newton_reaches_float_floor_on_logistic(self, logistic_newton_start):
         problem, _ = logistic_newton_start
         x0 = initialize_by_newton(problem, 100.0, 1e-15)
-        assert residual_norm(problem, x0, 100.0) <= 1e-15
+        assert np.linalg.norm(problem.total_grad(x0, 100.0)) <= 1e-15
