@@ -160,6 +160,29 @@ def k_trapezoid_approx(c: TheoryConstants, eps: float) -> BoundReport:
     return _finish("trapezoid-cg", terms, _echo(c, eps), warns)
 
 
+def k_grid(c: TheoryConstants, eps: float) -> BoundReport:
+    """Grid size sqrt(tau L) G T / eps matching an eps gradient-norm target.
+
+    Clamped below at 2 so the grid always contains both endpoints.
+    """
+    if eps <= 0.0:
+        raise ValueError("eps must be positive")
+    raw = math.sqrt(c.tau * c.L) * c.G * c.T_euler / eps
+    report = _finish("grid", {"grid_size": raw}, _echo(c, eps), [])
+    report.K_required = max(report.K_required, 2)
+    return report
+
+
+# method -> (constants, eps, f_gap) -> BoundReport, for every method with a closed-form bound
+K_BOUNDS = {
+    "euler": k_euler,
+    "trapezoid": lambda c, eps, f_gap: k_trapezoid(c, eps),
+    "euler-cg": k_euler_approx,
+    "trapezoid-cg": lambda c, eps, f_gap: k_trapezoid_approx(c, eps),
+    "grid": lambda c, eps, f_gap: k_grid(c, eps),
+}
+
+
 def lipschitz_v(c: TheoryConstants, C: float = 1.0) -> float:
     """Lipschitz modulus of the path vector field.
 
@@ -300,11 +323,11 @@ def _sym_norm(evals: np.ndarray) -> float:
     return max(abs(float(evals[0])), abs(float(evals[-1])))
 
 
-def _domain_samples(problem: ProblemOracle, base, sample_count: int, seed: int, radius: float):
+def _domain_samples(problem: ProblemOracle, base, sample_count: int, seed: int):
     """Philox draws around base, each halved toward it into the domain (<= 60 times) or skipped."""
     rng = np.random.Generator(np.random.Philox(seed))
     for _ in range(sample_count):
-        step = radius * rng.normal(size=problem.dim)
+        step = rng.normal(size=problem.dim)
         cand = base + step
         shrink = 0
         while not problem.domain_check(cand) and shrink < 60:
@@ -320,7 +343,6 @@ def estimate_f_gap(
     x0: np.ndarray,
     sample_count: int,
     seed: int,
-    radius: float = 1.0,
 ) -> float:
     """Plug-in estimate of f(x0) - f*: the drop to the best sampled f value.
 
@@ -332,7 +354,7 @@ def estimate_f_gap(
         raise ValueError("sample_count must be at least 1")
     x0 = np.asarray(x0, dtype=float)
     f0 = problem.f_value(x0)
-    samples = _domain_samples(problem, x0, sample_count, seed, radius)
+    samples = _domain_samples(problem, x0, sample_count, seed)
     return max(0.0, f0 - min([f0] + [problem.f_value(x) for x in samples]))
 
 
@@ -341,7 +363,6 @@ def estimate_constants(
     lambda_range: tuple[float, float],
     sample_count: int,
     seed: int,
-    radius: float = 1.0,
 ) -> TheoryConstants:
     """Sample-based estimates of (mu, sigma, L, G), marked as estimated.
 
@@ -365,7 +386,7 @@ def estimate_constants(
     f_base = problem.f_value(base)
     points = [base] + [
         x
-        for x in _domain_samples(problem, base, sample_count, seed, radius)
+        for x in _domain_samples(problem, base, sample_count, seed)
         if problem.f_value(x) <= f_base + 1e-12 * (1.0 + abs(f_base))
     ]
 

@@ -16,12 +16,12 @@ import sys
 import numpy as np
 
 from . import bounds, datasets, gridsearch, paths, problems, steppers
-from .reports import RunReport, write_json_atomic
+from .linsolve import NotPositiveDefiniteError
+from .reports import write_json_atomic
 
 ODE_METHODS = ("euler", "trapezoid", "rk4", "euler-cg", "trapezoid-cg", "rk4-cg")
 GRID_METHODS = ("grid-newton", "grid-agd")
 ALL_METHODS = ODE_METHODS + GRID_METHODS
-THEORY_METHODS = ("euler", "trapezoid", "euler-cg", "trapezoid-cg", "grid")
 PROBLEMS = ("quadratic", "logistic", "logistic-reweighted", "moment")
 
 SWEEP_COLUMNS = (
@@ -34,19 +34,22 @@ class CliArgumentError(ValueError):
     """Semantically invalid arguments discovered after parsing (exit 2)."""
 
 
-def _parse_kv_spec(spec: str, what: str) -> dict[str, int]:
+def _parse_synthetic(spec: str, keys: tuple[str, ...]) -> dict[str, int]:
     out: dict[str, int] = {}
     for item in spec.split(","):
         item = item.strip()
         if not item:
             continue
         if "=" not in item:
-            raise CliArgumentError(f"bad {what} entry {item!r}; expected key=value")
+            raise CliArgumentError(f"bad --synthetic entry {item!r}; expected key=value")
         key, _, value = item.partition("=")
+        key = key.strip()
+        if key not in keys:
+            raise CliArgumentError(f"unknown --synthetic key {key!r}; expected one of {keys}")
         try:
-            out[key.strip()] = int(value)
+            out[key] = int(value)
         except ValueError as exc:
-            raise CliArgumentError(f"bad {what} value {item!r}: {exc}") from exc
+            raise CliArgumentError(f"bad --synthetic value {item!r}: {exc}") from exc
     return out
 
 
@@ -55,46 +58,38 @@ def build_problem(args) -> tuple[problems.ProblemOracle, dict]:
     name = args.problem
     if name not in PROBLEMS:
         raise CliArgumentError(f"unknown problem {name!r}; expected one of {PROBLEMS}")
+    if name == "quadratic" and args.data:
+        raise CliArgumentError(
+            "quadratic instances are synthetic-only (the CSV contract is for "
+            "labelled classification data); use --synthetic n=..,p=..,seed=.."
+        )
     meta = {"problem": name, "seed": args.seed}
+    if args.data:
+        meta["source"] = args.data
+    else:
+        keys = ("p", "seed", "n_moments") if name == "moment" else ("n", "p", "seed")
+        spec = _parse_synthetic(args.synthetic or "", keys)
+        meta["seed"] = spec.get("seed", args.seed)
     if name == "moment":
         if args.data:
             w, x_true, n_moments = datasets.load_moment_json(args.data)
-            meta["source"] = args.data
         else:
-            spec = _parse_kv_spec(args.synthetic or "", "--synthetic")
-            p = spec.get("p", 50)
-            seed = spec.get("seed", args.seed)
             n_moments = spec.get("n_moments", 5)
-            w, x_true = problems.generate_synthetic_moment_data(p, seed)
-            meta["seed"] = seed
+            w, x_true = problems.generate_synthetic_moment_data(spec.get("p", 50), meta["seed"])
         A_red, b_red = problems.build_moment_problem(w, x_true, n_moments)
         return problems.make_moment_matching(A_red, b_red), meta
     if name == "quadratic":
-        if args.data:
-            raise CliArgumentError(
-                "quadratic instances are synthetic-only (the CSV contract is for "
-                "labelled classification data); use --synthetic n=..,p=..,seed=.."
-            )
-        spec = _parse_kv_spec(args.synthetic or "", "--synthetic")
-        n = spec.get("n", 30)
-        p = spec.get("p", 20)
-        seed = spec.get("seed", args.seed)
-        A, b = datasets.generate_synthetic_quadratic(n, p, seed)
-        meta["seed"] = seed
+        A, b = datasets.generate_synthetic_quadratic(spec.get("n", 30), spec.get("p", 20), meta["seed"])
         return problems.make_quadratic_ridge(A, b), meta
     # logistic families
     if args.data:
         features, labels = datasets.load_csv_dataset(args.data, standardize=args.standardize)
-        meta["source"] = args.data
     else:
-        spec = _parse_kv_spec(args.synthetic or "", "--synthetic")
-        n = spec.get("n", 569)
-        p = spec.get("p", 30)
-        seed = spec.get("seed", args.seed)
-        features, labels = datasets.generate_synthetic_logistic(n, p, seed)
+        features, labels = datasets.generate_synthetic_logistic(
+            spec.get("n", 569), spec.get("p", 30), meta["seed"]
+        )
         if args.standardize:
             features = datasets.standardize_features(features)
-        meta["seed"] = seed
     if name == "logistic":
         return problems.make_logistic_ridge(features, labels), meta
     return problems.make_logistic_reweighted(features, labels), meta
@@ -164,12 +159,7 @@ def run_one(problem, meta, method, K, args, eps: float | None, x0) -> tuple:
             lambda_max=args.lambda_max,
         )
         path, report = gridsearch.solve_grid(
-            problem,
-            x0,
-            config,
-            allow_degenerate=args.allow_degenerate,
-            problem_label=meta["problem"],
-            seed=meta.get("seed"),
+            problem, x0, config, allow_degenerate=args.allow_degenerate
         )
     elif method in ODE_METHODS:
         mode = "cg" if method.endswith("-cg") else "exact"
@@ -183,28 +173,24 @@ def run_one(problem, meta, method, K, args, eps: float | None, x0) -> tuple:
             record_diagnostics=bool(getattr(args, "diag_out", None)),
         )
         path, report = steppers.run_path(
-            problem,
-            x0,
-            config,
-            allow_degenerate=args.allow_degenerate,
-            problem_label=meta["problem"],
-            seed=meta.get("seed"),
+            problem, x0, config, allow_degenerate=args.allow_degenerate
         )
     else:
         raise CliArgumentError(f"unknown method {method!r}; expected one of {ALL_METHODS}")
     report.accuracy_midpoint = paths.accuracy_midpoint(problem, path, report.counters)
     report.eps_target = eps
+    report.seed = meta.get("seed")
     return path, report
 
 
 def run_doubling(problem, meta, method, eps, K0, max_doublings, args, x0):
     """K0, 2 K0, 4 K0, ... until the midpoint accuracy reaches eps.
 
-    Returns (K_final, reports, passed); K_final is the last K attempted.
+    K0 is raised to the method's smallest feasible K; None starts there.
+    Returns (K_final, path, reports, passed); K_final is the last K attempted.
     """
-    K = max(K0, min_feasible_K(method, args.lambda_min, args.lambda_max))
+    K = max(K0 or 0, min_feasible_K(method, args.lambda_min, args.lambda_max))
     reports = []
-    path = None
     for attempt in range(max_doublings + 1):
         path, report = run_one(problem, meta, method, K, args, eps, x0)
         reports.append(report)
@@ -238,9 +224,8 @@ def cmd_run(args) -> int:
     if args.K is not None:
         path, report = run_one(problem, meta, args.method, args.K, args, args.eps, x0)
     else:
-        K0 = args.K0 or min_feasible_K(args.method, args.lambda_min, args.lambda_max)
         K, path, reports, passed = run_doubling(
-            problem, meta, args.method, args.eps, K0, args.max_doublings, args, x0
+            problem, meta, args.method, args.eps, args.K0, args.max_doublings, args, x0
         )
         report = reports[-1]
         if not passed:
@@ -262,21 +247,20 @@ def cmd_run(args) -> int:
 def cmd_doubling(args) -> int:
     problem, meta = build_problem(args)
     x0 = initialize_x0(problem, args, args.eps)
-    K0 = args.K0 or min_feasible_K(args.method, args.lambda_min, args.lambda_max)
     K, path, reports, passed = run_doubling(
-        problem, meta, args.method, args.eps, K0, args.max_doublings, args, x0
+        problem, meta, args.method, args.eps, args.K0, args.max_doublings, args, x0
     )
     payload = {
         "method": args.method,
         "eps": args.eps,
-        "K0": K0,
+        "K0": args.K0 or min_feasible_K(args.method, args.lambda_min, args.lambda_max),
         "K_final": K,
         "passed": passed,
         "reports": [r.as_dict() for r in reports],
     }
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     _write_or_print(text, args.out, "doubling summary")
-    if args.path_out and path is not None:
+    if args.path_out:
         paths.export_path_csv(path, args.path_out)
     if not passed:
         print(f"doubling cap reached without Ahat <= {args.eps:g}", file=sys.stderr)
@@ -317,29 +301,11 @@ def _constants_from_args(args) -> tuple[problems.TheoryConstants, float]:
 
 def cmd_theory(args) -> int:
     constants, f_gap = _constants_from_args(args)
-    method = args.method
-    if method == "euler":
-        report = bounds.k_euler(constants, args.eps, f_gap)
-    elif method == "trapezoid":
-        report = bounds.k_trapezoid(constants, args.eps)
-    elif method == "euler-cg":
-        report = bounds.k_euler_approx(constants, args.eps, f_gap)
-    elif method == "trapezoid-cg":
-        report = bounds.k_trapezoid_approx(constants, args.eps)
-    elif method == "grid":
-        K = gridsearch.grid_k_from_eps(constants, args.eps)
-        raw = math.sqrt(constants.tau * constants.L) * constants.G * constants.T_euler / args.eps
-        report = bounds.BoundReport(
-            method="grid",
-            K_required=K,
-            binding_term="grid_size",
-            terms={"grid_size": raw},
-            inputs_echo={"constants": constants.as_dict(), "eps": float(args.eps)},
-        )
-    else:
+    if args.method not in bounds.K_BOUNDS:
         raise CliArgumentError(
-            f"no closed-form bound for {method!r}; choose one of {THEORY_METHODS}"
+            f"no closed-form bound for {args.method!r}; choose one of {tuple(bounds.K_BOUNDS)}"
         )
+    report = bounds.K_BOUNDS[args.method](constants, args.eps, f_gap)
     _write_or_print(report.to_json(), args.out, "bound report")
     return 0
 
@@ -347,7 +313,7 @@ def cmd_theory(args) -> int:
 def _sweep_method_rows(problem, meta, method, eps_list, args, x0) -> list[str]:
     """All rows for one method, chaining the passing K into the next eps's K0."""
     rows = []
-    carried_K0 = args.K0 or min_feasible_K(method, args.lambda_min, args.lambda_max)
+    carried_K0 = args.K0
     for eps in eps_list:
         try:
             K, _, reports, passed = run_doubling(
@@ -357,16 +323,15 @@ def _sweep_method_rows(problem, meta, method, eps_list, args, x0) -> list[str]:
             c = report.counters
             status = "ok" if passed else "accuracy-not-met"
             if passed:
-                carried_K0 = max(carried_K0, K)
-            note = ""
+                carried_K0 = K
         except (RuntimeError, ValueError) as exc:
             rows.append(f"{method},{eps:g},failed,,,,,,,,,,,{_clean_note(exc)}")
             continue
         rows.append(
             f"{method},{eps:g},{status},{report.K},{report.accuracy_midpoint:.17g},"
             f"{c.grad_f},{c.grad_omega},{c.hess_builds},{c.hessvec},{c.linear_solves},"
-            f"{c.cg_iters_total},{c.metric_evals},{report.wall_time_seconds:.6g},{note}"
-        )
+            f"{c.cg_iters_total},{c.metric_evals},{report.wall_time_seconds:.6g},"
+        )  # the note column is filled on failed rows only
     return rows
 
 
@@ -424,14 +389,19 @@ def _add_problem_flags(sub):
 
 
 def _add_solver_flags(sub):
-    sub.add_argument("--method", required=True, help=f"one of {ALL_METHODS}")
-    sub.add_argument("--eps", type=float, default=None)
     sub.add_argument("--delta", default=None, help="CG tolerance, or 'auto' for eps/4")
     sub.add_argument("--inner-tol", type=float, default=None, help="grid inner tolerance")
     sub.add_argument("--init", choices=("newton", "omega"), default="newton")
     sub.add_argument("--init-tol", type=float, default=None)
     sub.add_argument("--K0", type=int, default=None, help="doubling start")
     sub.add_argument("--max-doublings", type=int, default=20)
+
+
+def _add_run_flags(sub):
+    """Flags of the single-method verbs (run, doubling), solver flags included."""
+    sub.add_argument("--method", required=True, help=f"one of {ALL_METHODS}")
+    sub.add_argument("--eps", type=float, default=None)
+    _add_solver_flags(sub)
     sub.add_argument("--out", default=None)
     sub.add_argument("--path-out", default=None)
 
@@ -445,19 +415,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = subs.add_parser("run", help="one method at one K (or doubling to --eps)")
     _add_problem_flags(run)
-    _add_solver_flags(run)
+    _add_run_flags(run)
     run.add_argument("--K", type=int, default=None)
     run.add_argument("--diag-out", default=None, help="write per-step diagnostics JSONL")
     run.set_defaults(func=cmd_run)
 
     doubling = subs.add_parser("doubling", help="double K until the accuracy target holds")
     _add_problem_flags(doubling)
-    _add_solver_flags(doubling)
+    _add_run_flags(doubling)
     doubling.set_defaults(func=cmd_doubling)
 
     theory = subs.add_parser("theory", help="evaluate iteration bounds")
     _add_problem_flags(theory)
-    theory.add_argument("--method", required=True, help=f"one of {THEORY_METHODS}")
+    theory.add_argument("--method", required=True, help=f"one of {tuple(bounds.K_BOUNDS)}")
     theory.add_argument("--eps", type=float, required=True)
     theory.add_argument("--mu", type=float, default=None)
     theory.add_argument("--sigma", type=float, default=None)
@@ -473,12 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem_flags(sweep)
     sweep.add_argument("--methods", required=True, help="comma-separated method list")
     sweep.add_argument("--eps-list", required=True, help="comma-separated eps values")
-    sweep.add_argument("--delta", default=None)
-    sweep.add_argument("--inner-tol", type=float, default=None)
-    sweep.add_argument("--init", choices=("newton", "omega"), default="newton")
-    sweep.add_argument("--init-tol", type=float, default=None)
-    sweep.add_argument("--K0", type=int, default=None)
-    sweep.add_argument("--max-doublings", type=int, default=20)
+    _add_solver_flags(sweep)
     sweep.add_argument("--out", required=True)
     sweep.set_defaults(func=cmd_sweep)
 
@@ -504,21 +469,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliArgumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (datasets.DatasetFormatError, problems.DegenerateProblemError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (
+    except (  # ahead of ValueError, which NotPositiveDefiniteError subclasses
         steppers.PathRunError,
         gridsearch.GridSearchError,
         steppers.MaxIterationsError,
         steppers.CGNoConvergenceError,
+        NotPositiveDefiniteError,
     ) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except ValueError as exc:  # bad arguments, malformed data, degenerate problems
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

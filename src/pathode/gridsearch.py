@@ -16,7 +16,7 @@ import numpy as np
 
 from .linsolve import NotPositiveDefiniteError
 from .paths import PiecewiseConstantPath
-from .problems import DomainError, ProblemOracle, TheoryConstants
+from .problems import DomainError, ProblemOracle
 from .reports import OracleCounters, RunReport, Stopwatch
 from .steppers import MaxIterationsError, newton_solve
 
@@ -70,17 +70,6 @@ def grid_points(config: GridSearchConfig) -> np.ndarray:
     return config.lambda_max * rho**exponents
 
 
-def grid_k_from_eps(c: TheoryConstants, eps: float) -> int:
-    """Grid size sqrt(tau L) G T / eps matching an eps gradient-norm target.
-
-    Clamped below at 2 so the grid always contains both endpoints.
-    """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    K = math.ceil(math.sqrt(c.tau * c.L) * c.G * c.T_euler / eps)
-    return max(K, 2)
-
-
 def agd_inner(
     problem: ProblemOracle,
     lam: float,
@@ -130,8 +119,6 @@ def solve_grid(
     config: GridSearchConfig,
     *,
     allow_degenerate: bool = False,
-    problem_label: str | None = None,
-    seed: int | None = None,
 ) -> tuple[PiecewiseConstantPath, RunReport]:
     """Solve every grid point to inner_tol, warm-starting down the grid.
 
@@ -179,8 +166,7 @@ def solve_grid(
         wall_time_seconds=sw.elapsed,
         lambda_min=config.lambda_min,
         lambda_max=config.lambda_max,
-        problem=problem_label or problem.name,
-        seed=seed,
+        problem=problem.name,
         inner_iterations=iterations,
     )
     return PiecewiseConstantPath(lams, X, res), report

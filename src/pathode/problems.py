@@ -469,12 +469,6 @@ def make_logistic_ridge(features: Array, labels: Array) -> ProblemOracle:
     )
 
 
-def logistic_gradient_bound(features: Array) -> float:
-    """Global bound on ||grad f|| for the mean logistic loss: mean ||a_i||."""
-    A = np.asarray(features, dtype=float)
-    return float(np.mean(np.linalg.norm(A, axis=1)))
-
-
 def make_logistic_reweighted(features: Array, labels: Array) -> ProblemOracle:
     """Class-split logistic pair: f over the +1 rows, Omega over the -1 rows.
 

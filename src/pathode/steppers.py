@@ -103,7 +103,6 @@ class StepperConfig:
     lambda_max: float
     direction_mode: str = "exact"
     delta: float | None = None
-    cg_max_iters: int | None = None
     record_diagnostics: bool = False
     h: float = field(init=False)
 
@@ -303,8 +302,6 @@ def run_path(
     config: StepperConfig,
     *,
     allow_degenerate: bool = False,
-    problem_label: str | None = None,
-    seed: int | None = None,
 ) -> tuple[PiecewiseLinearPath, RunReport]:
     """Run K steps of the configured scheme from (x0, lambda_max).
 
@@ -319,8 +316,7 @@ def run_path(
     if config.direction_mode == "exact":
         directions = ExactDirections(counters)
     else:
-        max_iters = config.cg_max_iters if config.cg_max_iters is not None else 20 * problem.dim
-        directions = CGDirections(counters, config.delta, max_iters)
+        directions = CGDirections(counters, config.delta, 20 * problem.dim)
     scheme = SCHEMES[config.method]
     lams = np.empty(config.K + 1)
     X = np.empty((config.K + 1, problem.dim))
@@ -358,8 +354,7 @@ def run_path(
         delta=config.delta if config.direction_mode == "cg" else None,
         lambda_min=config.lambda_min,
         lambda_max=config.lambda_max,
-        problem=problem_label or problem.name,
-        seed=seed,
+        problem=problem.name,
         step_diagnostics=diags,
     )
     return PiecewiseLinearPath(lams, X, res), report

@@ -6,6 +6,7 @@ exists only once `pip install -e .` has put `pathode` on PATH, so the test
 is skipped where it is absent.
 """
 
+import argparse
 import json
 import math
 import shutil
@@ -18,7 +19,7 @@ import pytest
 
 import pathode
 from pathode import load_csv_dataset, load_moment_json
-from pathode.cli import SWEEP_COLUMNS, main
+from pathode.cli import SWEEP_COLUMNS, build_parser, main
 
 QUAD = ["--problem", "quadratic", "--synthetic", "n=30,p=20,seed=1"]
 
@@ -397,6 +398,86 @@ class TestExitCodes:
         )
         assert rc == 2
         assert "lipschitz" in err.lower()
+
+
+    @pytest.mark.parametrize(
+        "problem, good, bad",
+        [
+            ("quadratic", "n=30,seed=2", "pp=5"),
+            ("logistic", "n=40,seed=2", "n_moments=3"),
+            ("logistic-reweighted", "n=40,p=5", "q=1"),
+            ("moment", "p=6,seed=2", "nmoments=3"),
+            ("moment", "p=6,n_moments=3", "n=6"),
+        ],
+    )
+    def test_unknown_synthetic_key(self, capsys, problem, good, bad):
+        # the family's own keys run; one more key it does not take is an argument error
+        base = ["run", "--method", "euler", "--K", "5", "--allow-degenerate", "--problem", problem]
+        assert call(capsys, base + ["--synthetic", good])[0] == 0
+        rc, out, err = call(capsys, base + ["--synthetic", f"{good},{bad}"])
+        assert rc == 2
+        assert out == ""
+        assert repr(bad.partition("=")[0]) in err
+
+
+def _verb_flags(verb):
+    """{option string: (default, required)} of one subcommand of build_parser()."""
+    parser = build_parser()
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        opt: (action.default, action.required)
+        for action in subs.choices[verb]._actions
+        for opt in action.option_strings
+        if opt not in ("-h", "--help")
+    }
+
+
+class TestVerbFlags:
+    """Each verb's exact option strings, defaults and required flags."""
+
+    PROBLEM = {
+        "--problem": ("quadratic", False),
+        "--data": (None, False),
+        "--synthetic": (None, False),
+        "--seed": (0, False),
+        "--standardize": (False, False),
+        "--allow-degenerate": (False, False),
+        "--lambda-min": (0.01, False),
+        "--lambda-max": (10.0, False),
+    }
+    SOLVER = {
+        "--delta": (None, False),
+        "--inner-tol": (None, False),
+        "--init": ("newton", False),
+        "--init-tol": (None, False),
+        "--K0": (None, False),
+        "--max-doublings": (20, False),
+    }
+    RUN = {
+        "--method": (None, True),
+        "--eps": (None, False),
+        "--out": (None, False),
+        "--path-out": (None, False),
+    }
+    EXPECTED = {
+        "run": {**PROBLEM, **SOLVER, **RUN, "--K": (None, False), "--diag-out": (None, False)},
+        "doubling": {**PROBLEM, **SOLVER, **RUN},
+        "sweep": {
+            **PROBLEM, **SOLVER,
+            "--methods": (None, True), "--eps-list": (None, True), "--out": (None, True),
+        },
+        "theory": {
+            **PROBLEM,
+            "--method": (None, True), "--eps": (None, True),
+            "--mu": (None, False), "--sigma": (None, False), "--L": (None, False),
+            "--G": (None, False), "--f-gap": (None, False), "--estimate": (False, False),
+            "--samples": (64, False), "--out": (None, False),
+        },
+    }  # fmt: skip
+
+    @pytest.mark.parametrize("verb", sorted(EXPECTED))
+    def test_flag_set(self, verb):
+        assert _verb_flags(verb) == self.EXPECTED[verb]
 
 
 class TestConsoleScript:

@@ -105,10 +105,12 @@ def test_failed_grid_search_keeps_the_finished_points(n):
     assert np.array_equal(err.residuals, ref.residuals[:idx])
 
 
+@pytest.mark.parametrize("n", [1, 3])
 @pytest.mark.parametrize("method", ["euler", "trapezoid-cg", "rk4", "grid-newton"])
-def test_cli_exits_3_on_a_failed_run(method, monkeypatch, capsys):
-    # --init omega asks for one handle; the run's second direction then fails
-    faulty = failing_on_call(QUAD30, 3)
+def test_cli_exits_3_on_a_failed_run(method, n, monkeypatch, capsys):
+    # --init omega asks for one handle, so n = 1 fails the start point and
+    # n = 3 the run's second direction
+    faulty = failing_on_call(QUAD30, n)
     monkeypatch.setattr(cli, "build_problem", lambda args: (faulty, {"problem": "quadratic"}))
     argv = ["run", "--method", method, "--K", str(K), "--init", "omega"]
     argv += ["--delta", "1e-6", "--inner-tol", "1e-8"]

@@ -11,8 +11,8 @@ from pathode import (
     PiecewiseConstantPath,
     TheoryConstants,
     agd_inner,
-    grid_k_from_eps,
     grid_points,
+    k_grid,
     make_logistic_reweighted,
     make_quadratic_ridge,
     quadratic_theory_constants,
@@ -56,17 +56,17 @@ class TestGridSizing:
 
         c = TheoryConstants.derive(mu=0.0, sigma=1.0, L=2.0, G=3.0, lambda_min=0.1, lambda_max=1.0)
         expect = math.ceil(math.sqrt(c.tau * c.L) * c.G * c.T_euler / 0.05)
-        assert grid_k_from_eps(c, 0.05) == expect
+        assert k_grid(c, 0.05).K_required == expect
 
     def test_unit_example(self):
         # tau=101, L=G=1, T=ln 100: sqrt(101)*4.6052/0.01 = 4627.6 -> 4629?
         # exact: ceil(10.0499 * 4.60517 / 0.01) = ceil(4628.17) = 4629
         c = TheoryConstants.derive(mu=0.0, sigma=1.0, L=1.0, G=1.0, lambda_min=0.01, lambda_max=1.0)
-        assert grid_k_from_eps(c, 0.01) == 4629
+        assert k_grid(c, 0.01).K_required == 4629
 
     def test_floor_of_two(self):
         c = TheoryConstants.derive(mu=1.0, sigma=1.0, L=1.0, G=0.0, lambda_min=0.5, lambda_max=1.0)
-        assert grid_k_from_eps(c, 1.0) == 2
+        assert k_grid(c, 1.0).K_required == 2
 
 
 class TestNewtonInner:
@@ -214,7 +214,7 @@ class TestSolveGridModes:
         x0 = initialize_by_newton(problem, 5.0, 1e-13)
         cons, _ = quadratic_theory_constants(A, b, x0, 0.5, 5.0)
         eps = 1e-2
-        K = grid_k_from_eps(cons, eps)
+        K = k_grid(cons, eps).K_required
         cfg = GridSearchConfig(
             num_points=K, inner_solver="newton", inner_tol=eps / 2,
             lambda_min=0.5, lambda_max=5.0,
