@@ -136,15 +136,14 @@ def min_feasible_K(method: str, lambda_min: float, lambda_max: float) -> int:
     """Smallest K the method's schedule admits for this lambda range."""
     if method.startswith("grid"):
         return 2
-    base = method.removesuffix("-cg")
-    if base != "trapezoid":
-        return 1
-    K = max(1, math.floor(math.log2(lambda_max / lambda_min)))
+    K = 1
     while True:
         try:
-            steppers.stepsize("trapezoid", K, lambda_min, lambda_max)
+            steppers.stepsize(method.removesuffix("-cg"), K, lambda_min, lambda_max)
             return K
-        except ValueError:
+        except (ArithmeticError, ValueError, steppers.MaxIterationsError):
+            if not 0.0 < lambda_min < lambda_max < math.inf:  # no K helps
+                raise
             K += 1
 
 
@@ -388,13 +387,20 @@ def _add_problem_flags(sub):
     sub.add_argument("--lambda-max", type=float, default=10.0)
 
 
+class _NonNegative(argparse.Action):
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < 0:
+            raise argparse.ArgumentError(self, f"must be >= 0, got {value}")
+        setattr(namespace, self.dest, value)
+
+
 def _add_solver_flags(sub):
     sub.add_argument("--delta", default=None, help="CG tolerance, or 'auto' for eps/4")
     sub.add_argument("--inner-tol", type=float, default=None, help="grid inner tolerance")
     sub.add_argument("--init", choices=("newton", "omega"), default="newton")
     sub.add_argument("--init-tol", type=float, default=None)
     sub.add_argument("--K0", type=int, default=None, help="doubling start")
-    sub.add_argument("--max-doublings", type=int, default=20)
+    sub.add_argument("--max-doublings", type=int, default=20, action=_NonNegative)
 
 
 def _add_run_flags(sub):

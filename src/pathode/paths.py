@@ -17,6 +17,7 @@ from .problems import ProblemOracle
 from .reports import OracleCounters
 
 DENSE_CHUNK = 262144  # residual evaluations per batched block
+DENSE_BLOCK_BYTES = 131072  # per (points x dim) array of the dense check: glibc's mmap threshold
 
 
 class _PathBase:
@@ -62,6 +63,10 @@ class _PathBase:
     def query_batch(self, lam: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def block_residuals(self, problem: ProblemOracle, start: int, lam: np.ndarray) -> np.ndarray:
+        """Residuals at lam[i, j], a point of interval start + i, without metric charge."""
+        raise NotImplementedError
+
 
 class PiecewiseLinearPath(_PathBase):
     """Linear-in-lambda interpolation between consecutive knots."""
@@ -75,6 +80,14 @@ class PiecewiseLinearPath(_PathBase):
         alpha = (lam - lam_k1) / (lam_k - lam_k1)
         return alpha[:, None] * self.X[k] + (1.0 - alpha)[:, None] * self.X[k + 1]
 
+    def block_residuals(self, problem: ProblemOracle, start: int, lam: np.ndarray) -> np.ndarray:
+        # query_batch's weights, broadcast over each interval's two knots
+        stop = start + len(lam)
+        hi, lo = self.lams[start:stop, None], self.lams[start + 1 : stop + 1, None]
+        alpha = ((lam - lo) / (hi - lo))[:, :, None]
+        X = alpha * self.X[start:stop, None] + (1.0 - alpha) * self.X[start + 1 : stop + 1, None]
+        return residuals(problem, X.reshape(lam.size, -1), lam.ravel())
+
 
 class PiecewiseConstantPath(_PathBase):
     """Holds each knot's iterate across the interval below it (grid search)."""
@@ -85,6 +98,14 @@ class PiecewiseConstantPath(_PathBase):
         # x_k owns (lambda_{k+1}, lambda_k]; the bottom endpoint maps to x_K
         j = np.searchsorted(self._asc, lam, side="left")
         return self.X[len(self.lams) - 1 - j]
+
+    def block_residuals(self, problem: ProblemOracle, start: int, lam: np.ndarray) -> np.ndarray:
+        # every point sits on a knot: one gradient per knot, then one row per lambda
+        knots = self.X[start : start + lam.shape[0] + 1]
+        lam = lam.ravel()
+        k = len(self.lams) - 1 - np.searchsorted(self._asc, lam, side="left") - start
+        G = problem.f_grad_batch(knots)[k] + lam[:, None] * problem.omega_grad_batch(knots)[k]
+        return np.linalg.norm(G, axis=1)
 
 
 def residuals(
@@ -126,23 +147,26 @@ def accuracy_dense(
     """Max residual over a uniform lambda grid of the stated density per interval.
 
     Each interval contributes points_per_interval equispaced points
-    including both endpoints (so points_per_interval >= 2).  Work is
-    chunked so dense sweeps over long paths stay within memory.
+    including both endpoints (so points_per_interval >= 2), evaluated in
+    blocks of whole intervals whose (points x dim) arrays fit in
+    DENSE_BLOCK_BYTES; an interval with more points is split across blocks.
     """
     if points_per_interval < 2:
         raise ValueError("points_per_interval must be at least 2")
     lams = path.lams
     n_int = len(lams) - 1
     t = np.linspace(0.0, 1.0, points_per_interval)
+    block_points = max(1, DENSE_BLOCK_BYTES // (path.X.itemsize * path.X.shape[1]))
+    block_intervals = max(1, block_points // points_per_interval)
     worst = 0.0
-    per_chunk = max(1, DENSE_CHUNK // points_per_interval)
-    for start in range(0, n_int, per_chunk):
-        stop = min(start + per_chunk, n_int)
-        hi = lams[start:stop, None]
-        lo = lams[start + 1 : stop + 1, None]
-        grid = (hi + (lo - hi) * t[None, :]).ravel()
-        res = residuals(problem, path.query_batch(grid), grid, counters)
-        worst = max(worst, float(np.max(res)))
+    for start in range(0, n_int, block_intervals):
+        stop = min(start + block_intervals, n_int)
+        hi, lo = lams[start:stop, None], lams[start + 1 : stop + 1, None]
+        for col in range(0, points_per_interval, block_points):
+            grid = hi + (lo - hi) * t[None, col : col + block_points]
+            worst = max(worst, float(np.max(path.block_residuals(problem, start, grid))))
+            if counters is not None:
+                counters.metric_evals += grid.size
     return worst
 
 

@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 
 import pathode
-from pathode import load_csv_dataset, load_moment_json
-from pathode.cli import SWEEP_COLUMNS, build_parser, main
+from pathode import MaxIterationsError, load_csv_dataset, load_moment_json, stepsize
+from pathode.cli import ODE_METHODS, SWEEP_COLUMNS, build_parser, main, min_feasible_K
 
 QUAD = ["--problem", "quadratic", "--synthetic", "n=30,p=20,seed=1"]
 
@@ -232,6 +232,34 @@ class TestDoublingVerb:
         assert "cap" in err
 
 
+class TestMinFeasibleK:
+    """The doubling start is the first K whose schedule has a step size."""
+
+    @pytest.mark.parametrize("method", ODE_METHODS)
+    @pytest.mark.parametrize(
+        "lambda_min, lambda_max, trapezoid_K", [(0.01, 10.0, 10), (0.01, 100.0, 14), (0.1, 1.0, 4)]
+    )
+    def test_first_K_with_a_step_size(self, method, lambda_min, lambda_max, trapezoid_K):
+        K = min_feasible_K(method, lambda_min, lambda_max)
+        scheme = method.removesuffix("-cg")
+        assert stepsize(scheme, K, lambda_min, lambda_max) > 0.0
+        if K > 1:
+            with pytest.raises((ArithmeticError, ValueError, MaxIterationsError)):
+                stepsize(scheme, K - 1, lambda_min, lambda_max)
+        expected = {"euler": 1, "trapezoid": trapezoid_K}
+        assert K == expected.get(scheme, K)
+
+    def test_grid_needs_both_endpoints(self):
+        assert min_feasible_K("grid-newton", 0.01, 10.0) == 2
+
+    def test_rk4_doubling_starts_where_its_schedule_exists(self, capsys):
+        rc, out, err = call(capsys, ["doubling", "--method", "rk4", "--eps", "1e-3"] + QUAD)
+        assert rc == 0, err
+        d = json.loads(out)
+        assert d["K0"] == 6
+        assert d["passed"] is True
+
+
 class TestTheoryVerb:
     UNIT = [
         "--mu", "1", "--sigma", "1", "--L", "1", "--G", "1",
@@ -399,6 +427,24 @@ class TestExitCodes:
         assert rc == 2
         assert "lipschitz" in err.lower()
 
+
+    @pytest.mark.parametrize(
+        "verb",
+        [
+            ["run", "--method", "euler", "--eps", "1e-3"],
+            ["doubling", "--method", "euler", "--eps", "1e-3"],
+            ["sweep", "--methods", "euler", "--eps-list", "1e-3"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_max_doublings(self, capsys, tmp_path, verb):
+        # a negative cap used to end in an IndexError traceback
+        out = ["--out", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as exc:
+            main(verb + ["--max-doublings", "-1"] + out + QUAD)
+        assert exc.value.code == 2
+        assert "--max-doublings" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "problem, good, bad",

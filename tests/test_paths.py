@@ -1,20 +1,33 @@
 """Path containers, interpolation, accuracy metrics, and CSV export."""
 
 import csv
+import functools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from pathode import (
+    GridSearchConfig,
     OracleCounters,
     PiecewiseConstantPath,
     PiecewiseLinearPath,
     StepperConfig,
     accuracy_dense,
     accuracy_midpoint,
+    build_moment_problem,
     export_path_csv,
+    generate_synthetic_moment_data,
+    initialize_by_newton,
+    make_logistic_ridge,
+    make_moment_matching,
+    make_quadratic_ridge,
     run_path,
+    solve_grid,
 )
+from pathode.datasets import generate_synthetic_logistic, generate_synthetic_quadratic
 from pathode import paths as paths_mod
 from pathode.paths import residuals
 
@@ -164,6 +177,101 @@ class TestAccuracyMetrics:
         mid = accuracy_midpoint(problem, path)
         dense = accuracy_dense(problem, path, points_per_interval=9)
         assert dense <= 1.25 * mid + 1e-12
+
+
+PROPERTY_SETTINGS = settings(
+    max_examples=100, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@functools.cache
+def dense_instance(family):
+    """A small problem of the family and its Newton start at lambda_max = 10."""
+    if family == "quadratic":
+        problem = make_quadratic_ridge(*generate_synthetic_quadratic(12, 4, 2))
+    elif family == "logistic":
+        problem = make_logistic_ridge(*generate_synthetic_logistic(40, 5, 3))
+    else:
+        w, x_true = generate_synthetic_moment_data(6, 7)
+        problem = make_moment_matching(*build_moment_problem(w, x_true, 3))
+    return problem, initialize_by_newton(problem, 10.0, 1e-10)
+
+
+class TestDenseBlocks:
+    """The blocked dense check equals residuals over query_batch on the same grid."""
+
+    @PROPERTY_SETTINGS
+    @given(
+        family=st.sampled_from(["quadratic", "logistic", "moment"]),
+        scheme=st.sampled_from(["euler", "trapezoid", "rk4", "grid"]),
+        cg=st.booleans(),
+        K=st.integers(8, 40),
+        ppi=st.integers(2, 50),
+        block_points=st.integers(1, 120),
+    )
+    @example("quadratic", "euler", False, 9, 10, 10)  # one interval per block
+    @example("logistic", "grid", False, 9, 7, 30)  # four intervals per block, then one
+    @example("moment", "rk4", True, 8, 50, 13)  # each interval spans four blocks
+    def test_blocked_equals_plain(self, family, scheme, cg, K, ppi, block_points):
+        problem, x0 = dense_instance(family)
+        if scheme == "grid":
+            config = GridSearchConfig(K + 1, "newton", 1e-9, 0.1, 10.0)
+            path, _ = solve_grid(problem, x0, config)
+        else:
+            mode, delta = ("cg", 1e-9) if cg else ("exact", None)
+            config = StepperConfig(scheme, K, 0.1, 10.0, direction_mode=mode, delta=delta)
+            path, _ = run_path(problem, x0, config)
+        lams = path.lams
+        t = np.linspace(0.0, 1.0, ppi)
+        grid = (lams[:-1, None] + (lams[1:, None] - lams[:-1, None]) * t).ravel()
+        plain = np.max(residuals(problem, path.query_batch(grid), grid))
+        counters = OracleCounters()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(paths_mod, "DENSE_BLOCK_BYTES", block_points * 8 * problem.dim)
+            blocked = accuracy_dense(problem, path, ppi, counters)
+        assert blocked == pytest.approx(plain, rel=1e-9, abs=0.0)
+        assert counters.metric_evals == (len(lams) - 1) * ppi
+
+    def test_traced_peak_stays_small(self, quad30, quad30_start):
+        # the byte cap keeps every temporary small; one unblocked grid peaked near 99 MiB
+        _, _, problem = quad30
+        cfg = StepperConfig(method="euler", K=1600, lambda_min=0.01, lambda_max=10.0)
+        path, _ = run_path(problem, quad30_start, cfg)
+        tracemalloc.start()
+        try:
+            accuracy_dense(problem, path, points_per_interval=100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
+class TestQueryProperty:
+    """A query is built from the knots that bracket its lambda."""
+
+    @PROPERTY_SETTINGS
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        K=st.integers(1, 12),
+        p=st.integers(1, 4),
+        u=st.floats(0.0, 1.0),
+        at_knot=st.none() | st.integers(0, 12),
+    )
+    def test_queries_use_the_bracketing_knots(self, seed, K, p, u, at_knot):
+        rng = np.random.default_rng(seed)
+        lams = np.cumsum(rng.uniform(0.05, 1.0, K + 1))[::-1].copy()
+        X = rng.normal(size=(K + 1, p))
+        between = min(lams[-1] + u * (lams[0] - lams[-1]), lams[0])
+        lam = lams[min(at_knot, K)] if at_knot is not None else between
+        # x_k owns (lambda_{k+1}, lambda_k]; the bottom endpoint belongs to x_K
+        owner = int(np.sum(lams >= lam)) - 1
+        k = min(owner, K - 1)
+        assert lams[k + 1] <= lam <= lams[k]
+        q = PiecewiseLinearPath(lams, X, np.zeros(K + 1)).query(lam)
+        alpha = (lam - lams[k + 1]) / (lams[k] - lams[k + 1])
+        assert 0.0 <= alpha <= 1.0
+        assert np.allclose(q, alpha * X[k] + (1.0 - alpha) * X[k + 1], rtol=1e-12, atol=1e-12)
+        assert np.array_equal(PiecewiseConstantPath(lams, X, np.zeros(K + 1)).query(lam), X[owner])
 
 
 class TestCsvExport:
