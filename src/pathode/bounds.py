@@ -396,8 +396,9 @@ def estimate_constants(
     sigma_hat = math.inf
     hessians_f = []
     for x in points:
-        Hf = np.asarray(problem.f_hess(x), dtype=float)
-        Ho = np.asarray(problem.omega_hess(x), dtype=float)
+        hess = problem.hessian(x, 0.0)
+        Hf = np.asarray(hess.f_hess(), dtype=float)
+        Ho = np.asarray(hess.omega_hess(), dtype=float)
         hessians_f.append((x, Hf))
         evals_f = np.linalg.eigvalsh(Hf)
         evals_o = np.linalg.eigvalsh(Ho)

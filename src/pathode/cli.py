@@ -141,7 +141,7 @@ def min_feasible_K(method: str, lambda_min: float, lambda_max: float) -> int:
         try:
             steppers.stepsize(method.removesuffix("-cg"), K, lambda_min, lambda_max)
             return K
-        except (ArithmeticError, ValueError, steppers.MaxIterationsError):
+        except ValueError:
             if not 0.0 < lambda_min < lambda_max < math.inf:  # no K helps
                 raise
             K += 1
@@ -161,14 +161,12 @@ def run_one(problem, meta, method, K, args, eps: float | None, x0) -> tuple:
             problem, x0, config, allow_degenerate=args.allow_degenerate
         )
     elif method in ODE_METHODS:
-        mode = "cg" if method.endswith("-cg") else "exact"
         config = steppers.StepperConfig(
             method=method.removesuffix("-cg"),
             K=K,
             lambda_min=args.lambda_min,
             lambda_max=args.lambda_max,
-            direction_mode=mode,
-            delta=_parse_delta(args, eps) if mode == "cg" else None,
+            delta=_parse_delta(args, eps) if method.endswith("-cg") else None,
             record_diagnostics=bool(getattr(args, "diag_out", None)),
         )
         path, report = steppers.run_path(

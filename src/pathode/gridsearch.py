@@ -43,7 +43,6 @@ class GridSearchConfig:
     inner_tol: float
     lambda_min: float
     lambda_max: float
-    inner_cap: int | None = None
 
     def __post_init__(self):
         if self.num_points < 2:
@@ -54,12 +53,6 @@ class GridSearchConfig:
             raise ValueError("inner_tol must be positive")
         if not (0.0 < self.lambda_min < self.lambda_max):
             raise ValueError("need 0 < lambda_min < lambda_max")
-
-    @property
-    def cap(self) -> int:
-        if self.inner_cap is not None:
-            return self.inner_cap
-        return DEFAULT_NEWTON_CAP if self.inner_solver == "newton" else DEFAULT_AGD_CAP
 
 
 def grid_points(config: GridSearchConfig) -> np.ndarray:
@@ -142,13 +135,13 @@ def solve_grid(
             try:
                 if config.inner_solver == "newton":
                     x, iters, res[idx] = newton_solve(
-                        problem, lam, x, config.inner_tol, config.cap, counters
+                        problem, lam, x, config.inner_tol, DEFAULT_NEWTON_CAP, counters
                     )
                 else:
                     mu_eff = problem.mu + lam * problem.sigma
                     L_eff = problem.lipschitz * (1.0 + lam)
                     x, iters, res[idx] = agd_inner(
-                        problem, lam, x, config.inner_tol, mu_eff, L_eff, counters, config.cap
+                        problem, lam, x, config.inner_tol, mu_eff, L_eff, counters, DEFAULT_AGD_CAP
                     )
             except (DomainError, MaxIterationsError, NotPositiveDefiniteError) as exc:
                 raise GridSearchError(

@@ -1,7 +1,7 @@
 """Problem oracles for parametric objectives F_lambda(x) = f(x) + lambda * Omega(x).
 
-Each factory packages first- and second-order callables for a data-fitting
-term f and a regularizer Omega together with certified curvature constants.
+Each factory packages value and gradient callables for a data-fitting term f
+and a regularizer Omega, a Hessian handle and certified curvature constants.
 The path solvers consume only the ProblemOracle interface, so new problem
 families plug in without touching the steppers.
 
@@ -14,26 +14,27 @@ moment matching      f = 0.5 ||A'y - b'||^2,       Omega = simplex entropy
 
 Hessian handles
 ---------------
-Exact and CG directions and the Newton loops reach hess F_lambda(x) only
-through ProblemOracle.hessian(x, lam), a handle with grad_f(), solve(g) and
-matvec(v) that does its per-point work once.  The reweighted family gets a
-DenseHessian (total_hess and solve_spd); the others set hessian_at:
-quadratic  one eigh of A'A per problem, then O(p^2) per solve
-logistic   the sigmoid once per point; solve assembles B'B + lam I by syrk,
-           B = A sqrt(w / n)
-moment     Woodbury on diag(lam / y) + V V', V = [A' | sqrt(lam / (1 - sum y)) 1]
+Every second-order use reaches hess F_lambda(x) only through
+ProblemOracle.hessian(x, lam), a handle with grad_f(), solve(g), matvec(v),
+f_hess() and omega_hess() that does its per-point work once:
+quadratic    one eigh of A'A per problem, then O(p^2) per solve
+logistic     the sigmoid once per point; solve assembles B'B + lam I by syrk,
+             B = A sqrt(w / n)
+reweighted   two logistic handles (the +1 rows as f, the -1 rows as Omega);
+             solve assembles their sum
+moment       Woodbury on diag(lam / y) + V V', V = [A' | sqrt(lam / (1 - sum y)) 1]
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 from scipy.special import expit
 
-from .linsolve import DirectionResult, solve_diag_lowrank, solve_shifted_eigh, solve_spd
+from .linsolve import solve_diag_lowrank, solve_shifted_eigh, solve_spd
 
 Array = np.ndarray
 
@@ -50,33 +51,29 @@ class DegenerateProblemError(ValueError):
 class ProblemOracle:
     """Callable bundle for one parametric problem instance.
 
-    All gradient/Hessian callables take a point x of shape (dim,).  The
-    hessvec callables take (x, v).  The batch gradients take a matrix of row
-    points, shape (m, dim), and return an (m, dim) matrix, so residuals over
-    many path points run as matrix products instead of Python loops.
+    All value and gradient callables take a point x of shape (dim,).  The
+    batch gradients take a matrix of row points, shape (m, dim), and return
+    an (m, dim) matrix, so residuals over many path points run as matrix
+    products instead of Python loops.
 
     mu and sigma are certified strong-convexity constants of f and Omega.
     lipschitz, when not None, is a single shared constant bounding the
     Lipschitz moduli of f, its gradient and Hessian, and Omega's; it may
     be None for families without a global certificate (entropy).
 
-    hessian_at, when set, takes (x, lam) and returns a handle on
-    H = f''(x) + lam Omega''(x) like DenseHessian's: grad_f() is f_grad(x),
-    matvec(v) is H v, and solve(g) solves H y = -g with an explicit residual
-    and solve_spd's failure contract.  It must raise DomainError where the
-    Hessian callables do.
+    hessian(x, lam) returns the handle on H = f''(x) + lam Omega''(x), the
+    oracle's only second-order interface: grad_f() is f_grad(x), matvec(v)
+    is H v, f_hess() and omega_hess() are the dense f''(x) and Omega''(x),
+    and solve(g) solves H y = -g with an explicit residual and solve_spd's
+    failure contract.  It raises DomainError outside the domain.
     """
 
     name: str
     dim: int
     f_value: Callable[[Array], float]
     f_grad: Callable[[Array], Array]
-    f_hess: Callable[[Array], Array]
-    f_hessvec: Callable[[Array, Array], Array]
     omega_value: Callable[[Array], float]
     omega_grad: Callable[[Array], Array]
-    omega_hess: Callable[[Array], Array]
-    omega_hessvec: Callable[[Array, Array], Array]
     domain_check: Callable[[Array], bool]
     omega_minimizer: Array | None
     mu: float
@@ -84,7 +81,7 @@ class ProblemOracle:
     lipschitz: float | None
     f_grad_batch: Callable[[Array], Array]
     omega_grad_batch: Callable[[Array], Array]
-    hessian_at: Callable[[Array, float], "DenseHessian"] | None = None
+    hessian: Callable[[Array, float], Any]
 
     def total_value(self, x: Array, lam: float) -> float:
         return self.f_value(x) + lam * self.omega_value(x)
@@ -93,7 +90,8 @@ class ProblemOracle:
         return self.f_grad(x) + lam * self.omega_grad(x)
 
     def total_hess(self, x: Array, lam: float) -> Array:
-        return self.f_hess(x) + lam * self.omega_hess(x)
+        hess = self.hessian(x, lam)
+        return hess.f_hess() + lam * hess.omega_hess()
 
     def base_point(self) -> Array:
         """A fresh copy of the Omega minimizer, or zero when the problem has none."""
@@ -115,28 +113,6 @@ class ProblemOracle:
             raise DomainError("x0 violates the problem domain")
         return x0
 
-    def hessian(self, x: Array, lam: float) -> "DenseHessian":
-        """The handle on hess F_lam(x): hessian_at's when set, else a DenseHessian."""
-        if self.hessian_at is not None:
-            return self.hessian_at(x, lam)
-        return DenseHessian(self, x, lam)
-
-
-class DenseHessian:
-    """Handle on hess F_lam(x) built from the oracle's callables; solve assembles it."""
-
-    def __init__(self, problem: ProblemOracle, x: Array, lam: float):
-        self.problem, self.x, self.lam = problem, x, lam
-
-    def grad_f(self) -> Array:
-        return self.problem.f_grad(self.x)
-
-    def solve(self, g: Array) -> DirectionResult:
-        return solve_spd(self.problem.total_hess(self.x, self.lam), g)
-
-    def matvec(self, v: Array) -> Array:
-        return self.problem.f_hessvec(self.x, v) + self.lam * self.problem.omega_hessvec(self.x, v)
-
 
 class _QuadraticHessian:
     """A'A + lam I, solved from the problem's one eigendecomposition of A'A."""
@@ -146,6 +122,12 @@ class _QuadraticHessian:
 
     def grad_f(self):
         return self.Q @ self.x - self.Atb
+
+    def f_hess(self):
+        return self.Q
+
+    def omega_hess(self):
+        return np.eye(self.Q.shape[0])
 
     def solve(self, g):
         return solve_shifted_eigh(self.Q, *self.eig, self.lam, g)
@@ -157,7 +139,7 @@ class _QuadraticHessian:
 class _LogisticHessian:
     """Mean logistic loss f'' = A' diag(w) A / n (+ lam I), with s and w = s (1 - s) taken once."""
 
-    def __init__(self, A, Ab, x, lam=0.0):
+    def __init__(self, A, Ab, x, lam):
         self.A, self.Ab, self.lam = A, Ab, lam
         self.s = expit(-(Ab @ x))
         self.w = self.s * (1.0 - self.s)
@@ -168,6 +150,9 @@ class _LogisticHessian:
     def f_hess(self):
         B = self.A * np.sqrt(self.w / self.A.shape[0])[:, None]
         return B.T @ B  # a matrix times its own transpose: numpy calls BLAS syrk
+
+    def omega_hess(self):
+        return np.eye(self.A.shape[1])
 
     def f_hessvec(self, v):
         return self.A.T @ (self.w * (self.A @ v)) / self.A.shape[0]
@@ -181,15 +166,35 @@ class _LogisticHessian:
         return self.f_hessvec(v) + self.lam * v
 
 
+class _ReweightedHessian:
+    """f'' + lam Omega'' of the class-split pair, each side a _LogisticHessian; solve assembles."""
+
+    def __init__(self, f, omega, lam):
+        self.f, self.omega, self.lam = f, omega, lam
+        self.grad_f, self.f_hess, self.omega_hess = f.grad_f, f.f_hess, omega.f_hess
+
+    def solve(self, g):
+        return solve_spd(self.f_hess() + self.lam * self.omega_hess(), g)
+
+    def matvec(self, v):
+        return self.f.f_hessvec(v) + self.lam * self.omega.f_hessvec(v)
+
+
 class _MomentHessian:
     """A'A + lam (diag(1/y) + 11'/rest), rest = 1 - sum y, domain checked once."""
 
-    def __init__(self, A, b, V_base, y, lam):
-        self.A, self.b, self.V_base, self.y, self.lam = A, b, V_base, y, lam
+    def __init__(self, A, b, Q, V_base, y, lam):
+        self.A, self.b, self.Q, self.V_base, self.y, self.lam = A, b, Q, V_base, y, lam
         self.rest = 1.0 - float(y.sum())
 
     def grad_f(self):
         return self.A.T @ (self.A @ self.y - self.b)
+
+    def f_hess(self):
+        return self.Q
+
+    def omega_hess(self):
+        return np.diag(1.0 / self.y) + np.ones((len(self.y), len(self.y))) / self.rest
 
     def lowrank(self) -> tuple[Array, Array]:
         """(d, V) with this Hessian = diag(d) + V V'; at lam <= 0, d <= 0 fails the solve."""
@@ -276,7 +281,6 @@ def _spectral_norm(M: Array) -> float:
 
 def _ridge_omega(p: int) -> dict:
     """The ProblemOracle fields of Omega = 0.5 ||x||^2 on all of R^p (sigma = 1)."""
-    eye = np.eye(p)
 
     def copy(x: Array) -> Array:
         return np.array(x, dtype=float, copy=True)
@@ -284,8 +288,6 @@ def _ridge_omega(p: int) -> dict:
     return dict(
         omega_value=lambda x: 0.5 * float(x @ x),
         omega_grad=copy,
-        omega_hess=lambda x: eye,
-        omega_hessvec=lambda x, v: copy(v),
         omega_grad_batch=copy,
         domain_check=lambda x: bool(np.all(np.isfinite(x))),
         omega_minimizer=np.zeros(p),
@@ -304,7 +306,7 @@ def make_quadratic_ridge(A: Array, b: Array) -> ProblemOracle:
     designs), sigma = 1, and the shared Lipschitz constant is
     max(||A'A||_2, 1): the Hessians are constant so only the gradient
     moduli bind.  Both come from the one eigh of A'A that backs the
-    hessian_at solves.
+    handle's solves.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -332,12 +334,10 @@ def make_quadratic_ridge(A: Array, b: Array) -> ProblemOracle:
         dim=p,
         f_value=f_value,
         f_grad=f_grad,
-        f_hess=lambda x: Q,
-        f_hessvec=lambda x, v: Q @ v,
         mu=mu,
         lipschitz=L,
         f_grad_batch=f_grad_batch,
-        hessian_at=lambda x, lam: _QuadraticHessian(Q, Atb, eig, x, lam),
+        hessian=lambda x, lam: _QuadraticHessian(Q, Atb, eig, x, lam),
         **_ridge_omega(p),
     )
 
@@ -418,12 +418,6 @@ def _logistic_pieces(A: Array, labels: Array):
         s = expit(-(Ab @ x))
         return -(Ab.T @ s) / n
 
-    def hess(x: Array) -> Array:
-        return _LogisticHessian(A, Ab, x).f_hess()
-
-    def hessvec(x: Array, v: Array) -> Array:
-        return _LogisticHessian(A, Ab, x).f_hessvec(v)
-
     def grad_batch(X: Array) -> Array:
         # blocked so the (rows, n) sigmoid intermediate stays bounded
         rows = max(1, (1 << 22) // max(1, n))
@@ -434,7 +428,7 @@ def _logistic_pieces(A: Array, labels: Array):
         return out
 
     # the handle of the ridge oracle, Omega = 0.5 ||x||^2
-    return value, grad, hess, hessvec, grad_batch, lambda x, lam: _LogisticHessian(A, Ab, x, lam)
+    return value, grad, grad_batch, lambda x, lam: _LogisticHessian(A, Ab, x, lam)
 
 
 def _check_labels(labels: Array) -> Array:
@@ -451,7 +445,7 @@ def make_logistic_ridge(features: Array, labels: Array) -> ProblemOracle:
     if A.ndim != 2 or A.shape[0] != labels.shape[0]:
         raise ValueError(f"shape mismatch: features {A.shape}, labels {labels.shape}")
     n, p = A.shape
-    value, grad, hess, hessvec, grad_batch, hessian_at = _logistic_pieces(A, labels)
+    value, grad, grad_batch, hessian = _logistic_pieces(A, labels)
     cs = _logistic_constants(A)
     L = max(1.0, cs["value"], cs["grad"], cs["hess"], cs["third"])
     return ProblemOracle(
@@ -459,12 +453,10 @@ def make_logistic_ridge(features: Array, labels: Array) -> ProblemOracle:
         dim=p,
         f_value=value,
         f_grad=grad,
-        f_hess=hess,
-        f_hessvec=hessvec,
         mu=0.0,
         lipschitz=L,
         f_grad_batch=grad_batch,
-        hessian_at=hessian_at,
+        hessian=hessian,
         **_ridge_omega(p),
     )
 
@@ -484,8 +476,8 @@ def make_logistic_reweighted(features: Array, labels: Array) -> ProblemOracle:
     if not pos.any() or not neg.any():
         raise ValueError("need at least one row of each class")
     p = A.shape[1]
-    fv, fg, fh, fhv, fgb, _ = _logistic_pieces(A[pos], labels[pos])
-    ov, og, oh, ohv, ogb, _ = _logistic_pieces(A[neg], labels[neg])
+    fv, fg, fgb, fh = _logistic_pieces(A[pos], labels[pos])
+    ov, og, ogb, oh = _logistic_pieces(A[neg], labels[neg])
     cs_pos = _logistic_constants(A[pos])
     cs_neg = _logistic_constants(A[neg])
     L = max(*cs_pos.values(), *cs_neg.values())
@@ -495,12 +487,8 @@ def make_logistic_reweighted(features: Array, labels: Array) -> ProblemOracle:
         dim=p,
         f_value=fv,
         f_grad=fg,
-        f_hess=fh,
-        f_hessvec=fhv,
         omega_value=ov,
         omega_grad=og,
-        omega_hess=oh,
-        omega_hessvec=ohv,
         domain_check=lambda x: bool(np.all(np.isfinite(x))),
         omega_minimizer=None,
         mu=0.0,
@@ -508,6 +496,7 @@ def make_logistic_reweighted(features: Array, labels: Array) -> ProblemOracle:
         lipschitz=L,
         f_grad_batch=fgb,
         omega_grad_batch=ogb,
+        hessian=lambda x, lam: _ReweightedHessian(fh(x, 0.0), oh(x, 0.0), lam),
     )
 
 
@@ -574,9 +563,9 @@ def make_moment_matching(A_reduced: Array, b_reduced: Array) -> ProblemOracle:
 
     A'A has rank at most n_moments, so mu = 0 exactly when there are fewer
     moments than coordinates.  The f side is applied in factored form,
-    O(p n_moments) per point; the p x p Q = A'A backs only f_hess.  The total
-    Hessian is diag(lam / y) + V V' with V = [A' | sqrt(lam / (1 - sum y)) 1],
-    which hessian_at's handle solves by Woodbury.
+    O(p n_moments) per point; the p x p Q = A'A backs only the handle's
+    f_hess.  The total Hessian is diag(lam / y) + V V' with
+    V = [A' | sqrt(lam / (1 - sum y)) 1], which the handle solves by Woodbury.
     """
     A = np.asarray(A_reduced, dtype=float)
     b = np.asarray(b_reduced, dtype=float)
@@ -611,16 +600,6 @@ def make_moment_matching(A_reduced: Array, b_reduced: Array) -> ProblemOracle:
         rest = 1.0 - float(np.sum(y))
         return np.log(y / rest)
 
-    def omega_hess(y: Array) -> Array:
-        y = _require_domain(y)
-        rest = 1.0 - float(np.sum(y))
-        return np.diag(1.0 / y) + np.ones((p, p)) / rest
-
-    def omega_hessvec(y: Array, v: Array) -> Array:
-        y = _require_domain(y)
-        rest = 1.0 - float(np.sum(y))
-        return v / y + np.sum(v) / rest
-
     def omega_grad_batch(Y: Array) -> Array:
         Y = np.asarray(Y, dtype=float)
         if np.any(Y <= 0.0):
@@ -639,12 +618,8 @@ def make_moment_matching(A_reduced: Array, b_reduced: Array) -> ProblemOracle:
         dim=p,
         f_value=f_value,
         f_grad=lambda y: A.T @ (A @ y - b),
-        f_hess=lambda y: Q,
-        f_hessvec=lambda y, v: A.T @ (A @ v),
         omega_value=omega_value,
         omega_grad=omega_grad,
-        omega_hess=omega_hess,
-        omega_hessvec=omega_hessvec,
         domain_check=domain_check,
         omega_minimizer=np.full(p, 1.0 / (p + 1)),
         mu=mu,
@@ -652,5 +627,5 @@ def make_moment_matching(A_reduced: Array, b_reduced: Array) -> ProblemOracle:
         lipschitz=None,
         f_grad_batch=lambda Y: (np.asarray(Y, dtype=float) @ A.T - b) @ A,
         omega_grad_batch=omega_grad_batch,
-        hessian_at=lambda y, lam: _MomentHessian(A, b, V_base, _require_domain(y), lam),
+        hessian=lambda y, lam: _MomentHessian(A, b, Q, V_base, _require_domain(y), lam),
     )

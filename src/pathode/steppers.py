@@ -29,6 +29,9 @@ from .reports import OracleCounters, RunReport, Stopwatch
 METHODS = ("euler", "trapezoid", "rk4")
 MAX_DOMAIN_BACKOFFS = 30
 STEPSIZE_ROOT_TOL = 1e-14
+# -ln of the quartic decay polynomial's minimum, 0.2704 at h = 1.5961: the
+# largest lambda contraction one rk4 step can make
+RK4_MAX_LOG_DECAY = 1.3078722944490067
 
 
 class CGNoConvergenceError(RuntimeError):
@@ -61,7 +64,8 @@ def stepsize(method: str, K: int, lambda_min: float, lambda_max: float) -> float
     trapezoid: shrinks by (1 - h + h^2/2), h = 1 - sqrt(2 rho^(1/K) - 1),
                which only exists for K > log2(lambda_max/lambda_min).
     rk4:       shrinks by the quartic decay polynomial; h found by Newton
-               root-finding on its log with initial guess 1 - rho^(1/K).
+               root-finding on its log with initial guess 1 - rho^(1/K),
+               which only exists for K > ln(lambda_max/lambda_min)/1.3079.
     """
     if K < 1:
         raise ValueError("K must be a positive integer")
@@ -81,6 +85,11 @@ def stepsize(method: str, K: int, lambda_min: float, lambda_max: float) -> float
         return 1.0 - math.sqrt(s)
     if method == "rk4":
         target = math.log(rho) / K
+        if target <= -RK4_MAX_LOG_DECAY:
+            raise ValueError(
+                "rk4 schedule needs K > ln(lambda_max/lambda_min)/1.3079 "
+                f"= {-math.log(rho) / RK4_MAX_LOG_DECAY:.3f}, got K = {K}"
+            )
         h = 1.0 - ratio
         for _ in range(100):
             poly = decay_polynomial(h)
@@ -95,28 +104,27 @@ def stepsize(method: str, K: int, lambda_min: float, lambda_max: float) -> float
 
 @dataclass
 class StepperConfig:
-    """Immutable description of one path run; h is derived, not chosen."""
+    """Immutable description of one path run; h is derived, not chosen.
+
+    delta None takes exact Newton directions, delta > 0 CG to that tolerance.
+    """
 
     method: str
     K: int
     lambda_min: float
     lambda_max: float
-    direction_mode: str = "exact"
     delta: float | None = None
     record_diagnostics: bool = False
     h: float = field(init=False)
 
     def __post_init__(self):
-        if self.direction_mode not in ("exact", "cg"):
-            raise ValueError(f"direction_mode must be 'exact' or 'cg', got {self.direction_mode!r}")
-        if self.direction_mode == "cg":
-            if self.delta is None or self.delta <= 0.0:
-                raise ValueError("cg mode needs delta > 0")
+        if self.delta is not None and self.delta <= 0.0:
+            raise ValueError("cg mode needs delta > 0")
         self.h = stepsize(self.method, self.K, self.lambda_min, self.lambda_max)
 
     @property
     def method_label(self) -> str:
-        return self.method if self.direction_mode == "exact" else f"{self.method}-cg"
+        return self.method if self.delta is None else f"{self.method}-cg"
 
 
 @dataclass
@@ -313,7 +321,7 @@ def run_path(
     """
     x0 = problem.checked_start(x0, allow_degenerate)
     counters = OracleCounters()
-    if config.direction_mode == "exact":
+    if config.delta is None:
         directions = ExactDirections(counters)
     else:
         directions = CGDirections(counters, config.delta, 20 * problem.dim)
@@ -351,7 +359,7 @@ def run_path(
         h=config.h,
         counters=counters,
         wall_time_seconds=sw.elapsed,
-        delta=config.delta if config.direction_mode == "cg" else None,
+        delta=config.delta,
         lambda_min=config.lambda_min,
         lambda_max=config.lambda_max,
         problem=problem.name,

@@ -4,6 +4,8 @@ Instances are session-scoped because several suites reuse the same runs;
 everything is seeded, so sharing is safe.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from pathode import (
     quadratic_path_point,
     quadratic_theory_constants,
     run_path,
+    solve_spd,
 )
 from pathode.datasets import generate_synthetic_logistic, generate_synthetic_quadratic
 
@@ -46,6 +49,36 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 def fit_loglog_slope(ks, values):
     """Least-squares slope of log(values) against log(ks)."""
     return float(np.polyfit(np.log(np.asarray(ks, float)), np.log(np.asarray(values, float)), 1)[0])
+
+
+class _WrappedHandle:
+    """A Hessian handle with some methods replaced; the others pass through."""
+
+    def __init__(self, handle, methods):
+        self._handle = handle
+        self.__dict__.update(methods)
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+
+def with_handle_methods(problem, make_methods):
+    """problem whose handle at (x, lam) takes the methods make_methods(problem, x, lam) names."""
+
+    def hessian(x, lam):
+        return _WrappedHandle(problem.hessian(x, lam), make_methods(problem, x, lam))
+
+    return dataclasses.replace(problem, hessian=hessian)
+
+
+def with_dense_solve(problem):
+    """problem whose handles solve and multiply with the assembled total_hess."""
+
+    def methods(problem, x, lam):
+        H = problem.total_hess(x, lam)
+        return {"solve": lambda g: solve_spd(H, g), "matvec": lambda v: H @ v}
+
+    return with_handle_methods(problem, methods)
 
 
 # ---------------------------------------------------------------- instances

@@ -223,7 +223,6 @@ def _min_step_slack(problem, x0, lo, hi, K, delta):
                 K=K,
                 lambda_min=lo,
                 lambda_max=hi,
-                direction_mode=mode,
                 delta=delta if mode == "cg" else None,
                 record_diagnostics=True,
             )
@@ -336,7 +335,6 @@ def test_c06_cg_variants_reach_eps_within_iteration_bounds(small_quad, criterion
             K=K,
             lambda_min=0.5,
             lambda_max=5.0,
-            direction_mode="cg",
             delta=delta,
             record_diagnostics=True,
         )
@@ -442,14 +440,12 @@ def _double_until(problem, method, eps, K0, x0, lo, hi, delta=None, inner_tol=No
             )
             path, rep = solve_grid(problem, x0, cfg)
         else:
-            mode = "cg" if method.endswith("-cg") else "exact"
             cfg = StepperConfig(
                 method=method.removesuffix("-cg"),
                 K=K,
                 lambda_min=lo,
                 lambda_max=hi,
-                direction_mode=mode,
-                delta=delta if mode == "cg" else None,
+                delta=delta if method.endswith("-cg") else None,
             )
             path, rep = run_path(problem, x0, cfg)
         if accuracy_midpoint(problem, path) <= eps:

@@ -276,7 +276,7 @@ class TestEstimators:
         X, y = generate_synthetic_logistic(200, 30, 11)
         problem = make_logistic_ridge(X * 16.0, y)
         cons = estimate_constants(problem, (1e-2, 1e2), sample_count=64, seed=1)
-        exact = float(np.linalg.norm(problem.f_hess(np.zeros(30)), 2))
+        exact = float(np.linalg.norm(problem.hessian(np.zeros(30), 0.0).f_hess(), 2))
         assert cons.L >= exact * (1.0 - 1e-14)
 
     def test_sigma_identity_regularizer(self, quad30):

@@ -49,13 +49,13 @@ def failing_on_call(problem, n):
     """problem, except that its n-th Hessian handle (counting from 1) is broken."""
     calls = 0
 
-    def hessian_at(x, lam):
+    def hessian(x, lam):
         nonlocal calls
         calls += 1
         handle = problem.hessian(x, lam)
         return _BrokenHandle(handle) if calls == n else handle
 
-    return dataclasses.replace(problem, hessian_at=hessian_at)
+    return dataclasses.replace(problem, hessian=hessian)
 
 
 @settings(max_examples=40, deadline=None)
@@ -68,7 +68,7 @@ def failing_on_call(problem, n):
 def test_failed_path_run_keeps_the_finished_knots(method, mode, record, data):
     n = data.draw(st.integers(1, STAGES[method] * K), label="failing call")
     cfg = StepperConfig(
-        method=method, K=K, lambda_min=0.01, lambda_max=10.0, direction_mode=mode,
+        method=method, K=K, lambda_min=0.01, lambda_max=10.0,
         delta=1e-6 if mode == "cg" else None, record_diagnostics=record,
     )
     ref, _ = run_path(QUAD30, X0, cfg)

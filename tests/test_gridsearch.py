@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pathode import gridsearch
 from pathode import (
     DegenerateProblemError,
     GridSearchConfig,
@@ -21,10 +22,9 @@ from pathode import (
 from pathode.datasets import generate_synthetic_logistic
 
 
-def quad_config(K, tol=1e-8, solver="newton", **kw):
+def quad_config(K, tol=1e-8, solver="newton"):
     return GridSearchConfig(
-        num_points=K, inner_solver=solver, inner_tol=tol,
-        lambda_min=0.01, lambda_max=10.0, **kw,
+        num_points=K, inner_solver=solver, inner_tol=tol, lambda_min=0.01, lambda_max=10.0
     )
 
 
@@ -110,11 +110,11 @@ class TestNewtonInner:
                 float(np.linalg.norm(problem.total_grad(x, lam))), rel=1e-12, abs=1e-15
             )
 
-    def test_inner_cap_exceeded_names_the_point(self, quad30):
+    def test_inner_cap_exceeded_names_the_point(self, quad30, monkeypatch):
         _, _, problem = quad30
-        cfg = quad_config(5, tol=1e-14, inner_cap=0)
+        monkeypatch.setattr(gridsearch, "DEFAULT_NEWTON_CAP", 0)
         with pytest.raises(GridSearchError) as err:
-            solve_grid(problem, np.ones(20), cfg)
+            solve_grid(problem, np.ones(20), quad_config(5, tol=1e-14))
         assert err.value.point_index == 0
 
     def test_piecewise_constant_path_type(self, quad30):
@@ -139,7 +139,7 @@ class TestAgdInner:
 
     def test_gradient_norm_at_return_meets_tol(self, quad30):
         _, _, problem = quad30
-        evals = np.linalg.eigvalsh(problem.f_hess(np.zeros(20)))
+        evals = np.linalg.eigvalsh(problem.hessian(np.zeros(20), 0.0).f_hess())
         lam = 1.0
         x, iters, _ = agd_inner(
             problem, lam, np.zeros(20), 1e-6,

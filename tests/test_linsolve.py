@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from pathode import (
@@ -286,6 +288,27 @@ class TestCgSolve:
             res = cg_solve(lambda v: H @ v, g, np.zeros(15), delta=delta, max_iters=1000)
             assert res.converged
             assert res.inner_iterations <= cg_iteration_bound(kappa, res.initial_residual, delta)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        dim=st.integers(1, 30),
+        seed=st.integers(0, 2**16),
+        log_cond=st.floats(0.0, 10.0),
+        log_delta=st.floats(-14.0, 1.0),
+        max_iters=st.integers(0, 60),
+        warm=st.booleans(),
+    )
+    def test_converged_means_the_residual_is_within_delta(
+        self, dim, seed, log_cond, log_delta, max_iters, warm
+    ):
+        H, g = random_spd(dim, seed, cond=10.0**log_cond)
+        rng = np.random.Generator(np.random.Philox(seed + 1))
+        start = rng.normal(size=dim) if warm else np.zeros(dim)
+        delta = 10.0**log_delta
+        res = cg_solve(lambda v: H @ v, g, start, delta, max_iters)
+        assert res.converged == (res.residual_norm <= delta)
+        if res.converged:
+            assert np.linalg.norm(H @ res.direction + g) <= delta
 
     def test_nonfinite_operator_rejected(self):
         def bad(v):

@@ -218,8 +218,7 @@ class TestDenseBlocks:
             config = GridSearchConfig(K + 1, "newton", 1e-9, 0.1, 10.0)
             path, _ = solve_grid(problem, x0, config)
         else:
-            mode, delta = ("cg", 1e-9) if cg else ("exact", None)
-            config = StepperConfig(scheme, K, 0.1, 10.0, direction_mode=mode, delta=delta)
+            config = StepperConfig(scheme, K, 0.1, 10.0, delta=1e-9 if cg else None)
             path, _ = run_path(problem, x0, config)
         lams = path.lams
         t = np.linspace(0.0, 1.0, ppi)

@@ -4,7 +4,6 @@ Closed-form expectations are hand-computed; derivative consistency is checked
 against central finite differences at seeded interior points.
 """
 
-import dataclasses
 import warnings
 
 import numpy as np
@@ -14,7 +13,6 @@ from hypothesis import strategies as st
 
 from pathode import (
     DegenerateProblemError,
-    DenseHessian,
     DomainError,
     NotPositiveDefiniteError,
     TheoryConstants,
@@ -30,6 +28,8 @@ from pathode import (
 )
 from pathode.datasets import generate_synthetic_logistic, generate_synthetic_quadratic
 
+from conftest import with_dense_solve
+
 
 def fd_gradient(fn, x, h=1e-6):
     g = np.empty_like(x)
@@ -38,6 +38,14 @@ def fd_gradient(fn, x, h=1e-6):
         e[i] = h
         g[i] = (fn(x + e) - fn(x - e)) / (2 * h)
     return g
+
+
+def f_hess(problem, x):
+    return problem.hessian(x, 0.0).f_hess()
+
+
+def omega_hess(problem, x):
+    return problem.hessian(x, 0.0).omega_hess()
 
 
 def interior_moment_points(problem, rng, count):
@@ -60,7 +68,7 @@ class TestQuadraticRidge:
         x = np.zeros(1)
         assert p.f_value(x) == pytest.approx(0.5)
         assert p.f_grad(x) == pytest.approx([-1.0])
-        assert np.allclose(p.f_hess(x), [[1.0]])
+        assert np.allclose(f_hess(p, x), [[1.0]])
         assert p.omega_value(x) == 0.0
 
     def test_scalar_path_point(self):
@@ -97,10 +105,10 @@ class TestQuadraticRidge:
         _, _, problem = quad30
         rng = np.random.Generator(np.random.Philox(78))
         x = rng.normal(size=problem.dim)
-        H = problem.f_hess(x)
+        handle = problem.hessian(x, 0.0)
         for _ in range(5):
             v = rng.normal(size=problem.dim)
-            assert np.allclose(problem.f_hessvec(x, v), H @ v, rtol=1e-12, atol=1e-12)
+            assert np.allclose(handle.matvec(v), handle.f_hess() @ v, rtol=1e-12, atol=1e-12)
 
     def test_batch_gradients_match_loop(self, quad30):
         _, _, problem = quad30
@@ -137,7 +145,7 @@ class TestLogisticRidge:
         x = np.zeros(1)
         assert p.f_value(x) == pytest.approx(np.log(2.0), rel=1e-15)
         assert p.f_grad(x) == pytest.approx([-0.5], rel=1e-15)
-        assert np.allclose(p.f_hess(x), [[0.25]], rtol=1e-14)
+        assert np.allclose(f_hess(p, x), [[0.25]], rtol=1e-14)
 
     def test_two_row_gradient_at_zero(self):
         X = np.array([[1.0], [1.0]])
@@ -163,9 +171,9 @@ class TestLogisticRidge:
         problem = logistic_small
         rng = np.random.Generator(np.random.Philox(81))
         x = rng.normal(size=problem.dim)
-        H = problem.f_hess(x)
+        handle = problem.hessian(x, 0.0)
         v = rng.normal(size=problem.dim)
-        assert np.allclose(problem.f_hessvec(x, v), H @ v, rtol=1e-12, atol=1e-14)
+        assert np.allclose(handle.matvec(v), handle.f_hess() @ v, rtol=1e-12, atol=1e-14)
 
     def test_batch_gradient_blocks_agree(self):
         # exercise the internal row blocking with a batch larger than one block
@@ -181,7 +189,7 @@ class TestLogisticRidge:
         problem = logistic_small
         rng = np.random.Generator(np.random.Philox(83))
         x = rng.normal(size=problem.dim)
-        evals = np.linalg.eigvalsh(problem.f_hess(x))
+        evals = np.linalg.eigvalsh(f_hess(problem, x))
         assert evals[0] >= -1e-12
 
 
@@ -267,7 +275,7 @@ class TestMomentMatching:
         problem = make_moment_matching(A, b)
         y = np.array([1.0 / 3.0, 1.0 / 3.0])
         # diag 1/y_i plus rank-one 1/y_last: [[6,3],[3,6]] at the uniform point
-        assert np.allclose(problem.omega_hess(y), [[6.0, 3.0], [3.0, 6.0]], rtol=1e-12)
+        assert np.allclose(omega_hess(problem, y), [[6.0, 3.0], [3.0, 6.0]], rtol=1e-12)
 
     def test_entropy_gradient_example(self):
         w, x_true = generate_synthetic_moment_data(2, 4)
@@ -291,7 +299,7 @@ class TestMomentMatching:
         A, b = build_moment_problem(w, x_true, 1)
         problem = make_moment_matching(A, b)
         bad = np.array([-0.1, 0.5])
-        for fn in (problem.omega_value, problem.omega_grad, problem.omega_hess):
+        for fn in (problem.omega_value, problem.omega_grad, lambda y: problem.hessian(y, 1.0)):
             with pytest.raises(DomainError):
                 fn(bad)
         good = np.array([0.4, 0.3])
@@ -352,7 +360,9 @@ class TestMomentMatching:
         for y in Y:
             v = rng.normal(size=40)
             assert np.allclose(problem.f_grad(y), Q @ y - A.T @ b, rtol=1e-12, atol=1e-14)
-            assert np.allclose(problem.f_hessvec(y, v), Q @ v, rtol=1e-12, atol=1e-14)
+            handle = problem.hessian(y, 0.0)
+            assert np.allclose(handle.f_hess(), Q, rtol=1e-12, atol=1e-14)
+            assert np.allclose(handle.matvec(v), Q @ v, rtol=1e-12, atol=1e-14)
         G = problem.f_grad_batch(Y)
         assert G.shape == Y.shape
         for i, y in enumerate(Y):
@@ -364,16 +374,6 @@ class TestMomentMatching:
         for bad in ([-0.1, 0.5], [0.6, 0.4], [np.nan, 0.1]):
             with pytest.raises(DomainError):
                 problem.hessian(np.array(bad), 1.0)
-
-    def test_only_the_reweighted_family_falls_back_to_dense(self, quad30, logistic_small):
-        assert quad30[2].hessian_at is not None
-        assert logistic_small.hessian_at is not None
-        w, x_true = generate_synthetic_moment_data(2, 4)
-        assert make_moment_matching(*build_moment_problem(w, x_true, 1)).hessian_at is not None
-        X, y = generate_synthetic_logistic(20, 3, 1)
-        reweighted = make_logistic_reweighted(X, y)
-        assert reweighted.hessian_at is None
-        assert isinstance(reweighted.hessian(np.zeros(3), 1.0), DenseHessian)
 
 
 @st.composite
@@ -425,8 +425,6 @@ class TestMomentHessianStructure:
         H = problem.total_hess(y, lam)
         res = problem.hessian(y, lam).solve(g)
         ref = solve_spd(H, g).direction
-        dense = dataclasses.replace(problem, hessian_at=None).hessian(y, lam).solve(g)
-        assert np.array_equal(dense.direction, ref)
         # Cholesky's forward error scales with cond(H); Woodbury's also with
         # the cancellation in D^-1 g - D^-1 V C^-1 V' D^-1 g, which grows with
         # the norm of the capacitance matrix C = I + V' D^-1 V
@@ -461,13 +459,51 @@ class TestMomentHessianStructure:
 # ------------------------------------------------------ Hessian handles
 
 
+def fd_jacobian(grad, x, h=1e-6):
+    """Central differences of grad at x, one column per coordinate."""
+    cols = []
+    for i in range(x.size):
+        e = np.zeros_like(x)
+        e[i] = h
+        cols.append((grad(x + e) - grad(x - e)) / (2 * h))
+    return np.column_stack(cols)
+
+
+def _handle_fd_cases():
+    rng = np.random.Generator(np.random.Philox(87))
+    yield "quadratic", make_quadratic_ridge(*generate_synthetic_quadratic(30, 20, 1)), [
+        rng.normal(size=20) for _ in range(3)
+    ]
+    yield "logistic", make_logistic_ridge(*generate_synthetic_logistic(50, 10, 3)), [
+        0.5 * rng.normal(size=10) for _ in range(3)
+    ]
+    yield "reweighted", make_logistic_reweighted(*generate_synthetic_logistic(30, 4, 12)), [
+        0.5 * rng.normal(size=4) for _ in range(3)
+    ]
+    w, x_true = generate_synthetic_moment_data(8, 5)
+    moment = make_moment_matching(*build_moment_problem(w, x_true, 3))
+    yield "moment", moment, interior_moment_points(moment, rng, 3)
+
+
+HANDLE_FD_CASES = {name: (problem, points) for name, problem, points in _handle_fd_cases()}
+
+
+@pytest.mark.parametrize("family", list(HANDLE_FD_CASES))
+def test_handle_hessians_are_the_gradients_derivatives(family):
+    problem, points = HANDLE_FD_CASES[family]
+    for x in points:
+        handle = problem.hessian(x, 1.0)
+        for H, grad in ((handle.f_hess(), problem.f_grad), (handle.omega_hess(), problem.omega_grad)):
+            fd = fd_jacobian(grad, x)
+            assert np.linalg.norm(H - fd) <= 1e-6 * (1.0 + np.linalg.norm(H))
+
+
 @st.composite
 def oracle_points(draw):
     """(problem, rows, lam, x, g, v) for a random oracle of any family.
 
     rows is the number of terms summed into one Hessian entry (data rows,
-    or moments plus one), which scales the rounding bars below.  The
-    reweighted family has no hessian_at, so its handle is the dense one.
+    or moments plus one), which scales the rounding bars below.
     """
     family = draw(st.sampled_from(["quadratic", "logistic", "moment", "reweighted"]))
     if family == "moment":
@@ -492,21 +528,25 @@ def oracle_points(draw):
 
 
 def handle_variants(problem):
-    """The problem as given and with its structured handle switched off."""
-    return problem, dataclasses.replace(problem, hessian_at=None)
+    """The problem as given and with its handles solving the assembled total_hess."""
+    return problem, with_dense_solve(problem)
 
 
 class TestHessianHandles:
-    """Every family's handle is hess F_lam(x) as the dense callables define it."""
+    """Every family's handle is hess F_lam(x) = f_hess() + lam omega_hess()."""
 
     @PROPERTY_SETTINGS
     @given(oracle_points())
-    def test_grad_and_matvec_are_the_callables(self, case):
-        problem, _, lam, x, _, v = case
+    def test_grad_is_f_grad_and_matvec_is_total_hess(self, case):
+        problem, rows, lam, x, _, v = case
         handle = problem.hessian(x, lam)
         assert np.array_equal(handle.grad_f(), problem.f_grad(x))
-        dense = problem.f_hessvec(x, v) + lam * problem.omega_hessvec(x, v)
-        assert np.array_equal(handle.matvec(v), dense)
+        # both products round within gamma |A'| |A| |v| (or |H| |v|), and the
+        # trace of the PSD f'' <= trace H bounds || |A'| |A| ||_2 <= sqrt(p) ||H||_F
+        H = problem.total_hess(x, lam)
+        gamma = 2.0 * (rows + problem.dim + 8) * EPS
+        bar = gamma * np.sqrt(problem.dim) * np.linalg.norm(H) * np.linalg.norm(v)
+        assert np.linalg.norm(handle.matvec(v) - H @ v) <= bar
 
     @PROPERTY_SETTINGS
     @given(oracle_points())
@@ -551,9 +591,9 @@ class TestHessianHandles:
     def test_negative_definite_system_raises(self, case):
         problem, _, _, x, g, _ = case
         # hess Omega >= sigma_min I, so this lam leaves hess F_lam <= -I
-        sigma_min = np.linalg.eigvalsh(problem.omega_hess(x))[0]
+        sigma_min = np.linalg.eigvalsh(omega_hess(problem, x))[0]
         assume(sigma_min > 1e-6)
-        lam = -(np.linalg.norm(problem.f_hess(x), 2) + 1.0) / sigma_min
+        lam = -(np.linalg.norm(f_hess(problem, x), 2) + 1.0) / sigma_min
         for variant in handle_variants(problem):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
