@@ -5,24 +5,23 @@ over a lambda interval by discretizing the path-following ODE, alongside
 grid-search baselines, theory bound calculators, and a benchmark CLI.
 """
 
+from types import ModuleType as _ModuleType
+
 from .bounds import (
     BoundReport,
-    StepSizeCheck,
     estimate_constants,
     estimate_f_gap,
     K_BOUNDS,
-    grid_epsilon_prime,
     k_euler,
     k_euler_approx,
     k_grid,
     k_trapezoid,
     k_trapezoid_approx,
-    lipschitz_v,
     step_bound_euler,
     step_bound_euler_approx,
     step_bound_trapezoid,
     step_bound_trapezoid_approx,
-    stepsize_conditions,
+    stepsize_bounds,
 )
 from .datasets import (
     DatasetFormatError,
@@ -89,73 +88,9 @@ from .steppers import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundReport",
-    "CGDirections",
-    "CGNoConvergenceError",
-    "DatasetFormatError",
-    "DegenerateProblemError",
-    "DirectionResult",
-    "DomainError",
-    "ExactDirections",
-    "GridSearchConfig",
-    "GridSearchError",
-    "K_BOUNDS",
-    "MaxIterationsError",
-    "NotPositiveDefiniteError",
-    "OracleCounters",
-    "PathRunError",
-    "PiecewiseConstantPath",
-    "PiecewiseLinearPath",
-    "ProblemOracle",
-    "RunReport",
-    "StepDiagnostics",
-    "StepSizeCheck",
-    "StepperConfig",
-    "TheoryConstants",
-    "accuracy_dense",
-    "accuracy_midpoint",
-    "agd_inner",
-    "build_moment_problem",
-    "cg_iteration_bound",
-    "cg_solve",
-    "decay_polynomial",
-    "estimate_constants",
-    "estimate_f_gap",
-    "export_path_csv",
-    "generate_synthetic_logistic",
-    "generate_synthetic_moment_data",
-    "generate_synthetic_quadratic",
-    "grid_epsilon_prime",
-    "grid_points",
-    "initialize_by_newton",
-    "initialize_from_omega",
-    "k_euler",
-    "k_euler_approx",
-    "k_grid",
-    "k_trapezoid",
-    "k_trapezoid_approx",
-    "lipschitz_v",
-    "load_csv_dataset",
-    "load_moment_json",
-    "make_logistic_reweighted",
-    "make_logistic_ridge",
-    "make_moment_matching",
-    "make_quadratic_ridge",
-    "quadratic_path_point",
-    "quadratic_theory_constants",
-    "run_path",
-    "save_csv_dataset",
-    "save_moment_json",
-    "solve_grid",
-    "solve_diag_lowrank",
-    "solve_shifted_eigh",
-    "solve_spd",
-    "standardize_features",
-    "step_bound_euler",
-    "step_bound_euler_approx",
-    "step_bound_trapezoid",
-    "step_bound_trapezoid_approx",
-    "stepsize",
-    "stepsize_conditions",
-]
+# every public name bound above except the submodules the imports attach
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -183,72 +183,18 @@ K_BOUNDS = {
 }
 
 
-def lipschitz_v(c: TheoryConstants, C: float = 1.0) -> float:
-    """Lipschitz modulus of the path vector field.
+def stepsize_bounds(c: TheoryConstants, lambda_next: float) -> tuple[float, float]:
+    """(general, simplified) upper bounds on an admissible step size h.
 
-    L C / (mu + lambda_min sigma) + L^2 C (1 + lambda_max) / (mu + lambda_min sigma)^2,
-    where C bounds |xi(lambda)/lambda| (C = 1 for the exponential schedule).
+    With the exponential schedule xi(lambda) = -lambda, the general bound
+    is min{1/2, (mu + lambda_{j+1} sigma) sqrt(3/(LG))} and the simplified
+    one is min{1/2, sqrt(3/(tau^2 L G))}.
     """
-    return c.L * C / c.mu_tilde + c.L**2 * C * (1.0 + c.lambda_max) / c.mu_tilde**2
-
-
-def grid_epsilon_prime(eps: float, L: float) -> tuple[float, float]:
-    """Objective-gap tolerances matching a gradient-norm target eps.
-
-    Returns (eps_prime, eps_c) = (eps^2 / (2L), eps^2 / (4L)): a point with
-    objective gap eps_c <= eps_prime/2 on an L-smooth function has gradient
-    norm at most eps.  Exposed for reporting; the grid solver stops on the
-    gradient norm directly.
-    """
-    if eps <= 0.0 or L <= 0.0:
-        raise ValueError("eps and L must be positive")
-    eps_prime = eps * eps / (2.0 * L)
-    return eps_prime, eps_prime / 2.0
-
-
-@dataclass
-class StepSizeCheck:
-    """Result of the step-size admissibility test; truthy iff both clauses hold."""
-
-    ok: bool
-    general_ok: bool
-    simplified_ok: bool
-    general_bound: float
-    simplified_bound: float
-    failed: list[str]
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def stepsize_conditions(
-    c: TheoryConstants, h: float, lambda_j: float, lambda_j1: float
-) -> StepSizeCheck:
-    """Check h against the general and simplified admissibility conditions.
-
-    With the exponential schedule xi(lambda) = -lambda, the general condition
-    is h <= min{1/2, (mu + lambda_{j+1} sigma) sqrt(3/(LG))} and the
-    simplified one is h <= min{1/2, sqrt(3/(tau^2 L G))}.
-    """
-    if h <= 0.0 or lambda_j <= 0.0 or lambda_j1 <= 0.0:
-        raise ValueError("h and lambdas must be positive")
-    general = min(0.5, (c.mu + lambda_j1 * c.sigma) * math.sqrt(3.0 / (c.L * c.G)))
+    if not lambda_next > 0.0:
+        raise ValueError("lambda_next must be positive")
+    general = min(0.5, (c.mu + lambda_next * c.sigma) * math.sqrt(3.0 / (c.L * c.G)))
     simplified = min(0.5, math.sqrt(3.0 / (c.tau**2 * c.L * c.G)))
-    general_ok = h <= general
-    simplified_ok = h <= simplified
-    failed = []
-    if not general_ok:
-        failed.append("general")
-    if not simplified_ok:
-        failed.append("simplified")
-    return StepSizeCheck(
-        ok=general_ok and simplified_ok,
-        general_ok=general_ok,
-        simplified_ok=simplified_ok,
-        general_bound=general,
-        simplified_bound=simplified,
-        failed=failed,
-    )
+    return general, simplified
 
 
 def step_bound_euler(

@@ -110,17 +110,11 @@ def initialize_x0(problem, args, eps: float | None) -> np.ndarray:
 
 
 def _parse_delta(args, eps: float | None) -> float:
-    raw = getattr(args, "delta", None)
-    if raw is None or raw == "auto":
+    delta = getattr(args, "delta", None)
+    if delta is None or delta == "auto":
         if eps is None:
             raise CliArgumentError("--delta auto needs --eps (delta defaults to eps/4)")
         return eps / 4.0
-    try:
-        delta = float(raw)
-    except ValueError as exc:
-        raise CliArgumentError(f"bad --delta {raw!r}") from exc
-    if delta <= 0.0:
-        raise CliArgumentError("--delta must be positive")
     return delta
 
 
@@ -215,24 +209,8 @@ def _write_diagnostics(report, diag_out: str) -> None:
 
 def cmd_run(args) -> int:
     problem, meta = build_problem(args)
-    if args.K is None and args.eps is None:
-        raise CliArgumentError("run needs --K, --eps, or both")
     x0 = initialize_x0(problem, args, args.eps)
-    if args.K is not None:
-        path, report = run_one(problem, meta, args.method, args.K, args, args.eps, x0)
-    else:
-        K, path, reports, passed = run_doubling(
-            problem, meta, args.method, args.eps, args.K0, args.max_doublings, args, x0
-        )
-        report = reports[-1]
-        if not passed:
-            _write_or_print(report.to_json(), args.out, "report")
-            print(
-                f"accuracy {report.accuracy_midpoint:g} > eps {args.eps:g} after "
-                f"{len(reports)} doubling attempts (K = {K})",
-                file=sys.stderr,
-            )
-            return 3
+    path, report = run_one(problem, meta, args.method, args.K, args, args.eps, x0)
     if getattr(args, "diag_out", None):
         _write_diagnostics(report, args.diag_out)
     if args.path_out:
@@ -342,14 +320,9 @@ def cmd_sweep(args) -> int:
     for m in methods:
         if m not in ALL_METHODS:
             raise CliArgumentError(f"unknown method {m!r} in --methods")
-    try:
-        eps_list = [float(e) for e in args.eps_list.split(",") if e.strip()]
-    except ValueError as exc:
-        raise CliArgumentError(f"bad --eps-list: {exc}") from exc
+    eps_list = args.eps_list
     if not methods or not eps_list:
         raise CliArgumentError("sweep needs nonempty --methods and --eps-list")
-    if any(e <= 0.0 for e in eps_list):
-        raise CliArgumentError("all eps values must be positive")
     x0 = initialize_x0(problem, args, min(eps_list))
     all_rows: list[str] = []
     for method in methods:
@@ -392,19 +365,38 @@ class _NonNegative(argparse.Action):
         setattr(namespace, self.dest, value)
 
 
+def _positive_float(text: str) -> float:
+    """argparse type of every tolerance: a finite float > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (value > 0.0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return value
+
+
 def _add_solver_flags(sub):
-    sub.add_argument("--delta", default=None, help="CG tolerance, or 'auto' for eps/4")
-    sub.add_argument("--inner-tol", type=float, default=None, help="grid inner tolerance")
+    sub.add_argument(
+        "--delta",
+        type=lambda text: text if text == "auto" else _positive_float(text),
+        default=None,
+        help="CG tolerance, or 'auto' for eps/4",
+    )
+    sub.add_argument("--inner-tol", type=_positive_float, default=None, help="grid inner tolerance")
     sub.add_argument("--init", choices=("newton", "omega"), default="newton")
-    sub.add_argument("--init-tol", type=float, default=None)
+    sub.add_argument("--init-tol", type=_positive_float, default=None)
+
+
+def _add_doubling_flags(sub):
     sub.add_argument("--K0", type=int, default=None, help="doubling start")
     sub.add_argument("--max-doublings", type=int, default=20, action=_NonNegative)
 
 
-def _add_run_flags(sub):
+def _add_run_flags(sub, eps_required: bool):
     """Flags of the single-method verbs (run, doubling), solver flags included."""
     sub.add_argument("--method", required=True, help=f"one of {ALL_METHODS}")
-    sub.add_argument("--eps", type=float, default=None)
+    sub.add_argument("--eps", type=_positive_float, default=None, required=eps_required)
     _add_solver_flags(sub)
     sub.add_argument("--out", default=None)
     sub.add_argument("--path-out", default=None)
@@ -417,22 +409,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    run = subs.add_parser("run", help="one method at one K (or doubling to --eps)")
+    run = subs.add_parser("run", help="one method at one K")
     _add_problem_flags(run)
-    _add_run_flags(run)
-    run.add_argument("--K", type=int, default=None)
+    _add_run_flags(run, eps_required=False)
+    run.add_argument("--K", type=int, required=True)
     run.add_argument("--diag-out", default=None, help="write per-step diagnostics JSONL")
     run.set_defaults(func=cmd_run)
 
     doubling = subs.add_parser("doubling", help="double K until the accuracy target holds")
     _add_problem_flags(doubling)
-    _add_run_flags(doubling)
+    _add_run_flags(doubling, eps_required=True)
+    _add_doubling_flags(doubling)
     doubling.set_defaults(func=cmd_doubling)
 
     theory = subs.add_parser("theory", help="evaluate iteration bounds")
     _add_problem_flags(theory)
     theory.add_argument("--method", required=True, help=f"one of {tuple(bounds.K_BOUNDS)}")
-    theory.add_argument("--eps", type=float, required=True)
+    theory.add_argument("--eps", type=_positive_float, required=True)
     theory.add_argument("--mu", type=float, default=None)
     theory.add_argument("--sigma", type=float, default=None)
     theory.add_argument("--L", type=float, default=None)
@@ -446,8 +439,14 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = subs.add_parser("sweep", help="methods x eps grid, one CSV row each")
     _add_problem_flags(sweep)
     sweep.add_argument("--methods", required=True, help="comma-separated method list")
-    sweep.add_argument("--eps-list", required=True, help="comma-separated eps values")
+    sweep.add_argument(
+        "--eps-list",
+        type=lambda text: [_positive_float(e) for e in text.split(",") if e.strip()],
+        required=True,
+        help="comma-separated eps values",
+    )
     _add_solver_flags(sweep)
+    _add_doubling_flags(sweep)
     sweep.add_argument("--out", required=True)
     sweep.set_defaults(func=cmd_sweep)
 

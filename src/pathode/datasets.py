@@ -81,13 +81,10 @@ def standardize_features(features: np.ndarray) -> np.ndarray:
 def save_csv_dataset(features: np.ndarray, labels: np.ndarray, path: str) -> None:
     """Write a labelled dataset in the CSV contract (with a header row)."""
     features = np.asarray(features, dtype=float)
-    labels = np.asarray(labels, dtype=float)
     p = features.shape[1]
     header = "label," + ",".join(f"f_{j}" for j in range(1, p + 1))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for y, row in zip(labels, features):
-            fh.write(("%d," % int(y)) + ",".join(format(v, ".17g") for v in row) + "\n")
+    data = np.column_stack([np.asarray(labels, dtype=float), features])
+    np.savetxt(path, data, fmt=["%d"] + ["%.17g"] * p, delimiter=",", header=header, comments="")
 
 
 def generate_synthetic_logistic(

@@ -49,7 +49,7 @@ class GridSearchConfig:
             raise ValueError("num_points must be at least 2 (both endpoints)")
         if self.inner_solver not in INNER_SOLVERS:
             raise ValueError(f"inner_solver must be one of {INNER_SOLVERS}")
-        if self.inner_tol <= 0.0:
+        if not self.inner_tol > 0.0:
             raise ValueError("inner_tol must be positive")
         if not (0.0 < self.lambda_min < self.lambda_max):
             raise ValueError("need 0 < lambda_min < lambda_max")

@@ -16,8 +16,7 @@ import numpy as np
 from .problems import ProblemOracle
 from .reports import OracleCounters
 
-DENSE_CHUNK = 262144  # residual evaluations per batched block
-DENSE_BLOCK_BYTES = 131072  # per (points x dim) array of the dense check: glibc's mmap threshold
+DENSE_BLOCK_BYTES = 131072  # per (points x dim) array of a residual sweep: glibc's mmap threshold
 
 
 class _PathBase:
@@ -121,21 +120,39 @@ def residuals(
     return np.linalg.norm(G, axis=1)
 
 
+def _max_over_intervals(
+    problem: ProblemOracle, path: _PathBase, t: np.ndarray, counters: OracleCounters | None
+) -> float:
+    """Max residual at lambda_k + t (lambda_{k+1} - lambda_k) for every interval k and t.
+
+    Evaluated in blocks of whole intervals whose (points x dim) arrays fit in
+    DENSE_BLOCK_BYTES; an interval with more points is split across blocks.
+    """
+    lams = path.lams
+    n_int = len(lams) - 1
+    block_points = max(1, DENSE_BLOCK_BYTES // (path.X.itemsize * path.X.shape[1]))
+    block_intervals = max(1, block_points // len(t))
+    worst = 0.0
+    for start in range(0, n_int, block_intervals):
+        stop = min(start + block_intervals, n_int)
+        hi, lo = lams[start:stop, None], lams[start + 1 : stop + 1, None]
+        for col in range(0, len(t), block_points):
+            grid = hi + (lo - hi) * t[None, col : col + block_points]
+            worst = max(worst, float(np.max(path.block_residuals(problem, start, grid))))
+            if counters is not None:
+                counters.metric_evals += grid.size
+    return worst
+
+
 def accuracy_midpoint(
     problem: ProblemOracle,
     path: _PathBase,
     counters: OracleCounters | None = None,
 ) -> float:
     """Max residual over all knots and arithmetic midpoints of knot intervals."""
-    lams = path.lams
-    mids = 0.5 * (lams[:-1] + lams[1:])
-    eval_lams = np.concatenate([lams, mids])
-    worst = 0.0
-    for start in range(0, len(eval_lams), DENSE_CHUNK):
-        chunk = eval_lams[start : start + DENSE_CHUNK]
-        res = residuals(problem, path.query_batch(chunk), chunk, counters)
-        worst = max(worst, float(np.max(res)))
-    return worst
+    worst = _max_over_intervals(problem, path, np.array([0.0, 0.5]), counters)
+    last = residuals(problem, path.X[-1:], path.lams[-1:], counters)
+    return max(worst, float(last[0]))
 
 
 def accuracy_dense(
@@ -147,33 +164,15 @@ def accuracy_dense(
     """Max residual over a uniform lambda grid of the stated density per interval.
 
     Each interval contributes points_per_interval equispaced points
-    including both endpoints (so points_per_interval >= 2), evaluated in
-    blocks of whole intervals whose (points x dim) arrays fit in
-    DENSE_BLOCK_BYTES; an interval with more points is split across blocks.
+    including both endpoints (so points_per_interval >= 2).
     """
     if points_per_interval < 2:
         raise ValueError("points_per_interval must be at least 2")
-    lams = path.lams
-    n_int = len(lams) - 1
-    t = np.linspace(0.0, 1.0, points_per_interval)
-    block_points = max(1, DENSE_BLOCK_BYTES // (path.X.itemsize * path.X.shape[1]))
-    block_intervals = max(1, block_points // points_per_interval)
-    worst = 0.0
-    for start in range(0, n_int, block_intervals):
-        stop = min(start + block_intervals, n_int)
-        hi, lo = lams[start:stop, None], lams[start + 1 : stop + 1, None]
-        for col in range(0, points_per_interval, block_points):
-            grid = hi + (lo - hi) * t[None, col : col + block_points]
-            worst = max(worst, float(np.max(path.block_residuals(problem, start, grid))))
-            if counters is not None:
-                counters.metric_evals += grid.size
-    return worst
+    return _max_over_intervals(problem, path, np.linspace(0.0, 1.0, points_per_interval), counters)
 
 
 def export_path_csv(path: _PathBase, file_path: str) -> None:
     """Write knots as CSV with header lambda,x_1,...,x_p at 17 significant digits."""
     header = "lambda," + ",".join(f"x_{j}" for j in range(1, path.X.shape[1] + 1))
-    with open(file_path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for lam, x in zip(path.lams, path.X):
-            fh.write(",".join(format(v, ".17g") for v in (lam, *x)) + "\n")
+    data = np.column_stack([path.lams, path.X])
+    np.savetxt(file_path, data, fmt="%.17g", delimiter=",", header=header, comments="")

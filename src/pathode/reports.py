@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 SCHEMA_VERSION = 1
 
@@ -39,11 +39,6 @@ class OracleCounters:
 
     def as_dict(self) -> dict:
         return asdict(self)
-
-    def check_nonnegative(self) -> None:
-        for name, value in self.as_dict().items():
-            if value < 0:
-                raise ValueError(f"counter {name} is negative: {value}")
 
 
 @dataclass
@@ -73,28 +68,9 @@ class RunReport:
     step_diagnostics: list = field(default_factory=list, repr=False, compare=False)
 
     def as_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "method": self.method,
-            "K": int(self.K),
-            "h": None if self.h is None else float(self.h),
-            "eps_target": None if self.eps_target is None else float(self.eps_target),
-            "delta": None if self.delta is None else float(self.delta),
-            "accuracy_midpoint": (
-                None if self.accuracy_midpoint is None else float(self.accuracy_midpoint)
-            ),
-            "counters": self.counters.as_dict(),
-            "wall_time_seconds": float(self.wall_time_seconds),
-            "diagnostics_path": self.diagnostics_path,
-            "lambda_min": None if self.lambda_min is None else float(self.lambda_min),
-            "lambda_max": None if self.lambda_max is None else float(self.lambda_max),
-            "problem": self.problem,
-            "seed": None if self.seed is None else int(self.seed),
-            "status": self.status,
-            "inner_iterations": (
-                None if self.inner_iterations is None else [int(n) for n in self.inner_iterations]
-            ),
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "step_diagnostics"}
+        out.update(schema_version=SCHEMA_VERSION, counters=self.counters.as_dict())
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n"

@@ -118,7 +118,7 @@ class StepperConfig:
     h: float = field(init=False)
 
     def __post_init__(self):
-        if self.delta is not None and self.delta <= 0.0:
+        if self.delta is not None and not self.delta > 0.0:
             raise ValueError("cg mode needs delta > 0")
         self.h = stepsize(self.method, self.K, self.lambda_min, self.lambda_max)
 
@@ -402,7 +402,7 @@ def initialize_by_newton(
 
     Starts from x_start, else the Omega minimizer, else zero.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     x = problem.base_point() if x_start is None else np.array(x_start, dtype=float, copy=True)
     if not problem.domain_check(x):

@@ -45,7 +45,7 @@ from pathode import (
     step_bound_euler_approx,
     step_bound_trapezoid,
     step_bound_trapezoid_approx,
-    stepsize_conditions,
+    stepsize_bounds,
 )
 from pathode.datasets import generate_synthetic_logistic
 
@@ -300,7 +300,7 @@ def test_c05_interpolation_and_uniform_bounds(quad30, quad30_start, quad30_const
     )
     interp_ok = ahat <= r_max + interp + 1e-9
     # the uniform bound applies because h satisfies the simplified step rule
-    premise = stepsize_conditions(constants, h, lams[0], lams[1]).simplified_ok
+    premise = h <= stepsize_bounds(constants, lams[1])[1]
     uniform = (
         path.residuals[0]
         + 2.0 * h * constants.tau * L * f_gap

@@ -11,18 +11,16 @@ from pathode import (
     TheoryConstants,
     estimate_constants,
     estimate_f_gap,
-    grid_epsilon_prime,
     k_euler,
     k_euler_approx,
     k_trapezoid,
     k_trapezoid_approx,
-    lipschitz_v,
     make_logistic_ridge,
     step_bound_euler,
     step_bound_euler_approx,
     step_bound_trapezoid,
     step_bound_trapezoid_approx,
-    stepsize_conditions,
+    stepsize_bounds,
 )
 from pathode.datasets import generate_synthetic_logistic
 
@@ -147,81 +145,40 @@ class TestApproxBounds:
         assert any("mu" in str(w.message) for w in caught)
 
 
-class TestLipschitzV:
-    def test_formula(self):
-        c = TheoryConstants.derive(
-            mu=1.0, sigma=0.0, L=1.0, G=1.0, lambda_min=0.5, lambda_max=1.0
-        )
-        expect = c.L / c.mu_tilde + c.L**2 * (1.0 + c.lambda_max) / c.mu_tilde**2
-        assert lipschitz_v(c) == pytest.approx(expect, rel=1e-15)
-
-    def test_worked_example(self):
-        # L=2, mu_tilde=0.5, lambda_max=1: 2/0.5 + 4*2/0.25 = 36
-        c = TheoryConstants.derive(
-            mu=0.5, sigma=0.0, L=2.0, G=1.0, lambda_min=0.5, lambda_max=1.0
-        )
-        assert c.mu_tilde == 0.5
-        assert lipschitz_v(c) == pytest.approx(36.0, rel=1e-14)
-
-    def test_quadratic_in_L(self):
-        c1 = TheoryConstants.derive(mu=1.0, sigma=0.0, L=1.0, G=1.0, lambda_min=0.5, lambda_max=1.0)
-        c2 = TheoryConstants.derive(mu=1.0, sigma=0.0, L=2.0, G=1.0, lambda_min=0.5, lambda_max=1.0)
-        second1 = lipschitz_v(c1) - c1.L / c1.mu_tilde
-        second2 = lipschitz_v(c2) - c2.L / c2.mu_tilde
-        assert second2 == pytest.approx(4.0 * second1, rel=1e-13)
-
-
-class TestGridEpsilonPrime:
-    def test_conversion_pair(self):
-        eps_prime, eps_c = grid_epsilon_prime(0.2, 5.0)
-        assert eps_prime == pytest.approx(0.2**2 / (2.0 * 5.0))
-        assert eps_c == pytest.approx(eps_prime / 2.0)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            grid_epsilon_prime(0.0, 1.0)
-        with pytest.raises(ValueError):
-            grid_epsilon_prime(0.1, -1.0)
-
-
-class TestStepsizeConditions:
-    def test_equality_passes(self):
+class TestStepsizeBounds:
+    def test_equality_meets_the_cap(self):
         # tau^2 L G = 12 makes sqrt(3/(tau^2 L G)) = 1/2, meeting the cap
         c = TheoryConstants.derive(
             mu=1.0, sigma=1.0, L=3.0, G=4.0, lambda_min=1.0, lambda_max=2.0
         )
         assert c.tau == pytest.approx(1.0)
-        chk = stepsize_conditions(c, 0.5, 2.0, 1.9)
-        assert chk.simplified_bound == pytest.approx(0.5, rel=1e-15)
-        assert chk.simplified_ok and chk.ok
-        assert bool(chk)
+        general, simplified = stepsize_bounds(c, 1.9)
+        assert simplified == pytest.approx(0.5, rel=1e-15)
+        assert 0.5 <= min(general, simplified) + 1e-15
 
-    def test_half_cap_fails_above(self):
-        # both clauses are capped at 1/2, so h = 0.6 fails however mild L, G
+    def test_half_cap(self):
+        # both bounds are capped at 1/2, however mild L, G
         c = TheoryConstants.derive(
             mu=1.0, sigma=1.0, L=1.0, G=1.0, lambda_min=1.0, lambda_max=2.0
         )
-        chk = stepsize_conditions(c, 0.6, 2.0, 1.9)
-        assert not chk.ok
-        assert not bool(chk)
-        assert set(chk.failed) == {"general", "simplified"}
+        assert stepsize_bounds(c, 1.9) == (0.5, 0.5)
 
     def test_curvature_shrinks_simplified_bound(self):
         c = TheoryConstants.derive(
             mu=1.0, sigma=1.0, L=48.0, G=1.0, lambda_min=1.0, lambda_max=2.0
         )
-        chk = stepsize_conditions(c, 0.3, 2.0, 1.9)
-        assert chk.simplified_bound == pytest.approx(0.25, rel=1e-15)
-        assert chk.failed == ["simplified"]  # general uses mu + lambda sigma = 2.9
+        general, simplified = stepsize_bounds(c, 1.9)
+        assert simplified == pytest.approx(0.25, rel=1e-15)
+        # general uses mu + lambda sigma = 2.9
+        assert general == pytest.approx(min(0.5, 2.9 * math.sqrt(3.0 / 48.0)), rel=1e-15)
 
-    def test_rejects_nonpositive_inputs(self):
+    def test_rejects_nonpositive_lambda(self):
         c = TheoryConstants.derive(
             mu=1.0, sigma=1.0, L=1.0, G=1.0, lambda_min=1.0, lambda_max=2.0
         )
-        with pytest.raises(ValueError):
-            stepsize_conditions(c, 0.0, 2.0, 1.9)
-        with pytest.raises(ValueError):
-            stepsize_conditions(c, 0.1, 2.0, -1.9)
+        for lam in (0.0, -1.9, math.nan):
+            with pytest.raises(ValueError):
+                stepsize_bounds(c, lam)
 
 
 class TestStepBounds:

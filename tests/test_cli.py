@@ -118,25 +118,6 @@ class TestRunVerb:
         assert all(r["k"] == i for i, r in enumerate(records))
         assert json.loads(rep_file.read_text())["diagnostics_path"] == str(diag)
 
-    def test_eps_triggers_doubling(self, capsys):
-        argv = ["run", "--method", "euler", "--eps", "1e-4", "--K0", "400"] + QUAD
-        rc, out, _ = call(capsys, argv)
-        assert rc == 0
-        rep = json.loads(out)
-        assert rep["K"] == 800  # 400 misses 1e-4 by ~23%, one doubling suffices
-        assert rep["accuracy_midpoint"] <= 1e-4
-        assert rep["eps_target"] == 1e-4
-
-    def test_eps_exhaustion_exits_3(self, capsys):
-        argv = [
-            "run", "--method", "euler", "--eps", "1e-10",
-            "--K0", "50", "--max-doublings", "0",
-        ] + QUAD
-        rc, out, err = call(capsys, argv)
-        assert rc == 3
-        assert "doubling" in err
-        assert json.loads(out)["status"] == "accuracy-not-met"
-
     def test_delta_auto_is_quarter_eps(self, capsys):
         rc, out, _ = call(
             capsys, ["run", "--method", "euler-cg", "--K", "50", "--eps", "1e-3"] + QUAD
@@ -396,11 +377,6 @@ class TestExitCodes:
         assert rc == 2
         assert "fancy" in err
 
-    def test_run_needs_K_or_eps(self, capsys):
-        rc, _, err = call(capsys, ["run", "--method", "euler"] + QUAD)
-        assert rc == 2
-        assert "--K" in err
-
     def test_quadratic_rejects_data_flag(self, capsys, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("1,2.0\n")
@@ -439,7 +415,6 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "verb",
         [
-            ["run", "--method", "euler", "--eps", "1e-3"],
             ["doubling", "--method", "euler", "--eps", "1e-3"],
             ["sweep", "--methods", "euler", "--eps-list", "1e-3"],
         ],
@@ -453,6 +428,29 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "--max-doublings" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--method", "euler-cg", "--K", "20", "--delta", "{}"],
+            ["run", "--method", "euler", "--K", "20", "--eps", "{}"],
+            ["run", "--method", "euler", "--K", "20", "--init-tol", "{}"],
+            ["run", "--method", "grid-newton", "--K", "5", "--inner-tol", "{}"],
+            ["doubling", "--method", "euler", "--eps", "{}"],
+            ["sweep", "--methods", "euler", "--eps-list", "1e-3,{}"],
+            ["theory", "--method", "euler", "--eps", "{}"],
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[-2]}",
+    )
+    def test_tolerance_must_be_finite_and_positive(self, capsys, tmp_path, argv, bad):
+        # nan once ran CG to its cap (exit 3) and inf ran a path that never moved (exit 0)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(bad) for a in argv] + ["--out", str(out)] + QUAD)
+        assert exc.value.code == 2
+        assert "must be finite and > 0" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "problem, good, bad",
@@ -504,9 +502,8 @@ class TestVerbFlags:
         "--inner-tol": (None, False),
         "--init": ("newton", False),
         "--init-tol": (None, False),
-        "--K0": (None, False),
-        "--max-doublings": (20, False),
     }
+    DOUBLING = {"--K0": (None, False), "--max-doublings": (20, False)}
     RUN = {
         "--method": (None, True),
         "--eps": (None, False),
@@ -514,10 +511,10 @@ class TestVerbFlags:
         "--path-out": (None, False),
     }
     EXPECTED = {
-        "run": {**PROBLEM, **SOLVER, **RUN, "--K": (None, False), "--diag-out": (None, False)},
-        "doubling": {**PROBLEM, **SOLVER, **RUN},
+        "run": {**PROBLEM, **SOLVER, **RUN, "--K": (None, True), "--diag-out": (None, False)},
+        "doubling": {**PROBLEM, **SOLVER, **DOUBLING, **RUN, "--eps": (None, True)},
         "sweep": {
-            **PROBLEM, **SOLVER,
+            **PROBLEM, **SOLVER, **DOUBLING,
             "--methods": (None, True), "--eps-list": (None, True), "--out": (None, True),
         },
         "theory": {

@@ -49,6 +49,11 @@ class TestGridGeometry:
         with pytest.raises(ValueError):
             quad_config(1)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan")])
+    def test_nonpositive_inner_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="inner_tol must be positive"):
+            quad_config(10, tol=tol)
+
 
 class TestGridSizing:
     def test_formula(self):

@@ -2,11 +2,12 @@
 
 Every name a module imports is used in that module (__init__.py re-exports
 by design and is left out), and every entry of pathode.__all__ resolves and
-appears once.
+appears once, in sorted order, with no module among them.
 """
 
 import ast
 import pathlib
+import types
 
 import pytest
 
@@ -43,5 +44,7 @@ def test_no_unused_imports(path):
 
 def test_all_resolves_and_is_unique():
     names = pathode.__all__
-    assert len(names) == len(set(names))
+    assert names == sorted(set(names))
     assert [n for n in names if not hasattr(pathode, n)] == []
+    assert [n for n in names if isinstance(getattr(pathode, n), types.ModuleType)] == []
+    assert [n for n in names if n.startswith("_")] == []

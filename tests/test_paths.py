@@ -159,14 +159,26 @@ class TestAccuracyMetrics:
         with pytest.raises(ValueError):
             accuracy_dense(scalar_ridge, path, points_per_interval=1)
 
-    def test_chunked_evaluation_matches_unchunked(self, scalar_ridge, monkeypatch):
-        # shrink the evaluation block so a short path spans several chunks
-        cfg = StepperConfig(method="euler", K=20, lambda_min=0.1, lambda_max=1.0)
-        path, _ = run_path(scalar_ridge, np.array([0.5]), cfg)
-        whole = accuracy_midpoint(scalar_ridge, path)
-        monkeypatch.setattr(paths_mod, "DENSE_CHUNK", 7)
-        chunked = accuracy_midpoint(scalar_ridge, path)
-        assert chunked == whole
+    @pytest.mark.parametrize("kind", ["linear", "constant"])
+    def test_blocked_metrics_match_one_block(self, quad30, quad30_start, kind, monkeypatch):
+        # five points per block split both metrics of a 20-interval path into many blocks
+        _, _, problem = quad30
+        K, ppi = 20, 7
+        if kind == "linear":
+            path, _ = run_path(problem, quad30_start, StepperConfig("euler", K, 0.01, 10.0))
+        else:
+            config = GridSearchConfig(K + 1, "newton", 1e-9, 0.01, 10.0)
+            path, _ = solve_grid(problem, quad30_start, config)
+        lams = path.lams
+        points = np.concatenate([lams, 0.5 * (lams[:-1] + lams[1:])])
+        reference = np.max(residuals(problem, path.query_batch(points), points))
+        whole = accuracy_midpoint(problem, path), accuracy_dense(problem, path, ppi)
+        monkeypatch.setattr(paths_mod, "DENSE_BLOCK_BYTES", 5 * 8 * problem.dim)
+        c_mid, c_dense = OracleCounters(), OracleCounters()
+        blocked = accuracy_midpoint(problem, path, c_mid), accuracy_dense(problem, path, ppi, c_dense)
+        assert blocked == pytest.approx(whole, rel=1e-12, abs=0.0)
+        assert (c_mid.metric_evals, c_dense.metric_evals) == (2 * K + 1, ppi * K)
+        assert blocked[0] == pytest.approx(reference, rel=1e-9, abs=0.0)
 
     def test_interpolation_residual_bounded_between_knots(self, quad30, quad30_start):
         # the path metric between knots stays within the same order as at

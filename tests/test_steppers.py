@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pathode import (
     DegenerateProblemError,
@@ -25,7 +27,8 @@ from pathode import (
     run_path,
     stepsize,
 )
-from pathode.steppers import SCHEMES, step_diagnostics, take_step
+from pathode.cli import min_feasible_K
+from pathode.steppers import SCHEMES, STEPSIZE_ROOT_TOL, step_diagnostics, take_step
 from pathode.datasets import generate_synthetic_logistic, generate_synthetic_quadratic
 
 from conftest import fit_loglog_slope, with_dense_solve, with_handle_methods
@@ -394,6 +397,31 @@ class TestRunPath:
             assert path.lams[0] == 10.0
             assert path.lams[-1] == pytest.approx(0.01, rel=1e-9)
 
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        method=st.sampled_from(["euler", "trapezoid", "rk4"]),
+        ratio=st.floats(1e-6, 0.5),
+        lambda_max=st.floats(0.01, 100.0),
+        K_above_min=st.integers(0, 5000),
+    )
+    # h = 1 - 1e-6, whose factor 1 - h keeps only h's last bits; rk4 at its largest K
+    @example(method="euler", ratio=1e-6, lambda_max=1.0, K_above_min=0)
+    @example(method="rk4", ratio=0.5, lambda_max=1.0, K_above_min=5000)
+    def test_schedule_closes_the_range(self, scalar_ridge, method, ratio, lambda_max, K_above_min):
+        lambda_min = ratio * lambda_max
+        K = min(min_feasible_K(method, lambda_min, lambda_max) + K_above_min, 5000)
+        cfg = StepperConfig(method=method, K=K, lambda_min=lambda_min, lambda_max=lambda_max)
+        path, _ = run_path(scalar_ridge, np.array([0.5]), cfg)
+        lams = path.lams
+        assert len(lams) == K + 1 and lams[0] == lambda_max
+        assert np.all(np.diff(lams) < 0.0)
+        # K products, each good to 4 eps beyond the error of the factor itself:
+        # euler's 1 - h loses h's rounding, eps h / (1 - h), and rk4's root
+        # is solved to STEPSIZE_ROOT_TOL in log(decay)
+        eps, h = np.finfo(float).eps, cfg.h
+        factor_err = {"euler": eps * h / (1.0 - h), "trapezoid": 0.0, "rk4": STEPSIZE_ROOT_TOL}
+        assert abs(lams[-1] - lambda_min) <= K * (4.0 * eps + factor_err[method]) * lambda_min
+
     def test_lambda_ratio_constant(self, quad30, quad30_start):
         _, _, problem = quad30
         cfg = StepperConfig(method="trapezoid", K=25, lambda_min=0.01, lambda_max=10.0)
@@ -428,7 +456,7 @@ class TestRunPath:
         assert c.linear_solves == 0 and c.hess_builds == 0
         assert c.hessvec > 0 and c.cg_iters_total > 0
 
-    @pytest.mark.parametrize("delta", [0.0, -1e-6])
+    @pytest.mark.parametrize("delta", [0.0, -1e-6, math.nan])
     def test_nonpositive_delta_rejected(self, delta):
         with pytest.raises(ValueError, match="delta > 0"):
             StepperConfig(method="euler", K=12, lambda_min=0.01, lambda_max=10.0, delta=delta)
@@ -587,6 +615,11 @@ class TestInitializers:
         problem = make_logistic_reweighted(X, y)
         with pytest.raises(ValueError):
             initialize_from_omega(problem, 1.0)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan])
+    def test_newton_rejects_nonpositive_tol(self, quad30, tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            initialize_by_newton(quad30[2], 10.0, tol)
 
     def test_newton_reaches_tight_tolerance(self, quad30):
         _, _, problem = quad30
