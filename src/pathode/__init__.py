@@ -37,7 +37,6 @@ from .gridsearch import (
     GridSearchConfig,
     GridSearchError,
     agd_inner,
-    grid_points,
     solve_grid,
 )
 from .linsolve import (
@@ -72,16 +71,16 @@ from .problems import (
 )
 from .reports import OracleCounters, RunReport
 from .steppers import (
-    CGDirections,
     CGNoConvergenceError,
-    ExactDirections,
     MaxIterationsError,
     PathRunError,
     StepDiagnostics,
     StepperConfig,
     decay_polynomial,
+    direction_oracle,
     initialize_by_newton,
     initialize_from_omega,
+    lambda_schedule,
     run_path,
     stepsize,
 )

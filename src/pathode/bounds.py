@@ -62,6 +62,12 @@ def _finish(method: str, terms: dict[str, float], echo: dict, warns: list[str]) 
 
 
 def _echo(c: TheoryConstants, eps: float, **extra) -> dict:
+    """The report's inputs_echo; rejects eps not finite and > 0 and f_gap not finite and >= 0."""
+    if not (eps > 0.0 and math.isfinite(eps)):
+        raise ValueError(f"eps must be finite and positive, got {eps}")
+    f_gap = extra.get("f_gap", 0.0)
+    if not (f_gap >= 0.0 and math.isfinite(f_gap)):
+        raise ValueError(f"f_gap must be finite and nonnegative, got {f_gap}")
     echo = {"constants": c.as_dict(), "eps": float(eps)}
     echo.update({k: float(v) for k, v in extra.items()})
     return echo
@@ -73,10 +79,7 @@ def k_euler(c: TheoryConstants, eps: float, f_gap: float) -> BoundReport:
     ceil of max{2T, sqrt(LG) tau T / sqrt 3, 4 f_gap tau L T / eps,
     2 sqrt(L) (tau G + 1) T / sqrt(eps)} with T = ln(lambda_max/lambda_min).
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    if f_gap < 0.0:
-        raise ValueError("f_gap must be nonnegative")
+    echo = _echo(c, eps, f_gap=f_gap)
     T = c.T_euler
     terms = {
         "horizon": 2.0 * T,
@@ -84,7 +87,7 @@ def k_euler(c: TheoryConstants, eps: float, f_gap: float) -> BoundReport:
         "objective_gap": 4.0 * f_gap * c.tau * c.L * T / eps,
         "interpolation": 2.0 * math.sqrt(c.L) * (c.tau * c.G + 1.0) * T / math.sqrt(eps),
     }
-    return _finish("euler", terms, _echo(c, eps, f_gap=f_gap), [])
+    return _finish("euler", terms, echo, [])
 
 
 def k_trapezoid(c: TheoryConstants, eps: float) -> BoundReport:
@@ -93,8 +96,7 @@ def k_trapezoid(c: TheoryConstants, eps: float) -> BoundReport:
     ceil of max{10T, 8LT(1+G)/mu_tilde, 6 sqrt(L) (1+G)^{3/2} T / sqrt(eps),
     5 tau^{2/3} L (1+G)^{4/3} T / eps^{1/3}}.
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    echo = _echo(c, eps)
     T = c.T_trap
     onepg = 1.0 + c.G
     terms = {
@@ -103,7 +105,7 @@ def k_trapezoid(c: TheoryConstants, eps: float) -> BoundReport:
         "third_order": 6.0 * math.sqrt(c.L) * onepg**1.5 * T / math.sqrt(eps),
         "fourth_order": 5.0 * c.tau ** (2.0 / 3.0) * c.L * onepg ** (4.0 / 3.0) * T / eps ** (1.0 / 3.0),
     }
-    return _finish("trapezoid", terms, _echo(c, eps), [])
+    return _finish("trapezoid", terms, echo, [])
 
 
 def _approx_warning(c: TheoryConstants, eps: float) -> list[str]:
@@ -125,10 +127,7 @@ def k_euler_approx(c: TheoryConstants, eps: float, f_gap: float) -> BoundReport:
     4 sqrt(L) (tau (G + eps) + 1) T / sqrt(eps)}.  eps > mu_tilde voids the
     guarantee and is reported as a warning, not an error.
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    if f_gap < 0.0:
-        raise ValueError("f_gap must be nonnegative")
+    echo = _echo(c, eps, f_gap=f_gap)
     warns = _approx_warning(c, eps)
     T = c.T_euler
     terms = {
@@ -137,7 +136,7 @@ def k_euler_approx(c: TheoryConstants, eps: float, f_gap: float) -> BoundReport:
         "objective_gap": 8.0 * f_gap * c.tau * c.L * T / eps,
         "interpolation": 4.0 * math.sqrt(c.L) * (c.tau * (c.G + eps) + 1.0) * T / math.sqrt(eps),
     }
-    return _finish("euler-cg", terms, _echo(c, eps, f_gap=f_gap), warns)
+    return _finish("euler-cg", terms, echo, warns)
 
 
 def k_trapezoid_approx(c: TheoryConstants, eps: float) -> BoundReport:
@@ -146,8 +145,7 @@ def k_trapezoid_approx(c: TheoryConstants, eps: float) -> BoundReport:
     ceil of max{10T, 8LT(2+G)/mu_tilde, 6 sqrt(L) (2+G)^{3/2} T / sqrt(eps),
     6 L tau^{2/3} (2+G)^{4/3} T / eps^{1/3}}.
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    echo = _echo(c, eps)
     warns = _approx_warning(c, eps)
     T = c.T_trap
     twopg = 2.0 + c.G
@@ -157,7 +155,7 @@ def k_trapezoid_approx(c: TheoryConstants, eps: float) -> BoundReport:
         "third_order": 6.0 * math.sqrt(c.L) * twopg**1.5 * T / math.sqrt(eps),
         "fourth_order": 6.0 * c.L * c.tau ** (2.0 / 3.0) * twopg ** (4.0 / 3.0) * T / eps ** (1.0 / 3.0),
     }
-    return _finish("trapezoid-cg", terms, _echo(c, eps), warns)
+    return _finish("trapezoid-cg", terms, echo, warns)
 
 
 def k_grid(c: TheoryConstants, eps: float) -> BoundReport:
@@ -165,10 +163,9 @@ def k_grid(c: TheoryConstants, eps: float) -> BoundReport:
 
     Clamped below at 2 so the grid always contains both endpoints.
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    echo = _echo(c, eps)
     raw = math.sqrt(c.tau * c.L) * c.G * c.T_euler / eps
-    report = _finish("grid", {"grid_size": raw}, _echo(c, eps), [])
+    report = _finish("grid", {"grid_size": raw}, echo, [])
     report.K_required = max(report.K_required, 2)
     return report
 

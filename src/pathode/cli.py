@@ -228,7 +228,7 @@ def cmd_doubling(args) -> int:
     payload = {
         "method": args.method,
         "eps": args.eps,
-        "K0": args.K0 or min_feasible_K(args.method, args.lambda_min, args.lambda_max),
+        "K0": reports[0].K,
         "K_final": K,
         "passed": passed,
         "reports": [r.as_dict() for r in reports],

@@ -1,10 +1,11 @@
 """Grid-search baselines: solve F_lambda to fixed accuracy on a geometric grid.
 
-The competing classical scheme: pick K lambdas geometrically spaced over
-[lambda_min, lambda_max], warm-start each subproblem from the previous
-solution, and run an inner solver (exact Newton or accelerated gradient)
-until the gradient norm reaches inner_tol.  The resulting path is piecewise
-constant: each solved point is held across the interval below it.
+The competing classical scheme: take K geometrically spaced lambdas over
+[lambda_min, lambda_max] (the ODE paths' lambda_schedule), warm-start each
+subproblem from the previous solution, and run an inner solver (exact Newton
+or accelerated gradient) until the gradient norm reaches inner_tol.  The
+resulting path is piecewise constant: each solved point is held across the
+interval below it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .linsolve import NotPositiveDefiniteError
 from .paths import PiecewiseConstantPath
 from .problems import DomainError, ProblemOracle
 from .reports import OracleCounters, RunReport, Stopwatch
-from .steppers import MaxIterationsError, newton_solve
+from .steppers import MaxIterationsError, lambda_schedule, newton_solve
 
 INNER_SOLVERS = ("newton", "agd")
 DEFAULT_NEWTON_CAP = 200
@@ -53,14 +54,6 @@ class GridSearchConfig:
             raise ValueError("inner_tol must be positive")
         if not (0.0 < self.lambda_min < self.lambda_max):
             raise ValueError("need 0 < lambda_min < lambda_max")
-
-
-def grid_points(config: GridSearchConfig) -> np.ndarray:
-    """Geometric grid lambda_k = lambda_max * rho^(k/(K-1)), decreasing, K points."""
-    K = config.num_points
-    rho = config.lambda_min / config.lambda_max
-    exponents = np.arange(K) / (K - 1)
-    return config.lambda_max * rho**exponents
 
 
 def agd_inner(
@@ -125,7 +118,7 @@ def solve_grid(
     if problem.lipschitz is None and config.inner_solver == "agd":
         raise ValueError("agd needs a Lipschitz certificate for its step size")
     counters = OracleCounters()
-    lams = grid_points(config)
+    lams = lambda_schedule(config.lambda_min, config.lambda_max, config.num_points - 1)
     X = np.empty((len(lams), problem.dim))
     res = np.empty(len(lams))
     iterations: list[int] = []

@@ -240,8 +240,12 @@ class TheoryConstants:
         lambda_max: float,
         estimated: bool = False,
     ) -> "TheoryConstants":
-        if not (0.0 < lambda_min < lambda_max):
-            raise ValueError(f"need 0 < lambda_min < lambda_max, got [{lambda_min}, {lambda_max}]")
+        if not (0.0 < lambda_min < lambda_max < math.inf):
+            raise ValueError(
+                f"need 0 < lambda_min < lambda_max < inf, got [{lambda_min}, {lambda_max}]"
+            )
+        if not all(map(math.isfinite, (mu, sigma, L, G))):
+            raise ValueError(f"mu, sigma, L and G must be finite, got {mu}, {sigma}, {L}, {G}")
         if mu < 0.0 or sigma < 0.0:
             raise ValueError("mu and sigma must be nonnegative")
         if L <= 0.0 or G < 0.0:

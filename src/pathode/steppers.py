@@ -7,10 +7,10 @@ system
     dx/dt = v(x, lambda) = -(hess f + lambda hess Omega)^{-1} grad f,
     dlambda/dt = -lambda,
 
-which the three Runge-Kutta schemes in SCHEMES discretize with a fixed
-multiplicative lambda-decay per step.  Directions come from a pluggable oracle: exact
-Newton solves, or warm-started CG with a residual tolerance delta, both through the
-problem's per-point Hessian handle (ProblemOracle.hessian).
+which the three Runge-Kutta schemes in SCHEMES discretize on the knots of
+lambda_schedule, shared with grid search.  Directions come from direction_oracle:
+exact Newton solves, or warm-started CG with a residual tolerance delta, both
+through the problem's per-point Hessian handle (ProblemOracle.hessian).
 """
 
 from __future__ import annotations
@@ -55,6 +55,17 @@ class PathRunError(RuntimeError):
 def decay_polynomial(h: float) -> float:
     """Per-step lambda factor of the RK4 scheme, the quartic Taylor of exp(-h)."""
     return 1.0 - h + h * h / 2.0 - h**3 / 6.0 + h**4 / 24.0
+
+
+def lambda_schedule(lambda_min: float, lambda_max: float, intervals: int) -> np.ndarray:
+    """The knots lambda_max rho^(k/intervals), k = 0..intervals, rho = lambda_min/lambda_max.
+
+    Closed form, so ODE and grid paths over the same range and interval
+    count share their knots; the ends are exactly lambda_max and lambda_min.
+    """
+    lams = lambda_max * (lambda_min / lambda_max) ** (np.arange(intervals + 1) / intervals)
+    lams[0], lams[-1] = lambda_max, lambda_min
+    return lams
 
 
 def stepsize(method: str, K: int, lambda_min: float, lambda_max: float) -> float:
@@ -154,54 +165,42 @@ class StepDiagnostics:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name not in vectors}
 
 
-class ExactDirections:
-    """Direction oracle backed by exact Newton solves of the problem's Hessian handle."""
+def direction_oracle(problem: ProblemOracle, counters: OracleCounters, delta: float | None):
+    """direction(x, lam, warm): the DirectionResult of the ODE's vector field at (x, lam).
 
-    def __init__(self, counters: OracleCounters):
-        self.counters = counters
-
-    def direction(self, problem: ProblemOracle, x, lam, warm=None):
-        """Exact direction at (x, lam); warm is accepted for the common interface and ignored."""
-        hess = problem.hessian(x, lam)
-        g = hess.grad_f()
-        self.counters.grad_f += 1
-        result = hess.solve(g)
-        self.counters.hess_builds += 1
-        self.counters.linear_solves += 1
-        return result
-
-
-class CGDirections:
-    """Direction oracle running CG to residual tolerance delta from a warm start.
-
-    The caller passes the warm-start vector; None starts from zero.
+    delta None solves exactly through the problem's Hessian handle, charging
+    a gradient, a Hessian build and a linear solve; warm is ignored.
+    delta > 0 runs CG from warm (zero when None) to residual delta, charging
+    a gradient, each Hessian-vector product and the iterations, and raises
+    CGNoConvergenceError after 20 dim iterations.
     """
+    max_iters = 20 * problem.dim
 
-    def __init__(self, counters: OracleCounters, delta: float, max_iters: int):
-        if delta <= 0.0:
-            raise ValueError("delta must be positive")
-        self.counters = counters
-        self.delta = delta
-        self.max_iters = max_iters
-
-    def direction(self, problem: ProblemOracle, x, lam, warm=None):
+    def direction(x, lam, warm=None):
         hess = problem.hessian(x, lam)
         g = hess.grad_f()
-        self.counters.grad_f += 1
+        counters.grad_f += 1
+        if delta is None:
+            result = hess.solve(g)
+            counters.hess_builds += 1
+            counters.linear_solves += 1
+            return result
 
         def hessvec(v):
-            self.counters.hessvec += 1
+            counters.hessvec += 1
             return hess.matvec(v)
 
         start = warm if warm is not None else np.zeros(problem.dim)
-        result = cg_solve(hessvec, g, start, self.delta, self.max_iters)
-        self.counters.cg_iters_total += result.inner_iterations
+        result = cg_solve(hessvec, g, start, delta, max_iters)
+        counters.cg_iters_total += result.inner_iterations
         if not result.converged:
             raise CGNoConvergenceError(
-                f"CG stopped at {self.max_iters} iterations with residual "
-                f"{result.residual_norm:.3e} > delta = {self.delta:.3e}"
+                f"CG stopped at {max_iters} iterations with residual "
+                f"{result.residual_norm:.3e} > delta = {delta:.3e}"
             )
         return result
+
+    return direction
 
 
 @dataclass(frozen=True)
@@ -210,8 +209,8 @@ class Scheme:
 
     Stage 1 sits at x_k; stage i > 1 sits at x_k + (shifts[i-2] s) d_{i-1},
     where s is the increment length (h unless the domain forced halvings).
-    stage_factors(h) gives each stage's lambda as a multiple of lambda_k and
-    decay(h) the step's.  Stage 1 has weight 1, and the step is
+    stage_factors(h) gives each stage's lambda as a multiple of lambda_k.
+    Stage 1 has weight 1, and the step is
     x_k + (s / divisor) (d_1 + sum_{i>1} weights[i-2] d_i).
     In CG mode stage i > 1 warm-starts from d_{i-1}, and the direction of
     stage `carry` warm-starts stage 1 of the next step.  Each direction is
@@ -220,7 +219,6 @@ class Scheme:
     """
 
     stage_factors: Callable[[float], tuple[float, ...]]
-    decay: Callable[[float], float]
     shifts: tuple[float, ...]
     weights: tuple[float, ...]
     divisor: float
@@ -232,33 +230,30 @@ class Scheme:
 #   trapezoid  x_k + h (d1 + d2)/2, d1 = d(x_k, lambda_k), d2 = d(x_k + h d1, (1-h+h^2) lambda_k)
 #   rk4        x_k + h (d1 + 2 d2 + 2 d3 + d4)/6, stage lambdas exact for dlambda/dt = -lambda
 SCHEMES = {
-    "euler": Scheme(lambda h: (1.0 - h,), lambda h: 1.0 - h, (), (), 1.0, 1),
-    "trapezoid": Scheme(
-        lambda h: (1.0, 1.0 - h + h * h), lambda h: 1.0 - h + 0.5 * h * h,
-        (1.0,), (1.0,), 2.0, 1,
-    ),
+    "euler": Scheme(lambda h: (1.0 - h,), (), (), 1.0, 1),
+    "trapezoid": Scheme(lambda h: (1.0, 1.0 - h + h * h), (1.0,), (1.0,), 2.0, 1),
     "rk4": Scheme(
         lambda h: (
             1.0, 1.0 - 0.5 * h, 1.0 - 0.5 * h + 0.25 * h * h, 1.0 - h + 0.5 * h * h - 0.25 * h**3
         ),
-        decay_polynomial,
         (0.5, 0.5, 1.0), (2.0, 2.0, 1.0), 6.0, 4,
     ),
 }
 
 
-def take_step(scheme, problem, x_k, lambda_k, h, directions, warm=None):
-    """One step of scheme from (x_k, lambda_k); returns (x_next, lambda_next, carry, stages).
+def take_step(scheme, problem, x_k, lambda_k, h, direction, warm=None):
+    """One step of scheme from (x_k, lambda_k); returns (x_next, carry, stages).
 
-    Stage 1 is solved once.  While a later stage point or the new point
-    leaves the domain, the increment is halved and stages 2.. are redone, at
-    most MAX_DOMAIN_BACKOFFS times; lambda_next never changes.  warm seeds
+    direction is a direction_oracle callable.  Stage 1 is solved once.  While
+    a later stage point or the new point leaves the domain, the increment is
+    halved and stages 2.. are redone, at most MAX_DOMAIN_BACKOFFS times; the
+    next knot's lambda comes from the schedule and never changes.  warm seeds
     stage 1 in CG mode, and carry is the direction that seeds the next step.
     stages = (stage lambdas, stage DirectionResults, stage points, backoffs)
     is the raw material of step_diagnostics, built only when recorded.
     """
     lams = [f * lambda_k for f in scheme.stage_factors(h)]
-    first = directions.direction(problem, x_k, lams[0], warm)
+    first = direction(x_k, lams[0], warm)
     s, backoffs = h, 0
     while True:
         results, points = [first], [x_k]
@@ -266,7 +261,7 @@ def take_step(scheme, problem, x_k, lambda_k, h, directions, warm=None):
             x_stage = x_k + (shift * s) * results[-1].direction
             if not problem.domain_check(x_stage):
                 break
-            results.append(directions.direction(problem, x_stage, lam, results[-1].direction))
+            results.append(direction(x_stage, lam, results[-1].direction))
             points.append(x_stage)
         else:
             increment = first.direction
@@ -282,7 +277,7 @@ def take_step(scheme, problem, x_k, lambda_k, h, directions, warm=None):
             )
         s *= 0.5
     stages = (lams, results, points, backoffs)
-    return x_next, scheme.decay(h) * lambda_k, results[scheme.carry - 1].direction, stages
+    return x_next, results[scheme.carry - 1].direction, stages
 
 
 def step_diagnostics(k, lambda_k, residual_r_k, stages):
@@ -321,37 +316,31 @@ def run_path(
     """
     x0 = problem.checked_start(x0, allow_degenerate)
     counters = OracleCounters()
-    if config.delta is None:
-        directions = ExactDirections(counters)
-    else:
-        directions = CGDirections(counters, config.delta, 20 * problem.dim)
+    direction = direction_oracle(problem, counters, config.delta)
     scheme = SCHEMES[config.method]
-    lams = np.empty(config.K + 1)
+    lams = lambda_schedule(config.lambda_min, config.lambda_max, config.K)
     X = np.empty((config.K + 1, problem.dim))
-    steps = []  # (lambda_k, stages) per step, kept only to build diagnostics
+    steps = []  # stages per step, kept only to build diagnostics
 
     def knots_and_diagnostics(n):
         res = residuals(problem, X[:n], lams[:n], counters)
-        diags = [step_diagnostics(k, lam_k, res[k], st) for k, (lam_k, st) in enumerate(steps)]
+        diags = [step_diagnostics(k, float(lams[k]), res[k], st) for k, st in enumerate(steps)]
         return res, diags
 
     with Stopwatch() as sw:
-        x, lam, warm = x0, config.lambda_max, None
-        lams[0], X[0] = lam, x
-        for k in range(config.K):
+        x, warm = x0, None
+        X[0] = x
+        for k, lam in enumerate(lams[:-1].tolist()):
             try:
-                x, lam_next, warm, stages = take_step(
-                    scheme, problem, x, lam, config.h, directions, warm
-                )
+                x, warm, stages = take_step(scheme, problem, x, lam, config.h, direction, warm)
             except (DomainError, NotPositiveDefiniteError, CGNoConvergenceError) as exc:
                 res, diags = knots_and_diagnostics(k + 1)
                 raise PathRunError(
                     f"step {k} failed: {exc}", lams[: k + 1], X[: k + 1], res, diags, k
                 ) from exc
             if config.record_diagnostics:
-                steps.append((lam, stages))
-            lam = lam_next
-            lams[k + 1], X[k + 1] = lam, x
+                steps.append(stages)
+            X[k + 1] = x
         res, diags = knots_and_diagnostics(config.K + 1)
     report = RunReport(
         method=config.method_label,

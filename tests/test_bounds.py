@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from pathode import (
+    K_BOUNDS,
     TheoryConstants,
     estimate_constants,
     estimate_f_gap,
@@ -38,6 +39,31 @@ def unit_trap():
     return TheoryConstants.derive(
         mu=1.0, sigma=1.0, L=1.0, G=1.0, lambda_min=1.0, lambda_max=math.exp(1.0 / 1.1)
     )
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["mu", "sigma", "L", "G", "lambda_max"])
+    def test_derive_rejects_nonfinite_constants(self, name, bad):
+        # a NaN constant lost every comparison in the bounds' max, and an
+        # infinite one overflowed math.ceil
+        kwargs = dict(mu=1.0, sigma=1.0, L=1.0, G=1.0, lambda_min=0.1, lambda_max=1.0)
+        kwargs[name] = bad
+        with pytest.raises(ValueError, match="must be finite|lambda_max < inf"):
+            TheoryConstants.derive(**kwargs)
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("method", list(K_BOUNDS))
+    def test_every_calculator_rejects_bad_eps(self, method, eps):
+        with pytest.raises(ValueError, match="eps must be finite and positive"):
+            K_BOUNDS[method](tau_one_euler(), eps, 0.0)
+
+    @pytest.mark.parametrize("f_gap", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("calculator", [k_euler, k_euler_approx])
+    def test_gap_calculators_reject_bad_f_gap(self, calculator, f_gap):
+        # k_euler(c, nan, 0.0) once returned 29, and a NaN gap dropped its term
+        with pytest.raises(ValueError, match="f_gap must be finite and nonnegative"):
+            calculator(tau_one_euler(), 1e-3, f_gap)
 
 
 class TestKEuler:

@@ -208,6 +208,14 @@ class TestDoublingVerb:
         assert d["K_final"] == d["K0"] * ratio
         assert ratio & (ratio - 1) == 0  # power of two
 
+    def test_K0_is_the_first_attempted_K(self, capsys):
+        # trapezoid on [0.01, 10] has no schedule below K = 10, so K0 = 3 starts there
+        argv = ["doubling", "--method", "trapezoid", "--eps", "1e-3", "--K0", "3"] + QUAD
+        rc, out, _ = call(capsys, argv)
+        assert rc == 0
+        d = json.loads(out)
+        assert d["K0"] == d["reports"][0]["K"] == 10
+
     def test_cap_exhaustion_exits_3(self, capsys):
         argv = [
             "doubling", "--method", "euler", "--eps", "1e-10",
@@ -286,6 +294,17 @@ class TestTheoryVerb:
         rc, _, err = call(capsys, ["theory", "--method", "rk4", "--eps", "1"] + self.UNIT)
         assert rc == 2
         assert "no closed-form bound" in err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--mu", "--sigma", "--L", "--G", "--f-gap"])
+    def test_nonfinite_constant_exits_2(self, capsys, tmp_path, flag, bad):
+        # --L nan once gave K_required 14 and --G inf an OverflowError traceback
+        out = tmp_path / "out"
+        argv = ["theory", "--method", "euler", "--eps", "1e-3", "--out", str(out)]
+        rc, _, err = call(capsys, argv + self.UNIT + [flag, bad])
+        assert rc == 2
+        assert "must be finite" in err
+        assert not out.exists()
 
 
 class TestSweepVerb:

@@ -12,8 +12,8 @@ from pathode import (
     PiecewiseConstantPath,
     TheoryConstants,
     agd_inner,
-    grid_points,
     k_grid,
+    lambda_schedule,
     make_logistic_reweighted,
     make_quadratic_ridge,
     quadratic_theory_constants,
@@ -28,22 +28,28 @@ def quad_config(K, tol=1e-8, solver="newton"):
     )
 
 
+def grid_lams(config):
+    """The lambdas of solve_grid's path on a scalar ridge."""
+    problem = make_quadratic_ridge(np.array([[1.0]]), np.array([1.0]))
+    return solve_grid(problem, np.array([0.5]), config)[0].lams
+
+
 class TestGridGeometry:
     def test_two_points_are_the_endpoints(self):
-        lams = grid_points(quad_config(2))
-        assert lams == pytest.approx([10.0, 0.01], rel=1e-15)
+        assert grid_lams(quad_config(2)).tolist() == [10.0, 0.01]
 
     def test_three_point_example(self):
         cfg = GridSearchConfig(
             num_points=3, inner_solver="newton", inner_tol=1e-8,
             lambda_min=0.01, lambda_max=1.0,
         )
-        assert grid_points(cfg) == pytest.approx([1.0, 0.1, 0.01], rel=1e-12)
+        assert grid_lams(cfg) == pytest.approx([1.0, 0.1, 0.01], rel=1e-12)
 
     def test_constant_ratio(self):
-        lams = grid_points(quad_config(40))
+        lams = grid_lams(quad_config(40))
         ratios = lams[1:] / lams[:-1]
         assert np.allclose(ratios, ratios[0], rtol=1e-12)
+        assert lams[0] == 10.0 and lams[-1] == 0.01
 
     def test_single_point_rejected(self):
         with pytest.raises(ValueError):
@@ -91,7 +97,7 @@ class TestNewtonInner:
         from pathode.steppers import newton_solve
         from pathode import OracleCounters
 
-        for lam in grid_points(quad_config(10, tol=1e-10)):
+        for lam in lambda_schedule(0.01, 10.0, 9):
             _, iters, _ = newton_solve(
                 problem, float(lam), np.zeros(20), 1e-10, 50, OracleCounters()
             )

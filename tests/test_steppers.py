@@ -8,42 +8,41 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pathode import (
+    CGNoConvergenceError,
     DegenerateProblemError,
     DomainError,
-    ExactDirections,
+    GridSearchConfig,
     accuracy_midpoint,
     OracleCounters,
     StepperConfig,
     build_moment_problem,
     decay_polynomial,
+    direction_oracle,
     generate_synthetic_moment_data,
     initialize_by_newton,
     initialize_from_omega,
+    lambda_schedule,
     make_logistic_reweighted,
     make_logistic_ridge,
     make_moment_matching,
     make_quadratic_ridge,
     quadratic_path_point,
     run_path,
+    solve_grid,
     stepsize,
 )
 from pathode.cli import min_feasible_K
-from pathode.steppers import SCHEMES, STEPSIZE_ROOT_TOL, step_diagnostics, take_step
+from pathode.steppers import METHODS, SCHEMES, step_diagnostics, take_step
 from pathode.datasets import generate_synthetic_logistic, generate_synthetic_quadratic
 
 from conftest import fit_loglog_slope, with_dense_solve, with_handle_methods
 
 
-def exact_directions():
-    return ExactDirections(OracleCounters())
-
-
 def one_step(method, problem, x_k, lambda_k, h):
-    """take_step of SCHEMES[method] with exact directions: (x_next, lambda_next, diagnostics)."""
-    x_next, lambda_next, _, stages = take_step(
-        SCHEMES[method], problem, x_k, lambda_k, h, exact_directions()
-    )
-    return x_next, lambda_next, step_diagnostics(0, lambda_k, math.nan, stages)
+    """take_step of SCHEMES[method] with exact directions: (x_next, diagnostics)."""
+    exact = direction_oracle(problem, OracleCounters(), None)
+    x_next, _, stages = take_step(SCHEMES[method], problem, x_k, lambda_k, h, exact)
+    return x_next, step_diagnostics(0, lambda_k, math.nan, stages)
 
 
 def direction(problem, x, lam):
@@ -102,6 +101,16 @@ class TestStepsize:
         assert decay_polynomial(0.0) == 1.0
         assert decay_polynomial(1.0) == pytest.approx(1.0 - 1.0 + 0.5 - 1 / 6 + 1 / 24, rel=1e-15)
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_step_factor_is_the_knot_ratio(self, method):
+        # K steps of the scheme's lambda factor at h = stepsize(...) contract
+        # lambda_max to lambda_min, so it is the ratio of consecutive schedule knots
+        K = 400
+        h = stepsize(method, K, 0.01, 10.0)
+        factor = {"euler": 1.0 - h, "trapezoid": 1.0 - h + 0.5 * h * h, "rk4": decay_polynomial(h)}
+        lams = lambda_schedule(0.01, 10.0, K)
+        assert np.allclose(lams[1:] / lams[:-1], factor[method], rtol=1e-13, atol=0.0)
+
 
 # ------------------------------------------------------------- vector field
 
@@ -128,8 +137,7 @@ class TestEulerStep:
     def test_scalar_closed_form(self, scalar_ridge):
         # from the exact point x(1) = 1/2 with h = 0.1:
         # lambda_next = 0.9, d = (1/2)/1.9, x1 = 1/2 + 0.05/1.9 = 1/1.9
-        x1, lam1, diag = one_step("euler", scalar_ridge, np.array([0.5]), 1.0, 0.1)
-        assert lam1 == pytest.approx(0.9, rel=1e-15)
+        x1, diag = one_step("euler", scalar_ridge, np.array([0.5]), 1.0, 0.1)
         assert abs(x1[0] - 1.0 / 1.9) == 0.0
         assert diag.stage_lambdas == [pytest.approx(0.9)]
 
@@ -137,13 +145,13 @@ class TestEulerStep:
         A, b, problem = quad30
         h = 0.05
         lam_next = 0.95 * 10.0
-        x1, _, _ = one_step("euler", problem, quad30_start, 10.0, h)
+        x1, _ = one_step("euler", problem, quad30_start, 10.0, h)
         g = problem.f_grad(quad30_start)
         d = np.linalg.solve(A.T @ A + lam_next * np.eye(20), -g)
         assert np.allclose(x1, quad30_start + h * d, rtol=1e-12, atol=1e-14)
 
     def test_fixed_point_at_zero_gradient(self, pure_scalar):
-        x1, _, _ = one_step("euler", pure_scalar, np.zeros(1), 1.0, 0.2)
+        x1, _ = one_step("euler", pure_scalar, np.zeros(1), 1.0, 0.2)
         assert np.array_equal(x1, np.zeros(1))
 
 
@@ -151,9 +159,8 @@ class TestTrapezoidStep:
     def test_scalar_closed_form(self, pure_scalar):
         # x0=1, lambda=1, h=1/2: d1 = -1/2; stage lambda (1-h+h^2) = 3/4,
         # stage point 3/4, d2 = -(3/4)/(7/4) = -3/7; x1 = 1 - (1/4)(13/14) = 43/56
-        x1, lam1, diag = one_step("trapezoid", pure_scalar, np.array([1.0]), 1.0, 0.5)
+        x1, diag = one_step("trapezoid", pure_scalar, np.array([1.0]), 1.0, 0.5)
         assert x1[0] == pytest.approx(43.0 / 56.0, rel=1e-14)
-        assert lam1 == pytest.approx(0.625, rel=1e-15)
         assert diag.stage_lambdas == [pytest.approx(1.0), pytest.approx(0.75)]
         assert diag.direction_vectors[0] == pytest.approx([-0.5], rel=1e-15)
         assert diag.direction_vectors[1] == pytest.approx([-3.0 / 7.0], rel=1e-14)
@@ -161,7 +168,7 @@ class TestTrapezoidStep:
 
     def test_first_stage_uses_old_lambda(self, quad30, quad30_start):
         A, b, problem = quad30
-        _, _, diag = one_step("trapezoid", problem, quad30_start, 10.0, 0.05)
+        _, diag = one_step("trapezoid", problem, quad30_start, 10.0, 0.05)
         g = problem.f_grad(quad30_start)
         d1 = np.linalg.solve(A.T @ A + 10.0 * np.eye(20), -g)
         assert np.allclose(diag.direction_vectors[0], d1, rtol=1e-12, atol=1e-14)
@@ -170,52 +177,51 @@ class TestTrapezoidStep:
 class TestRk4Step:
     def test_stage_lambda_polynomials(self, scalar_ridge):
         h = 0.3
-        _, lam1, diag = one_step("rk4", scalar_ridge, np.array([0.5]), 1.0, h)
+        _, diag = one_step("rk4", scalar_ridge, np.array([0.5]), 1.0, h)
         expect = [1.0, 1 - h / 2, 1 - h / 2 + h * h / 4, 1 - h + h * h / 2 - h**3 / 4]
         assert diag.stage_lambdas == pytest.approx(expect, rel=1e-15)
-        assert lam1 == pytest.approx(decay_polynomial(h), rel=1e-15)
 
     def test_local_order_via_richardson(self, scalar_ridge):
         # one step from the exact path point: local error is O(h^5), so
-        # halving h should shrink it by about 2^5 = 32
+        # halving h should shrink it by about 2^5 = 32; the step ends at
+        # lambda = decay_polynomial(h), where the path is 1/(1 + lambda)
         errs = {}
         for h in (0.2, 0.1):
-            x1, lam1, _ = one_step("rk4", scalar_ridge, np.array([0.5]), 1.0, h)
-            errs[h] = abs(x1[0] - 1.0 / (1.0 + lam1))
+            x1, _ = one_step("rk4", scalar_ridge, np.array([0.5]), 1.0, h)
+            errs[h] = abs(x1[0] - 1.0 / (1.0 + decay_polynomial(h)))
         ratio = errs[0.2] / errs[0.1]
         assert 25.0 < ratio < 45.0
 
     def test_fixed_point_at_zero_gradient(self, pure_scalar):
-        x1, _, _ = one_step("rk4", pure_scalar, np.zeros(1), 1.0, 0.2)
+        x1, _ = one_step("rk4", pure_scalar, np.zeros(1), 1.0, 0.2)
         assert np.array_equal(x1, np.zeros(1))
 
 
-# per-step lambda factor of each scheme at h = 1/2
-STEP_DECAYS = {"euler": 0.5, "trapezoid": 0.625, "rk4": decay_polynomial(0.5)}
-
-
 class TestDomainBackoff:
-    @pytest.mark.parametrize("method", list(STEP_DECAYS))
+    @pytest.mark.parametrize("method", METHODS)
     def test_backoff_halves_increment_until_feasible(self, method):
         # pull toward y = 1.2, outside the simplex; the full step exits,
         # halving the increment lands back inside
         A, b = np.array([[0.5]]), np.array([0.6])
         problem = make_moment_matching(A, b)
-        x1, _, diag = one_step(method, problem, np.array([0.9]), 1e-6, 0.5)
+        x1, diag = one_step(method, problem, np.array([0.9]), 1e-6, 0.5)
         assert diag.domain_backoffs >= 1
         assert problem.domain_check(x1)
         if method == "euler":
             assert diag.domain_backoffs == 1  # one halving suffices
             assert 0.97 < x1[0] < 0.98
 
-    @pytest.mark.parametrize("method", list(STEP_DECAYS))
+    @pytest.mark.parametrize("method", METHODS)
     def test_lambda_schedule_unchanged_by_backoff(self, method):
-        A, b = np.array([[0.5]]), np.array([0.6])
-        problem = make_moment_matching(A, b)
-        decay = STEP_DECAYS[method]
-        _, lam1, diag = one_step(method, problem, np.array([0.9]), 1e-6, 0.5)
+        # halving the increment moves neither the stage lambdas nor the knots
+        problem = make_moment_matching(np.array([[0.5]]), np.array([0.6]))
+        _, diag = one_step(method, problem, np.array([0.9]), 1e-6, 0.5)
         assert diag.domain_backoffs >= 1
-        assert lam1 == pytest.approx(decay * 1e-6, rel=1e-15)  # the scheme's decay regardless
+        assert diag.stage_lambdas == [f * 1e-6 for f in SCHEMES[method].stage_factors(0.5)]
+        cfg = StepperConfig(method, 16, 1e-6, 1e-3, record_diagnostics=True)
+        path, rep = run_path(problem, np.array([0.9]), cfg)
+        assert sum(d.domain_backoffs for d in rep.step_diagnostics) > 0
+        assert np.array_equal(path.lams, lambda_schedule(1e-6, 1e-3, 16))
 
     def test_unrecoverable_step_raises(self):
         A, b = np.array([[0.5]]), np.array([60.0])
@@ -395,7 +401,7 @@ class TestRunPath:
             cfg = StepperConfig(method=method, K=K, lambda_min=0.01, lambda_max=10.0)
             path, _ = run_path(problem, quad30_start, cfg)
             assert path.lams[0] == 10.0
-            assert path.lams[-1] == pytest.approx(0.01, rel=1e-9)
+            assert path.lams[-1] == 0.01
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(
@@ -413,14 +419,29 @@ class TestRunPath:
         cfg = StepperConfig(method=method, K=K, lambda_min=lambda_min, lambda_max=lambda_max)
         path, _ = run_path(scalar_ridge, np.array([0.5]), cfg)
         lams = path.lams
-        assert len(lams) == K + 1 and lams[0] == lambda_max
+        assert len(lams) == K + 1
+        assert lams[0] == lambda_max and lams[-1] == lambda_min
         assert np.all(np.diff(lams) < 0.0)
-        # K products, each good to 4 eps beyond the error of the factor itself:
-        # euler's 1 - h loses h's rounding, eps h / (1 - h), and rk4's root
-        # is solved to STEPSIZE_ROOT_TOL in log(decay)
-        eps, h = np.finfo(float).eps, cfg.h
-        factor_err = {"euler": eps * h / (1.0 - h), "trapezoid": 0.0, "rk4": STEPSIZE_ROOT_TOL}
-        assert abs(lams[-1] - lambda_min) <= K * (4.0 * eps + factor_err[method]) * lambda_min
+        assert np.array_equal(path.query(lambda_min), path.X[-1])
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        method=st.sampled_from(["euler", "trapezoid", "rk4"]),
+        ratio=st.floats(1e-6, 0.5),
+        lambda_max=st.floats(0.01, 100.0),
+        K_above_min=st.integers(0, 2000),
+    )
+    @example(method="euler", ratio=1e-6, lambda_max=1.0, K_above_min=0)
+    def test_ode_and_grid_paths_share_knots(
+        self, scalar_ridge, method, ratio, lambda_max, K_above_min
+    ):
+        lambda_min = ratio * lambda_max
+        K = min_feasible_K(method, lambda_min, lambda_max) + K_above_min
+        x0 = np.array([0.5])
+        ode, _ = run_path(scalar_ridge, x0, StepperConfig(method, K, lambda_min, lambda_max))
+        grid_cfg = GridSearchConfig(K + 1, "newton", 1e-8, lambda_min, lambda_max)
+        grid, _ = solve_grid(scalar_ridge, x0, grid_cfg)
+        assert np.array_equal(ode.lams, grid.lams)
 
     def test_lambda_ratio_constant(self, quad30, quad30_start):
         _, _, problem = quad30
@@ -455,6 +476,15 @@ class TestRunPath:
         assert rep.method == "euler-cg"
         assert c.linear_solves == 0 and c.hess_builds == 0
         assert c.hessvec > 0 and c.cg_iters_total > 0
+
+    def test_cg_cap_is_twenty_times_dim(self, quad30, quad30_start):
+        # an unreachable delta runs CG to its cap of 20 dim iterations, then raises
+        _, _, problem = quad30
+        counters = OracleCounters()
+        direction = direction_oracle(problem, counters, 1e-300)
+        with pytest.raises(CGNoConvergenceError, match="CG stopped at 400 iterations"):
+            direction(quad30_start, 1.0)
+        assert counters.cg_iters_total == 20 * problem.dim
 
     @pytest.mark.parametrize("delta", [0.0, -1e-6, math.nan])
     def test_nonpositive_delta_rejected(self, delta):
