@@ -35,7 +35,6 @@ from .datasets import (
 )
 from .gridsearch import (
     GridSearchConfig,
-    GridSearchError,
     agd_inner,
     solve_grid,
 )
@@ -61,6 +60,7 @@ from .problems import (
     ProblemOracle,
     TheoryConstants,
     build_moment_problem,
+    check_lambda_range,
     generate_synthetic_moment_data,
     make_logistic_reweighted,
     make_logistic_ridge,

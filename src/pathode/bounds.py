@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -35,14 +35,7 @@ class BoundReport:
     warnings: list[str] = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "K_required": int(self.K_required),
-            "binding_term": self.binding_term,
-            "terms": {k: float(v) for k, v in self.terms.items()},
-            "inputs_echo": self.inputs_echo,
-            "warnings": list(self.warnings),
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n"
@@ -61,25 +54,22 @@ def _finish(method: str, terms: dict[str, float], echo: dict, warns: list[str]) 
     )
 
 
-def _echo(c: TheoryConstants, eps: float, **extra) -> dict:
+def _echo(c: TheoryConstants, eps: float, f_gap: float) -> dict:
     """The report's inputs_echo; rejects eps not finite and > 0 and f_gap not finite and >= 0."""
     if not (eps > 0.0 and math.isfinite(eps)):
         raise ValueError(f"eps must be finite and positive, got {eps}")
-    f_gap = extra.get("f_gap", 0.0)
     if not (f_gap >= 0.0 and math.isfinite(f_gap)):
         raise ValueError(f"f_gap must be finite and nonnegative, got {f_gap}")
-    echo = {"constants": c.as_dict(), "eps": float(eps)}
-    echo.update({k: float(v) for k, v in extra.items()})
-    return echo
+    return {"constants": c.as_dict(), "eps": float(eps), "f_gap": float(f_gap)}
 
 
-def k_euler(c: TheoryConstants, eps: float, f_gap: float) -> BoundReport:
+def k_euler(c: TheoryConstants, eps: float, f_gap: float = 0.0) -> BoundReport:
     """Step count guaranteeing an eps-accurate path for exact semi-implicit Euler.
 
     ceil of max{2T, sqrt(LG) tau T / sqrt 3, 4 f_gap tau L T / eps,
     2 sqrt(L) (tau G + 1) T / sqrt(eps)} with T = ln(lambda_max/lambda_min).
     """
-    echo = _echo(c, eps, f_gap=f_gap)
+    echo = _echo(c, eps, f_gap)
     T = c.T_euler
     terms = {
         "horizon": 2.0 * T,
@@ -90,13 +80,13 @@ def k_euler(c: TheoryConstants, eps: float, f_gap: float) -> BoundReport:
     return _finish("euler", terms, echo, [])
 
 
-def k_trapezoid(c: TheoryConstants, eps: float) -> BoundReport:
+def k_trapezoid(c: TheoryConstants, eps: float, f_gap: float = 0.0) -> BoundReport:
     """Step count for the exact trapezoid scheme, with the inflated horizon T_trap.
 
     ceil of max{10T, 8LT(1+G)/mu_tilde, 6 sqrt(L) (1+G)^{3/2} T / sqrt(eps),
-    5 tau^{2/3} L (1+G)^{4/3} T / eps^{1/3}}.
+    5 tau^{2/3} L (1+G)^{4/3} T / eps^{1/3}}; f_gap is checked and echoed, not used.
     """
-    echo = _echo(c, eps)
+    echo = _echo(c, eps, f_gap)
     T = c.T_trap
     onepg = 1.0 + c.G
     terms = {
@@ -120,14 +110,14 @@ def _approx_warning(c: TheoryConstants, eps: float) -> list[str]:
     return []
 
 
-def k_euler_approx(c: TheoryConstants, eps: float, f_gap: float) -> BoundReport:
+def k_euler_approx(c: TheoryConstants, eps: float, f_gap: float = 0.0) -> BoundReport:
     """Euler step count under delta-approximate directions (delta = eps/4).
 
     ceil of max{2T, sqrt(LG) tau T / sqrt 3, 8 f_gap tau L T / eps,
     4 sqrt(L) (tau (G + eps) + 1) T / sqrt(eps)}.  eps > mu_tilde voids the
     guarantee and is reported as a warning, not an error.
     """
-    echo = _echo(c, eps, f_gap=f_gap)
+    echo = _echo(c, eps, f_gap)
     warns = _approx_warning(c, eps)
     T = c.T_euler
     terms = {
@@ -139,13 +129,13 @@ def k_euler_approx(c: TheoryConstants, eps: float, f_gap: float) -> BoundReport:
     return _finish("euler-cg", terms, echo, warns)
 
 
-def k_trapezoid_approx(c: TheoryConstants, eps: float) -> BoundReport:
+def k_trapezoid_approx(c: TheoryConstants, eps: float, f_gap: float = 0.0) -> BoundReport:
     """Trapezoid step count under delta-approximate directions.
 
     ceil of max{10T, 8LT(2+G)/mu_tilde, 6 sqrt(L) (2+G)^{3/2} T / sqrt(eps),
-    6 L tau^{2/3} (2+G)^{4/3} T / eps^{1/3}}.
+    6 L tau^{2/3} (2+G)^{4/3} T / eps^{1/3}}; f_gap is checked and echoed, not used.
     """
-    echo = _echo(c, eps)
+    echo = _echo(c, eps, f_gap)
     warns = _approx_warning(c, eps)
     T = c.T_trap
     twopg = 2.0 + c.G
@@ -158,12 +148,13 @@ def k_trapezoid_approx(c: TheoryConstants, eps: float) -> BoundReport:
     return _finish("trapezoid-cg", terms, echo, warns)
 
 
-def k_grid(c: TheoryConstants, eps: float) -> BoundReport:
+def k_grid(c: TheoryConstants, eps: float, f_gap: float = 0.0) -> BoundReport:
     """Grid size sqrt(tau L) G T / eps matching an eps gradient-norm target.
 
-    Clamped below at 2 so the grid always contains both endpoints.
+    Clamped below at 2 so the grid always contains both endpoints; f_gap is
+    checked and echoed, not used.
     """
-    echo = _echo(c, eps)
+    echo = _echo(c, eps, f_gap)
     raw = math.sqrt(c.tau * c.L) * c.G * c.T_euler / eps
     report = _finish("grid", {"grid_size": raw}, echo, [])
     report.K_required = max(report.K_required, 2)
@@ -173,10 +164,10 @@ def k_grid(c: TheoryConstants, eps: float) -> BoundReport:
 # method -> (constants, eps, f_gap) -> BoundReport, for every method with a closed-form bound
 K_BOUNDS = {
     "euler": k_euler,
-    "trapezoid": lambda c, eps, f_gap: k_trapezoid(c, eps),
+    "trapezoid": k_trapezoid,
     "euler-cg": k_euler_approx,
-    "trapezoid-cg": lambda c, eps, f_gap: k_trapezoid_approx(c, eps),
-    "grid": lambda c, eps, f_gap: k_grid(c, eps),
+    "trapezoid-cg": k_trapezoid_approx,
+    "grid": k_grid,
 }
 
 

@@ -56,8 +56,6 @@ def _parse_synthetic(spec: str, keys: tuple[str, ...]) -> dict[str, int]:
 def build_problem(args) -> tuple[problems.ProblemOracle, dict]:
     """Construct the problem oracle named by --problem from --data or --synthetic."""
     name = args.problem
-    if name not in PROBLEMS:
-        raise CliArgumentError(f"unknown problem {name!r}; expected one of {PROBLEMS}")
     if name == "quadratic" and args.data:
         raise CliArgumentError(
             "quadratic instances are synthetic-only (the CSV contract is for "
@@ -128,6 +126,7 @@ def _inner_tol(args, eps: float | None) -> float:
 
 def min_feasible_K(method: str, lambda_min: float, lambda_max: float) -> int:
     """Smallest K the method's schedule admits for this lambda range."""
+    problems.check_lambda_range(lambda_min, lambda_max)
     if method.startswith("grid"):
         return 2
     K = 1
@@ -136,8 +135,6 @@ def min_feasible_K(method: str, lambda_min: float, lambda_max: float) -> int:
             steppers.stepsize(method.removesuffix("-cg"), K, lambda_min, lambda_max)
             return K
         except ValueError:
-            if not 0.0 < lambda_min < lambda_max < math.inf:  # no K helps
-                raise
             K += 1
 
 
@@ -154,7 +151,7 @@ def run_one(problem, meta, method, K, args, eps: float | None, x0) -> tuple:
         path, report = gridsearch.solve_grid(
             problem, x0, config, allow_degenerate=args.allow_degenerate
         )
-    elif method in ODE_METHODS:
+    else:
         config = steppers.StepperConfig(
             method=method.removesuffix("-cg"),
             K=K,
@@ -166,8 +163,6 @@ def run_one(problem, meta, method, K, args, eps: float | None, x0) -> tuple:
         path, report = steppers.run_path(
             problem, x0, config, allow_degenerate=args.allow_degenerate
         )
-    else:
-        raise CliArgumentError(f"unknown method {method!r}; expected one of {ALL_METHODS}")
     report.accuracy_midpoint = paths.accuracy_midpoint(problem, path, report.counters)
     report.eps_target = eps
     report.seed = meta.get("seed")
@@ -276,10 +271,6 @@ def _constants_from_args(args) -> tuple[problems.TheoryConstants, float]:
 
 def cmd_theory(args) -> int:
     constants, f_gap = _constants_from_args(args)
-    if args.method not in bounds.K_BOUNDS:
-        raise CliArgumentError(
-            f"no closed-form bound for {args.method!r}; choose one of {tuple(bounds.K_BOUNDS)}"
-        )
     report = bounds.K_BOUNDS[args.method](constants, args.eps, f_gap)
     _write_or_print(report.to_json(), args.out, "bound report")
     return 0
@@ -348,7 +339,7 @@ def cmd_gen_logistic(args) -> int:
 
 
 def _add_problem_flags(sub):
-    sub.add_argument("--problem", default="quadratic", help=f"one of {PROBLEMS}")
+    sub.add_argument("--problem", default="quadratic", choices=PROBLEMS)
     sub.add_argument("--data", default=None, help="CSV dataset or moment JSON path")
     sub.add_argument("--synthetic", default=None, help="e.g. n=200,p=30,seed=1")
     sub.add_argument("--seed", type=int, default=0)
@@ -395,7 +386,7 @@ def _add_doubling_flags(sub):
 
 def _add_run_flags(sub, eps_required: bool):
     """Flags of the single-method verbs (run, doubling), solver flags included."""
-    sub.add_argument("--method", required=True, help=f"one of {ALL_METHODS}")
+    sub.add_argument("--method", required=True, choices=ALL_METHODS)
     sub.add_argument("--eps", type=_positive_float, default=None, required=eps_required)
     _add_solver_flags(sub)
     sub.add_argument("--out", default=None)
@@ -424,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     theory = subs.add_parser("theory", help="evaluate iteration bounds")
     _add_problem_flags(theory)
-    theory.add_argument("--method", required=True, help=f"one of {tuple(bounds.K_BOUNDS)}")
+    theory.add_argument("--method", required=True, choices=tuple(bounds.K_BOUNDS))
     theory.add_argument("--eps", type=_positive_float, required=True)
     theory.add_argument("--mu", type=float, default=None)
     theory.add_argument("--sigma", type=float, default=None)
@@ -471,10 +462,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if "lambda_min" in vars(args):  # every verb that takes a path range
+            problems.check_lambda_range(args.lambda_min, args.lambda_max)
         return args.func(args)
     except (  # ahead of ValueError, which NotPositiveDefiniteError subclasses
         steppers.PathRunError,
-        gridsearch.GridSearchError,
         steppers.MaxIterationsError,
         steppers.CGNoConvergenceError,
         NotPositiveDefiniteError,

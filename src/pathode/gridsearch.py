@@ -11,28 +11,20 @@ interval below it.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linsolve import NotPositiveDefiniteError
 from .paths import PiecewiseConstantPath
-from .problems import DomainError, ProblemOracle
-from .reports import OracleCounters, RunReport, Stopwatch
-from .steppers import MaxIterationsError, lambda_schedule, newton_solve
+from .problems import DomainError, ProblemOracle, check_lambda_range
+from .reports import OracleCounters, RunReport
+from .steppers import MaxIterationsError, PathRunError, lambda_schedule, newton_solve
 
 INNER_SOLVERS = ("newton", "agd")
 DEFAULT_NEWTON_CAP = 200
 DEFAULT_AGD_CAP = 2_000_000
-
-
-class GridSearchError(RuntimeError):
-    """An inner solve failed; carries the grid points finished so far (lams, X, residuals)."""
-
-    def __init__(self, message: str, lams, X, residuals, point_index: int):
-        super().__init__(message)
-        self.lams, self.X, self.residuals = lams, X, residuals
-        self.point_index = point_index
 
 
 @dataclass
@@ -52,8 +44,7 @@ class GridSearchConfig:
             raise ValueError(f"inner_solver must be one of {INNER_SOLVERS}")
         if not self.inner_tol > 0.0:
             raise ValueError("inner_tol must be positive")
-        if not (0.0 < self.lambda_min < self.lambda_max):
-            raise ValueError("need 0 < lambda_min < lambda_max")
+        check_lambda_range(self.lambda_min, self.lambda_max)
 
 
 def agd_inner(
@@ -63,21 +54,21 @@ def agd_inner(
     tol: float,
     mu_eff: float,
     L_eff: float,
-    counters: OracleCounters | None = None,
+    counters: OracleCounters,
     cap: int = DEFAULT_AGD_CAP,
 ):
     """Constant-momentum accelerated gradient descent on F_lambda.
 
     Momentum (sqrt(kappa) - 1)/(sqrt(kappa) + 1) with kappa = L_eff/mu_eff,
     step 1/L_eff; stops when the gradient norm at the extrapolated point
-    reaches tol and returns (point, iterations, gradient norm).  One gradient
-    pair per iteration.  Raises MaxIterationsError after cap iterations.
+    reaches tol and returns (point, iterations, gradient norm).  Each
+    iteration charges one gradient pair to counters.  Raises
+    MaxIterationsError after cap iterations.
     """
     if mu_eff <= 0.0 or L_eff < mu_eff:
         raise ValueError("need 0 < mu_eff <= L_eff")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    counters = counters if counters is not None else OracleCounters()
     kappa = L_eff / mu_eff
     beta = (math.sqrt(kappa) - 1.0) / (math.sqrt(kappa) + 1.0)
     x = np.array(x_start, dtype=float, copy=True)
@@ -112,7 +103,8 @@ def solve_grid(
     lists the inner iteration count per grid point.  Newton inner work charges
     gradients, Hessian builds, and solves; AGD charges gradients only.  Knot
     residuals reuse the inner solver's exit gradient norm, so no extra metric
-    evaluations are made here.
+    evaluations are made here.  A failed inner solve raises PathRunError
+    carrying the points finished before it.
     """
     x = problem.checked_start(x0, allow_degenerate)
     if problem.lipschitz is None and config.inner_solver == "agd":
@@ -122,34 +114,34 @@ def solve_grid(
     X = np.empty((len(lams), problem.dim))
     res = np.empty(len(lams))
     iterations: list[int] = []
-    with Stopwatch() as sw:
-        for idx, lam in enumerate(lams):
-            lam = float(lam)
-            try:
-                if config.inner_solver == "newton":
-                    x, iters, res[idx] = newton_solve(
-                        problem, lam, x, config.inner_tol, DEFAULT_NEWTON_CAP, counters
-                    )
-                else:
-                    mu_eff = problem.mu + lam * problem.sigma
-                    L_eff = problem.lipschitz * (1.0 + lam)
-                    x, iters, res[idx] = agd_inner(
-                        problem, lam, x, config.inner_tol, mu_eff, L_eff, counters, DEFAULT_AGD_CAP
-                    )
-            except (DomainError, MaxIterationsError, NotPositiveDefiniteError) as exc:
-                raise GridSearchError(
-                    f"grid point {idx} (lambda = {lam:g}) failed: {exc}",
-                    lams[:idx], X[:idx], res[:idx], idx,
-                ) from exc
-            X[idx] = x
-            iterations.append(iters)
+    t0 = time.perf_counter()
+    for idx, lam in enumerate(lams):
+        lam = float(lam)
+        try:
+            if config.inner_solver == "newton":
+                x, iters, res[idx] = newton_solve(
+                    problem, lam, x, config.inner_tol, DEFAULT_NEWTON_CAP, counters
+                )
+            else:
+                mu_eff = problem.mu + lam * problem.sigma
+                L_eff = problem.lipschitz * (1.0 + lam)
+                x, iters, res[idx] = agd_inner(
+                    problem, lam, x, config.inner_tol, mu_eff, L_eff, counters, DEFAULT_AGD_CAP
+                )
+        except (DomainError, MaxIterationsError, NotPositiveDefiniteError) as exc:
+            raise PathRunError(
+                f"grid point {idx} (lambda = {lam:g}) failed: {exc}",
+                lams[:idx], X[:idx], res[:idx], [], idx,
+            ) from exc
+        X[idx] = x
+        iterations.append(iters)
     method = f"grid-{config.inner_solver}"
     report = RunReport(
         method=method,
         K=config.num_points,
         h=None,
         counters=counters,
-        wall_time_seconds=sw.elapsed,
+        wall_time_seconds=time.perf_counter() - t0,
         lambda_min=config.lambda_min,
         lambda_max=config.lambda_max,
         problem=problem.name,

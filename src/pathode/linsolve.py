@@ -40,7 +40,6 @@ class DirectionResult:
     direction: np.ndarray
     residual_norm: float
     inner_iterations: int
-    mode: str
     initial_residual: float
     converged: bool
     residual_vector: np.ndarray
@@ -72,7 +71,7 @@ def solve_spd(H: np.ndarray, g: np.ndarray) -> DirectionResult:
 
 
 def _exact(y, residual, rnorm, gnorm) -> DirectionResult:
-    return DirectionResult(y, rnorm, 0, "exact", gnorm, True, residual)
+    return DirectionResult(y, rnorm, 0, gnorm, True, residual)
 
 
 def _reject(arrays, message) -> None:
@@ -186,7 +185,7 @@ def cg_solve(
     rnorm = float(np.linalg.norm(r))
     initial = rnorm
     if rnorm <= delta:
-        return DirectionResult(y, rnorm, 0, "cg", initial, True, -r)
+        return DirectionResult(y, rnorm, 0, initial, True, -r)
 
     p = r.copy()
     rs = float(r @ r)
@@ -207,14 +206,14 @@ def cg_solve(
             r = true_residual()
             rs_new = float(r @ r)
             if math.sqrt(rs_new) <= delta:
-                return DirectionResult(y, math.sqrt(rs_new), iters, "cg", initial, True, -r)
+                return DirectionResult(y, math.sqrt(rs_new), iters, initial, True, -r)
         beta = rs_new / rs
         p = r + beta * p
         rs = rs_new
 
     r = true_residual()
     rnorm = float(np.linalg.norm(r))
-    return DirectionResult(y, rnorm, iters, "cg", initial, rnorm <= delta, -r)
+    return DirectionResult(y, rnorm, iters, initial, rnorm <= delta, -r)
 
 
 def cg_iteration_bound(kappa: float, initial_residual: float, delta: float) -> int:

@@ -47,6 +47,12 @@ class DegenerateProblemError(ValueError):
     """Raised when a problem lacks the curvature the solvers rely on."""
 
 
+def check_lambda_range(lambda_min: float, lambda_max: float) -> None:
+    """Raise ValueError unless 0 < lambda_min < lambda_max < inf (NaN fails)."""
+    if not (0.0 < lambda_min < lambda_max < math.inf):
+        raise ValueError(f"need 0 < lambda_min < lambda_max < inf, got [{lambda_min}, {lambda_max}]")
+
+
 @dataclass(frozen=True)
 class ProblemOracle:
     """Callable bundle for one parametric problem instance.
@@ -240,10 +246,7 @@ class TheoryConstants:
         lambda_max: float,
         estimated: bool = False,
     ) -> "TheoryConstants":
-        if not (0.0 < lambda_min < lambda_max < math.inf):
-            raise ValueError(
-                f"need 0 < lambda_min < lambda_max < inf, got [{lambda_min}, {lambda_max}]"
-            )
+        check_lambda_range(lambda_min, lambda_max)
         if not all(map(math.isfinite, (mu, sigma, L, G))):
             raise ValueError(f"mu, sigma, L and G must be finite, got {mu}, {sigma}, {L}, {G}")
         if mu < 0.0 or sigma < 0.0:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from dataclasses import asdict, dataclass, field, fields
 
 SCHEMA_VERSION = 1
@@ -82,15 +81,3 @@ def write_json_atomic(text: str, path: str) -> None:
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(text)
     os.replace(tmp, path)
-
-
-class Stopwatch:
-    """Minimal wall-clock timer."""
-
-    def __enter__(self):
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.elapsed = time.perf_counter() - self._t0
-        return False

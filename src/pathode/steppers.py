@@ -16,6 +16,7 @@ through the problem's per-point Hessian handle (ProblemOracle.hessian).
 from __future__ import annotations
 
 import math
+import time
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 
@@ -23,8 +24,8 @@ import numpy as np
 
 from .linsolve import NotPositiveDefiniteError, cg_solve
 from .paths import PiecewiseLinearPath, residuals
-from .problems import DomainError, ProblemOracle
-from .reports import OracleCounters, RunReport, Stopwatch
+from .problems import DomainError, ProblemOracle, check_lambda_range
+from .reports import OracleCounters, RunReport
 
 METHODS = ("euler", "trapezoid", "rk4")
 MAX_DOMAIN_BACKOFFS = 30
@@ -43,7 +44,11 @@ class MaxIterationsError(RuntimeError):
 
 
 class PathRunError(RuntimeError):
-    """A step failed mid-run; carries the knots (lams, X, residuals) and diagnostics so far."""
+    """A path or grid run failed; carries the knots (lams, X, residuals) and diagnostics so far.
+
+    step_index is the failed step of an ODE run or grid point of a grid run;
+    grid runs record no diagnostics.
+    """
 
     def __init__(self, message: str, lams, X, residuals, diagnostics, step_index: int):
         super().__init__(message)
@@ -80,8 +85,7 @@ def stepsize(method: str, K: int, lambda_min: float, lambda_max: float) -> float
     """
     if K < 1:
         raise ValueError("K must be a positive integer")
-    if not (0.0 < lambda_min < lambda_max):
-        raise ValueError(f"need 0 < lambda_min < lambda_max, got [{lambda_min}, {lambda_max}]")
+    check_lambda_range(lambda_min, lambda_max)
     rho = lambda_min / lambda_max
     ratio = rho ** (1.0 / K)
     if method == "euler":
@@ -327,27 +331,27 @@ def run_path(
         diags = [step_diagnostics(k, float(lams[k]), res[k], st) for k, st in enumerate(steps)]
         return res, diags
 
-    with Stopwatch() as sw:
-        x, warm = x0, None
-        X[0] = x
-        for k, lam in enumerate(lams[:-1].tolist()):
-            try:
-                x, warm, stages = take_step(scheme, problem, x, lam, config.h, direction, warm)
-            except (DomainError, NotPositiveDefiniteError, CGNoConvergenceError) as exc:
-                res, diags = knots_and_diagnostics(k + 1)
-                raise PathRunError(
-                    f"step {k} failed: {exc}", lams[: k + 1], X[: k + 1], res, diags, k
-                ) from exc
-            if config.record_diagnostics:
-                steps.append(stages)
-            X[k + 1] = x
-        res, diags = knots_and_diagnostics(config.K + 1)
+    t0 = time.perf_counter()
+    x, warm = x0, None
+    X[0] = x
+    for k, lam in enumerate(lams[:-1].tolist()):
+        try:
+            x, warm, stages = take_step(scheme, problem, x, lam, config.h, direction, warm)
+        except (DomainError, NotPositiveDefiniteError, CGNoConvergenceError) as exc:
+            res, diags = knots_and_diagnostics(k + 1)
+            raise PathRunError(
+                f"step {k} failed: {exc}", lams[: k + 1], X[: k + 1], res, diags, k
+            ) from exc
+        if config.record_diagnostics:
+            steps.append(stages)
+        X[k + 1] = x
+    res, diags = knots_and_diagnostics(config.K + 1)
     report = RunReport(
         method=config.method_label,
         K=config.K,
         h=config.h,
         counters=counters,
-        wall_time_seconds=sw.elapsed,
+        wall_time_seconds=time.perf_counter() - t0,
         delta=config.delta,
         lambda_min=config.lambda_min,
         lambda_max=config.lambda_max,
@@ -380,23 +384,17 @@ def initialize_from_omega(problem: ProblemOracle, lambda_max: float):
     return x0, float(bound)
 
 
-def initialize_by_newton(
-    problem: ProblemOracle,
-    lambda_max: float,
-    tol: float,
-    x_start: np.ndarray | None = None,
-    max_iters: int = 100,
-) -> np.ndarray:
-    """Damped Newton (newton_solve) on F_{lambda_max} until the gradient norm reaches tol.
+def initialize_by_newton(problem: ProblemOracle, lambda_max: float, tol: float) -> np.ndarray:
+    """Damped Newton (newton_solve, 100 steps at most) on F_{lambda_max} to gradient norm tol.
 
-    Starts from x_start, else the Omega minimizer, else zero.
+    Starts from the Omega minimizer, else zero; its work is not charged to any run.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    x = problem.base_point() if x_start is None else np.array(x_start, dtype=float, copy=True)
+    x = problem.base_point()
     if not problem.domain_check(x):
         raise DomainError("starting point violates the problem domain")
-    return newton_solve(problem, lambda_max, x, tol, max_iters)[0]
+    return newton_solve(problem, lambda_max, x, tol, 100, OracleCounters())[0]
 
 
 def newton_solve(
@@ -405,30 +403,28 @@ def newton_solve(
     x: np.ndarray,
     tol: float,
     max_iters: int,
-    counters: OracleCounters | None = None,
+    counters: OracleCounters,
 ) -> tuple[np.ndarray, int, float]:
     """Damped Newton on F_lam from x until ||grad F_lam|| <= tol; returns (x, iters, gnorm).
 
     Each step is the Newton step, halved until the iterate stays in the
-    domain and the objective does not increase.  When counters is given,
-    each gradient charges grad_f and grad_omega and each step one Hessian
-    build and one linear solve.  Raises MaxIterationsError when no halving
-    is acceptable or the gradient is still above tol after max_iters steps.
+    domain and the objective does not increase.  Each gradient charges
+    grad_f and grad_omega to counters, and each step one Hessian build and
+    one linear solve.  Raises MaxIterationsError when no halving is
+    acceptable or the gradient is still above tol after max_iters steps.
     """
     for it in range(max_iters + 1):
         g = problem.total_grad(x, lam)
         gnorm = float(np.linalg.norm(g))
-        if counters is not None:
-            counters.grad_f += 1
-            counters.grad_omega += 1
+        counters.grad_f += 1
+        counters.grad_omega += 1
         if gnorm <= tol:
             return x, it, gnorm
         if it == max_iters:
             break
         d = problem.hessian(x, lam).solve(g).direction
-        if counters is not None:
-            counters.hess_builds += 1
-            counters.linear_solves += 1
+        counters.hess_builds += 1
+        counters.linear_solves += 1
         f0 = problem.total_value(x, lam)
         t = 1.0
         for _ in range(MAX_DOMAIN_BACKOFFS + 1):

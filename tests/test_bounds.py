@@ -59,9 +59,10 @@ class TestInputChecks:
             K_BOUNDS[method](tau_one_euler(), eps, 0.0)
 
     @pytest.mark.parametrize("f_gap", [-1.0, math.nan, math.inf])
-    @pytest.mark.parametrize("calculator", [k_euler, k_euler_approx])
+    @pytest.mark.parametrize("calculator", list(K_BOUNDS.values()))
     def test_gap_calculators_reject_bad_f_gap(self, calculator, f_gap):
-        # k_euler(c, nan, 0.0) once returned 29, and a NaN gap dropped its term
+        # k_euler(c, nan, 0.0) once returned 29, and a NaN gap dropped its term;
+        # the calculators without a gap term once ignored it
         with pytest.raises(ValueError, match="f_gap must be finite and nonnegative"):
             calculator(tau_one_euler(), 1e-3, f_gap)
 

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import pathode
-from pathode import load_csv_dataset, load_moment_json, stepsize
+from pathode import K_BOUNDS, cli, load_csv_dataset, load_moment_json, stepsize
 from pathode.cli import ODE_METHODS, SWEEP_COLUMNS, build_parser, main, min_feasible_K
 
 QUAD = ["--problem", "quadratic", "--synthetic", "n=30,p=20,seed=1"]
@@ -291,20 +291,25 @@ class TestTheoryVerb:
         assert rep["inputs_echo"]["constants"]["estimated"] is True
 
     def test_unknown_method_exit_2(self, capsys):
-        rc, _, err = call(capsys, ["theory", "--method", "rk4", "--eps", "1"] + self.UNIT)
-        assert rc == 2
-        assert "no closed-form bound" in err
+        # argparse names the methods that have a closed-form bound
+        with pytest.raises(SystemExit) as exc:
+            main(["theory", "--method", "rk4", "--eps", "1"] + self.UNIT)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'rk4'" in err and "'trapezoid-cg'" in err
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     @pytest.mark.parametrize("flag", ["--mu", "--sigma", "--L", "--G", "--f-gap"])
     def test_nonfinite_constant_exits_2(self, capsys, tmp_path, flag, bad):
-        # --L nan once gave K_required 14 and --G inf an OverflowError traceback
+        # --L nan once gave K_required 14 and --G inf an OverflowError traceback;
+        # --f-gap nan once passed every method but the two Euler ones
         out = tmp_path / "out"
-        argv = ["theory", "--method", "euler", "--eps", "1e-3", "--out", str(out)]
-        rc, _, err = call(capsys, argv + self.UNIT + [flag, bad])
-        assert rc == 2
-        assert "must be finite" in err
-        assert not out.exists()
+        for method in K_BOUNDS:
+            argv = ["theory", "--method", method, "--eps", "1e-3", "--out", str(out)]
+            rc, _, err = call(capsys, argv + self.UNIT + [flag, bad])
+            assert rc == 2, method
+            assert "must be finite" in err, method
+            assert not out.exists(), method
 
 
 class TestSweepVerb:
@@ -392,9 +397,16 @@ class TestGenVerbs:
 
 class TestExitCodes:
     def test_unknown_method(self, capsys):
-        rc, _, err = call(capsys, ["run", "--method", "fancy", "--K", "5"] + QUAD)
-        assert rc == 2
-        assert "fancy" in err
+        # argparse checks the names of --method and --problem before any work
+        for argv in (
+            ["run", "--method", "fancy", "--K", "5"],
+            ["doubling", "--method", "fancy", "--eps", "1e-3"],
+            ["run", "--method", "euler", "--K", "5", "--problem", "fancy"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--synthetic", "n=30,p=20,seed=1"])
+            assert exc.value.code == 2
+            assert "invalid choice: 'fancy'" in capsys.readouterr().err
 
     def test_quadratic_rejects_data_flag(self, capsys, tmp_path):
         f = tmp_path / "d.csv"
@@ -469,6 +481,34 @@ class TestExitCodes:
             main([a.format(bad) for a in argv] + ["--out", str(out)] + QUAD)
         assert exc.value.code == 2
         assert "must be finite and > 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--method", "euler", "--K", "20"],
+            ["run", "--method", "grid-newton", "--K", "5", "--eps", "1e-3"],
+            ["doubling", "--method", "euler", "--eps", "1e-3"],
+            ["sweep", "--methods", "euler", "--eps-list", "1e-3"],
+            ["theory", "--method", "trapezoid", "--eps", "1e-3"]
+            + ["--mu", "1", "--sigma", "1", "--L", "1", "--G", "5"],
+            ["theory", "--method", "euler", "--eps", "1e-3", "--estimate"],
+        ],
+        ids=["run-euler", "run-grid-newton", "doubling", "sweep", "theory", "theory-estimate"],
+    )
+    def test_infinite_lambda_max_exits_2_before_any_solve(
+        self, capsys, tmp_path, monkeypatch, argv
+    ):
+        # run once died mid-path (euler) or in the start point's Newton solve
+        # (grid-newton) with "non-finite entries in linear system"
+        def no_work(*args):
+            pytest.fail("work started on an invalid lambda range")
+
+        monkeypatch.setattr(cli, "build_problem", no_work)
+        out = tmp_path / "out"
+        rc, _, err = call(capsys, argv + ["--lambda-max", "inf", "--out", str(out)] + QUAD)
+        assert rc == 2
+        assert "need 0 < lambda_min < lambda_max < inf, got [0.01, inf]" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from pathode import (
     GridSearchConfig,
-    GridSearchError,
     NotPositiveDefiniteError,
     PathRunError,
     StepperConfig,
@@ -94,11 +93,12 @@ def test_failed_grid_search_keeps_the_finished_points(n):
         num_points=6, inner_solver="newton", inner_tol=1e-8, lambda_min=0.01, lambda_max=10.0
     )
     ref, _ = solve_grid(QUAD30, np.zeros(20), cfg)
-    with pytest.raises(GridSearchError) as info:
+    with pytest.raises(PathRunError) as info:
         solve_grid(failing_on_call(QUAD30, n), np.zeros(20), cfg)
     err = info.value
-    idx = err.point_index
+    idx = err.step_index
     assert idx == n - 1
+    assert err.diagnostics == []
     assert len(err.lams) == len(err.X) == len(err.residuals) == idx
     assert np.array_equal(err.lams, ref.lams[:idx])
     assert np.array_equal(err.X, ref.X[:idx])

@@ -7,8 +7,9 @@ from pathode import gridsearch
 from pathode import (
     DegenerateProblemError,
     GridSearchConfig,
-    GridSearchError,
     MaxIterationsError,
+    OracleCounters,
+    PathRunError,
     PiecewiseConstantPath,
     TheoryConstants,
     agd_inner,
@@ -95,7 +96,6 @@ class TestNewtonInner:
         warm_total = sum(rep.inner_iterations)
         cold_total = 0
         from pathode.steppers import newton_solve
-        from pathode import OracleCounters
 
         for lam in lambda_schedule(0.01, 10.0, 9):
             _, iters, _ = newton_solve(
@@ -124,9 +124,9 @@ class TestNewtonInner:
     def test_inner_cap_exceeded_names_the_point(self, quad30, monkeypatch):
         _, _, problem = quad30
         monkeypatch.setattr(gridsearch, "DEFAULT_NEWTON_CAP", 0)
-        with pytest.raises(GridSearchError) as err:
+        with pytest.raises(PathRunError) as err:
             solve_grid(problem, np.ones(20), quad_config(5, tol=1e-14))
-        assert err.value.point_index == 0
+        assert err.value.step_index == 0
 
     def test_piecewise_constant_path_type(self, quad30):
         _, _, problem = quad30
@@ -137,14 +137,18 @@ class TestNewtonInner:
 class TestAgdInner:
     def test_optimal_start_zero_iterations(self):
         problem = make_quadratic_ridge(np.array([[1.0]]), np.array([0.0]))
-        x, iters, gnorm = agd_inner(problem, 1.0, np.zeros(1), 1e-8, mu_eff=2.0, L_eff=2.0)
+        counters = OracleCounters()
+        x, iters, gnorm = agd_inner(problem, 1.0, np.zeros(1), 1e-8, 2.0, 2.0, counters)
         assert iters == 0 and gnorm == 0.0
+        assert counters.grad_f == counters.grad_omega == 1
 
     def test_scalar_quadratic_converges_quickly(self):
         # F(x) = x^2 at kappa = 1: a handful of iterations to 1e-8
         problem = make_quadratic_ridge(np.array([[1.0]]), np.array([0.0]))
-        x, iters, gnorm = agd_inner(problem, 1.0, np.ones(1), 1e-8, mu_eff=2.0, L_eff=2.0)
+        counters = OracleCounters()
+        x, iters, gnorm = agd_inner(problem, 1.0, np.ones(1), 1e-8, 2.0, 2.0, counters)
         assert np.linalg.norm(problem.total_grad(x, 1.0)) <= 1e-8
+        assert counters.grad_f == counters.grad_omega == iters + 1  # one pair per iteration
         assert gnorm == np.linalg.norm(problem.total_grad(x, 1.0))
         assert iters <= 40
 
@@ -154,21 +158,21 @@ class TestAgdInner:
         lam = 1.0
         x, iters, _ = agd_inner(
             problem, lam, np.zeros(20), 1e-6,
-            mu_eff=evals[0] + lam, L_eff=evals[-1] + lam, cap=100000,
+            evals[0] + lam, evals[-1] + lam, OracleCounters(), cap=100000,
         )
         assert np.linalg.norm(problem.total_grad(x, lam)) <= 1e-6
 
     def test_invalid_strong_convexity_rejected(self):
         problem = make_quadratic_ridge(np.array([[1.0]]), np.array([0.0]))
         with pytest.raises(ValueError):
-            agd_inner(problem, 1.0, np.zeros(1), 1e-8, mu_eff=0.0, L_eff=1.0)
+            agd_inner(problem, 1.0, np.zeros(1), 1e-8, 0.0, 1.0, OracleCounters())
         with pytest.raises(ValueError):
-            agd_inner(problem, 1.0, np.zeros(1), 1e-8, mu_eff=2.0, L_eff=1.0)
+            agd_inner(problem, 1.0, np.zeros(1), 1e-8, 2.0, 1.0, OracleCounters())
 
     def test_cap_exceeded_raises(self):
         problem = make_quadratic_ridge(np.array([[1.0]]), np.array([0.0]))
         with pytest.raises(MaxIterationsError):
-            agd_inner(problem, 1.0, np.ones(1), 1e-8, mu_eff=2.0, L_eff=2.0, cap=0)
+            agd_inner(problem, 1.0, np.ones(1), 1e-8, 2.0, 2.0, OracleCounters(), cap=0)
 
 
 class TestSolveGridModes:

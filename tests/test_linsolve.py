@@ -31,7 +31,6 @@ class TestSolveSpd:
         res = solve_spd(np.eye(2), np.array([3.0, -1.0]))
         assert np.allclose(res.direction, [-3.0, 1.0])
         assert res.inner_iterations == 0
-        assert res.mode == "exact"
 
     def test_diagonal(self):
         res = solve_spd(np.diag([1.0, 4.0]), np.array([2.0, 8.0]))
@@ -147,7 +146,7 @@ class TestSolveDiagLowrank:
         ref = solve_spd(H, g)
         err = np.linalg.norm(res.direction - ref.direction)
         assert err <= 1e-12 * np.linalg.norm(ref.direction)
-        assert res.mode == "exact" and res.inner_iterations == 0 and res.converged
+        assert res.inner_iterations == 0 and res.converged
         assert res.initial_residual == np.linalg.norm(g)
 
     def test_residual_certificate_is_explicit(self):

@@ -4,6 +4,7 @@ Closed-form expectations are hand-computed; derivative consistency is checked
 against central finite differences at seeded interior points.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -14,7 +15,9 @@ from hypothesis import strategies as st
 from pathode import (
     DegenerateProblemError,
     DomainError,
+    GridSearchConfig,
     NotPositiveDefiniteError,
+    StepperConfig,
     TheoryConstants,
     build_moment_problem,
     generate_synthetic_moment_data,
@@ -26,6 +29,7 @@ from pathode import (
     quadratic_theory_constants,
     solve_spd,
 )
+from pathode.cli import min_feasible_K
 from pathode.datasets import generate_synthetic_logistic, generate_synthetic_quadratic
 
 from conftest import with_dense_solve
@@ -556,7 +560,7 @@ class TestHessianHandles:
         res = problem.hessian(x, lam).solve(g)
         ref = solve_spd(H, g)
         y, dim = res.direction, problem.dim
-        assert res.mode == "exact" and res.converged and res.inner_iterations == 0
+        assert res.converged and res.inner_iterations == 0
         assert res.initial_residual == np.linalg.norm(g)
         assert res.residual_norm == np.linalg.norm(res.residual_vector)
         # the certificate is H y + g up to the rounding of either evaluation;
@@ -635,3 +639,38 @@ class TestTheoryConstants:
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateProblemError):
             TheoryConstants.derive(mu=0.0, sigma=0.0, L=1.0, G=1.0, lambda_min=0.1, lambda_max=1.0)
+
+
+# ------------------------------------------------------------ lambda range
+
+
+class TestLambdaRange:
+    """Every consumer of a path range rejects the same ranges with the same message."""
+
+    BAD = {
+        "lambda_max=inf": (0.01, math.inf),
+        "lambda_min=nan": (math.nan, 10.0),
+        "lambda_max=nan": (0.01, math.nan),
+        "lambda_min=lambda_max": (10.0, 10.0),
+        "lambda_min>lambda_max": (10.0, 0.01),
+        "lambda_min=0": (0.0, 10.0),
+        "lambda_min<0": (-1.0, 10.0),
+    }
+    CONSUMERS = {
+        "StepperConfig": lambda lo, hi: StepperConfig("euler", 20, lo, hi),
+        "GridSearchConfig": lambda lo, hi: GridSearchConfig(5, "newton", 1e-8, lo, hi),
+        "TheoryConstants.derive": lambda lo, hi: TheoryConstants.derive(
+            mu=1.0, sigma=1.0, L=1.0, G=1.0, lambda_min=lo, lambda_max=hi
+        ),
+        "min_feasible_K": lambda lo, hi: min_feasible_K("trapezoid", lo, hi),
+    }
+
+    @pytest.mark.parametrize("bad", list(BAD))
+    @pytest.mark.parametrize("consumer", list(CONSUMERS))
+    def test_rejected_with_one_message(self, consumer, bad):
+        # StepperConfig("euler", 20, 0.01, inf) once got h = 1.0
+        lo, hi = self.BAD[bad]
+        message = f"need 0 < lambda_min < lambda_max < inf, got [{lo}, {hi}]"
+        with pytest.raises(ValueError) as exc:
+            self.CONSUMERS[consumer](lo, hi)
+        assert str(exc.value) == message

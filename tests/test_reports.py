@@ -2,8 +2,18 @@
 
 import json
 
-from pathode import OracleCounters, RunReport
-from pathode.reports import SCHEMA_VERSION, Stopwatch, write_json_atomic
+import numpy as np
+
+from pathode import (
+    GridSearchConfig,
+    OracleCounters,
+    RunReport,
+    StepperConfig,
+    make_quadratic_ridge,
+    run_path,
+    solve_grid,
+)
+from pathode.reports import SCHEMA_VERSION, write_json_atomic
 
 
 def test_counters_default_to_zero():
@@ -81,7 +91,8 @@ def test_write_json_atomic_overwrites(tmp_path):
     assert target.read_text() == "new"
 
 
-def test_stopwatch_measures_positive_time():
-    with Stopwatch() as sw:
-        sum(range(1000))
-    assert sw.elapsed >= 0.0
+def test_runs_measure_positive_wall_time():
+    problem = make_quadratic_ridge(np.eye(2), np.ones(2))
+    _, ode = run_path(problem, np.full(2, 1 / 11), StepperConfig("euler", 5, 0.1, 10.0))
+    _, grid = solve_grid(problem, np.zeros(2), GridSearchConfig(5, "newton", 1e-10, 0.1, 10.0))
+    assert ode.wall_time_seconds > 0.0 and grid.wall_time_seconds > 0.0

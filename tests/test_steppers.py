@@ -32,7 +32,7 @@ from pathode import (
     stepsize,
 )
 from pathode.cli import min_feasible_K
-from pathode.steppers import METHODS, SCHEMES, step_diagnostics, take_step
+from pathode.steppers import METHODS, SCHEMES, newton_solve, step_diagnostics, take_step
 from pathode.datasets import generate_synthetic_logistic, generate_synthetic_quadratic
 
 from conftest import fit_loglog_slope, with_dense_solve, with_handle_methods
@@ -579,6 +579,101 @@ class TestRunPath:
 # ------------------------------------------- knot accuracy vs K, by family
 
 
+class TestCounterContract:
+    """The counters are the paper's cost measure, so they hold at every K.
+
+    An exact ODE run charges stages K Hessian builds and solves, a CG run
+    none, both stages K gradients and K + 1 knot residuals, and
+    accuracy_midpoint 2K + 1 more; grid Newton charges one build and one
+    solve per inner iteration.
+    """
+
+    RANGES = {"quad30": (0.01, 10.0), "logistic": (0.1, 10.0)}
+
+    def _instance(self, name, quad30, quad30_start, logistic_small):
+        if name == "quad30":
+            return quad30[2], quad30_start
+        return logistic_small, initialize_by_newton(logistic_small, self.RANGES[name][1], 1e-10)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        method=st.sampled_from(METHODS),
+        cg=st.booleans(),
+        instance=st.sampled_from(list(RANGES)),
+        data=st.data(),
+    )
+    def test_ode_runs(self, quad30, quad30_start, logistic_small, method, cg, instance, data):
+        problem, x0 = self._instance(instance, quad30, quad30_start, logistic_small)
+        lo, hi = self.RANGES[instance]
+        K = data.draw(st.integers(min_feasible_K(method, lo, hi), 80), label="K")
+        cfg = StepperConfig(method, K, lo, hi, delta=1e-8 if cg else None)
+        path, rep = run_path(problem, x0, cfg)
+        c = rep.counters
+        stages = len(SCHEMES[method].stage_factors(cfg.h))
+        assert c.grad_f == stages * K
+        if cg:
+            assert c.hess_builds == c.linear_solves == 0
+            assert c.hessvec >= c.cg_iters_total > 0
+        else:
+            assert c.hess_builds == c.linear_solves == stages * K
+            assert c.hessvec == c.cg_iters_total == 0
+        assert c.metric_evals == K + 1
+        accuracy_midpoint(problem, path, c)
+        assert c.metric_evals == 3 * K + 2
+
+    @settings(max_examples=20, deadline=None)
+    @given(K=st.integers(2, 60), instance=st.sampled_from(list(RANGES)))
+    def test_grid_newton_runs(self, quad30, logistic_small, K, instance):
+        problem = quad30[2] if instance == "quad30" else logistic_small
+        lo, hi = self.RANGES[instance]
+        _, rep = solve_grid(
+            problem, np.zeros(problem.dim), GridSearchConfig(K, "newton", 1e-9, lo, hi)
+        )
+        c, iters = rep.counters, rep.inner_iterations
+        assert len(iters) == K
+        assert c.hess_builds == c.linear_solves == sum(iters)
+        assert c.grad_f == c.grad_omega == sum(iters) + K  # one exit gradient per point
+        assert c.hessvec == c.metric_evals == 0
+
+
+def _permuted_instances(family, perm):
+    """(problem, permuted problem) whose features, or atoms, are permuted by perm."""
+    if family == "quadratic":
+        A, b = generate_synthetic_quadratic(30, 8, 1)
+        return make_quadratic_ridge(A, b), make_quadratic_ridge(A[:, perm], b)
+    if family == "logistic":
+        X, y = generate_synthetic_logistic(50, 8, 3)
+        return make_logistic_ridge(X, y), make_logistic_ridge(X[:, perm], y)
+    w, x_true = generate_synthetic_moment_data(8, 7)
+    order = np.append(perm, 8)  # the closing atom stays last
+    return (
+        make_moment_matching(*build_moment_problem(w, x_true, 5)),
+        make_moment_matching(*build_moment_problem(w[order], x_true[order], 5)),
+    )
+
+
+class TestFeaturePermutation:
+    """Permuting the features (the moment atoms) permutes the whole path."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        family=st.sampled_from(["quadratic", "logistic", "moment"]),
+        method=st.sampled_from(METHODS),
+        cg=st.booleans(),
+        perm=st.permutations(range(8)),
+    )
+    def test_path_is_permuted(self, family, method, cg, perm):
+        perm = np.array(perm)
+        problem, permuted = _permuted_instances(family, perm)
+        x0 = initialize_by_newton(problem, 10.0, 1e-10)
+        cfg = StepperConfig(method, 16, 0.1, 10.0, delta=1e-11 if cg else None)
+        path, rep = run_path(problem, x0, cfg)
+        ppath, prep = run_path(permuted, x0[perm], cfg)
+        assert np.array_equal(ppath.lams, path.lams)
+        assert np.linalg.norm(ppath.X - path.X[:, perm]) <= 1e-9 * np.linalg.norm(path.X)
+        assert prep.counters.hess_builds == rep.counters.hess_builds
+
+
 class TestKnotConvergence:
     def test_euler_knots_on_quadratics_sit_at_rounding_level(self, quad30, quad30_start):
         # On quadratic objectives the semi-implicit Euler knot recursion is
@@ -661,8 +756,10 @@ class TestInitializers:
         from pathode import quadratic_path_point
 
         exact = quadratic_path_point(A, b, 10.0)
-        x0 = initialize_by_newton(problem, 10.0, 1e-8, x_start=exact)
-        assert np.array_equal(x0, exact)  # already feasible, returned as-is
+        counters = OracleCounters()
+        x0, iters, _ = newton_solve(problem, 10.0, exact, 1e-8, 100, counters)
+        assert np.array_equal(x0, exact) and iters == 0  # already optimal, returned as-is
+        assert (counters.grad_f, counters.hess_builds, counters.linear_solves) == (1, 0, 0)
 
     @pytest.mark.slow
     def test_newton_reaches_float_floor_on_logistic(self, logistic_newton_start):
