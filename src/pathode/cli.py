@@ -126,8 +126,10 @@ def _inner_tol(args, eps: float | None) -> float:
 
 def min_feasible_K(method: str, lambda_min: float, lambda_max: float) -> int:
     """Smallest K the method's schedule admits for this lambda range."""
+    if method not in ALL_METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {ALL_METHODS}")
     problems.check_lambda_range(lambda_min, lambda_max)
-    if method.startswith("grid"):
+    if method in GRID_METHODS:
         return 2
     K = 1
     while True:

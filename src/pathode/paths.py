@@ -103,7 +103,7 @@ class PiecewiseConstantPath(_PathBase):
         knots = self.X[start : start + lam.shape[0] + 1]
         lam = lam.ravel()
         k = len(self.lams) - 1 - np.searchsorted(self._asc, lam, side="left") - start
-        G = problem.f_grad_batch(knots)[k] + lam[:, None] * problem.omega_grad_batch(knots)[k]
+        G = problem.f_grad(knots)[k] + lam[:, None] * problem.omega_grad(knots)[k]
         return np.linalg.norm(G, axis=1)
 
 
@@ -114,10 +114,9 @@ def residuals(
     counters: OracleCounters | None = None,
 ) -> np.ndarray:
     """||grad f(x_i) + lam_i grad Omega(x_i)|| for each row x_i of X, charged to metric_evals."""
-    G = problem.f_grad_batch(X) + lams[:, None] * problem.omega_grad_batch(X)
     if counters is not None:
         counters.metric_evals += len(lams)
-    return np.linalg.norm(G, axis=1)
+    return np.linalg.norm(problem.total_grad(X, lams[:, None]), axis=1)
 
 
 def _max_over_intervals(

@@ -1,9 +1,9 @@
 """Problem oracles for parametric objectives F_lambda(x) = f(x) + lambda * Omega(x).
 
-Each factory packages value and gradient callables for a data-fitting term f
-and a regularizer Omega, a Hessian handle and certified curvature constants.
-The path solvers consume only the ProblemOracle interface, so new problem
-families plug in without touching the steppers.
+Each factory packages value callables for a data-fitting term f and a
+regularizer Omega, one gradient per term that takes a point or row points,
+a Hessian handle and certified curvature constants.  The path solvers use
+only the ProblemOracle interface, so new families need no stepper changes.
 
 Problem families
 ----------------
@@ -57,10 +57,10 @@ def check_lambda_range(lambda_min: float, lambda_max: float) -> None:
 class ProblemOracle:
     """Callable bundle for one parametric problem instance.
 
-    All value and gradient callables take a point x of shape (dim,).  The
-    batch gradients take a matrix of row points, shape (m, dim), and return
-    an (m, dim) matrix, so residuals over many path points run as matrix
-    products instead of Python loops.
+    The value callables and domain_check take a point x of shape (dim,).
+    f_grad and omega_grad take either a point or a matrix of row points,
+    shape (m, dim), and return the same shape, so residuals over many path
+    points run as matrix products instead of Python loops.
 
     mu and sigma are certified strong-convexity constants of f and Omega.
     lipschitz, when not None, is a single shared constant bounding the
@@ -85,14 +85,13 @@ class ProblemOracle:
     mu: float
     sigma: float
     lipschitz: float | None
-    f_grad_batch: Callable[[Array], Array]
-    omega_grad_batch: Callable[[Array], Array]
     hessian: Callable[[Array, float], Any]
 
     def total_value(self, x: Array, lam: float) -> float:
         return self.f_value(x) + lam * self.omega_value(x)
 
-    def total_grad(self, x: Array, lam: float) -> Array:
+    def total_grad(self, x: Array, lam: float | Array) -> Array:
+        """grad F_lam at a point, or at row points with lam a column of shape (m, 1)."""
         return self.f_grad(x) + lam * self.omega_grad(x)
 
     def total_hess(self, x: Array, lam: float) -> Array:
@@ -123,11 +122,11 @@ class ProblemOracle:
 class _QuadraticHessian:
     """A'A + lam I, solved from the problem's one eigendecomposition of A'A."""
 
-    def __init__(self, Q, Atb, eig, x, lam):
-        self.Q, self.Atb, self.eig, self.x, self.lam = Q, Atb, eig, x, lam
+    def __init__(self, Q, eig, f_grad, x, lam):
+        self.Q, self.eig, self.f_grad, self.x, self.lam = Q, eig, f_grad, x, lam
 
     def grad_f(self):
-        return self.Q @ self.x - self.Atb
+        return self.f_grad(self.x)
 
     def f_hess(self):
         return self.Q
@@ -189,12 +188,12 @@ class _ReweightedHessian:
 class _MomentHessian:
     """A'A + lam (diag(1/y) + 11'/rest), rest = 1 - sum y, domain checked once."""
 
-    def __init__(self, A, b, Q, V_base, y, lam):
-        self.A, self.b, self.Q, self.V_base, self.y, self.lam = A, b, Q, V_base, y, lam
+    def __init__(self, A, Q, V_base, f_grad, y, lam):
+        self.A, self.Q, self.V_base, self.f_grad, self.y, self.lam = A, Q, V_base, f_grad, y, lam
         self.rest = 1.0 - float(y.sum())
 
     def grad_f(self):
-        return self.A.T @ (self.A @ self.y - self.b)
+        return self.f_grad(self.y)
 
     def f_hess(self):
         return self.Q
@@ -288,14 +287,9 @@ def _spectral_norm(M: Array) -> float:
 
 def _ridge_omega(p: int) -> dict:
     """The ProblemOracle fields of Omega = 0.5 ||x||^2 on all of R^p (sigma = 1)."""
-
-    def copy(x: Array) -> Array:
-        return np.array(x, dtype=float, copy=True)
-
     return dict(
         omega_value=lambda x: 0.5 * float(x @ x),
-        omega_grad=copy,
-        omega_grad_batch=copy,
+        omega_grad=lambda x: np.array(x, dtype=float, copy=True),
         domain_check=lambda x: bool(np.all(np.isfinite(x))),
         omega_minimizer=np.zeros(p),
         sigma=1.0,
@@ -330,11 +324,8 @@ def make_quadratic_ridge(A: Array, b: Array) -> ProblemOracle:
         r = A @ x - b
         return 0.5 * float(r @ r)
 
-    def f_grad(x: Array) -> Array:
-        return Q @ x - Atb
-
-    def f_grad_batch(X: Array) -> Array:
-        return X @ Q - Atb
+    def f_grad(X: Array) -> Array:
+        return X @ Q - Atb  # Q is symmetric, so this is Q x - A'b for a point too
 
     return ProblemOracle(
         name="quadratic",
@@ -343,8 +334,7 @@ def make_quadratic_ridge(A: Array, b: Array) -> ProblemOracle:
         f_grad=f_grad,
         mu=mu,
         lipschitz=L,
-        f_grad_batch=f_grad_batch,
-        hessian=lambda x, lam: _QuadraticHessian(Q, Atb, eig, x, lam),
+        hessian=lambda x, lam: _QuadraticHessian(Q, eig, f_grad, x, lam),
         **_ridge_omega(p),
     )
 
@@ -421,12 +411,10 @@ def _logistic_pieces(A: Array, labels: Array):
         z = -(Ab @ x)
         return float(np.mean(np.logaddexp(0.0, z)))
 
-    def grad(x: Array) -> Array:
-        s = expit(-(Ab @ x))
-        return -(Ab.T @ s) / n
-
-    def grad_batch(X: Array) -> Array:
-        # blocked so the (rows, n) sigmoid intermediate stays bounded
+    def grad(X: Array) -> Array:
+        if np.ndim(X) == 1:
+            return -(Ab.T @ expit(-(Ab @ X))) / n
+        # row points, blocked so the (rows, n) sigmoid intermediate stays bounded
         rows = max(1, (1 << 22) // max(1, n))
         out = np.empty((X.shape[0], A.shape[1]))
         for start in range(0, X.shape[0], rows):
@@ -435,7 +423,7 @@ def _logistic_pieces(A: Array, labels: Array):
         return out
 
     # the handle of the ridge oracle, Omega = 0.5 ||x||^2
-    return value, grad, grad_batch, lambda x, lam: _LogisticHessian(A, Ab, x, lam)
+    return value, grad, lambda x, lam: _LogisticHessian(A, Ab, x, lam)
 
 
 def _check_labels(labels: Array) -> Array:
@@ -452,7 +440,7 @@ def make_logistic_ridge(features: Array, labels: Array) -> ProblemOracle:
     if A.ndim != 2 or A.shape[0] != labels.shape[0]:
         raise ValueError(f"shape mismatch: features {A.shape}, labels {labels.shape}")
     n, p = A.shape
-    value, grad, grad_batch, hessian = _logistic_pieces(A, labels)
+    value, grad, hessian = _logistic_pieces(A, labels)
     cs = _logistic_constants(A)
     L = max(1.0, cs["value"], cs["grad"], cs["hess"], cs["third"])
     return ProblemOracle(
@@ -462,7 +450,6 @@ def make_logistic_ridge(features: Array, labels: Array) -> ProblemOracle:
         f_grad=grad,
         mu=0.0,
         lipschitz=L,
-        f_grad_batch=grad_batch,
         hessian=hessian,
         **_ridge_omega(p),
     )
@@ -483,8 +470,8 @@ def make_logistic_reweighted(features: Array, labels: Array) -> ProblemOracle:
     if not pos.any() or not neg.any():
         raise ValueError("need at least one row of each class")
     p = A.shape[1]
-    fv, fg, fgb, fh = _logistic_pieces(A[pos], labels[pos])
-    ov, og, ogb, oh = _logistic_pieces(A[neg], labels[neg])
+    fv, fg, fh = _logistic_pieces(A[pos], labels[pos])
+    ov, og, oh = _logistic_pieces(A[neg], labels[neg])
     cs_pos = _logistic_constants(A[pos])
     cs_neg = _logistic_constants(A[neg])
     L = max(*cs_pos.values(), *cs_neg.values())
@@ -501,8 +488,6 @@ def make_logistic_reweighted(features: Array, labels: Array) -> ProblemOracle:
         mu=0.0,
         sigma=0.0,
         lipschitz=L,
-        f_grad_batch=fgb,
-        omega_grad_batch=ogb,
         hessian=lambda x, lam: _ReweightedHessian(fh(x, 0.0), oh(x, 0.0), lam),
     )
 
@@ -512,6 +497,7 @@ def make_logistic_reweighted(features: Array, labels: Array) -> ProblemOracle:
 
 
 MAX_MOMENTS = 30  # Vandermonde columns beyond this are numerically rank-degenerate
+OFF_SIMPLEX = "point leaves the open simplex interior {y > 0, sum y < 1}"
 
 
 def build_moment_problem(w: Array, x_true: Array, n_moments: int) -> tuple[Array, Array]:
@@ -594,7 +580,7 @@ def make_moment_matching(A_reduced: Array, b_reduced: Array) -> ProblemOracle:
     def _require_domain(y: Array) -> Array:
         y = np.asarray(y, dtype=float)
         if not domain_check(y):
-            raise DomainError("point leaves the open simplex interior {y > 0, sum y < 1}")
+            raise DomainError(OFF_SIMPLEX)
         return y
 
     def omega_value(y: Array) -> float:
@@ -602,29 +588,26 @@ def make_moment_matching(A_reduced: Array, b_reduced: Array) -> ProblemOracle:
         rest = 1.0 - float(np.sum(y))
         return float(np.sum(y * np.log(y))) + rest * math.log(rest)
 
-    def omega_grad(y: Array) -> Array:
-        y = _require_domain(y)
-        rest = 1.0 - float(np.sum(y))
-        return np.log(y / rest)
-
-    def omega_grad_batch(Y: Array) -> Array:
+    def omega_grad(Y: Array) -> Array:
+        # a point or row points; a NaN entry fails both comparisons
         Y = np.asarray(Y, dtype=float)
-        if np.any(Y <= 0.0):
-            raise DomainError("batch point leaves the open simplex interior")
-        rest = 1.0 - np.sum(Y, axis=1, keepdims=True)
-        if np.any(rest <= 0.0):
-            raise DomainError("batch point leaves the open simplex interior")
+        rest = 1.0 - np.sum(Y, axis=-1, keepdims=True)
+        if not (Y.shape[-1] == p and np.all(Y > 0.0) and np.all(rest > 0.0)):
+            raise DomainError(OFF_SIMPLEX)
         return np.log(Y / rest)
 
     def f_value(y: Array) -> float:
         r = A @ y - b
         return 0.5 * float(r @ r)
 
+    def f_grad(Y: Array) -> Array:
+        return (Y @ A.T - b) @ A
+
     return ProblemOracle(
         name="moment",
         dim=p,
         f_value=f_value,
-        f_grad=lambda y: A.T @ (A @ y - b),
+        f_grad=f_grad,
         omega_value=omega_value,
         omega_grad=omega_grad,
         domain_check=domain_check,
@@ -632,7 +615,5 @@ def make_moment_matching(A_reduced: Array, b_reduced: Array) -> ProblemOracle:
         mu=mu,
         sigma=1.0,
         lipschitz=None,
-        f_grad_batch=lambda Y: (np.asarray(Y, dtype=float) @ A.T - b) @ A,
-        omega_grad_batch=omega_grad_batch,
-        hessian=lambda y, lam: _MomentHessian(A, b, Q, V_base, _require_domain(y), lam),
+        hessian=lambda y, lam: _MomentHessian(A, Q, V_base, f_grad, _require_domain(y), lam),
     )

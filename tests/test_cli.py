@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import shutil
+import signal
 import subprocess
 import sys
 
@@ -248,6 +249,22 @@ class TestMinFeasibleK:
 
     def test_grid_needs_both_endpoints(self):
         assert min_feasible_K("grid-newton", 0.01, 10.0) == 2
+
+    @pytest.mark.parametrize("method", ["fancy", "gridfoo", "euler-cg-cg", ""])
+    def test_unknown_method_rejected_before_the_search(self, method):
+        # the search reads each ValueError as "K too small", so an unknown scheme
+        # must be caught before it; the alarm turns a search that never ends into a failure
+        def give_up(signum, frame):
+            raise TimeoutError(f"min_feasible_K({method!r}, ...) did not return within 5 s")
+
+        previous = signal.signal(signal.SIGALRM, give_up)
+        signal.alarm(5)
+        try:
+            with pytest.raises(ValueError, match="unknown method"):
+                min_feasible_K(method, 0.01, 10.0)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_rk4_doubling_starts_where_its_schedule_exists(self, capsys):
         rc, out, err = call(capsys, ["doubling", "--method", "rk4", "--eps", "1e-3"] + QUAD)

@@ -118,11 +118,12 @@ class TestQuadraticRidge:
         _, _, problem = quad30
         rng = np.random.Generator(np.random.Philox(79))
         X = rng.normal(size=(7, problem.dim))
-        G = problem.f_grad_batch(X)
+        G = problem.f_grad(X)
+        assert G.shape == X.shape
         for i in range(7):
             assert np.allclose(G[i], problem.f_grad(X[i]), rtol=1e-13, atol=1e-13)
-        Go = problem.omega_grad_batch(X)
-        assert np.allclose(Go, X)
+        Go = problem.omega_grad(X)
+        assert np.array_equal(Go, X)
 
     def test_certified_constants(self, quad30, quad30_start):
         A, b, _ = quad30
@@ -185,7 +186,8 @@ class TestLogisticRidge:
         problem = make_logistic_ridge(X, y)
         rng = np.random.Generator(np.random.Philox(82))
         P = rng.normal(size=(23, 3))
-        G = problem.f_grad_batch(P)
+        G = problem.f_grad(P)
+        assert G.shape == P.shape
         for i in (0, 11, 22):
             assert np.allclose(G[i], problem.f_grad(P[i]), rtol=1e-12, atol=1e-14)
 
@@ -367,7 +369,7 @@ class TestMomentMatching:
             handle = problem.hessian(y, 0.0)
             assert np.allclose(handle.f_hess(), Q, rtol=1e-12, atol=1e-14)
             assert np.allclose(handle.matvec(v), Q @ v, rtol=1e-12, atol=1e-14)
-        G = problem.f_grad_batch(Y)
+        G = problem.f_grad(Y)
         assert G.shape == Y.shape
         for i, y in enumerate(Y):
             assert np.allclose(G[i], problem.f_grad(y), rtol=1e-12, atol=1e-14)
@@ -378,6 +380,21 @@ class TestMomentMatching:
         for bad in ([-0.1, 0.5], [0.6, 0.4], [np.nan, 0.1]):
             with pytest.raises(DomainError):
                 problem.hessian(np.array(bad), 1.0)
+
+    @pytest.mark.parametrize("bad", [[np.nan, 0.1], [0.0, 0.3], [0.6, 0.4], [0.7, 0.5]])
+    def test_batch_omega_gradient_raises_where_a_point_does(self, bad):
+        # a NaN row, a zero entry, a row summing to exactly 1 and one summing past it
+        w, x_true = generate_synthetic_moment_data(2, 4)
+        problem = make_moment_matching(*build_moment_problem(w, x_true, 1))
+        good = np.array([[0.2, 0.3], [0.4, 0.3]])
+        assert np.array_equal(problem.omega_grad(good)[1], problem.omega_grad(good[1]))
+        with pytest.raises(DomainError) as point:
+            problem.omega_grad(np.array(bad))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as batch:
+                problem.omega_grad(np.array([good[0], bad, good[1]]))
+        assert str(batch.value) == str(point.value)
 
 
 @st.composite
@@ -551,6 +568,18 @@ class TestHessianHandles:
         gamma = 2.0 * (rows + problem.dim + 8) * EPS
         bar = gamma * np.sqrt(problem.dim) * np.linalg.norm(H) * np.linalg.norm(v)
         assert np.linalg.norm(handle.matvec(v) - H @ v) <= bar
+        # a row of a batch gradient is its point's gradient up to the rounding of a
+        # differently blocked product, within gamma (sqrt(p) ||H_term|| ||y|| + ||g||);
+        # the base point and the midpoint keep the moment rows inside the simplex
+        base = problem.base_point()
+        X = np.array([x, 0.5 * (x + base), base])
+        for grad, term in ((problem.f_grad, "f_hess"), (problem.omega_grad, "omega_hess")):
+            G = grad(X)
+            assert G.shape == X.shape
+            for row, y in zip(G, X):
+                g, H_term = grad(y), getattr(problem.hessian(y, lam), term)()
+                size = np.sqrt(problem.dim) * np.linalg.norm(H_term) * np.linalg.norm(y)
+                assert np.linalg.norm(row - g) <= gamma * (size + np.linalg.norm(g))
 
     @PROPERTY_SETTINGS
     @given(oracle_points())
