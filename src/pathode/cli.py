@@ -328,6 +328,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_gen_moment(args) -> int:
     w, x_true = problems.generate_synthetic_moment_data(args.p, args.seed)
+    problems.build_moment_problem(w, x_true, args.n_moments)  # rejects what run --data would
     datasets.save_moment_json(w, x_true, args.n_moments, args.out)
     print(f"wrote moment problem (p={args.p}, n_moments={args.n_moments}) to {args.out}")
     return 0

@@ -228,5 +228,4 @@ def cg_iteration_bound(kappa: float, initial_residual: float, delta: float) -> i
         raise ValueError("delta must be positive")
     if initial_residual <= delta:
         return 0
-    n = math.ceil((math.sqrt(kappa) + 1.0) / 2.0 * math.log(2.0 * math.sqrt(kappa) * initial_residual / delta))
-    return max(n, 0)
+    return math.ceil((math.sqrt(kappa) + 1.0) / 2.0 * math.log(2.0 * math.sqrt(kappa) * initial_residual / delta))

@@ -105,13 +105,13 @@ class ProblemOracle:
         return np.array(self.omega_minimizer, dtype=float, copy=True)
 
     def checked_start(self, x0: Array, allow_degenerate: bool) -> Array:
-        """x0 as a float array, once it and the problem pass the path solvers' entry checks."""
+        """A fresh float copy of x0, once it and the problem pass the path solvers' entry checks."""
         if self.sigma <= 0.0 and not allow_degenerate:
             raise DegenerateProblemError(
                 "Omega is not strongly convex (sigma = 0); pass allow_degenerate=True "
                 "to run anyway without the accompanying guarantees"
             )
-        x0 = np.asarray(x0, dtype=float)
+        x0 = np.array(x0, dtype=float)
         if x0.shape != (self.dim,):
             raise ValueError(f"x0 has shape {x0.shape}, expected ({self.dim},)")
         if not self.domain_check(x0):
@@ -426,20 +426,21 @@ def _logistic_pieces(A: Array, labels: Array):
     return value, grad, lambda x, lam: _LogisticHessian(A, Ab, x, lam)
 
 
-def _check_labels(labels: Array) -> Array:
+def _check_design(features: Array, labels: Array) -> tuple[Array, Array]:
+    """(A, labels) as float arrays, once A is 2-D with one +1 or -1 label per row."""
+    A = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=float)
     if not np.all(np.isin(labels, (-1.0, 1.0))):
         raise ValueError("labels must be +1 or -1")
-    return labels
+    if A.ndim != 2 or labels.shape != (A.shape[0],):
+        raise ValueError(f"shape mismatch: features {A.shape}, labels {labels.shape}")
+    return A, labels
 
 
 def make_logistic_ridge(features: Array, labels: Array) -> ProblemOracle:
     """Mean logistic loss with an l2 ball regularizer; mu = 0, sigma = 1."""
-    A = np.asarray(features, dtype=float)
-    labels = _check_labels(labels)
-    if A.ndim != 2 or A.shape[0] != labels.shape[0]:
-        raise ValueError(f"shape mismatch: features {A.shape}, labels {labels.shape}")
-    n, p = A.shape
+    A, labels = _check_design(features, labels)
+    p = A.shape[1]
     value, grad, hessian = _logistic_pieces(A, labels)
     cs = _logistic_constants(A)
     L = max(1.0, cs["value"], cs["grad"], cs["hess"], cs["third"])
@@ -463,8 +464,7 @@ def make_logistic_reweighted(features: Array, labels: Array) -> ProblemOracle:
     Omega minimizer either (the infimum sits at infinity), so
     omega_minimizer is None.
     """
-    A = np.asarray(features, dtype=float)
-    labels = _check_labels(labels)
+    A, labels = _check_design(features, labels)
     pos = labels > 0
     neg = ~pos
     if not pos.any() or not neg.any():

@@ -8,6 +8,7 @@ methods.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from dataclasses import asdict, dataclass, field, fields
@@ -76,8 +77,23 @@ class RunReport:
 
 
 def write_json_atomic(text: str, path: str) -> None:
-    """Write text to path via a temporary file and rename."""
+    """Write text to path via a temporary file and rename.
+
+    A symlink is followed, so the link stays and its target gets the text; a
+    target that is not a regular file (a device, a FIFO) is written in place,
+    as a rename would replace the node.  A failed write leaves no temporary file.
+    """
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise

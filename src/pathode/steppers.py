@@ -18,11 +18,11 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linsolve import NotPositiveDefiniteError, cg_solve
+from .linsolve import DirectionResult, NotPositiveDefiniteError, cg_solve
 from .paths import PiecewiseLinearPath, residuals
 from .problems import DomainError, ProblemOracle, check_lambda_range
 from .reports import OracleCounters, RunReport
@@ -137,36 +137,35 @@ class StepperConfig:
             raise ValueError("cg mode needs delta > 0")
         self.h = stepsize(self.method, self.K, self.lambda_min, self.lambda_max)
 
-    @property
-    def method_label(self) -> str:
-        return self.method if self.delta is None else f"{self.method}-cg"
-
 
 @dataclass
 class StepDiagnostics:
-    """Per-step record: one entry per stage in the stage-ordered lists.
+    """Per-step record: step k's knot, then the stages of its take_step in stage order.
 
-    Runs build these only when they record diagnostics, so long production
-    runs do not hold the O(K p) vector payloads (direction_vectors,
-    residual_vectors, stage_points); as_dict leaves those out.
+    Runs build these only when they record diagnostics, since the stage
+    DirectionResults and points hold O(p) vectors; as_dict leaves those out.
     """
 
     k: int
     lambda_k: float
     residual_r_k: float
-    direction_norms: list[float]
-    cg_iterations: list[int]
-    direction_residuals: list[float]
-    cg_initial_residuals: list[float]
     stage_lambdas: list[float]
-    domain_backoffs: int
-    direction_vectors: list[np.ndarray]
-    residual_vectors: list[np.ndarray]
+    stages: list[DirectionResult]
     stage_points: list[np.ndarray]
+    domain_backoffs: int
 
     def as_dict(self) -> dict:
-        vectors = ("direction_vectors", "residual_vectors", "stage_points")
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name not in vectors}
+        return {
+            "k": self.k,
+            "lambda_k": self.lambda_k,
+            "residual_r_k": self.residual_r_k,
+            "direction_norms": [float(np.linalg.norm(r.direction)) for r in self.stages],
+            "cg_iterations": [r.inner_iterations for r in self.stages],
+            "direction_residuals": [r.residual_norm for r in self.stages],
+            "cg_initial_residuals": [r.initial_residual for r in self.stages],
+            "stage_lambdas": self.stage_lambdas,
+            "domain_backoffs": self.domain_backoffs,
+        }
 
 
 def direction_oracle(problem: ProblemOracle, counters: OracleCounters, delta: float | None):
@@ -254,7 +253,7 @@ def take_step(scheme, problem, x_k, lambda_k, h, direction, warm=None):
     next knot's lambda comes from the schedule and never changes.  warm seeds
     stage 1 in CG mode, and carry is the direction that seeds the next step.
     stages = (stage lambdas, stage DirectionResults, stage points, backoffs)
-    is the raw material of step_diagnostics, built only when recorded.
+    are the last four fields of the step's StepDiagnostics.
     """
     lams = [f * lambda_k for f in scheme.stage_factors(h)]
     first = direction(x_k, lams[0], warm)
@@ -284,25 +283,6 @@ def take_step(scheme, problem, x_k, lambda_k, h, direction, warm=None):
     return x_next, results[scheme.carry - 1].direction, stages
 
 
-def step_diagnostics(k, lambda_k, residual_r_k, stages):
-    """The StepDiagnostics of step k, from the stages of its take_step."""
-    lams, results, points, backoffs = stages
-    return StepDiagnostics(
-        k=k,
-        lambda_k=lambda_k,
-        residual_r_k=residual_r_k,
-        direction_norms=[float(np.linalg.norm(r.direction)) for r in results],
-        cg_iterations=[r.inner_iterations for r in results],
-        direction_residuals=[r.residual_norm for r in results],
-        cg_initial_residuals=[r.initial_residual for r in results],
-        stage_lambdas=lams,
-        domain_backoffs=backoffs,
-        direction_vectors=[r.direction for r in results],
-        residual_vectors=[r.residual_vector for r in results],
-        stage_points=[np.array(p) for p in points],
-    )
-
-
 def run_path(
     problem: ProblemOracle,
     x0: np.ndarray,
@@ -328,7 +308,7 @@ def run_path(
 
     def knots_and_diagnostics(n):
         res = residuals(problem, X[:n], lams[:n], counters)
-        diags = [step_diagnostics(k, float(lams[k]), res[k], st) for k, st in enumerate(steps)]
+        diags = [StepDiagnostics(k, float(lams[k]), res[k], *st) for k, st in enumerate(steps)]
         return res, diags
 
     t0 = time.perf_counter()
@@ -347,7 +327,7 @@ def run_path(
         X[k + 1] = x
     res, diags = knots_and_diagnostics(config.K + 1)
     report = RunReport(
-        method=config.method_label,
+        method=config.method if config.delta is None else f"{config.method}-cg",
         K=config.K,
         h=config.h,
         counters=counters,

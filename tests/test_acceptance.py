@@ -233,7 +233,8 @@ def _min_step_slack(problem, x0, lo, hi, K, delta):
                 if method == "euler":
                     if mode == "exact":
                         bound = step_bound_euler(
-                            d.residual_r_k, lam_k, lam_n, rep.h, c.L, d.direction_norms[0]
+                            d.residual_r_k, lam_k, lam_n, rep.h, c.L,
+                            np.linalg.norm(d.stages[0].direction),
                         )
                     else:
                         bound = step_bound_euler_approx(
@@ -242,8 +243,8 @@ def _min_step_slack(problem, x0, lo, hi, K, delta):
                             lam_n,
                             rep.h,
                             c.L,
-                            d.direction_norms[0],
-                            d.direction_residuals[0],
+                            np.linalg.norm(d.stages[0].direction),
+                            d.stages[0].residual_norm,
                         )
                 else:
                     assert d.residual_r_k <= c.mu_tilde  # premise clause
@@ -259,8 +260,8 @@ def _min_step_slack(problem, x0, lo, hi, K, delta):
                             c.L,
                             c.G,
                             c.tau,
-                            d.residual_vectors[0],
-                            d.residual_vectors[1],
+                            d.stages[0].residual_vector,
+                            d.stages[1].residual_vector,
                         )
                 worst = min(worst, bound - path.residuals[d.k + 1])
     return worst
@@ -341,9 +342,9 @@ def test_c06_cg_variants_reach_eps_within_iteration_bounds(small_quad, criterion
         path, rep = run_path(problem, x0, cfg)
         results[method] = (K, accuracy_midpoint(problem, path))
         for d in rep.step_diagnostics:
-            for lam_s, iters, r0 in zip(d.stage_lambdas, d.cg_iterations, d.cg_initial_residuals):
+            for lam_s, r in zip(d.stage_lambdas, d.stages):
                 kappa = (eigs[-1] + lam_s) / (eigs[0] + lam_s)
-                if iters > cg_iteration_bound(kappa, r0, delta):
+                if r.inner_iterations > cg_iteration_bound(kappa, r.initial_residual, delta):
                     violations += 1
     ok = violations == 0 and all(a <= eps for _, a in results.values())
     record_criterion(

@@ -411,6 +411,14 @@ class TestGenVerbs:
         assert len(w) == 7 and len(x_true) == 7 and m == 4
         assert w[-1] == 0.0
 
+    @pytest.mark.parametrize("n_moments", ["0", "31"])
+    def test_gen_moment_rejects_what_run_would(self, capsys, tmp_path, n_moments):
+        path = tmp_path / "m.json"
+        rc, _, err = call(capsys, ["gen-moment", "--p", "4", "--n-moments", n_moments, "--out", str(path)])
+        assert rc == 2
+        assert "n_moments must be in [1, 30]" in err
+        assert not path.exists()
+
 
 class TestExitCodes:
     def test_unknown_method(self, capsys):

@@ -228,6 +228,15 @@ class TestReweightedLogistic:
         with pytest.raises(ValueError):
             make_logistic_reweighted(np.ones((2, 1)), np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("factory", [make_logistic_ridge, make_logistic_reweighted])
+    @pytest.mark.parametrize(
+        "features", [np.ones((5, 3)), np.ones(4)], ids=["label-count", "1-d-features"]
+    )
+    def test_design_shape_checked(self, factory, features):
+        # both factories want 2-D features with one label per row
+        with pytest.raises(ValueError, match="shape mismatch"):
+            factory(features, np.array([1.0, -1.0, 1.0, -1.0]))
+
     def test_finite_difference_gradient(self):
         X, y = generate_synthetic_logistic(30, 4, 12)
         problem = make_logistic_reweighted(X, y)

@@ -1,8 +1,11 @@
 """Counter bookkeeping and run-report serialization."""
 
 import json
+import os
+import stat
 
 import numpy as np
+import pytest
 
 from pathode import (
     GridSearchConfig,
@@ -89,6 +92,41 @@ def test_write_json_atomic_overwrites(tmp_path):
     target.write_text("old")
     write_json_atomic("new", str(target))
     assert target.read_text() == "new"
+
+
+def test_write_json_atomic_keeps_a_symlink(tmp_path):
+    target = tmp_path / "r.json"
+    target.write_text("old")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    write_json_atomic("new", str(link))
+    assert link.is_symlink() and link.readlink() == target
+    assert target.read_text() == "new"
+    assert sorted(tmp_path.iterdir()) == [link, target]
+
+
+def test_write_json_atomic_keeps_a_fifo(tmp_path):
+    # a reader opened first lets the writer open the FIFO without blocking
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        write_json_atomic('{"a": 1}\n', str(fifo))
+        assert os.read(reader, 64) == b'{"a": 1}\n'
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert list(tmp_path.iterdir()) == [fifo]
+
+
+def test_write_json_atomic_removes_tmp_when_rename_fails(tmp_path, monkeypatch):
+    def fail(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="rename failed"):
+        write_json_atomic("new", str(tmp_path / "r.json"))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_runs_measure_positive_wall_time():

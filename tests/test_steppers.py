@@ -1,5 +1,6 @@
 """Step schemes, the lambda schedule, run_path bookkeeping, and initializers."""
 
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from pathode import (
     CGNoConvergenceError,
+    StepDiagnostics,
     DegenerateProblemError,
     DomainError,
     GridSearchConfig,
@@ -31,8 +33,8 @@ from pathode import (
     solve_grid,
     stepsize,
 )
-from pathode.cli import min_feasible_K
-from pathode.steppers import METHODS, SCHEMES, newton_solve, step_diagnostics, take_step
+from pathode.cli import _write_diagnostics, min_feasible_K
+from pathode.steppers import METHODS, SCHEMES, newton_solve, take_step
 from pathode.datasets import generate_synthetic_logistic, generate_synthetic_quadratic
 
 from conftest import fit_loglog_slope, with_dense_solve, with_handle_methods
@@ -42,7 +44,7 @@ def one_step(method, problem, x_k, lambda_k, h):
     """take_step of SCHEMES[method] with exact directions: (x_next, diagnostics)."""
     exact = direction_oracle(problem, OracleCounters(), None)
     x_next, _, stages = take_step(SCHEMES[method], problem, x_k, lambda_k, h, exact)
-    return x_next, step_diagnostics(0, lambda_k, math.nan, stages)
+    return x_next, StepDiagnostics(0, lambda_k, math.nan, *stages)
 
 
 def direction(problem, x, lam):
@@ -162,8 +164,8 @@ class TestTrapezoidStep:
         x1, diag = one_step("trapezoid", pure_scalar, np.array([1.0]), 1.0, 0.5)
         assert x1[0] == pytest.approx(43.0 / 56.0, rel=1e-14)
         assert diag.stage_lambdas == [pytest.approx(1.0), pytest.approx(0.75)]
-        assert diag.direction_vectors[0] == pytest.approx([-0.5], rel=1e-15)
-        assert diag.direction_vectors[1] == pytest.approx([-3.0 / 7.0], rel=1e-14)
+        assert diag.stages[0].direction == pytest.approx([-0.5], rel=1e-15)
+        assert diag.stages[1].direction == pytest.approx([-3.0 / 7.0], rel=1e-14)
         assert diag.stage_points[1] == pytest.approx([0.75], rel=1e-15)
 
     def test_first_stage_uses_old_lambda(self, quad30, quad30_start):
@@ -171,7 +173,7 @@ class TestTrapezoidStep:
         _, diag = one_step("trapezoid", problem, quad30_start, 10.0, 0.05)
         g = problem.f_grad(quad30_start)
         d1 = np.linalg.solve(A.T @ A + 10.0 * np.eye(20), -g)
-        assert np.allclose(diag.direction_vectors[0], d1, rtol=1e-12, atol=1e-14)
+        assert np.allclose(diag.stages[0].direction, d1, rtol=1e-12, atol=1e-14)
 
 
 class TestRk4Step:
@@ -374,21 +376,21 @@ class TestCgWarmStartChain:
         )
         _, rep = run_path(logistic_small, x0, cfg)
         diags = rep.step_diagnostics
-        assert diags[0].cg_initial_residuals[0] == pytest.approx(
+        assert diags[0].stages[0].initial_residual == pytest.approx(
             float(np.linalg.norm(logistic_small.f_grad(x0))), rel=1e-12
         )
         previous = None
         for diag in diags:
             assert diag.domain_backoffs == 0
-            warm = [previous] + diag.direction_vectors[:-1]
+            warm = [previous] + [r.direction for r in diag.stages[:-1]]
             for i, d in enumerate(warm):
                 if d is None:
                     continue
                 x, lam = diag.stage_points[i], diag.stage_lambdas[i]
                 H = logistic_small.total_hess(x, lam)
                 expect = float(np.linalg.norm(H @ d + logistic_small.f_grad(x)))
-                assert diag.cg_initial_residuals[i] == pytest.approx(expect, rel=1e-12)
-            previous = diag.direction_vectors[self.CARRY_STAGE[method]]
+                assert diag.stages[i].initial_residual == pytest.approx(expect, rel=1e-12)
+            previous = diag.stages[self.CARRY_STAGE[method]].direction
 
 
 # ---------------------------------------------------------------- run_path
@@ -500,9 +502,9 @@ class TestRunPath:
         )
         _, rep = run_path(problem, quad30_start, cfg)
         for diag in rep.step_diagnostics:
-            assert len(diag.direction_residuals) == 2  # one per stage
-            for r in diag.direction_residuals:
-                assert r <= delta * (1.0 + 1e-12)
+            assert len(diag.stages) == 2  # one per stage
+            for r in diag.stages:
+                assert r.residual_norm <= delta * (1.0 + 1e-12)
 
     def test_diagnostics_stage_counts(self, quad30, quad30_start):
         _, _, problem = quad30
@@ -516,7 +518,7 @@ class TestRunPath:
             for k, diag in enumerate(rep.step_diagnostics):
                 assert diag.k == k
                 assert len(diag.stage_lambdas) == stages
-                assert len(diag.direction_norms) == stages
+                assert len(diag.stages) == len(diag.stage_points) == stages
                 assert np.isfinite(diag.residual_r_k)
 
     def test_no_diagnostics_by_default(self, quad30, quad30_start):
@@ -528,8 +530,10 @@ class TestRunPath:
     @pytest.mark.parametrize("mode", ["exact", "cg"])
     @pytest.mark.parametrize("method", ["euler", "trapezoid", "rk4"])
     @pytest.mark.parametrize("instance", ["logistic", "backoff-1d"])
-    def test_recording_is_observation_only(self, logistic_small, instance, method, mode):
-        # the backoff-1d instance is TestDomainBackoff's; its steps halve
+    def test_recording_is_observation_only(self, logistic_small, instance, method, mode, tmp_path):
+        # the backoff-1d instance is TestDomainBackoff's; its steps halve.
+        # Each --diag-out line lists its record's stage results, and no record
+        # shares memory with the caller's x0.
         if instance == "logistic":
             problem, lam_min, lam_max = logistic_small, 0.1, 10.0
         else:
@@ -551,6 +555,19 @@ class TestRunPath:
         assert quiet.counters.as_dict() == loud.counters.as_dict()
         if instance == "backoff-1d":
             assert sum(d.domain_backoffs for d in loud.step_diagnostics) > 0
+        diag_out = tmp_path / "steps.jsonl"
+        _write_diagnostics(loud, str(diag_out))
+        lines = [json.loads(line) for line in diag_out.read_text().splitlines()]
+        assert len(lines) == len(loud.step_diagnostics)
+        for line, d in zip(lines, loud.step_diagnostics):
+            assert line["direction_norms"] == [float(np.linalg.norm(r.direction)) for r in d.stages]
+            assert line["cg_iterations"] == [r.inner_iterations for r in d.stages]
+            assert line["direction_residuals"] == [r.residual_norm for r in d.stages]
+            assert line["cg_initial_residuals"] == [r.initial_residual for r in d.stages]
+        points = [np.array(p) for d in loud.step_diagnostics for p in d.stage_points]
+        x0 += 1.0
+        kept = [p for d in loud.step_diagnostics for p in d.stage_points]
+        assert all(np.array_equal(a, b) for a, b in zip(points, kept, strict=True))
 
     def test_domain_violating_start_rejected(self):
         A, b = build_moment_problem(np.array([0.5, 0.0]), np.array([0.5, 0.5]), 1)
