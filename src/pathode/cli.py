@@ -9,8 +9,10 @@ JSON documents matching report_schema.json; sweeps emit one CSV row per
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -353,10 +355,16 @@ def _add_problem_flags(sub):
 
 
 class _NonNegative(argparse.Action):
+    minimum = 0
+
     def __call__(self, parser, namespace, value, option_string=None):
-        if value < 0:
-            raise argparse.ArgumentError(self, f"must be >= 0, got {value}")
+        if value < self.minimum:
+            raise argparse.ArgumentError(self, f"must be >= {self.minimum}, got {value}")
         setattr(namespace, self.dest, value)
+
+
+class _Positive(_NonNegative):
+    minimum = 1
 
 
 def _positive_float(text: str) -> float:
@@ -383,7 +391,7 @@ def _add_solver_flags(sub):
 
 
 def _add_doubling_flags(sub):
-    sub.add_argument("--K0", type=int, default=None, help="doubling start")
+    sub.add_argument("--K0", type=int, default=None, action=_Positive, help="doubling start")
     sub.add_argument("--max-doublings", type=int, default=20, action=_NonNegative)
 
 
@@ -461,9 +469,45 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# numpy's and scipy's wheels rename the symbols; a system OpenBLAS keeps the plain names
+_OPENBLAS_SETTERS = tuple(
+    f"{prefix}set_num_threads{suffix}"
+    for prefix in ("scipy_openblas_", "openblas_")
+    for suffix in ("64_", "")
+)
+
+
+def _pin_blas_threads() -> None:
+    """Set every loaded OpenBLAS pool to one thread unless the user chose a count.
+
+    A count set through OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is kept.
+    numpy and scipy each load their own OpenBLAS with its own thread pool;
+    the exact runs assemble each Hessian in one and factor it in the other,
+    and two multi-threaded pools taking turns stall.  Without /proc, or for a
+    library without a known setter, the pools are left alone.
+    """
+    if "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ:
+        return
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = {ln.split()[-1] for ln in fh if "openblas" in ln.lower() and "/" in ln}
+    except OSError:
+        return
+    for lib_path in sorted(libs):
+        try:
+            lib = ctypes.CDLL(lib_path)
+        except OSError:
+            continue
+        setter = next((getattr(lib, n) for n in _OPENBLAS_SETTERS if hasattr(lib, n)), None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _pin_blas_threads()
     try:
         if "lambda_min" in vars(args):  # every verb that takes a path range
             problems.check_lambda_range(args.lambda_min, args.lambda_max)

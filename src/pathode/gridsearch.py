@@ -56,14 +56,18 @@ def agd_inner(
     L_eff: float,
     counters: OracleCounters,
     cap: int = DEFAULT_AGD_CAP,
+    terms: tuple | None = None,
 ):
     """Constant-momentum accelerated gradient descent on F_lambda.
 
     Momentum (sqrt(kappa) - 1)/(sqrt(kappa) + 1) with kappa = L_eff/mu_eff,
     step 1/L_eff; stops when the gradient norm at the extrapolated point
-    reaches tol and returns (point, iterations, gradient norm).  Each
-    iteration charges one gradient pair to counters.  Raises
-    MaxIterationsError after cap iterations.
+    reaches tol and returns (point, iterations, gradient norm, terms).
+    terms = (f_grad, omega_grad, f_value, omega_value) at x_start, None where
+    not made, as in newton_solve: only the entry gradient is reused, and the
+    returned terms hold the gradients at the returned point.  Each gradient
+    made charges one pair to counters.  Raises MaxIterationsError after cap
+    iterations.
     """
     if mu_eff <= 0.0 or L_eff < mu_eff:
         raise ValueError("need 0 < mu_eff <= L_eff")
@@ -73,13 +77,16 @@ def agd_inner(
     beta = (math.sqrt(kappa) - 1.0) / (math.sqrt(kappa) + 1.0)
     x = np.array(x_start, dtype=float, copy=True)
     y = x.copy()
+    fg, og, fv, ov = terms or (None, None, None, None)
     for it in range(cap + 1):
-        g = problem.total_grad(y, lam)
+        if fg is None:
+            fg, og = problem.f_grad(y), problem.omega_grad(y)
+            counters.grad_f += 1
+            counters.grad_omega += 1
+        g = fg + lam * og
         gnorm = float(np.linalg.norm(g))
-        counters.grad_f += 1
-        counters.grad_omega += 1
         if gnorm <= tol:
-            return y, it, gnorm
+            return y, it, gnorm, (fg, og, fv, ov)
         x_new = y - g / L_eff
         if not problem.domain_check(x_new):
             raise DomainError("accelerated gradient left the domain")
@@ -87,6 +94,7 @@ def agd_inner(
         if not problem.domain_check(y):
             raise DomainError("accelerated gradient extrapolation left the domain")
         x = x_new
+        fg = og = fv = ov = None
     raise MaxIterationsError(f"agd inner solver exceeded {cap} iterations")
 
 
@@ -101,9 +109,12 @@ def solve_grid(
 
     Returns the piecewise-constant path and a report; report.inner_iterations
     lists the inner iteration count per grid point.  Newton inner work charges
-    gradients, Hessian builds, and solves; AGD charges gradients only.  Knot
-    residuals reuse the inner solver's exit gradient norm, so no extra metric
-    evaluations are made here.  A failed inner solve raises PathRunError
+    gradients, Hessian builds, and solves; AGD charges gradients only.  The
+    terms of F_lambda = f + lambda Omega at a point do not depend on lambda,
+    so each point's solve starts from the previous point's exit terms: a warm
+    start makes no new gradient, and grad_f = grad_omega = sum(iterations) + 1.
+    Knot residuals reuse the inner solver's exit gradient norm, so no extra
+    metric evaluations are made here.  A failed inner solve raises PathRunError
     carrying the points finished before it.
     """
     x = problem.checked_start(x0, allow_degenerate)
@@ -114,19 +125,21 @@ def solve_grid(
     X = np.empty((len(lams), problem.dim))
     res = np.empty(len(lams))
     iterations: list[int] = []
+    terms = None
     t0 = time.perf_counter()
     for idx, lam in enumerate(lams):
         lam = float(lam)
         try:
             if config.inner_solver == "newton":
-                x, iters, res[idx] = newton_solve(
-                    problem, lam, x, config.inner_tol, DEFAULT_NEWTON_CAP, counters
+                x, iters, res[idx], terms = newton_solve(
+                    problem, lam, x, config.inner_tol, DEFAULT_NEWTON_CAP, counters, terms
                 )
             else:
                 mu_eff = problem.mu + lam * problem.sigma
                 L_eff = problem.lipschitz * (1.0 + lam)
-                x, iters, res[idx] = agd_inner(
-                    problem, lam, x, config.inner_tol, mu_eff, L_eff, counters, DEFAULT_AGD_CAP
+                x, iters, res[idx], terms = agd_inner(
+                    problem, lam, x, config.inner_tol, mu_eff, L_eff, counters,
+                    DEFAULT_AGD_CAP, terms,
                 )
         except (DomainError, MaxIterationsError, NotPositiveDefiniteError) as exc:
             raise PathRunError(

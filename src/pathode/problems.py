@@ -87,9 +87,6 @@ class ProblemOracle:
     lipschitz: float | None
     hessian: Callable[[Array, float], Any]
 
-    def total_value(self, x: Array, lam: float) -> float:
-        return self.f_value(x) + lam * self.omega_value(x)
-
     def total_grad(self, x: Array, lam: float | Array) -> Array:
         """grad F_lam at a point, or at row points with lam a column of shape (m, 1)."""
         return self.f_grad(x) + lam * self.omega_grad(x)

@@ -384,34 +384,46 @@ def newton_solve(
     tol: float,
     max_iters: int,
     counters: OracleCounters,
-) -> tuple[np.ndarray, int, float]:
-    """Damped Newton on F_lam from x until ||grad F_lam|| <= tol; returns (x, iters, gnorm).
+    terms: tuple | None = None,
+) -> tuple[np.ndarray, int, float, tuple]:
+    """Damped Newton on F_lam from x until ||grad F_lam|| <= tol; returns (x, iters, gnorm, terms).
 
-    Each step is the Newton step, halved until the iterate stays in the
-    domain and the objective does not increase.  Each gradient charges
-    grad_f and grad_omega to counters, and each step one Hessian build and
-    one linear solve.  Raises MaxIterationsError when no halving is
-    acceptable or the gradient is still above tol after max_iters steps.
+    terms = (f_grad, omega_grad, f_value, omega_value) holds the evaluations
+    at a point, None where not yet made; none of them depends on lam.  Given
+    the terms at x (e.g. the previous grid point's exit), they are reused;
+    the returned terms are those at the returned x.  Each step is the Newton
+    step, halved until the iterate stays in the domain and F_lam does not
+    increase; an accepted point keeps its values and its gradients are made
+    at the next iteration.  Each gradient made charges grad_f and grad_omega
+    to counters, and each step one Hessian build and one linear solve.
+    Raises MaxIterationsError when no halving is acceptable or the gradient
+    is still above tol after max_iters steps.
     """
+    fg, og, fv, ov = terms or (None, None, None, None)
     for it in range(max_iters + 1):
-        g = problem.total_grad(x, lam)
+        if fg is None:
+            fg, og = problem.f_grad(x), problem.omega_grad(x)
+            counters.grad_f += 1
+            counters.grad_omega += 1
+        g = fg + lam * og
         gnorm = float(np.linalg.norm(g))
-        counters.grad_f += 1
-        counters.grad_omega += 1
         if gnorm <= tol:
-            return x, it, gnorm
+            return x, it, gnorm, (fg, og, fv, ov)
         if it == max_iters:
             break
         d = problem.hessian(x, lam).solve(g).direction
         counters.hess_builds += 1
         counters.linear_solves += 1
-        f0 = problem.total_value(x, lam)
+        if fv is None:
+            fv, ov = problem.f_value(x), problem.omega_value(x)
+        f0 = fv + lam * ov
         t = 1.0
         for _ in range(MAX_DOMAIN_BACKOFFS + 1):
             cand = x + t * d
             if problem.domain_check(cand):
-                if problem.total_value(cand, lam) <= f0 + 1e-12 * (1.0 + abs(f0)):
-                    x = cand
+                cand_fv, cand_ov = problem.f_value(cand), problem.omega_value(cand)
+                if cand_fv + lam * cand_ov <= f0 + 1e-12 * (1.0 + abs(f0)):
+                    x, fg, og, fv, ov = cand, None, None, cand_fv, cand_ov
                     break
             t *= 0.5
         else:

@@ -9,6 +9,8 @@ is skipped where it is absent.
 import argparse
 import json
 import math
+import os
+import pathlib
 import shutil
 import signal
 import subprocess
@@ -485,6 +487,24 @@ class TestExitCodes:
         assert "--max-doublings" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("bad", ["0", "-5"])
+    @pytest.mark.parametrize(
+        "verb",
+        [
+            ["doubling", "--method", "euler", "--eps", "1e-3"],
+            ["sweep", "--methods", "euler", "--eps-list", "1e-3"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_nonpositive_K0(self, capsys, tmp_path, verb, bad):
+        # a K0 below 1 used to start silently at the smallest feasible K
+        out = ["--out", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as exc:
+            main(verb + ["--K0", bad] + out + QUAD)
+        assert exc.value.code == 2
+        assert "--K0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "0", "-1"])
     @pytest.mark.parametrize(
         "argv",
@@ -613,6 +633,80 @@ class TestVerbFlags:
     @pytest.mark.parametrize("verb", sorted(EXPECTED))
     def test_flag_set(self, verb):
         assert _verb_flags(verb) == self.EXPECTED[verb]
+
+
+_BLAS_THREADS_SCRIPT = """
+import ctypes, json, sys
+from pathode import cli
+
+getters = []  # found before any patch below
+try:
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        libs = {{ln.split()[-1] for ln in fh if "openblas" in ln.lower() and "/" in ln}}
+except OSError:
+    libs = set()
+for path in sorted(libs):
+    lib = ctypes.CDLL(path)
+    for name in cli._OPENBLAS_SETTERS:
+        getter = getattr(lib, name.replace("_set_", "_get_"), None)
+        if getter is not None:
+            getters.append(getter)
+            break
+
+def threads():
+    return [getter() for getter in getters]
+
+before = threads()
+{patch}
+rc = cli.main(["gen-logistic", "--n", "10", "--p", "2", "--out", sys.argv[1]])
+print(json.dumps({{"rc": rc, "before": before, "after": threads()}}))
+"""
+
+
+def _blas_threads(tmp_path, patch="", **env):
+    """Run cli.main in a fresh interpreter; the OpenBLAS pools' threads before and after."""
+    environ = dict(os.environ)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        environ.pop(var, None)
+    src = str(pathlib.Path(pathode.__file__).resolve().parents[1])
+    environ["PYTHONPATH"] = os.pathsep.join(filter(None, [src, environ.get("PYTHONPATH")]))
+    environ.update(env)
+    proc = subprocess.run(
+        [sys.executable, "-c", _BLAS_THREADS_SCRIPT.format(patch=patch), str(tmp_path / "d.csv")],
+        capture_output=True, text=True, timeout=120, env=environ,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["rc"] == 0
+    if not out["before"]:
+        pytest.skip("no OpenBLAS with a known thread setter is loaded")
+    return out["before"], out["after"]
+
+
+class TestBlasThreads:
+    def test_main_pins_every_pool_to_one_thread(self, tmp_path):
+        _, after = _blas_threads(tmp_path)
+        assert after == [1] * len(after)
+
+    @pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+    def test_explicit_thread_count_is_honoured(self, tmp_path, var):
+        before, after = _blas_threads(tmp_path, **{var: "2"})
+        assert after == before
+        if len(os.sched_getaffinity(0)) >= 2:  # OpenBLAS caps its pool at the usable CPUs
+            assert before == [2] * len(before)
+
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            'cli._OPENBLAS_SETTERS = ("no_such_symbol",)',
+            "def no_library(path):\n    raise OSError(path)\n"
+            "cli.ctypes = type(sys)('ctypes')\ncli.ctypes.CDLL = no_library",
+        ],
+        ids=["no-symbol", "no-library"],
+    )
+    def test_missing_setter_is_skipped(self, tmp_path, patch):
+        before, after = _blas_threads(tmp_path, patch=patch)
+        assert after == before
 
 
 class TestConsoleScript:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathode import gridsearch
 from pathode import (
@@ -13,14 +15,19 @@ from pathode import (
     PiecewiseConstantPath,
     TheoryConstants,
     agd_inner,
+    build_moment_problem,
+    generate_synthetic_moment_data,
     k_grid,
     lambda_schedule,
     make_logistic_reweighted,
+    make_logistic_ridge,
+    make_moment_matching,
     make_quadratic_ridge,
     quadratic_theory_constants,
     solve_grid,
 )
-from pathode.datasets import generate_synthetic_logistic
+from pathode.datasets import generate_synthetic_logistic, generate_synthetic_quadratic
+from pathode.steppers import newton_solve
 
 
 def quad_config(K, tol=1e-8, solver="newton"):
@@ -95,10 +102,8 @@ class TestNewtonInner:
         path, rep = solve_grid(problem, np.zeros(20), quad_config(10, tol=1e-10))
         warm_total = sum(rep.inner_iterations)
         cold_total = 0
-        from pathode.steppers import newton_solve
-
         for lam in lambda_schedule(0.01, 10.0, 9):
-            _, iters, _ = newton_solve(
+            _, iters, _, _ = newton_solve(
                 problem, float(lam), np.zeros(20), 1e-10, 50, OracleCounters()
             )
             cold_total += iters
@@ -138,7 +143,7 @@ class TestAgdInner:
     def test_optimal_start_zero_iterations(self):
         problem = make_quadratic_ridge(np.array([[1.0]]), np.array([0.0]))
         counters = OracleCounters()
-        x, iters, gnorm = agd_inner(problem, 1.0, np.zeros(1), 1e-8, 2.0, 2.0, counters)
+        x, iters, gnorm, _ = agd_inner(problem, 1.0, np.zeros(1), 1e-8, 2.0, 2.0, counters)
         assert iters == 0 and gnorm == 0.0
         assert counters.grad_f == counters.grad_omega == 1
 
@@ -146,7 +151,7 @@ class TestAgdInner:
         # F(x) = x^2 at kappa = 1: a handful of iterations to 1e-8
         problem = make_quadratic_ridge(np.array([[1.0]]), np.array([0.0]))
         counters = OracleCounters()
-        x, iters, gnorm = agd_inner(problem, 1.0, np.ones(1), 1e-8, 2.0, 2.0, counters)
+        x, iters, gnorm, _ = agd_inner(problem, 1.0, np.ones(1), 1e-8, 2.0, 2.0, counters)
         assert np.linalg.norm(problem.total_grad(x, 1.0)) <= 1e-8
         assert counters.grad_f == counters.grad_omega == iters + 1  # one pair per iteration
         assert gnorm == np.linalg.norm(problem.total_grad(x, 1.0))
@@ -156,7 +161,7 @@ class TestAgdInner:
         _, _, problem = quad30
         evals = np.linalg.eigvalsh(problem.hessian(np.zeros(20), 0.0).f_hess())
         lam = 1.0
-        x, iters, _ = agd_inner(
+        x, iters, _, _ = agd_inner(
             problem, lam, np.zeros(20), 1e-6,
             evals[0] + lam, evals[-1] + lam, OracleCounters(), cap=100000,
         )
@@ -217,8 +222,8 @@ class TestSolveGridModes:
         total = sum(rep.inner_iterations)
         assert rep.counters.hess_builds == total
         assert rep.counters.linear_solves == total
-        # one gradient pair per Newton check, converged points check once more
-        assert rep.counters.grad_f == total + 9
+        # one gradient pair per Newton step; each warm start reuses the last exit's
+        assert rep.counters.grad_f == total + 1
         assert rep.counters.grad_f == rep.counters.grad_omega
 
     def test_end_to_end_accuracy_from_sized_grid(self, small_quad):
@@ -236,3 +241,104 @@ class TestSolveGridModes:
         )
         path, rep = solve_grid(problem, x0, cfg)
         assert accuracy_midpoint(problem, path) <= eps
+
+
+def _instances():
+    """name -> (problem, start, lambda range): one per family, plus a far
+    logistic start from which Newton halves its first steps."""
+    A, b = generate_synthetic_quadratic(30, 8, 1)
+    X, y = generate_synthetic_logistic(40, 5, 3)
+    w, x_true = generate_synthetic_moment_data(8, 7)
+    logistic = make_logistic_ridge(X, y)
+    moment = make_moment_matching(*build_moment_problem(w, x_true, 5))
+    return {
+        "quadratic": (make_quadratic_ridge(A, b), np.zeros(8), (0.01, 10.0)),
+        "logistic": (logistic, np.zeros(5), (0.01, 10.0)),
+        "logistic-far": (logistic, np.full(5, 3.0), (1e-3, 0.01)),
+        "moment": (moment, moment.base_point(), (1e-3, 1.0)),
+    }
+
+
+INSTANCES = _instances()
+
+
+def _terms_at(problem, x):
+    return problem.f_grad(x), problem.omega_grad(x), problem.f_value(x), problem.omega_value(x)
+
+
+def _reference_grid(problem, x, config):
+    """solve_grid's path from one inner solve per lambda that is given no terms."""
+    lams = lambda_schedule(config.lambda_min, config.lambda_max, config.num_points - 1)
+    X, res, iterations = [], [], []
+    for lam in lams:
+        lam = float(lam)
+        if config.inner_solver == "newton":
+            x, iters, r, _ = newton_solve(
+                problem, lam, x, config.inner_tol, gridsearch.DEFAULT_NEWTON_CAP, OracleCounters()
+            )
+        else:
+            mu_eff = problem.mu + lam * problem.sigma
+            L_eff = problem.lipschitz * (1.0 + lam)
+            x, iters, r, _ = agd_inner(
+                problem, lam, x, config.inner_tol, mu_eff, L_eff, OracleCounters()
+            )
+        X.append(x)
+        res.append(r)
+        iterations.append(iters)
+    return np.array(X), np.array(res), iterations
+
+
+class TestTermsCarriedAcrossLambda:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(INSTANCES)),
+        solver=st.sampled_from(["newton", "agd"]),
+        K=st.integers(2, 40),
+        tol=st.sampled_from([1e-4, 1e-8]),
+    )
+    def test_grid_matches_solves_without_terms(self, name, solver, K, tol):
+        problem, x0, (lo, hi) = INSTANCES[name]
+        if solver == "agd" and problem.lipschitz is None:
+            solver = "newton"
+        config = GridSearchConfig(K, solver, tol, lo, hi)
+        path, rep = solve_grid(problem, x0, config)
+        X, res, iterations = _reference_grid(problem, x0, config)
+        assert np.array_equal(path.X, X)
+        assert np.array_equal(path.residuals, res)
+        assert rep.inner_iterations == iterations
+        assert rep.counters.grad_f == rep.counters.grad_omega == sum(iterations) + 1
+
+    @pytest.mark.parametrize("name", sorted(INSTANCES))
+    def test_newton_given_start_terms_returns_the_same(self, name):
+        problem, x0, (lo, hi) = INSTANCES[name]
+        lam = float(np.sqrt(lo * hi))
+        plain, given_terms = OracleCounters(), OracleCounters()
+        ref = newton_solve(problem, lam, x0, 1e-10, 50, plain)
+        got = newton_solve(problem, lam, x0, 1e-10, 50, given_terms, _terms_at(problem, x0))
+        assert ref[1] >= 1
+        assert np.array_equal(got[0], ref[0]) and got[1:3] == ref[1:3]
+        for carried, fresh in zip(got[3], _terms_at(problem, got[0])):
+            assert np.array_equal(carried, fresh)
+        assert given_terms.grad_f == given_terms.grad_omega == plain.grad_f - 1
+        assert given_terms.hess_builds == plain.hess_builds == ref[1]
+
+    @pytest.mark.parametrize("name", sorted(INSTANCES))
+    def test_newton_start_meeting_tol_charges_nothing(self, name):
+        problem, x0, (lo, hi) = INSTANCES[name]
+        x, _, _, terms = newton_solve(problem, hi, x0, 1e-10, 50, OracleCounters())
+        counters = OracleCounters()
+        out = newton_solve(problem, hi, x, 1e-10, 50, counters, terms)
+        assert out[0] is x and out[1] == 0 and out[3] is not None
+        assert counters == OracleCounters()
+
+    def test_agd_reuses_only_its_entry_gradient(self):
+        problem, x0, (lo, hi) = INSTANCES["quadratic"]
+        mu_eff, L_eff = problem.mu + hi * problem.sigma, problem.lipschitz * (1.0 + hi)
+        plain, given_terms = OracleCounters(), OracleCounters()
+        ref = agd_inner(problem, hi, x0, 1e-8, mu_eff, L_eff, plain)
+        got = agd_inner(problem, hi, x0, 1e-8, mu_eff, L_eff, given_terms, terms=_terms_at(problem, x0))
+        assert ref[1] >= 1
+        assert np.array_equal(got[0], ref[0]) and got[1:3] == ref[1:3]
+        assert given_terms.grad_f == plain.grad_f - 1
+        fg, og, fv, ov = got[3]
+        assert np.array_equal(fg, problem.f_grad(got[0])) and fv is None and ov is None

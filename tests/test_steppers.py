@@ -649,7 +649,7 @@ class TestCounterContract:
         c, iters = rep.counters, rep.inner_iterations
         assert len(iters) == K
         assert c.hess_builds == c.linear_solves == sum(iters)
-        assert c.grad_f == c.grad_omega == sum(iters) + K  # one exit gradient per point
+        assert c.grad_f == c.grad_omega == sum(iters) + 1  # warm starts reuse the exit gradient
         assert c.hessvec == c.metric_evals == 0
 
 
@@ -774,7 +774,7 @@ class TestInitializers:
 
         exact = quadratic_path_point(A, b, 10.0)
         counters = OracleCounters()
-        x0, iters, _ = newton_solve(problem, 10.0, exact, 1e-8, 100, counters)
+        x0, iters, _, _ = newton_solve(problem, 10.0, exact, 1e-8, 100, counters)
         assert np.array_equal(x0, exact) and iters == 0  # already optimal, returned as-is
         assert (counters.grad_f, counters.hess_builds, counters.linear_solves) == (1, 0, 0)
 
