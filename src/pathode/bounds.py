@@ -9,7 +9,6 @@ measured runs against them.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -17,6 +16,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .problems import ProblemOracle, TheoryConstants
+from .reports import json_text
 
 @dataclass
 class BoundReport:
@@ -38,12 +38,14 @@ class BoundReport:
         return asdict(self)
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n"
+        return json_text(self.as_dict())
 
 
-def _finish(method: str, terms: dict[str, float], echo: dict, warns: list[str]) -> BoundReport:
+def _finish(
+    method: str, terms: dict[str, float], echo: dict, warns: list[str], K_min: int = 1
+) -> BoundReport:
     binding = max(terms, key=terms.get)
-    K = max(1, math.ceil(terms[binding]))
+    K = max(K_min, math.ceil(terms[binding]))
     return BoundReport(
         method=method,
         K_required=K,
@@ -156,9 +158,7 @@ def k_grid(c: TheoryConstants, eps: float, f_gap: float = 0.0) -> BoundReport:
     """
     echo = _echo(c, eps, f_gap)
     raw = math.sqrt(c.tau * c.L) * c.G * c.T_euler / eps
-    report = _finish("grid", {"grid_size": raw}, echo, [])
-    report.K_required = max(report.K_required, 2)
-    return report
+    return _finish("grid", {"grid_size": raw}, echo, [], K_min=2)
 
 
 # method -> (constants, eps, f_gap) -> BoundReport, for every method with a closed-form bound
@@ -349,7 +349,7 @@ def estimate_constants(
         if gap > 1e-12:
             L_hat = max(L_hat, _sym_norm(np.linalg.eigvalsh(H_a - H_b)) / gap)
 
-    return TheoryConstants.derive(
+    return TheoryConstants(
         mu=max(0.0, mu_hat),
         sigma=max(0.0, sigma_hat),
         L=L_hat,

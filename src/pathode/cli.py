@@ -14,22 +14,24 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from . import bounds, datasets, gridsearch, paths, problems, steppers
 from .linsolve import NotPositiveDefiniteError
-from .reports import write_json_atomic
+from .reports import OracleCounters, json_text, write_json_atomic
 
-ODE_METHODS = ("euler", "trapezoid", "rk4", "euler-cg", "trapezoid-cg", "rk4-cg")
-GRID_METHODS = ("grid-newton", "grid-agd")
+ODE_METHODS = steppers.METHODS + tuple(f"{m}-cg" for m in steppers.METHODS)
+GRID_METHODS = tuple(f"grid-{s}" for s in gridsearch.INNER_SOLVERS)
 ALL_METHODS = ODE_METHODS + GRID_METHODS
 PROBLEMS = ("quadratic", "logistic", "logistic-reweighted", "moment")
 
 SWEEP_COLUMNS = (
-    "method,eps,status,K,accuracy_midpoint,grad_f,grad_omega,hess_builds,"
-    "hessvec,linear_solves,cg_iters_total,metric_evals,wall_time_seconds,note"
-)
+    "method", "eps", "status", "K", "accuracy_midpoint",
+    *(f.name for f in fields(OracleCounters)),
+    "wall_time_seconds", "note",
+)  # fmt: skip
 
 
 class CliArgumentError(ValueError):
@@ -100,12 +102,8 @@ def initialize_x0(problem, args, eps: float | None) -> np.ndarray:
     if args.init == "omega":
         x0, _ = steppers.initialize_from_omega(problem, args.lambda_max)
         return x0
-    if args.init_tol is not None:
-        tol = args.init_tol
-    elif eps is not None:
-        tol = min(eps / 4.0, 1e-12)
-    else:
-        tol = 1e-12
+    default_tol = 1e-12 if eps is None else min(eps / 4.0, 1e-12)
+    tol = default_tol if args.init_tol is None else args.init_tol
     return steppers.initialize_by_newton(problem, args.lambda_max, tol)
 
 
@@ -145,6 +143,7 @@ def min_feasible_K(method: str, lambda_min: float, lambda_max: float) -> int:
 def run_one(problem, meta, method, K, args, eps: float | None, x0) -> tuple:
     """One run of any method at a fixed K, with the midpoint accuracy evaluated."""
     if method in GRID_METHODS:
+        solve = gridsearch.solve_grid
         config = gridsearch.GridSearchConfig(
             num_points=K,
             inner_solver=method.removeprefix("grid-"),
@@ -152,10 +151,8 @@ def run_one(problem, meta, method, K, args, eps: float | None, x0) -> tuple:
             lambda_min=args.lambda_min,
             lambda_max=args.lambda_max,
         )
-        path, report = gridsearch.solve_grid(
-            problem, x0, config, allow_degenerate=args.allow_degenerate
-        )
     else:
+        solve = steppers.run_path
         config = steppers.StepperConfig(
             method=method.removesuffix("-cg"),
             K=K,
@@ -164,9 +161,7 @@ def run_one(problem, meta, method, K, args, eps: float | None, x0) -> tuple:
             delta=_parse_delta(args, eps) if method.endswith("-cg") else None,
             record_diagnostics=bool(getattr(args, "diag_out", None)),
         )
-        path, report = steppers.run_path(
-            problem, x0, config, allow_degenerate=args.allow_degenerate
-        )
+    path, report = solve(problem, x0, config, allow_degenerate=args.allow_degenerate)
     report.accuracy_midpoint = paths.accuracy_midpoint(problem, path, report.counters)
     report.eps_target = eps
     report.seed = meta.get("seed")
@@ -232,8 +227,7 @@ def cmd_doubling(args) -> int:
         "passed": passed,
         "reports": [r.as_dict() for r in reports],
     }
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    _write_or_print(text, args.out, "doubling summary")
+    _write_or_print(json_text(payload), args.out, "doubling summary")
     if args.path_out:
         paths.export_path_csv(path, args.path_out)
     if not passed:
@@ -253,23 +247,13 @@ def _constants_from_args(args) -> tuple[problems.TheoryConstants, float]:
         else:
             f_gap = bounds.estimate_f_gap(problem, problem.base_point(), args.samples, args.seed)
         return constants, f_gap
-    missing = [
-        flag
-        for flag, value in (("--mu", args.mu), ("--sigma", args.sigma), ("--L", args.L), ("--G", args.G))
-        if value is None
-    ]
+    missing = [f"--{name}" for name in ("mu", "sigma", "L", "G") if getattr(args, name) is None]
     if missing:
         raise CliArgumentError(
             f"theory needs {' '.join(missing)} (or --estimate with a problem source)"
         )
-    constants = problems.TheoryConstants.derive(
-        mu=args.mu,
-        sigma=args.sigma,
-        L=args.L,
-        G=args.G,
-        lambda_min=args.lambda_min,
-        lambda_max=args.lambda_max,
-    )
+    inputs = ("mu", "sigma", "L", "G", "lambda_min", "lambda_max")
+    constants = problems.TheoryConstants(**{name: getattr(args, name) for name in inputs})
     return constants, (args.f_gap if args.f_gap is not None else 0.0)
 
 
@@ -278,6 +262,19 @@ def cmd_theory(args) -> int:
     report = bounds.K_BOUNDS[args.method](constants, args.eps, f_gap)
     _write_or_print(report.to_json(), args.out, "bound report")
     return 0
+
+
+def _sweep_row(method: str, eps: float, status: str, report=None, note: str = "") -> str:
+    """One CSV line over SWEEP_COLUMNS; a failed row, with no report, leaves its columns empty."""
+    values = {"method": method, "eps": f"{eps:g}", "status": status, "note": note}
+    if report is not None:
+        values.update(
+            report.counters.as_dict(),
+            K=report.K,
+            accuracy_midpoint=f"{report.accuracy_midpoint:.17g}",
+            wall_time_seconds=f"{report.wall_time_seconds:.6g}",
+        )
+    return ",".join(str(values.get(column, "")) for column in SWEEP_COLUMNS)
 
 
 def _sweep_method_rows(problem, meta, method, eps_list, args, x0) -> list[str]:
@@ -289,19 +286,12 @@ def _sweep_method_rows(problem, meta, method, eps_list, args, x0) -> list[str]:
             K, _, reports, passed = run_doubling(
                 problem, meta, method, eps, carried_K0, args.max_doublings, args, x0
             )
-            report = reports[-1]
-            c = report.counters
-            status = "ok" if passed else "accuracy-not-met"
-            if passed:
-                carried_K0 = K
         except (RuntimeError, ValueError) as exc:
-            rows.append(f"{method},{eps:g},failed,,,,,,,,,,,{_clean_note(exc)}")
+            rows.append(_sweep_row(method, eps, "failed", note=_clean_note(exc)))
             continue
-        rows.append(
-            f"{method},{eps:g},{status},{report.K},{report.accuracy_midpoint:.17g},"
-            f"{c.grad_f},{c.grad_omega},{c.hess_builds},{c.hessvec},{c.linear_solves},"
-            f"{c.cg_iters_total},{c.metric_evals},{report.wall_time_seconds:.6g},"
-        )  # the note column is filled on failed rows only
+        if passed:
+            carried_K0 = K
+        rows.append(_sweep_row(method, eps, "ok" if passed else "accuracy-not-met", reports[-1]))
     return rows
 
 
@@ -322,7 +312,7 @@ def cmd_sweep(args) -> int:
     all_rows: list[str] = []
     for method in methods:
         all_rows.extend(_sweep_method_rows(problem, meta, method, eps_list, args, x0))
-    text = SWEEP_COLUMNS + "\n" + "\n".join(all_rows) + "\n"
+    text = ",".join(SWEEP_COLUMNS) + "\n" + "\n".join(all_rows) + "\n"
     write_json_atomic(text, args.out)
     print(f"wrote {len(all_rows)} sweep rows to {args.out}")
     return 0
@@ -354,28 +344,24 @@ def _add_problem_flags(sub):
     sub.add_argument("--lambda-max", type=float, default=10.0)
 
 
-class _NonNegative(argparse.Action):
-    minimum = 0
+def _checked(convert, kind: str, accept, requirement: str):
+    """An argparse type: convert the text to kind, then reject a value accept() refuses."""
 
-    def __call__(self, parser, namespace, value, option_string=None):
-        if value < self.minimum:
-            raise argparse.ArgumentError(self, f"must be >= {self.minimum}, got {value}")
-        setattr(namespace, self.dest, value)
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not {kind}: {text!r}") from None
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
+
+    return parse
 
 
-class _Positive(_NonNegative):
-    minimum = 1
-
-
-def _positive_float(text: str) -> float:
-    """argparse type of every tolerance: a finite float > 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not (value > 0.0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
-    return value
+_positive_float = _checked(float, "a number", lambda v: 0.0 < v < math.inf, "finite and > 0")
+_positive_int = _checked(int, "an integer", lambda v: v >= 1, ">= 1")
+_nonnegative_int = _checked(int, "an integer", lambda v: v >= 0, ">= 0")
 
 
 def _add_solver_flags(sub):
@@ -391,8 +377,8 @@ def _add_solver_flags(sub):
 
 
 def _add_doubling_flags(sub):
-    sub.add_argument("--K0", type=int, default=None, action=_Positive, help="doubling start")
-    sub.add_argument("--max-doublings", type=int, default=20, action=_NonNegative)
+    sub.add_argument("--K0", type=_positive_int, default=None, help="doubling start")
+    sub.add_argument("--max-doublings", type=_nonnegative_int, default=20)
 
 
 def _add_run_flags(sub, eps_required: bool):
@@ -414,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = subs.add_parser("run", help="one method at one K")
     _add_problem_flags(run)
     _add_run_flags(run, eps_required=False)
-    run.add_argument("--K", type=int, required=True)
+    run.add_argument("--K", type=_positive_int, required=True)
     run.add_argument("--diag-out", default=None, help="write per-step diagnostics JSONL")
     run.set_defaults(func=cmd_run)
 

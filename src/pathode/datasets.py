@@ -13,6 +13,8 @@ import json
 import numpy as np
 from scipy.special import expit
 
+from .reports import json_text
+
 
 class DatasetFormatError(ValueError):
     """A data file violates the documented format; message names the line."""
@@ -29,11 +31,13 @@ def load_csv_dataset(path: str, standardize: bool = False) -> tuple[np.ndarray, 
     """Parse a labelled CSV into (features, labels).
 
     An unparseable first row is treated as a header.  Labels must be exactly
-    +1 or -1; any malformed later row raises with its 1-based line number.
+    +1 or -1 and features finite; any malformed later row raises with its
+    1-based line number.
     standardize=True rescales each feature column to zero mean and unit
     variance (constant columns are left centered only).
     """
     rows: list[list[float]] = []
+    linenos: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -59,9 +63,14 @@ def load_csv_dataset(path: str, standardize: bool = False) -> tuple[np.ndarray, 
                 f"{path}: line {lineno}: expected {width} columns, got {len(parsed)}"
             )
         rows.append(parsed)
+        linenos.append(lineno)
     if not rows:
         raise DatasetFormatError(f"{path}: no data rows")
     data = np.array(rows, dtype=float)
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        lineno = linenos[int(np.argmin(finite))]
+        raise DatasetFormatError(f"{path}: line {lineno}: features must be finite")
     labels = data[:, 0]
     features = data[:, 1:]
     if standardize:
@@ -132,16 +141,19 @@ def save_moment_json(w: np.ndarray, x_true: np.ndarray, n_moments: int, path: st
         "n_moments": int(n_moments),
     }
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        fh.write(json_text(payload))
 
 
 def load_moment_json(path: str) -> tuple[np.ndarray, np.ndarray, int]:
+    """(w, x_true, n_moments) of a moment JSON; n_moments must be a JSON integer."""
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    try:
-        w = np.asarray(payload["w"], dtype=float)
-        x_true = np.asarray(payload["x_true"], dtype=float)
-        n_moments = int(payload["n_moments"])
-    except (KeyError, TypeError) as exc:
-        raise DatasetFormatError(f"{path}: missing or malformed moment fields: {exc}") from exc
+        try:
+            payload = json.load(fh)
+            w = np.asarray(payload["w"], dtype=float)
+            x_true = np.asarray(payload["x_true"], dtype=float)
+            n_moments = payload["n_moments"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DatasetFormatError(f"{path}: missing or malformed moment fields: {exc}") from exc
+    if isinstance(n_moments, bool) or not isinstance(n_moments, int):
+        raise DatasetFormatError(f"{path}: n_moments must be an integer, got {n_moments!r}")
     return w, x_true, n_moments

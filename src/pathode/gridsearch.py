@@ -27,9 +27,9 @@ DEFAULT_NEWTON_CAP = 200
 DEFAULT_AGD_CAP = 2_000_000
 
 
-@dataclass
+@dataclass(frozen=True)
 class GridSearchConfig:
-    """Grid geometry plus inner-solver choice and stopping tolerance."""
+    """Frozen grid geometry plus inner-solver choice and stopping tolerance."""
 
     num_points: int
     inner_solver: str
@@ -148,9 +148,8 @@ def solve_grid(
             ) from exc
         X[idx] = x
         iterations.append(iters)
-    method = f"grid-{config.inner_solver}"
     report = RunReport(
-        method=method,
+        method=f"grid-{config.inner_solver}",
         K=config.num_points,
         h=None,
         counters=counters,

@@ -49,11 +49,10 @@ class _PathBase:
                 f"lambda outside path range [{self.lambda_min}, {self.lambda_max}]"
             )
 
-    def _owning_knot(self, lam: np.ndarray) -> np.ndarray:
-        # index k with lambda in (lambda_{k+1}, lambda_k], via the ascending view
-        j = np.searchsorted(self._asc, lam, side="left")
-        j = np.clip(j, 1, len(self.lams) - 1)
-        return len(self.lams) - 1 - j
+    def _held_knot(self, lam: np.ndarray) -> np.ndarray:
+        # index k with lambda in (lambda_{k+1}, lambda_k], via the ascending view;
+        # the bottom endpoint maps to the last knot
+        return len(self.lams) - 1 - np.searchsorted(self._asc, lam, side="left")
 
     def query(self, lam: float) -> np.ndarray:
         """The path surrogate at one lambda (range-checked)."""
@@ -70,21 +69,21 @@ class _PathBase:
 class PiecewiseLinearPath(_PathBase):
     """Linear-in-lambda interpolation between consecutive knots."""
 
+    def _interpolate(self, lam: np.ndarray, k, k1) -> np.ndarray:
+        # between knots k and k1: index arrays, or slices with a trailing None for a block
+        hi, lo = self.lams[k], self.lams[k1]
+        alpha = ((lam - lo) / (hi - lo))[..., None]
+        return alpha * self.X[k] + (1.0 - alpha) * self.X[k1]
+
     def query_batch(self, lam: np.ndarray) -> np.ndarray:
         lam = np.asarray(lam, dtype=float)
         self._check_range(lam)
-        k = self._owning_knot(lam)
-        lam_k = self.lams[k]
-        lam_k1 = self.lams[k + 1]
-        alpha = (lam - lam_k1) / (lam_k - lam_k1)
-        return alpha[:, None] * self.X[k] + (1.0 - alpha)[:, None] * self.X[k + 1]
+        k = np.minimum(self._held_knot(lam), len(self.lams) - 2)
+        return self._interpolate(lam, k, k + 1)
 
     def block_residuals(self, problem: ProblemOracle, start: int, lam: np.ndarray) -> np.ndarray:
-        # query_batch's weights, broadcast over each interval's two knots
         stop = start + len(lam)
-        hi, lo = self.lams[start:stop, None], self.lams[start + 1 : stop + 1, None]
-        alpha = ((lam - lo) / (hi - lo))[:, :, None]
-        X = alpha * self.X[start:stop, None] + (1.0 - alpha) * self.X[start + 1 : stop + 1, None]
+        X = self._interpolate(lam, np.s_[start:stop, None], np.s_[start + 1 : stop + 1, None])
         return residuals(problem, X.reshape(lam.size, -1), lam.ravel())
 
 
@@ -94,15 +93,13 @@ class PiecewiseConstantPath(_PathBase):
     def query_batch(self, lam: np.ndarray) -> np.ndarray:
         lam = np.asarray(lam, dtype=float)
         self._check_range(lam)
-        # x_k owns (lambda_{k+1}, lambda_k]; the bottom endpoint maps to x_K
-        j = np.searchsorted(self._asc, lam, side="left")
-        return self.X[len(self.lams) - 1 - j]
+        return self.X[self._held_knot(lam)]
 
     def block_residuals(self, problem: ProblemOracle, start: int, lam: np.ndarray) -> np.ndarray:
         # every point sits on a knot: one gradient per knot, then one row per lambda
         knots = self.X[start : start + lam.shape[0] + 1]
         lam = lam.ravel()
-        k = len(self.lams) - 1 - np.searchsorted(self._asc, lam, side="left") - start
+        k = self._held_knot(lam) - start
         G = problem.f_grad(knots)[k] + lam[:, None] * problem.omega_grad(knots)[k]
         return np.linalg.norm(G, axis=1)
 

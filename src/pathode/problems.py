@@ -28,7 +28,7 @@ moment       Woodbury on diag(lam / y) + V V', V = [A' | sqrt(lam / (1 - sum y))
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable
 
 import numpy as np
@@ -215,8 +215,9 @@ class _MomentHessian:
 class TheoryConstants:
     """Curvature constants plus the horizon quantities derived from them.
 
-    Use ``derive`` to build a self-consistent record; direct construction
-    is for exercising the bound formulas with hand-picked values.
+    The constructor checks the inputs, stores them as floats and derives
+    tau, T_euler, T_trap and mu_tilde, so a record (dataclasses.replace
+    included) always agrees with its inputs.
     """
 
     mu: float
@@ -225,54 +226,38 @@ class TheoryConstants:
     G: float
     lambda_min: float
     lambda_max: float
-    tau: float
-    T_euler: float
-    T_trap: float
-    mu_tilde: float
+    tau: float = field(init=False)
+    T_euler: float = field(init=False)
+    T_trap: float = field(init=False)
+    mu_tilde: float = field(init=False)
     estimated: bool = False
 
-    @classmethod
-    def derive(
-        cls,
-        mu: float,
-        sigma: float,
-        L: float,
-        G: float,
-        lambda_min: float,
-        lambda_max: float,
-        estimated: bool = False,
-    ) -> "TheoryConstants":
-        check_lambda_range(lambda_min, lambda_max)
+    def __post_init__(self):
+        check_lambda_range(self.lambda_min, self.lambda_max)
+        for name in ("mu", "sigma", "L", "G", "lambda_min", "lambda_max"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        mu, sigma, L, G = self.mu, self.sigma, self.L, self.G
+        lo, hi = self.lambda_min, self.lambda_max
         if not all(map(math.isfinite, (mu, sigma, L, G))):
             raise ValueError(f"mu, sigma, L and G must be finite, got {mu}, {sigma}, {L}, {G}")
         if mu < 0.0 or sigma < 0.0:
             raise ValueError("mu and sigma must be nonnegative")
         if L <= 0.0 or G < 0.0:
             raise ValueError("need L > 0 and G >= 0")
-        mu_tilde = mu + lambda_min * sigma
+        mu_tilde = mu + lo * sigma
         if mu_tilde <= 0.0:
             raise DegenerateProblemError(
                 "mu + lambda_min * sigma must be positive; this problem has no "
                 "strong convexity anywhere on the path"
             )
-        tau = max(
-            (1.0 + lambda_min) / (mu + lambda_min * sigma),
-            (1.0 + lambda_max) / (mu + lambda_max * sigma),
-        )
-        T_euler = math.log(lambda_max / lambda_min)
-        return cls(
-            mu=float(mu),
-            sigma=float(sigma),
-            L=float(L),
-            G=float(G),
-            lambda_min=float(lambda_min),
-            lambda_max=float(lambda_max),
-            tau=float(tau),
-            T_euler=float(T_euler),
-            T_trap=float(1.1 * T_euler),
-            mu_tilde=float(mu_tilde),
-            estimated=estimated,
-        )
+        T_euler = math.log(hi / lo)
+        for name, value in (
+            ("tau", max((1.0 + lo) / mu_tilde, (1.0 + hi) / (mu + hi * sigma))),
+            ("T_euler", T_euler),
+            ("T_trap", 1.1 * T_euler),
+            ("mu_tilde", mu_tilde),
+        ):
+            object.__setattr__(self, name, value)
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -310,6 +295,8 @@ def make_quadratic_ridge(A: Array, b: Array) -> ProblemOracle:
     b = np.asarray(b, dtype=float)
     if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.shape[0]:
         raise ValueError(f"shape mismatch: A {A.shape}, b {b.shape}")
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise ValueError("A and b must be finite")
     n, p = A.shape
     Q = A.T @ A
     Atb = A.T @ b
@@ -371,7 +358,7 @@ def quadratic_theory_constants(
     R_star = math.sqrt(2.0 * f_star)
     g_f = _spectral_norm(A) * R
     g_omega = float(np.linalg.norm(x_star)) + (R + R_star) / math.sqrt(mu)
-    constants = TheoryConstants.derive(
+    constants = TheoryConstants(
         mu=mu,
         sigma=1.0,
         L=L,
@@ -424,13 +411,15 @@ def _logistic_pieces(A: Array, labels: Array):
 
 
 def _check_design(features: Array, labels: Array) -> tuple[Array, Array]:
-    """(A, labels) as float arrays, once A is 2-D with one +1 or -1 label per row."""
+    """(A, labels) as float arrays, once A is 2-D and finite with one +1 or -1 label per row."""
     A = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=float)
     if not np.all(np.isin(labels, (-1.0, 1.0))):
         raise ValueError("labels must be +1 or -1")
     if A.ndim != 2 or labels.shape != (A.shape[0],):
         raise ValueError(f"shape mismatch: features {A.shape}, labels {labels.shape}")
+    if not np.isfinite(A).all():
+        raise ValueError("features must be finite")
     return A, labels
 
 
@@ -509,6 +498,8 @@ def build_moment_problem(w: Array, x_true: Array, n_moments: int) -> tuple[Array
     x_true = np.asarray(x_true, dtype=float)
     if w.ndim != 1 or x_true.shape != w.shape:
         raise ValueError("w and x_true must be 1-d arrays of equal length")
+    if not (np.isfinite(w).all() and np.isfinite(x_true).all()):
+        raise ValueError("w and x_true must be finite")
     if w.shape[0] < 2:
         raise ValueError("need at least two atoms")
     if w[-1] != 0.0:

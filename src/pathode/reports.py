@@ -73,7 +73,12 @@ class RunReport:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n"
+        return json_text(self.as_dict())
+
+
+def json_text(payload) -> str:
+    """The one JSON text format of reports and data files: sorted keys, indent 2, final newline."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def write_json_atomic(text: str, path: str) -> None:
@@ -81,9 +86,10 @@ def write_json_atomic(text: str, path: str) -> None:
 
     A symlink is followed, so the link stays and its target gets the text; a
     target that is not a regular file (a device, a FIFO) is written in place,
-    as a rename would replace the node.  A failed write leaves no temporary file.
+    as a rename would replace the node.  A failed write leaves no temporary file,
+    and its OSError names the path given, not the temporary file.
     """
-    path = os.path.realpath(path)
+    target, path = path, os.path.realpath(path)
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -93,7 +99,9 @@ def write_json_atomic(text: str, path: str) -> None:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            raise OSError(exc.errno, exc.strerror, target) from exc
         raise

@@ -117,9 +117,9 @@ def stepsize(method: str, K: int, lambda_min: float, lambda_max: float) -> float
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class StepperConfig:
-    """Immutable description of one path run; h is derived, not chosen.
+    """Frozen description of one path run; h is derived from it, not chosen.
 
     delta None takes exact Newton directions, delta > 0 CG to that tolerance.
     """
@@ -135,7 +135,8 @@ class StepperConfig:
     def __post_init__(self):
         if self.delta is not None and not self.delta > 0.0:
             raise ValueError("cg mode needs delta > 0")
-        self.h = stepsize(self.method, self.K, self.lambda_min, self.lambda_max)
+        h = stepsize(self.method, self.K, self.lambda_min, self.lambda_max)
+        object.__setattr__(self, "h", h)
 
 
 @dataclass

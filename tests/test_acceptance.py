@@ -202,7 +202,7 @@ def _measured_constants(problem, path):
         max(np.linalg.norm(problem.f_grad(x)), np.linalg.norm(problem.omega_grad(x)))
         for x in path.X
     )
-    return TheoryConstants.derive(
+    return TheoryConstants(
         mu=problem.mu,
         sigma=problem.sigma,
         L=problem.lipschitz,

@@ -29,14 +29,14 @@ from pathode.datasets import generate_synthetic_logistic
 def tau_one_euler():
     """mu = sigma = 1 makes (1+lambda)/(mu+lambda sigma) = 1 identically, so
     tau = 1 regardless of the interval; lambda_max = e gives T_euler = 1."""
-    return TheoryConstants.derive(
+    return TheoryConstants(
         mu=1.0, sigma=1.0, L=1.0, G=1.0, lambda_min=1.0, lambda_max=math.e
     )
 
 
 def unit_trap():
     """tau = 1 as above, mu_tilde = 2, T_trap = 1.1 ln(lambda_max) = 1."""
-    return TheoryConstants.derive(
+    return TheoryConstants(
         mu=1.0, sigma=1.0, L=1.0, G=1.0, lambda_min=1.0, lambda_max=math.exp(1.0 / 1.1)
     )
 
@@ -44,13 +44,13 @@ def unit_trap():
 class TestInputChecks:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["mu", "sigma", "L", "G", "lambda_max"])
-    def test_derive_rejects_nonfinite_constants(self, name, bad):
+    def test_rejects_nonfinite_constants(self, name, bad):
         # a NaN constant lost every comparison in the bounds' max, and an
         # infinite one overflowed math.ceil
         kwargs = dict(mu=1.0, sigma=1.0, L=1.0, G=1.0, lambda_min=0.1, lambda_max=1.0)
         kwargs[name] = bad
         with pytest.raises(ValueError, match="must be finite|lambda_max < inf"):
-            TheoryConstants.derive(**kwargs)
+            TheoryConstants(**kwargs)
 
     @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize("method", list(K_BOUNDS))
@@ -77,7 +77,7 @@ class TestKEuler:
         assert rep.terms["curvature"] == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-12)
 
     def test_terms_match_hand_arithmetic(self):
-        c = TheoryConstants.derive(
+        c = TheoryConstants(
             mu=0.0, sigma=1.0, L=3.0, G=2.0, lambda_min=0.5, lambda_max=5.0
         )
         eps, f_gap = 0.1, 0.7
@@ -103,7 +103,7 @@ class TestKEuler:
     def test_large_gap_example(self):
         # mu=0, sigma=1, lambda in [0.01, 1]: tau = 101, T = ln 100;
         # gap term 4 * 1 * 101 * ln(100) / 0.01 = 186048.9 binds
-        c = TheoryConstants.derive(mu=0.0, sigma=1.0, L=1.0, G=1.0, lambda_min=0.01, lambda_max=1.0)
+        c = TheoryConstants(mu=0.0, sigma=1.0, L=1.0, G=1.0, lambda_min=0.01, lambda_max=1.0)
         rep = k_euler(c, eps=0.01, f_gap=1.0)
         assert rep.K_required == 186049
         assert rep.binding_term == "objective_gap"
@@ -161,7 +161,7 @@ class TestApproxBounds:
         assert approx == 2 * exact  # gap term binds for both at this eps
 
     def test_eps_above_mu_tilde_warns_but_evaluates(self):
-        c = TheoryConstants.derive(
+        c = TheoryConstants(
             mu=0.0, sigma=1.0, L=1.0, G=1.0, lambda_min=0.01, lambda_max=1.0
         )
         with warnings.catch_warnings(record=True) as caught:
@@ -175,7 +175,7 @@ class TestApproxBounds:
 class TestStepsizeBounds:
     def test_equality_meets_the_cap(self):
         # tau^2 L G = 12 makes sqrt(3/(tau^2 L G)) = 1/2, meeting the cap
-        c = TheoryConstants.derive(
+        c = TheoryConstants(
             mu=1.0, sigma=1.0, L=3.0, G=4.0, lambda_min=1.0, lambda_max=2.0
         )
         assert c.tau == pytest.approx(1.0)
@@ -185,13 +185,13 @@ class TestStepsizeBounds:
 
     def test_half_cap(self):
         # both bounds are capped at 1/2, however mild L, G
-        c = TheoryConstants.derive(
+        c = TheoryConstants(
             mu=1.0, sigma=1.0, L=1.0, G=1.0, lambda_min=1.0, lambda_max=2.0
         )
         assert stepsize_bounds(c, 1.9) == (0.5, 0.5)
 
     def test_curvature_shrinks_simplified_bound(self):
-        c = TheoryConstants.derive(
+        c = TheoryConstants(
             mu=1.0, sigma=1.0, L=48.0, G=1.0, lambda_min=1.0, lambda_max=2.0
         )
         general, simplified = stepsize_bounds(c, 1.9)
@@ -200,7 +200,7 @@ class TestStepsizeBounds:
         assert general == pytest.approx(min(0.5, 2.9 * math.sqrt(3.0 / 48.0)), rel=1e-15)
 
     def test_rejects_nonpositive_lambda(self):
-        c = TheoryConstants.derive(
+        c = TheoryConstants(
             mu=1.0, sigma=1.0, L=1.0, G=1.0, lambda_min=1.0, lambda_max=2.0
         )
         for lam in (0.0, -1.9, math.nan):

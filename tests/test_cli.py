@@ -343,9 +343,12 @@ class TestSweepVerb:
         assert rc == 0
         assert "4 sweep rows" in out
         lines = out_csv.read_text().splitlines()
-        assert lines[0] == SWEEP_COLUMNS
+        assert lines[0] == ",".join(SWEEP_COLUMNS) == (
+            "method,eps,status,K,accuracy_midpoint,grad_f,grad_omega,hess_builds,"
+            "hessvec,linear_solves,cg_iters_total,metric_evals,wall_time_seconds,note"
+        )
         assert len(lines) == 5
-        n_cols = len(SWEEP_COLUMNS.split(","))
+        n_cols = len(SWEEP_COLUMNS)
         by_method = {}
         for line in lines[1:]:
             fields = line.split(",")
@@ -574,6 +577,72 @@ class TestExitCodes:
         assert rc == 2
         assert out == ""
         assert repr(bad.partition("=")[0]) in err
+
+
+RUN5 = ["run", "--method", "euler", "--K", "5"] + QUAD  # a later flag overrides QUAD's
+
+
+class TestExitPaths:
+    """Argument and IO paths of main(): each ends in its exit code, never in a traceback."""
+
+    CASES = {
+        "synthetic-no-equals": (RUN5 + ["--synthetic", "n30"], 2, "expected key=value"),
+        "synthetic-bad-value": (RUN5 + ["--synthetic", "n=abc"], 2, "bad --synthetic value"),
+        "synthetic-empty-items": (RUN5 + ["--synthetic", "n=30,,p=5,"], 0, '"K": 5'),
+        "synthetic-standardize": (
+            RUN5 + ["--problem", "logistic", "--synthetic", "n=40,p=3", "--standardize"],
+            0,
+            '"problem": "logistic"',
+        ),
+        "explicit-init-tol": (RUN5 + ["--init-tol", "1e-9"], 0, '"K": 5'),
+        "grid-without-tolerance": (
+            ["run", "--method", "grid-newton", "--K", "5"] + QUAD, 2, "need --eps or --inner-tol"
+        ),
+        "sweep-empty-methods": (
+            ["sweep", "--methods", ",", "--eps-list", "1e-3", "--out", "{tmp}/s.csv"] + QUAD,
+            2,
+            "nonempty --methods",
+        ),
+        "non-numeric-tolerance": (RUN5 + ["--eps", "abc"], 2, "not a number: 'abc'"),
+        "non-integer-K": (RUN5 + ["--K", "1.5"], 2, "not an integer: '1.5'"),
+        "zero-K": (RUN5 + ["--method", "grid-newton", "--K", "0", "--eps", "1e-3"], 2, ">= 1"),
+        "theory-estimate-f-gap": (
+            ["theory", "--method", "euler", "--eps", "1e-3", "--estimate"]
+            + ["--f-gap", "0.25", "--samples", "4"] + QUAD,
+            0,
+            '"f_gap": 0.25',
+        ),
+        "doubling-path-out": (
+            ["doubling", "--method", "euler", "--eps", "1e-2", "--path-out", "{tmp}/p.csv"] + QUAD,
+            0,
+            '"passed": true',
+        ),
+        "out-into-missing-directory": (
+            RUN5 + ["--out", "{tmp}/missing/r.json"], 2, "missing/r.json'"
+        ),
+        "nonfinite-csv-feature": (
+            RUN5 + ["--problem", "logistic", "--data", "{tmp}/d.csv"],
+            2,
+            "d.csv: line 3: features must be finite",
+        ),
+    }  # fmt: skip
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_exit_code_without_traceback(self, capsys, tmp_path, case):
+        argv, code, message = self.CASES[case]
+        (tmp_path / "d.csv").write_text("label,f_1\n1,0.5\n-1,nan\n")
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse's own errors
+            rc = exc.code
+        out, err = capsys.readouterr()
+        assert rc == code
+        assert "Traceback" not in err
+        assert message in (out if code == 0 else err)
+        assert not (tmp_path / "missing").exists()
+        if case == "doubling-path-out":
+            assert (tmp_path / "p.csv").read_text().startswith("lambda,x_1,")
 
 
 def _verb_flags(verb):

@@ -62,6 +62,15 @@ class TestLoadCsv:
         with pytest.raises(DatasetFormatError, match="at least one feature"):
             load_csv_dataset(str(f))
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
+    def test_nonfinite_feature_names_its_line(self, tmp_path, bad):
+        # the CLI once failed later with "SVD did not converge" (nan) or
+        # "non-finite entries in linear system" (inf), naming neither file nor line
+        f = tmp_path / "d.csv"
+        f.write_text(f"label,f_1,f_2\n1,0.5,2.0\n\n-1,{bad},1.0\n1,{bad},{bad}\n")
+        with pytest.raises(DatasetFormatError, match=r"d\.csv: line 4: features must be finite"):
+            load_csv_dataset(str(f))
+
     def test_empty_file(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("")
@@ -165,4 +174,29 @@ class TestMomentJson:
         path = tmp_path / "m.json"
         path.write_text('{"w": [0.5, 0.0], "n_moments": 2}')
         with pytest.raises(DatasetFormatError, match="malformed moment"):
+            load_moment_json(str(path))
+
+    @pytest.mark.parametrize("value", ["1.7", "5.0", "true", "false", '"5"', "null", "[5]"])
+    def test_n_moments_must_be_an_integer(self, tmp_path, value):
+        # 1.7 and true once ran as 1 moment
+        path = tmp_path / "m.json"
+        path.write_text(f'{{"w": [0.5, 0.0], "x_true": [0.5, 0.5], "n_moments": {value}}}')
+        with pytest.raises(DatasetFormatError, match=r"m\.json: n_moments must be an integer"):
+            load_moment_json(str(path))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"w": "abc", "x_true": [1.0], "n_moments": 1}',
+            '{"w": [0.5, 0.0], "x_true": [0.5, "half"], "n_moments": 1}',
+            '{"w": [0.5, 0.0], "x_true": {"a": 1}, "n_moments": 1}',
+            "[0.5, 0.0]",
+            "{not json",
+        ],
+        ids=["w-string", "x-entry", "x-object", "not-an-object", "not-json"],
+    )
+    def test_unconvertible_fields_name_the_file(self, tmp_path, text):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        with pytest.raises(DatasetFormatError, match=r"m\.json: missing or malformed"):
             load_moment_json(str(path))

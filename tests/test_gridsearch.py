@@ -73,18 +73,18 @@ class TestGridSizing:
     def test_formula(self):
         import math
 
-        c = TheoryConstants.derive(mu=0.0, sigma=1.0, L=2.0, G=3.0, lambda_min=0.1, lambda_max=1.0)
+        c = TheoryConstants(mu=0.0, sigma=1.0, L=2.0, G=3.0, lambda_min=0.1, lambda_max=1.0)
         expect = math.ceil(math.sqrt(c.tau * c.L) * c.G * c.T_euler / 0.05)
         assert k_grid(c, 0.05).K_required == expect
 
     def test_unit_example(self):
         # tau=101, L=G=1, T=ln 100: sqrt(101)*4.6052/0.01 = 4627.6 -> 4629?
         # exact: ceil(10.0499 * 4.60517 / 0.01) = ceil(4628.17) = 4629
-        c = TheoryConstants.derive(mu=0.0, sigma=1.0, L=1.0, G=1.0, lambda_min=0.01, lambda_max=1.0)
+        c = TheoryConstants(mu=0.0, sigma=1.0, L=1.0, G=1.0, lambda_min=0.01, lambda_max=1.0)
         assert k_grid(c, 0.01).K_required == 4629
 
     def test_floor_of_two(self):
-        c = TheoryConstants.derive(mu=1.0, sigma=1.0, L=1.0, G=0.0, lambda_min=0.5, lambda_max=1.0)
+        c = TheoryConstants(mu=1.0, sigma=1.0, L=1.0, G=0.0, lambda_min=0.5, lambda_max=1.0)
         assert k_grid(c, 1.0).K_required == 2
 
 

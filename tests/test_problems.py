@@ -4,6 +4,7 @@ Closed-form expectations are hand-computed; derivative consistency is checked
 against central finite differences at seeded interior points.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -28,6 +29,7 @@ from pathode import (
     quadratic_path_point,
     quadratic_theory_constants,
     solve_spd,
+    stepsize,
 )
 from pathode.cli import min_feasible_K
 from pathode.datasets import generate_synthetic_logistic, generate_synthetic_quadratic
@@ -668,7 +670,7 @@ class TestHessianHandles:
 
 class TestTheoryConstants:
     def test_derived_fields(self):
-        c = TheoryConstants.derive(mu=0.0, sigma=1.0, L=1.0, G=1.0, lambda_min=0.01, lambda_max=1.0)
+        c = TheoryConstants(mu=0.0, sigma=1.0, L=1.0, G=1.0, lambda_min=0.01, lambda_max=1.0)
         assert c.tau == pytest.approx((1.0 + 0.01) / (0.0 + 0.01 * 1.0), rel=1e-15)
         assert c.T_euler == pytest.approx(np.log(100.0), rel=1e-15)
         assert c.T_trap == pytest.approx(1.1 * np.log(100.0), rel=1e-15)
@@ -676,7 +678,101 @@ class TestTheoryConstants:
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateProblemError):
-            TheoryConstants.derive(mu=0.0, sigma=0.0, L=1.0, G=1.0, lambda_min=0.1, lambda_max=1.0)
+            TheoryConstants(mu=0.0, sigma=0.0, L=1.0, G=1.0, lambda_min=0.1, lambda_max=1.0)
+
+    GOOD = dict(mu=0.5, sigma=1.0, L=2.0, G=3.0, lambda_min=0.1, lambda_max=10.0)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            # built raw, this record once made k_trapezoid divide by zero
+            dict(mu=0, sigma=0, L=-1, G=3, lambda_min=5, lambda_max=1),
+            dict(L=0.0),
+            dict(L=-1.0),
+            dict(G=-1.0),
+            dict(mu=-0.5),
+            dict(sigma=-1.0),
+            dict(mu=0.0, sigma=0.0),
+            dict(lambda_min=10.0),
+        ],
+        ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()),
+    )
+    def test_invalid_inputs_rejected(self, bad):
+        with pytest.raises(ValueError):
+            TheoryConstants(**{**self.GOOD, **bad})
+
+    def test_derived_fields_are_not_inputs(self):
+        with pytest.raises(TypeError):
+            TheoryConstants(**self.GOOD, tau=1.0, T_euler=1.0, T_trap=1.0, mu_tilde=1.0)
+
+    def test_inputs_stored_as_float(self):
+        c = TheoryConstants(mu=1, sigma=np.float64(1.0), L=2, G=3, lambda_min=1, lambda_max=10)
+        assert all(type(v) is float for k, v in c.as_dict().items() if k != "estimated")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        field=st.sampled_from(["mu", "sigma", "L", "G", "lambda_min", "lambda_max"]),
+        value=st.floats(0.05, 5.0),
+    )
+    def test_replace_rederives(self, field, value):
+        # dataclasses.replace once kept the old tau, T_euler, T_trap and mu_tilde
+        inputs = {**self.GOOD, field: value}
+        assume(inputs["lambda_min"] < inputs["lambda_max"])
+        c = dataclasses.replace(TheoryConstants(**self.GOOD, estimated=True), **{field: value})
+        assert c == TheoryConstants(**inputs, estimated=True)
+        assert c.mu_tilde == inputs["mu"] + inputs["lambda_min"] * inputs["sigma"]
+        assert c.T_euler == math.log(inputs["lambda_max"] / inputs["lambda_min"])
+
+    def test_replace_example(self):
+        c = dataclasses.replace(TheoryConstants(**self.GOOD), lambda_min=0.01)
+        assert c.mu_tilde == 0.5 + 0.01
+        assert c.T_euler == math.log(1000.0)
+        assert c.T_trap == 1.1 * math.log(1000.0)
+        assert c.tau == max(1.01 / 0.51, 11.0 / 10.5)
+
+    def test_frozen(self):
+        c = TheoryConstants(**self.GOOD)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.mu_tilde = 1.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda v: make_quadratic_ridge(np.array([[1.0, v], [0.0, 1.0]]), np.ones(2)),
+        lambda v: make_quadratic_ridge(np.eye(2), np.array([1.0, v])),
+        lambda v: make_logistic_ridge(np.array([[1.0], [v]]), np.array([1.0, -1.0])),
+        lambda v: make_logistic_reweighted(np.array([[1.0], [v]]), np.array([1.0, -1.0])),
+        lambda v: build_moment_problem(np.array([0.5, v, 0.0]), np.full(3, 1 / 3), 2),
+        lambda v: build_moment_problem(np.array([0.5, 0.2, 0.0]), np.array([0.5, 0.5, v]), 2),
+    ],
+    ids=["quadratic-A", "quadratic-b", "logistic", "logistic-reweighted", "moment-w", "moment-x"],
+)
+def test_nonfinite_data_rejected(build, bad):
+    # a NaN or infinite entry once reached the eigensolvers, or the simplex checks let it pass
+    with pytest.raises(ValueError, match="must be finite"):
+        build(bad)
+
+
+class TestFrozenConfigs:
+    CONFIGS = {
+        "StepperConfig": lambda: StepperConfig("euler", 400, 0.01, 10.0),
+        "GridSearchConfig": lambda: GridSearchConfig(5, "newton", 1e-8, 0.01, 10.0),
+    }
+
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    def test_assignment_raises(self, name):
+        # StepperConfig's K once took a new value while h stayed at the old K's
+        cfg = self.CONFIGS[name]()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.lambda_min = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, "K" if name == "StepperConfig" else "num_points", 800)
+
+    def test_replace_rederives_the_step_size(self):
+        cfg = dataclasses.replace(self.CONFIGS["StepperConfig"](), K=800)
+        assert cfg.h == stepsize("euler", 800, 0.01, 10.0)
 
 
 # ------------------------------------------------------------ lambda range
@@ -697,7 +793,7 @@ class TestLambdaRange:
     CONSUMERS = {
         "StepperConfig": lambda lo, hi: StepperConfig("euler", 20, lo, hi),
         "GridSearchConfig": lambda lo, hi: GridSearchConfig(5, "newton", 1e-8, lo, hi),
-        "TheoryConstants.derive": lambda lo, hi: TheoryConstants.derive(
+        "TheoryConstants": lambda lo, hi: TheoryConstants(
             mu=1.0, sigma=1.0, L=1.0, G=1.0, lambda_min=lo, lambda_max=hi
         ),
         "min_feasible_K": lambda lo, hi: min_feasible_K("trapezoid", lo, hi),

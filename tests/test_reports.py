@@ -129,6 +129,15 @@ def test_write_json_atomic_removes_tmp_when_rename_fails(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_write_json_atomic_error_names_the_target(tmp_path):
+    # the message once named the temporary r.json.tmp, a path nobody typed
+    target = str(tmp_path / "missing" / "r.json")
+    with pytest.raises(FileNotFoundError) as exc:
+        write_json_atomic("x", target)
+    assert exc.value.filename == target
+    assert ".tmp" not in str(exc.value)
+
+
 def test_runs_measure_positive_wall_time():
     problem = make_quadratic_ridge(np.eye(2), np.ones(2))
     _, ode = run_path(problem, np.full(2, 1 / 11), StepperConfig("euler", 5, 0.1, 10.0))
