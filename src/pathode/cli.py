@@ -1,9 +1,9 @@
 """Benchmark command line: run, doubling, theory, sweep, gen-moment, gen-logistic.
 
 Exit codes: 0 success, 2 bad arguments or malformed input data, 3 solver
-failure (including a doubling loop that exhausts its cap).  Reports are
-JSON documents matching report_schema.json; sweeps emit one CSV row per
-(method, eps) pair.
+failure (including a doubling loop that exhausts its cap) or out of
+memory.  Reports are JSON documents matching report_schema.json; sweeps
+emit one CSV row per (method, eps) pair.
 """
 
 from __future__ import annotations
@@ -65,6 +65,8 @@ def build_problem(args) -> tuple[problems.ProblemOracle, dict]:
             "quadratic instances are synthetic-only (the CSV contract is for "
             "labelled classification data); use --synthetic n=..,p=..,seed=.."
         )
+    if args.standardize and name in ("quadratic", "moment"):
+        raise CliArgumentError(f"--standardize rescales logistic features; {name} has none")
     meta = {"problem": name, "seed": args.seed}
     if args.data:
         meta["source"] = args.data
@@ -85,13 +87,13 @@ def build_problem(args) -> tuple[problems.ProblemOracle, dict]:
         return problems.make_quadratic_ridge(A, b), meta
     # logistic families
     if args.data:
-        features, labels = datasets.load_csv_dataset(args.data, standardize=args.standardize)
+        features, labels = datasets.load_csv_dataset(args.data)
     else:
         features, labels = datasets.generate_synthetic_logistic(
             spec.get("n", 569), spec.get("p", 30), meta["seed"]
         )
-        if args.standardize:
-            features = datasets.standardize_features(features)
+    if args.standardize:
+        features = datasets.standardize_features(features)
     if name == "logistic":
         return problems.make_logistic_ridge(features, labels), meta
     return problems.make_logistic_reweighted(features, labels), meta
@@ -505,6 +507,9 @@ def main(argv=None) -> int:
         NotPositiveDefiniteError,
     ) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # e.g. a K whose schedule or path cannot be allocated
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:  # bad arguments, malformed data, degenerate problems
         print(f"error: {exc}", file=sys.stderr)

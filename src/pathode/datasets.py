@@ -27,14 +27,12 @@ def _try_parse_row(fields: list[str]) -> list[float] | None:
         return None
 
 
-def load_csv_dataset(path: str, standardize: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def load_csv_dataset(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Parse a labelled CSV into (features, labels).
 
     An unparseable first row is treated as a header.  Labels must be exactly
     +1 or -1 and features finite; any malformed later row raises with its
     1-based line number.
-    standardize=True rescales each feature column to zero mean and unit
-    variance (constant columns are left centered only).
     """
     rows: list[list[float]] = []
     linenos: list[int] = []
@@ -71,11 +69,7 @@ def load_csv_dataset(path: str, standardize: bool = False) -> tuple[np.ndarray, 
     if not finite.all():
         lineno = linenos[int(np.argmin(finite))]
         raise DatasetFormatError(f"{path}: line {lineno}: features must be finite")
-    labels = data[:, 0]
-    features = data[:, 1:]
-    if standardize:
-        features = standardize_features(features)
-    return features, labels
+    return data[:, 1:], data[:, 0]
 
 
 def standardize_features(features: np.ndarray) -> np.ndarray:
@@ -145,7 +139,7 @@ def save_moment_json(w: np.ndarray, x_true: np.ndarray, n_moments: int, path: st
 
 
 def load_moment_json(path: str) -> tuple[np.ndarray, np.ndarray, int]:
-    """(w, x_true, n_moments) of a moment JSON; n_moments must be a JSON integer."""
+    """(w, x_true, n_moments) of a moment JSON: two equal-length lists and an integer."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -156,4 +150,6 @@ def load_moment_json(path: str) -> tuple[np.ndarray, np.ndarray, int]:
             raise DatasetFormatError(f"{path}: missing or malformed moment fields: {exc}") from exc
     if isinstance(n_moments, bool) or not isinstance(n_moments, int):
         raise DatasetFormatError(f"{path}: n_moments must be an integer, got {n_moments!r}")
+    if w.ndim != 1 or w.shape != x_true.shape:
+        raise DatasetFormatError(f"{path}: w and x_true must be 1-d arrays of equal length")
     return w, x_true, n_moments

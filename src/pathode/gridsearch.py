@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,53 +50,55 @@ class GridSearchConfig:
 
 def agd_inner(
     problem: ProblemOracle,
-    lam: float,
-    x_start: np.ndarray,
+    lams: Iterable[float],
+    x: np.ndarray,
     tol: float,
-    mu_eff: float,
-    L_eff: float,
     counters: OracleCounters,
     cap: int = DEFAULT_AGD_CAP,
-    terms: tuple | None = None,
-):
-    """Constant-momentum accelerated gradient descent on F_lambda.
+) -> Iterator[tuple[np.ndarray, int, float]]:
+    """Constant-momentum accelerated gradient descent down lams; yields (point, iters, gnorm).
 
-    Momentum (sqrt(kappa) - 1)/(sqrt(kappa) + 1) with kappa = L_eff/mu_eff,
-    step 1/L_eff; stops when the gradient norm at the extrapolated point
-    reaches tol and returns (point, iterations, gradient norm, terms).
-    terms = (f_grad, omega_grad, f_value, omega_value) at x_start, None where
-    not made, as in newton_solve: only the entry gradient is reused, and the
-    returned terms hold the gradients at the returned point.  Each gradient
-    made charges one pair to counters.  Raises MaxIterationsError after cap
-    iterations.
+    At each lambda, L_eff = L (1 + lambda) and mu_eff = mu + lambda sigma; the
+    step is 1/L_eff and the momentum (sqrt(kappa) - 1)/(sqrt(kappa) + 1) with
+    kappa = L_eff/mu_eff.  Each lambda starts from the previous exit, reusing
+    only its gradients, and stops when the gradient norm at the extrapolated
+    point x reaches tol.  Each gradient made charges one pair to counters.
+    Raises ValueError without a Lipschitz certificate, for tol <= 0 or when
+    mu_eff <= 0, and MaxIterationsError after cap iterations.
     """
-    if mu_eff <= 0.0 or L_eff < mu_eff:
-        raise ValueError("need 0 < mu_eff <= L_eff")
+    if problem.lipschitz is None:
+        raise ValueError("agd needs a Lipschitz certificate for its step size")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    kappa = L_eff / mu_eff
-    beta = (math.sqrt(kappa) - 1.0) / (math.sqrt(kappa) + 1.0)
-    x = np.array(x_start, dtype=float, copy=True)
-    y = x.copy()
-    fg, og, fv, ov = terms or (None, None, None, None)
-    for it in range(cap + 1):
-        if fg is None:
-            fg, og = problem.f_grad(y), problem.omega_grad(y)
-            counters.grad_f += 1
-            counters.grad_omega += 1
-        g = fg + lam * og
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= tol:
-            return y, it, gnorm, (fg, og, fv, ov)
-        x_new = y - g / L_eff
-        if not problem.domain_check(x_new):
-            raise DomainError("accelerated gradient left the domain")
-        y = x_new + beta * (x_new - x)
-        if not problem.domain_check(y):
-            raise DomainError("accelerated gradient extrapolation left the domain")
-        x = x_new
-        fg = og = fv = ov = None
-    raise MaxIterationsError(f"agd inner solver exceeded {cap} iterations")
+    fg = og = None
+    for lam in map(float, lams):
+        mu_eff = problem.mu + lam * problem.sigma
+        L_eff = problem.lipschitz * (1.0 + lam)
+        if mu_eff <= 0.0 or L_eff < mu_eff:
+            raise ValueError("need 0 < mu_eff <= L_eff")
+        kappa = L_eff / mu_eff
+        beta = (math.sqrt(kappa) - 1.0) / (math.sqrt(kappa) + 1.0)
+        x_prev = x
+        for it in range(cap + 1):
+            if fg is None:
+                fg, og = problem.f_grad(x), problem.omega_grad(x)
+                counters.grad_f += 1
+                counters.grad_omega += 1
+            g = fg + lam * og
+            gnorm = float(np.linalg.norm(g))
+            if gnorm <= tol:
+                break
+            x_next = x - g / L_eff
+            if not problem.domain_check(x_next):
+                raise DomainError("accelerated gradient left the domain")
+            x = x_next + beta * (x_next - x_prev)
+            if not problem.domain_check(x):
+                raise DomainError("accelerated gradient extrapolation left the domain")
+            x_prev = x_next
+            fg = og = None
+        else:
+            raise MaxIterationsError(f"agd inner solver exceeded {cap} iterations")
+        yield x, it, gnorm
 
 
 def solve_grid(
@@ -108,46 +111,34 @@ def solve_grid(
     """Solve every grid point to inner_tol, warm-starting down the grid.
 
     Returns the piecewise-constant path and a report; report.inner_iterations
-    lists the inner iteration count per grid point.  Newton inner work charges
-    gradients, Hessian builds, and solves; AGD charges gradients only.  The
-    terms of F_lambda = f + lambda Omega at a point do not depend on lambda,
-    so each point's solve starts from the previous point's exit terms: a warm
-    start makes no new gradient, and grad_f = grad_omega = sum(iterations) + 1.
-    Knot residuals reuse the inner solver's exit gradient norm, so no extra
-    metric evaluations are made here.  A failed inner solve raises PathRunError
-    carrying the points finished before it.
+    lists the inner iteration count per grid point.  The inner solver walks
+    the whole grid, each point starting from the previous exit with the
+    gradients made there, so grad_f = grad_omega = sum(iterations) + 1; Newton
+    also charges Hessian builds and solves.  Knot residuals reuse the inner
+    solver's exit gradient norm, so no extra metric evaluations are made
+    here.  A failed inner solve raises PathRunError carrying the points
+    finished before it.
     """
     x = problem.checked_start(x0, allow_degenerate)
-    if problem.lipschitz is None and config.inner_solver == "agd":
-        raise ValueError("agd needs a Lipschitz certificate for its step size")
     counters = OracleCounters()
     lams = lambda_schedule(config.lambda_min, config.lambda_max, config.num_points - 1)
+    if config.inner_solver == "newton":
+        points = newton_solve(problem, lams, x, config.inner_tol, DEFAULT_NEWTON_CAP, counters)
+    else:
+        points = agd_inner(problem, lams, x, config.inner_tol, counters)
     X = np.empty((len(lams), problem.dim))
     res = np.empty(len(lams))
     iterations: list[int] = []
-    terms = None
     t0 = time.perf_counter()
-    for idx, lam in enumerate(lams):
-        lam = float(lam)
-        try:
-            if config.inner_solver == "newton":
-                x, iters, res[idx], terms = newton_solve(
-                    problem, lam, x, config.inner_tol, DEFAULT_NEWTON_CAP, counters, terms
-                )
-            else:
-                mu_eff = problem.mu + lam * problem.sigma
-                L_eff = problem.lipschitz * (1.0 + lam)
-                x, iters, res[idx], terms = agd_inner(
-                    problem, lam, x, config.inner_tol, mu_eff, L_eff, counters,
-                    DEFAULT_AGD_CAP, terms,
-                )
-        except (DomainError, MaxIterationsError, NotPositiveDefiniteError) as exc:
-            raise PathRunError(
-                f"grid point {idx} (lambda = {lam:g}) failed: {exc}",
-                lams[:idx], X[:idx], res[:idx], [], idx,
-            ) from exc
-        X[idx] = x
-        iterations.append(iters)
+    try:
+        for idx, (X[idx], iters, res[idx]) in enumerate(points):
+            iterations.append(iters)
+    except (DomainError, MaxIterationsError, NotPositiveDefiniteError) as exc:
+        idx = len(iterations)
+        raise PathRunError(
+            f"grid point {idx} (lambda = {lams[idx]:g}) failed: {exc}",
+            lams[:idx], X[:idx], res[:idx], [], idx,
+        ) from exc
     report = RunReport(
         method=f"grid-{config.inner_solver}",
         K=config.num_points,

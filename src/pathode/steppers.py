@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -375,58 +375,56 @@ def initialize_by_newton(problem: ProblemOracle, lambda_max: float, tol: float) 
     x = problem.base_point()
     if not problem.domain_check(x):
         raise DomainError("starting point violates the problem domain")
-    return newton_solve(problem, lambda_max, x, tol, 100, OracleCounters())[0]
+    return next(newton_solve(problem, (lambda_max,), x, tol, 100, OracleCounters()))[0]
 
 
 def newton_solve(
     problem: ProblemOracle,
-    lam: float,
+    lams: Iterable[float],
     x: np.ndarray,
     tol: float,
     max_iters: int,
     counters: OracleCounters,
-    terms: tuple | None = None,
-) -> tuple[np.ndarray, int, float, tuple]:
-    """Damped Newton on F_lam from x until ||grad F_lam|| <= tol; returns (x, iters, gnorm, terms).
+) -> Iterator[tuple[np.ndarray, int, float]]:
+    """Damped Newton on F_lam for each lam to ||grad F_lam|| <= tol; yields (x, iters, gnorm).
 
-    terms = (f_grad, omega_grad, f_value, omega_value) holds the evaluations
-    at a point, None where not yet made; none of them depends on lam.  Given
-    the terms at x (e.g. the previous grid point's exit), they are reused;
-    the returned terms are those at the returned x.  Each step is the Newton
-    step, halved until the iterate stays in the domain and F_lam does not
-    increase; an accepted point keeps its values and its gradients are made
-    at the next iteration.  Each gradient made charges grad_f and grad_omega
-    to counters, and each step one Hessian build and one linear solve.
-    Raises MaxIterationsError when no halving is acceptable or the gradient
-    is still above tol after max_iters steps.
+    Each lam starts from the previous exit and reuses the values made there,
+    none of which depends on lam.  Each step is the Newton step, halved until
+    the iterate stays in the domain and F_lam does not increase; an accepted
+    point keeps its values and its gradients are made at the next iteration.
+    Each gradient made charges grad_f and grad_omega to counters, and each
+    step one Hessian build and one linear solve.  Raises MaxIterationsError
+    when no halving is acceptable or the gradient is still above tol after
+    max_iters steps.
     """
-    fg, og, fv, ov = terms or (None, None, None, None)
-    for it in range(max_iters + 1):
-        if fg is None:
-            fg, og = problem.f_grad(x), problem.omega_grad(x)
-            counters.grad_f += 1
-            counters.grad_omega += 1
-        g = fg + lam * og
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= tol:
-            return x, it, gnorm, (fg, og, fv, ov)
-        if it == max_iters:
-            break
-        d = problem.hessian(x, lam).solve(g).direction
-        counters.hess_builds += 1
-        counters.linear_solves += 1
-        if fv is None:
-            fv, ov = problem.f_value(x), problem.omega_value(x)
-        f0 = fv + lam * ov
-        t = 1.0
-        for _ in range(MAX_DOMAIN_BACKOFFS + 1):
-            cand = x + t * d
-            if problem.domain_check(cand):
-                cand_fv, cand_ov = problem.f_value(cand), problem.omega_value(cand)
-                if cand_fv + lam * cand_ov <= f0 + 1e-12 * (1.0 + abs(f0)):
-                    x, fg, og, fv, ov = cand, None, None, cand_fv, cand_ov
-                    break
-            t *= 0.5
-        else:
-            raise MaxIterationsError("newton damping found no acceptable step")
-    raise MaxIterationsError(f"newton stalled above tol = {tol} after {max_iters} iterations")
+    fg = og = fv = ov = None
+    for lam in map(float, lams):
+        for it in range(max_iters + 1):
+            if fg is None:
+                fg, og = problem.f_grad(x), problem.omega_grad(x)
+                counters.grad_f += 1
+                counters.grad_omega += 1
+            g = fg + lam * og
+            gnorm = float(np.linalg.norm(g))
+            if gnorm <= tol:
+                break
+            if it == max_iters:
+                raise MaxIterationsError(f"newton stalled above tol = {tol} after {it} iterations")
+            d = problem.hessian(x, lam).solve(g).direction
+            counters.hess_builds += 1
+            counters.linear_solves += 1
+            if fv is None:
+                fv, ov = problem.f_value(x), problem.omega_value(x)
+            f0 = fv + lam * ov
+            t = 1.0
+            for _ in range(MAX_DOMAIN_BACKOFFS + 1):
+                cand = x + t * d
+                if problem.domain_check(cand):
+                    cand_fv, cand_ov = problem.f_value(cand), problem.omega_value(cand)
+                    if cand_fv + lam * cand_ov <= f0 + 1e-12 * (1.0 + abs(f0)):
+                        x, fg, og, fv, ov = cand, None, None, cand_fv, cand_ov
+                        break
+                t *= 0.5
+            else:
+                raise MaxIterationsError("newton damping found no acceptable step")
+        yield x, it, gnorm

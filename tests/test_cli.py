@@ -625,6 +625,19 @@ class TestExitPaths:
             2,
             "d.csv: line 3: features must be finite",
         ),
+        # a schedule of 10**15 knots is 8 PB, more than any address space maps
+        "run-K-out-of-memory": (RUN5 + ["--K", str(10**15)], 3, "out of memory: Unable to allocate"),
+        "doubling-K0-out-of-memory": (
+            ["doubling", "--method", "grid-newton", "--eps", "1e-2", "--K0", str(10**15)] + QUAD,
+            3,
+            "out of memory: Unable to allocate",
+        ),
+        "standardize-quadratic": (RUN5 + ["--standardize"], 2, "--standardize rescales logistic"),
+        "standardize-moment": (
+            RUN5 + ["--problem", "moment", "--synthetic", "p=6,seed=1", "--standardize"],
+            2,
+            "moment has none",
+        ),
     }  # fmt: skip
 
     @pytest.mark.parametrize("case", list(CASES))

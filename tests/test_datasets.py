@@ -86,7 +86,7 @@ class TestLoadCsv:
     def test_standardize_flag(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("1,1.0,5.0\n-1,3.0,5.0\n1,5.0,5.0\n")
-        X, _ = load_csv_dataset(str(f), standardize=True)
+        X = standardize_features(load_csv_dataset(str(f))[0])
         np.testing.assert_allclose(X.mean(axis=0), [0.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(X.std(axis=0), [1.0, 0.0], atol=1e-12)
 
@@ -199,4 +199,16 @@ class TestMomentJson:
         path = tmp_path / "m.json"
         path.write_text(text)
         with pytest.raises(DatasetFormatError, match=r"m\.json: missing or malformed"):
+            load_moment_json(str(path))
+
+    @pytest.mark.parametrize(
+        "w, x_true",
+        [("null", "[0.5, 0.5]"), ("[[0.1], [0.0]]", "[0.5, 0.5]"), ("[0.5, 0.0]", "[1.0]")],
+        ids=["null", "2-d", "unequal-length"],
+    )
+    def test_shape_errors_name_the_file(self, tmp_path, w, x_true):
+        # these once reached build_moment_problem, whose message names no file
+        path = tmp_path / "m.json"
+        path.write_text(f'{{"w": {w}, "x_true": {x_true}, "n_moments": 1}}')
+        with pytest.raises(DatasetFormatError, match=r"m\.json: w and x_true must be 1-d"):
             load_moment_json(str(path))

@@ -1,5 +1,7 @@
 """Grid-search baselines: geometry, sizing, inner solvers, and counters."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -103,10 +105,8 @@ class TestNewtonInner:
         warm_total = sum(rep.inner_iterations)
         cold_total = 0
         for lam in lambda_schedule(0.01, 10.0, 9):
-            _, iters, _, _ = newton_solve(
-                problem, float(lam), np.zeros(20), 1e-10, 50, OracleCounters()
-            )
-            cold_total += iters
+            cold = newton_solve(problem, (lam,), np.zeros(20), 1e-10, 50, OracleCounters())
+            cold_total += next(cold)[1]
         assert warm_total <= cold_total
 
     def test_knot_residuals_meet_inner_tol(self, quad30):
@@ -139,19 +139,25 @@ class TestNewtonInner:
         assert isinstance(path, PiecewiseConstantPath)
 
 
+def agd_point(problem, lam, x, tol=1e-8, counters=None, cap=gridsearch.DEFAULT_AGD_CAP):
+    """agd_inner's exit at one lambda."""
+    return next(agd_inner(problem, (lam,), x, tol, counters or OracleCounters(), cap))
+
+
 class TestAgdInner:
+    SCALAR = make_quadratic_ridge(np.array([[1.0]]), np.array([0.0]))  # mu = sigma = L = 1
+
     def test_optimal_start_zero_iterations(self):
-        problem = make_quadratic_ridge(np.array([[1.0]]), np.array([0.0]))
         counters = OracleCounters()
-        x, iters, gnorm, _ = agd_inner(problem, 1.0, np.zeros(1), 1e-8, 2.0, 2.0, counters)
+        x, iters, gnorm = agd_point(self.SCALAR, 1.0, np.zeros(1), counters=counters)
         assert iters == 0 and gnorm == 0.0
         assert counters.grad_f == counters.grad_omega == 1
 
     def test_scalar_quadratic_converges_quickly(self):
         # F(x) = x^2 at kappa = 1: a handful of iterations to 1e-8
-        problem = make_quadratic_ridge(np.array([[1.0]]), np.array([0.0]))
+        problem = self.SCALAR
         counters = OracleCounters()
-        x, iters, gnorm, _ = agd_inner(problem, 1.0, np.ones(1), 1e-8, 2.0, 2.0, counters)
+        x, iters, gnorm = agd_point(problem, 1.0, np.ones(1), counters=counters)
         assert np.linalg.norm(problem.total_grad(x, 1.0)) <= 1e-8
         assert counters.grad_f == counters.grad_omega == iters + 1  # one pair per iteration
         assert gnorm == np.linalg.norm(problem.total_grad(x, 1.0))
@@ -159,25 +165,21 @@ class TestAgdInner:
 
     def test_gradient_norm_at_return_meets_tol(self, quad30):
         _, _, problem = quad30
-        evals = np.linalg.eigvalsh(problem.hessian(np.zeros(20), 0.0).f_hess())
-        lam = 1.0
-        x, iters, _, _ = agd_inner(
-            problem, lam, np.zeros(20), 1e-6,
-            evals[0] + lam, evals[-1] + lam, OracleCounters(), cap=100000,
-        )
-        assert np.linalg.norm(problem.total_grad(x, lam)) <= 1e-6
+        x, _, _ = agd_point(problem, 1.0, np.zeros(20), 1e-6, cap=100000)
+        assert np.linalg.norm(problem.total_grad(x, 1.0)) <= 1e-6
 
     def test_invalid_strong_convexity_rejected(self):
-        problem = make_quadratic_ridge(np.array([[1.0]]), np.array([0.0]))
-        with pytest.raises(ValueError):
-            agd_inner(problem, 1.0, np.zeros(1), 1e-8, 0.0, 1.0, OracleCounters())
-        with pytest.raises(ValueError):
-            agd_inner(problem, 1.0, np.zeros(1), 1e-8, 2.0, 1.0, OracleCounters())
+        # mu_eff = mu + lambda sigma = 0, L_eff = L (1 + lambda) < mu_eff, or no L at all
+        for change in ({"mu": 0.0, "sigma": 0.0}, {"lipschitz": 0.5}):
+            with pytest.raises(ValueError, match="0 < mu_eff <= L_eff"):
+                agd_point(dataclasses.replace(self.SCALAR, **change), 1.0, np.zeros(1))
+        uncertified = dataclasses.replace(self.SCALAR, lipschitz=None)
+        with pytest.raises(ValueError, match="Lipschitz certificate"):
+            agd_point(uncertified, 1.0, np.zeros(1))
 
     def test_cap_exceeded_raises(self):
-        problem = make_quadratic_ridge(np.array([[1.0]]), np.array([0.0]))
-        with pytest.raises(MaxIterationsError):
-            agd_inner(problem, 1.0, np.ones(1), 1e-8, 2.0, 2.0, OracleCounters(), cap=0)
+        with pytest.raises(MaxIterationsError, match="exceeded 0 iterations"):
+            agd_point(self.SCALAR, 1.0, np.ones(1), cap=0)
 
 
 class TestSolveGridModes:
@@ -262,26 +264,17 @@ def _instances():
 INSTANCES = _instances()
 
 
-def _terms_at(problem, x):
-    return problem.f_grad(x), problem.omega_grad(x), problem.f_value(x), problem.omega_value(x)
-
-
 def _reference_grid(problem, x, config):
-    """solve_grid's path from one inner solve per lambda that is given no terms."""
+    """solve_grid's path from one inner solve per lambda, each carrying nothing over."""
     lams = lambda_schedule(config.lambda_min, config.lambda_max, config.num_points - 1)
     X, res, iterations = [], [], []
     for lam in lams:
-        lam = float(lam)
         if config.inner_solver == "newton":
-            x, iters, r, _ = newton_solve(
-                problem, lam, x, config.inner_tol, gridsearch.DEFAULT_NEWTON_CAP, OracleCounters()
-            )
+            x, iters, r = next(newton_solve(
+                problem, (lam,), x, config.inner_tol, gridsearch.DEFAULT_NEWTON_CAP, OracleCounters()
+            ))
         else:
-            mu_eff = problem.mu + lam * problem.sigma
-            L_eff = problem.lipschitz * (1.0 + lam)
-            x, iters, r, _ = agd_inner(
-                problem, lam, x, config.inner_tol, mu_eff, L_eff, OracleCounters()
-            )
+            x, iters, r = agd_point(problem, lam, x, config.inner_tol)
         X.append(x)
         res.append(r)
         iterations.append(iters)
@@ -289,6 +282,9 @@ def _reference_grid(problem, x, config):
 
 
 class TestTermsCarriedAcrossLambda:
+    """f, Omega and their gradients at a point do not depend on lambda, so an
+    inner solver walking several lambdas reuses its last exit's values."""
+
     @settings(max_examples=30, deadline=None)
     @given(
         name=st.sampled_from(sorted(INSTANCES)),
@@ -310,35 +306,38 @@ class TestTermsCarriedAcrossLambda:
 
     @pytest.mark.parametrize("name", sorted(INSTANCES))
     def test_newton_given_start_terms_returns_the_same(self, name):
+        # the second lambda starts from the first's exit with its values in hand
         problem, x0, (lo, hi) = INSTANCES[name]
-        lam = float(np.sqrt(lo * hi))
-        plain, given_terms = OracleCounters(), OracleCounters()
-        ref = newton_solve(problem, lam, x0, 1e-10, 50, plain)
-        got = newton_solve(problem, lam, x0, 1e-10, 50, given_terms, _terms_at(problem, x0))
+        lams = (hi, float(np.sqrt(lo * hi)))
+        chained, walked = OracleCounters(), OracleCounters()
+        first = next(newton_solve(problem, lams[:1], x0, 1e-10, 50, chained))
+        ref = next(newton_solve(problem, lams[1:], first[0], 1e-10, 50, chained))
+        got = list(newton_solve(problem, lams, x0, 1e-10, 50, walked))
         assert ref[1] >= 1
-        assert np.array_equal(got[0], ref[0]) and got[1:3] == ref[1:3]
-        for carried, fresh in zip(got[3], _terms_at(problem, got[0])):
-            assert np.array_equal(carried, fresh)
-        assert given_terms.grad_f == given_terms.grad_omega == plain.grad_f - 1
-        assert given_terms.hess_builds == plain.hess_builds == ref[1]
+        assert np.array_equal(got[0][0], first[0]) and got[0][1:] == first[1:]
+        assert np.array_equal(got[1][0], ref[0]) and got[1][1:] == ref[1:]
+        assert walked.grad_f == walked.grad_omega == chained.grad_f - 1
+        assert walked.hess_builds == chained.hess_builds == first[1] + ref[1]
 
     @pytest.mark.parametrize("name", sorted(INSTANCES))
     def test_newton_start_meeting_tol_charges_nothing(self, name):
         problem, x0, (lo, hi) = INSTANCES[name]
-        x, _, _, terms = newton_solve(problem, hi, x0, 1e-10, 50, OracleCounters())
         counters = OracleCounters()
-        out = newton_solve(problem, hi, x, 1e-10, 50, counters, terms)
-        assert out[0] is x and out[1] == 0 and out[3] is not None
-        assert counters == OracleCounters()
+        solver = newton_solve(problem, (hi, hi), x0, 1e-10, 50, counters)
+        x, _, gnorm = next(solver)
+        spent = dataclasses.replace(counters)
+        out = next(solver)
+        assert out[0] is x and out[1:] == (0, gnorm)
+        assert counters == spent
 
     def test_agd_reuses_only_its_entry_gradient(self):
         problem, x0, (lo, hi) = INSTANCES["quadratic"]
-        mu_eff, L_eff = problem.mu + hi * problem.sigma, problem.lipschitz * (1.0 + hi)
-        plain, given_terms = OracleCounters(), OracleCounters()
-        ref = agd_inner(problem, hi, x0, 1e-8, mu_eff, L_eff, plain)
-        got = agd_inner(problem, hi, x0, 1e-8, mu_eff, L_eff, given_terms, terms=_terms_at(problem, x0))
+        lams = (hi, float(np.sqrt(lo * hi)))
+        chained, walked = OracleCounters(), OracleCounters()
+        first = agd_point(problem, lams[0], x0, counters=chained)
+        ref = agd_point(problem, lams[1], first[0], counters=chained)
+        got = list(agd_inner(problem, lams, x0, 1e-8, walked))
         assert ref[1] >= 1
-        assert np.array_equal(got[0], ref[0]) and got[1:3] == ref[1:3]
-        assert given_terms.grad_f == plain.grad_f - 1
-        fg, og, fv, ov = got[3]
-        assert np.array_equal(fg, problem.f_grad(got[0])) and fv is None and ov is None
+        assert np.array_equal(got[0][0], first[0]) and got[0][1:] == first[1:]
+        assert np.array_equal(got[1][0], ref[0]) and got[1][1:] == ref[1:]
+        assert walked.grad_f == walked.grad_omega == chained.grad_f - 1

@@ -774,7 +774,7 @@ class TestInitializers:
 
         exact = quadratic_path_point(A, b, 10.0)
         counters = OracleCounters()
-        x0, iters, _, _ = newton_solve(problem, 10.0, exact, 1e-8, 100, counters)
+        x0, iters, _ = next(newton_solve(problem, (10.0,), exact, 1e-8, 100, counters))
         assert np.array_equal(x0, exact) and iters == 0  # already optimal, returned as-is
         assert (counters.grad_f, counters.hess_builds, counters.linear_solves) == (1, 0, 0)
 
