@@ -71,7 +71,6 @@ from .problems import (
 )
 from .reports import OracleCounters, RunReport
 from .steppers import (
-    CGNoConvergenceError,
     MaxIterationsError,
     PathRunError,
     StepDiagnostics,

@@ -34,10 +34,6 @@ SWEEP_COLUMNS = (
 )  # fmt: skip
 
 
-class CliArgumentError(ValueError):
-    """Semantically invalid arguments discovered after parsing (exit 2)."""
-
-
 def _parse_synthetic(spec: str, keys: tuple[str, ...]) -> dict[str, int]:
     out: dict[str, int] = {}
     for item in spec.split(","):
@@ -45,15 +41,15 @@ def _parse_synthetic(spec: str, keys: tuple[str, ...]) -> dict[str, int]:
         if not item:
             continue
         if "=" not in item:
-            raise CliArgumentError(f"bad --synthetic entry {item!r}; expected key=value")
+            raise ValueError(f"bad --synthetic entry {item!r}; expected key=value")
         key, _, value = item.partition("=")
         key = key.strip()
         if key not in keys:
-            raise CliArgumentError(f"unknown --synthetic key {key!r}; expected one of {keys}")
+            raise ValueError(f"unknown --synthetic key {key!r}; expected one of {keys}")
         try:
             out[key] = int(value)
         except ValueError as exc:
-            raise CliArgumentError(f"bad --synthetic value {item!r}: {exc}") from exc
+            raise ValueError(f"bad --synthetic value {item!r}: {exc}") from exc
     return out
 
 
@@ -61,19 +57,15 @@ def build_problem(args) -> tuple[problems.ProblemOracle, dict]:
     """Construct the problem oracle named by --problem from --data or --synthetic."""
     name = args.problem
     if name == "quadratic" and args.data:
-        raise CliArgumentError(
+        raise ValueError(
             "quadratic instances are synthetic-only (the CSV contract is for "
             "labelled classification data); use --synthetic n=..,p=..,seed=.."
         )
     if args.standardize and name in ("quadratic", "moment"):
-        raise CliArgumentError(f"--standardize rescales logistic features; {name} has none")
-    meta = {"problem": name, "seed": args.seed}
-    if args.data:
-        meta["source"] = args.data
-    else:
-        keys = ("p", "seed", "n_moments") if name == "moment" else ("n", "p", "seed")
-        spec = _parse_synthetic(args.synthetic or "", keys)
-        meta["seed"] = spec.get("seed", args.seed)
+        raise ValueError(f"--standardize rescales logistic features; {name} has none")
+    keys = ("p", "seed", "n_moments") if name == "moment" else ("n", "p", "seed")
+    spec = {} if args.data else _parse_synthetic(args.synthetic or "", keys)
+    meta = {"seed": spec.get("seed", args.seed)}
     if name == "moment":
         if args.data:
             w, x_true, n_moments = datasets.load_moment_json(args.data)
@@ -109,21 +101,18 @@ def initialize_x0(problem, args, eps: float | None) -> np.ndarray:
     return steppers.initialize_by_newton(problem, args.lambda_max, tol)
 
 
-def _parse_delta(args, eps: float | None) -> float:
-    delta = getattr(args, "delta", None)
-    if delta is None or delta == "auto":
-        if eps is None:
-            raise CliArgumentError("--delta auto needs --eps (delta defaults to eps/4)")
-        return eps / 4.0
-    return delta
-
-
-def _inner_tol(args, eps: float | None) -> float:
-    if getattr(args, "inner_tol", None) is not None:
-        return args.inner_tol
+def _tolerance(method: str, args, eps: float | None) -> float:
+    """A grid method's inner_tol or a CG method's delta: its flag, else eps/2 or eps/4."""
+    grid = method in GRID_METHODS
+    flag, divisor = (args.inner_tol, 2.0) if grid else (args.delta, 4.0)
+    if flag is not None:
+        return flag
     if eps is None:
-        raise CliArgumentError("grid methods need --eps or --inner-tol for the inner stopping rule")
-    return eps / 2.0
+        raise ValueError(
+            "grid methods need --eps or --inner-tol for the inner stopping rule"
+            if grid else "CG methods need --eps or --delta (delta defaults to eps/4)"
+        )
+    return eps / divisor
 
 
 def min_feasible_K(method: str, lambda_min: float, lambda_max: float) -> int:
@@ -149,7 +138,7 @@ def run_one(problem, meta, method, K, args, eps: float | None, x0) -> tuple:
         config = gridsearch.GridSearchConfig(
             num_points=K,
             inner_solver=method.removeprefix("grid-"),
-            inner_tol=_inner_tol(args, eps),
+            inner_tol=_tolerance(method, args, eps),
             lambda_min=args.lambda_min,
             lambda_max=args.lambda_max,
         )
@@ -160,7 +149,7 @@ def run_one(problem, meta, method, K, args, eps: float | None, x0) -> tuple:
             K=K,
             lambda_min=args.lambda_min,
             lambda_max=args.lambda_max,
-            delta=_parse_delta(args, eps) if method.endswith("-cg") else None,
+            delta=_tolerance(method, args, eps) if method.endswith("-cg") else None,
             record_diagnostics=bool(getattr(args, "diag_out", None)),
         )
     path, report = solve(problem, x0, config, allow_degenerate=args.allow_degenerate)
@@ -170,14 +159,17 @@ def run_one(problem, meta, method, K, args, eps: float | None, x0) -> tuple:
     return path, report
 
 
-def run_doubling(problem, meta, method, eps, K0, max_doublings, args, x0):
+def run_doubling(problem, meta, method, eps, K0, max_doublings, args, x0, reports=None):
     """K0, 2 K0, 4 K0, ... until the midpoint accuracy reaches eps.
 
     K0 is raised to the method's smallest feasible K; None starts there.
     Returns (K_final, path, reports, passed); K_final is the last K attempted.
+    Each finished attempt's report is appended to reports (a new list when
+    None) as it finishes, so a caller that passes its own list keeps them
+    when a later attempt raises.
     """
     K = max(K0 or 0, min_feasible_K(method, args.lambda_min, args.lambda_max))
-    reports = []
+    reports = [] if reports is None else reports
     for attempt in range(max_doublings + 1):
         path, report = run_one(problem, meta, method, K, args, eps, x0)
         reports.append(report)
@@ -197,8 +189,19 @@ def _write_or_print(text: str, out: str | None, label: str) -> None:
         sys.stdout.write(text)
 
 
-def _write_diagnostics(report, diag_out: str) -> None:
-    lines = [json.dumps(d.as_dict(), sort_keys=True) for d in report.step_diagnostics]
+def _write_diagnostics(path, report, diag_out: str) -> None:
+    """One JSON line per recorded step: its knot, read from the path, and its stages' scalars."""
+    lines = []
+    for k, d in enumerate(report.step_diagnostics):
+        line = dict(
+            k=k, lambda_k=float(path.lams[k]), residual_r_k=float(path.residuals[k]),
+            stage_lambdas=d.stage_lambdas, domain_backoffs=d.domain_backoffs,
+            direction_norms=[float(np.linalg.norm(r.direction)) for r in d.stages],
+            cg_iterations=[r.inner_iterations for r in d.stages],
+            direction_residuals=[r.residual_norm for r in d.stages],
+            cg_initial_residuals=[r.initial_residual for r in d.stages],
+        )
+        lines.append(json.dumps(line, sort_keys=True))
     write_json_atomic("\n".join(lines) + ("\n" if lines else ""), diag_out)
     report.diagnostics_path = diag_out
 
@@ -208,7 +211,7 @@ def cmd_run(args) -> int:
     x0 = initialize_x0(problem, args, args.eps)
     path, report = run_one(problem, meta, args.method, args.K, args, args.eps, x0)
     if getattr(args, "diag_out", None):
-        _write_diagnostics(report, args.diag_out)
+        _write_diagnostics(path, report, args.diag_out)
     if args.path_out:
         paths.export_path_csv(path, args.path_out)
     _write_or_print(report.to_json(), args.out, "report")
@@ -216,11 +219,20 @@ def cmd_run(args) -> int:
 
 
 def cmd_doubling(args) -> int:
+    """An attempt after the first that runs out of memory ends the loop: the
+    summary lists the finished attempts, not passed, and main exits 3."""
     problem, meta = build_problem(args)
     x0 = initialize_x0(problem, args, args.eps)
-    K, path, reports, passed = run_doubling(
-        problem, meta, args.method, args.eps, args.K0, args.max_doublings, args, x0
-    )
+    reports, out_of_memory = [], None
+    try:
+        K, path, _, passed = run_doubling(
+            problem, meta, args.method, args.eps, args.K0, args.max_doublings, args, x0, reports
+        )
+    except MemoryError as exc:
+        if not reports:
+            raise
+        K, passed, out_of_memory = reports[-1].K, False, exc
+        reports[-1].status = "accuracy-not-met"
     payload = {
         "method": args.method,
         "eps": args.eps,
@@ -230,6 +242,8 @@ def cmd_doubling(args) -> int:
         "reports": [r.as_dict() for r in reports],
     }
     _write_or_print(json_text(payload), args.out, "doubling summary")
+    if out_of_memory is not None:
+        raise out_of_memory
     if args.path_out:
         paths.export_path_csv(path, args.path_out)
     if not passed:
@@ -251,7 +265,7 @@ def _constants_from_args(args) -> tuple[problems.TheoryConstants, float]:
         return constants, f_gap
     missing = [f"--{name}" for name in ("mu", "sigma", "L", "G") if getattr(args, name) is None]
     if missing:
-        raise CliArgumentError(
+        raise ValueError(
             f"theory needs {' '.join(missing)} (or --estimate with a problem source)"
         )
     inputs = ("mu", "sigma", "L", "G", "lambda_min", "lambda_max")
@@ -288,8 +302,9 @@ def _sweep_method_rows(problem, meta, method, eps_list, args, x0) -> list[str]:
             K, _, reports, passed = run_doubling(
                 problem, meta, method, eps, carried_K0, args.max_doublings, args, x0
             )
-        except (RuntimeError, ValueError) as exc:
-            rows.append(_sweep_row(method, eps, "failed", note=_clean_note(exc)))
+        except (RuntimeError, ValueError, MemoryError) as exc:
+            note = f"out of memory: {exc}" if isinstance(exc, MemoryError) else str(exc)
+            rows.append(_sweep_row(method, eps, "failed", note=_clean_note(note)))
             continue
         if passed:
             carried_K0 = K
@@ -297,8 +312,8 @@ def _sweep_method_rows(problem, meta, method, eps_list, args, x0) -> list[str]:
     return rows
 
 
-def _clean_note(exc: Exception) -> str:
-    return str(exc).replace(",", ";").replace("\n", " ")[:200]
+def _clean_note(text: str) -> str:
+    return text.replace(",", ";").replace("\n", " ")[:200]
 
 
 def cmd_sweep(args) -> int:
@@ -306,10 +321,10 @@ def cmd_sweep(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for m in methods:
         if m not in ALL_METHODS:
-            raise CliArgumentError(f"unknown method {m!r} in --methods")
+            raise ValueError(f"unknown method {m!r} in --methods")
     eps_list = args.eps_list
     if not methods or not eps_list:
-        raise CliArgumentError("sweep needs nonempty --methods and --eps-list")
+        raise ValueError("sweep needs nonempty --methods and --eps-list")
     x0 = initialize_x0(problem, args, min(eps_list))
     all_rows: list[str] = []
     for method in methods:
@@ -369,7 +384,7 @@ _nonnegative_int = _checked(int, "an integer", lambda v: v >= 0, ">= 0")
 def _add_solver_flags(sub):
     sub.add_argument(
         "--delta",
-        type=lambda text: text if text == "auto" else _positive_float(text),
+        type=lambda text: None if text == "auto" else _positive_float(text),
         default=None,
         help="CG tolerance, or 'auto' for eps/4",
     )
@@ -503,7 +518,6 @@ def main(argv=None) -> int:
     except (  # ahead of ValueError, which NotPositiveDefiniteError subclasses
         steppers.PathRunError,
         steppers.MaxIterationsError,
-        steppers.CGNoConvergenceError,
         NotPositiveDefiniteError,
     ) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)

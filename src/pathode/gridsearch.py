@@ -17,11 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linsolve import NotPositiveDefiniteError
 from .paths import PiecewiseConstantPath
 from .problems import DomainError, ProblemOracle, check_lambda_range
 from .reports import OracleCounters, RunReport
-from .steppers import MaxIterationsError, PathRunError, lambda_schedule, newton_solve
+from .steppers import RUN_FAILURES, MaxIterationsError, PathRunError, lambda_schedule, newton_solve
 
 INNER_SOLVERS = ("newton", "agd")
 DEFAULT_NEWTON_CAP = 200
@@ -133,7 +132,7 @@ def solve_grid(
     try:
         for idx, (X[idx], iters, res[idx]) in enumerate(points):
             iterations.append(iters)
-    except (DomainError, MaxIterationsError, NotPositiveDefiniteError) as exc:
+    except RUN_FAILURES as exc:
         idx = len(iterations)
         raise PathRunError(
             f"grid point {idx} (lambda = {lams[idx]:g}) failed: {exc}",

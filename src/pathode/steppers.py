@@ -35,12 +35,8 @@ STEPSIZE_ROOT_TOL = 1e-14
 RK4_MAX_LOG_DECAY = 1.3078722944490067
 
 
-class CGNoConvergenceError(RuntimeError):
-    """CG exhausted its iteration cap before reaching delta."""
-
-
 class MaxIterationsError(RuntimeError):
-    """An iterative routine hit its cap before meeting its tolerance."""
+    """An iterative routine (Newton, AGD, CG, a root-finder) hit its cap before its tolerance."""
 
 
 class PathRunError(RuntimeError):
@@ -55,6 +51,10 @@ class PathRunError(RuntimeError):
         self.lams, self.X, self.residuals = lams, X, residuals
         self.diagnostics = diagnostics
         self.step_index = step_index
+
+
+# what ends an ODE or grid run in PathRunError, with the knots finished before it
+RUN_FAILURES = (DomainError, MaxIterationsError, NotPositiveDefiniteError)
 
 
 def decay_polynomial(h: float) -> float:
@@ -141,32 +141,17 @@ class StepperConfig:
 
 @dataclass
 class StepDiagnostics:
-    """Per-step record: step k's knot, then the stages of its take_step in stage order.
+    """Per-step record: the stages of step k's take_step, in stage order.
 
+    Step k's knot is the path's lams[k], X[k] and residuals[k].
     Runs build these only when they record diagnostics, since the stage
-    DirectionResults and points hold O(p) vectors; as_dict leaves those out.
+    DirectionResults and points hold O(p) vectors.
     """
 
-    k: int
-    lambda_k: float
-    residual_r_k: float
     stage_lambdas: list[float]
     stages: list[DirectionResult]
     stage_points: list[np.ndarray]
     domain_backoffs: int
-
-    def as_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "lambda_k": self.lambda_k,
-            "residual_r_k": self.residual_r_k,
-            "direction_norms": [float(np.linalg.norm(r.direction)) for r in self.stages],
-            "cg_iterations": [r.inner_iterations for r in self.stages],
-            "direction_residuals": [r.residual_norm for r in self.stages],
-            "cg_initial_residuals": [r.initial_residual for r in self.stages],
-            "stage_lambdas": self.stage_lambdas,
-            "domain_backoffs": self.domain_backoffs,
-        }
 
 
 def direction_oracle(problem: ProblemOracle, counters: OracleCounters, delta: float | None):
@@ -176,7 +161,7 @@ def direction_oracle(problem: ProblemOracle, counters: OracleCounters, delta: fl
     a gradient, a Hessian build and a linear solve; warm is ignored.
     delta > 0 runs CG from warm (zero when None) to residual delta, charging
     a gradient, each Hessian-vector product and the iterations, and raises
-    CGNoConvergenceError after 20 dim iterations.
+    MaxIterationsError after 20 dim iterations.
     """
     max_iters = 20 * problem.dim
 
@@ -198,7 +183,7 @@ def direction_oracle(problem: ProblemOracle, counters: OracleCounters, delta: fl
         result = cg_solve(hessvec, g, start, delta, max_iters)
         counters.cg_iters_total += result.inner_iterations
         if not result.converged:
-            raise CGNoConvergenceError(
+            raise MaxIterationsError(
                 f"CG stopped at {max_iters} iterations with residual "
                 f"{result.residual_norm:.3e} > delta = {delta:.3e}"
             )
@@ -253,8 +238,7 @@ def take_step(scheme, problem, x_k, lambda_k, h, direction, warm=None):
     halved and stages 2.. are redone, at most MAX_DOMAIN_BACKOFFS times; the
     next knot's lambda comes from the schedule and never changes.  warm seeds
     stage 1 in CG mode, and carry is the direction that seeds the next step.
-    stages = (stage lambdas, stage DirectionResults, stage points, backoffs)
-    are the last four fields of the step's StepDiagnostics.
+    stages = (stage lambdas, stage DirectionResults, stage points, backoffs).
     """
     lams = [f * lambda_k for f in scheme.stage_factors(h)]
     first = direction(x_k, lams[0], warm)
@@ -305,28 +289,22 @@ def run_path(
     scheme = SCHEMES[config.method]
     lams = lambda_schedule(config.lambda_min, config.lambda_max, config.K)
     X = np.empty((config.K + 1, problem.dim))
-    steps = []  # stages per step, kept only to build diagnostics
-
-    def knots_and_diagnostics(n):
-        res = residuals(problem, X[:n], lams[:n], counters)
-        diags = [StepDiagnostics(k, float(lams[k]), res[k], *st) for k, st in enumerate(steps)]
-        return res, diags
-
+    diags = []
     t0 = time.perf_counter()
     x, warm = x0, None
     X[0] = x
     for k, lam in enumerate(lams[:-1].tolist()):
         try:
             x, warm, stages = take_step(scheme, problem, x, lam, config.h, direction, warm)
-        except (DomainError, NotPositiveDefiniteError, CGNoConvergenceError) as exc:
-            res, diags = knots_and_diagnostics(k + 1)
+        except RUN_FAILURES as exc:
+            res = residuals(problem, X[: k + 1], lams[: k + 1], counters)
             raise PathRunError(
                 f"step {k} failed: {exc}", lams[: k + 1], X[: k + 1], res, diags, k
             ) from exc
         if config.record_diagnostics:
-            steps.append(stages)
+            diags.append(StepDiagnostics(*stages))
         X[k + 1] = x
-    res, diags = knots_and_diagnostics(config.K + 1)
+    res = residuals(problem, X, lams, counters)
     report = RunReport(
         method=config.method if config.delta is None else f"{config.method}-cg",
         K=config.K,

@@ -228,17 +228,18 @@ def _min_step_slack(problem, x0, lo, hi, K, delta):
             )
             path, rep = run_path(problem, x0, cfg)
             c = _measured_constants(problem, path)
-            for d in rep.step_diagnostics:
-                lam_k, lam_n = path.lams[d.k], path.lams[d.k + 1]
+            for k, d in enumerate(rep.step_diagnostics):
+                lam_k, lam_n = path.lams[k], path.lams[k + 1]
+                r_k = path.residuals[k]
                 if method == "euler":
                     if mode == "exact":
                         bound = step_bound_euler(
-                            d.residual_r_k, lam_k, lam_n, rep.h, c.L,
+                            r_k, lam_k, lam_n, rep.h, c.L,
                             np.linalg.norm(d.stages[0].direction),
                         )
                     else:
                         bound = step_bound_euler_approx(
-                            d.residual_r_k,
+                            r_k,
                             lam_k,
                             lam_n,
                             rep.h,
@@ -247,14 +248,14 @@ def _min_step_slack(problem, x0, lo, hi, K, delta):
                             d.stages[0].residual_norm,
                         )
                 else:
-                    assert d.residual_r_k <= c.mu_tilde  # premise clause
+                    assert r_k <= c.mu_tilde  # premise clause
                     if mode == "exact":
                         bound = step_bound_trapezoid(
-                            d.residual_r_k, lam_n / lam_k, rep.h, c.L, c.G, c.tau
+                            r_k, lam_n / lam_k, rep.h, c.L, c.G, c.tau
                         )
                     else:
                         bound = step_bound_trapezoid_approx(
-                            d.residual_r_k,
+                            r_k,
                             lam_n / lam_k,
                             rep.h,
                             c.L,
@@ -263,7 +264,7 @@ def _min_step_slack(problem, x0, lo, hi, K, delta):
                             d.stages[0].residual_vector,
                             d.stages[1].residual_vector,
                         )
-                worst = min(worst, bound - path.residuals[d.k + 1])
+                worst = min(worst, bound - path.residuals[k + 1])
     return worst
 
 

@@ -33,6 +33,19 @@ def call(capsys, argv):
     return rc, captured.out, captured.err
 
 
+def fail_run_one_on_call(monkeypatch, n):
+    """cli.run_one raises MemoryError on its n-th call and runs as before otherwise."""
+    real, calls = cli.run_one, []
+
+    def run_one(*args):
+        calls.append(args)
+        if len(calls) == n:
+            raise MemoryError("Unable to allocate 8.00 PiB")
+        return real(*args)
+
+    monkeypatch.setattr(cli, "run_one", run_one)
+
+
 def report_schema():
     import pathlib
 
@@ -231,6 +244,24 @@ class TestDoublingVerb:
         assert d["reports"][-1]["status"] == "accuracy-not-met"
         assert "cap" in err
 
+    def test_later_attempt_out_of_memory_keeps_the_finished_attempts(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # K = 400 misses 1e-4 and K = 800 runs out of memory
+        fail_run_one_on_call(monkeypatch, 2)
+        summary = tmp_path / "d.json"
+        argv = ["doubling", "--method", "euler", "--eps", "1e-4", "--K0", "400"]
+        rc, _, err = call(capsys, argv + QUAD + ["--out", str(summary)])
+        assert rc == 3
+        assert "out of memory: Unable to allocate 8.00 PiB" in err
+        assert "Traceback" not in err
+        d = json.loads(summary.read_text())
+        assert d["passed"] is False
+        assert d["K0"] == d["K_final"] == 400
+        assert [r["K"] for r in d["reports"]] == [400]
+        assert d["reports"][0]["status"] == "accuracy-not-met"
+        assert d["reports"][0]["accuracy_midpoint"] > 1e-4
+
 
 class TestMinFeasibleK:
     """The doubling start is the first K whose schedule has a step size."""
@@ -378,6 +409,24 @@ class TestSweepVerb:
         assert fields[0] == "grid-agd"
         assert fields[2] == "failed"
         assert fields[-1] != ""  # note carries the reason, comma-free
+
+    def test_row_out_of_memory_becomes_failed_row(self, capsys, tmp_path, monkeypatch):
+        # eps = 1e-3 passes at K0 = 400; the 1e-4 attempt runs out of memory,
+        # and 1e-2 still runs from the carried K
+        fail_run_one_on_call(monkeypatch, 2)
+        out_csv = tmp_path / "sweep.csv"
+        argv = [
+            "sweep", "--methods", "euler", "--eps-list", "1e-3,1e-4,1e-2", "--K0", "400",
+            "--out", str(out_csv),
+        ] + QUAD
+        rc, out, _ = call(capsys, argv)
+        assert rc == 0
+        assert "3 sweep rows" in out
+        rows = [line.split(",") for line in out_csv.read_text().splitlines()[1:]]
+        assert [(r[1], r[2], r[3]) for r in rows] == [
+            ("0.001", "ok", "400"), ("0.0001", "failed", ""), ("0.01", "ok", "400"),
+        ]
+        assert rows[1][-1] == "out of memory: Unable to allocate 8.00 PiB"
 
     def test_bad_method_exit_2(self, capsys, tmp_path):
         argv = [
@@ -597,6 +646,17 @@ class TestExitPaths:
         "explicit-init-tol": (RUN5 + ["--init-tol", "1e-9"], 0, '"K": 5'),
         "grid-without-tolerance": (
             ["run", "--method", "grid-newton", "--K", "5"] + QUAD, 2, "need --eps or --inner-tol"
+        ),
+        "cg-without-tolerance": (
+            ["run", "--method", "euler-cg", "--K", "40"] + QUAD,
+            2,
+            "error: CG methods need --eps or --delta (delta defaults to eps/4)",
+        ),
+        # no CG solve reaches 1e-300: the first direction stops at its 20 p cap
+        "cg-cap": (
+            ["run", "--method", "euler-cg", "--K", "40", "--delta", "1e-300"] + QUAD,
+            3,
+            "solver failure: step 0 failed: CG stopped at 400 iterations",
         ),
         "sweep-empty-methods": (
             ["sweep", "--methods", ",", "--eps-list", "1e-3", "--out", "{tmp}/s.csv"] + QUAD,

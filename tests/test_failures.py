@@ -82,7 +82,7 @@ def test_failed_path_run_keeps_the_finished_knots(method, mode, record, data):
     assert np.array_equal(err.residuals, residuals(QUAD30, ref.X[: k + 1], ref.lams[: k + 1]))
     assert len(err.diagnostics) == (k if record else 0)
     for d in err.diagnostics:
-        assert d.residual_r_k == err.residuals[d.k]
+        assert len(d.stages) == len(d.stage_points) == STAGES[method]
 
 
 @settings(max_examples=15, deadline=None)

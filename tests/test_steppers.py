@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pathode import (
-    CGNoConvergenceError,
+    MaxIterationsError,
     StepDiagnostics,
     DegenerateProblemError,
     DomainError,
@@ -44,7 +44,7 @@ def one_step(method, problem, x_k, lambda_k, h):
     """take_step of SCHEMES[method] with exact directions: (x_next, diagnostics)."""
     exact = direction_oracle(problem, OracleCounters(), None)
     x_next, _, stages = take_step(SCHEMES[method], problem, x_k, lambda_k, h, exact)
-    return x_next, StepDiagnostics(0, lambda_k, math.nan, *stages)
+    return x_next, StepDiagnostics(*stages)
 
 
 def direction(problem, x, lam):
@@ -484,7 +484,7 @@ class TestRunPath:
         _, _, problem = quad30
         counters = OracleCounters()
         direction = direction_oracle(problem, counters, 1e-300)
-        with pytest.raises(CGNoConvergenceError, match="CG stopped at 400 iterations"):
+        with pytest.raises(MaxIterationsError, match="CG stopped at 400 iterations"):
             direction(quad30_start, 1.0)
         assert counters.cg_iters_total == 20 * problem.dim
 
@@ -513,13 +513,12 @@ class TestRunPath:
                 method=method, K=12, lambda_min=0.01, lambda_max=10.0,
                 record_diagnostics=True,
             )
-            _, rep = run_path(problem, quad30_start, cfg)
+            path, rep = run_path(problem, quad30_start, cfg)
             assert len(rep.step_diagnostics) == 12
-            for k, diag in enumerate(rep.step_diagnostics):
-                assert diag.k == k
+            assert np.isfinite(path.residuals).all()
+            for diag in rep.step_diagnostics:
                 assert len(diag.stage_lambdas) == stages
                 assert len(diag.stages) == len(diag.stage_points) == stages
-                assert np.isfinite(diag.residual_r_k)
 
     def test_no_diagnostics_by_default(self, quad30, quad30_start):
         _, _, problem = quad30
@@ -532,8 +531,8 @@ class TestRunPath:
     @pytest.mark.parametrize("instance", ["logistic", "backoff-1d"])
     def test_recording_is_observation_only(self, logistic_small, instance, method, mode, tmp_path):
         # the backoff-1d instance is TestDomainBackoff's; its steps halve.
-        # Each --diag-out line lists its record's stage results, and no record
-        # shares memory with the caller's x0.
+        # Each --diag-out line takes its knot from the path and lists its
+        # record's stage results, and no record shares memory with the caller's x0.
         if instance == "logistic":
             problem, lam_min, lam_max = logistic_small, 0.1, 10.0
         else:
@@ -556,10 +555,13 @@ class TestRunPath:
         if instance == "backoff-1d":
             assert sum(d.domain_backoffs for d in loud.step_diagnostics) > 0
         diag_out = tmp_path / "steps.jsonl"
-        _write_diagnostics(loud, str(diag_out))
+        _write_diagnostics(loud_path, loud, str(diag_out))
         lines = [json.loads(line) for line in diag_out.read_text().splitlines()]
         assert len(lines) == len(loud.step_diagnostics)
-        for line, d in zip(lines, loud.step_diagnostics):
+        for k, (line, d) in enumerate(zip(lines, loud.step_diagnostics)):
+            assert line["k"] == k
+            assert line["lambda_k"] == loud_path.lams[k]
+            assert line["residual_r_k"] == loud_path.residuals[k]
             assert line["direction_norms"] == [float(np.linalg.norm(r.direction)) for r in d.stages]
             assert line["cg_iterations"] == [r.inner_iterations for r in d.stages]
             assert line["direction_residuals"] == [r.residual_norm for r in d.stages]
