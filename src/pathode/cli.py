@@ -26,6 +26,10 @@ ODE_METHODS = steppers.METHODS + tuple(f"{m}-cg" for m in steppers.METHODS)
 GRID_METHODS = tuple(f"grid-{s}" for s in gridsearch.INNER_SOLVERS)
 ALL_METHODS = ODE_METHODS + GRID_METHODS
 PROBLEMS = ("quadratic", "logistic", "logistic-reweighted", "moment")
+# what exits 3, and what ends a doubling loop after its finished attempts
+EXIT_3_FAILURES = (
+    steppers.PathRunError, steppers.MaxIterationsError, NotPositiveDefiniteError, MemoryError
+)
 
 SWEEP_COLUMNS = (
     "method", "eps", "status", "K", "accuracy_midpoint",
@@ -102,10 +106,10 @@ def initialize_x0(problem, args, eps: float | None) -> np.ndarray:
 
 
 def _tolerance(method: str, args, eps: float | None) -> float:
-    """A grid method's inner_tol or a CG method's delta: its flag, else eps/2 or eps/4."""
+    """A grid method's inner_tol or a CG method's delta: its flag, else (or auto) eps/2 or eps/4."""
     grid = method in GRID_METHODS
     flag, divisor = (args.inner_tol, 2.0) if grid else (args.delta, 4.0)
-    if flag is not None:
+    if flag not in (None, "auto"):
         return flag
     if eps is None:
         raise ValueError(
@@ -113,6 +117,16 @@ def _tolerance(method: str, args, eps: float | None) -> float:
             if grid else "CG methods need --eps or --delta (delta defaults to eps/4)"
         )
     return eps / divisor
+
+
+def _check_solver_flags(args, methods) -> None:
+    """Reject, before any work, a solver flag that no method in methods reads."""
+    readers = {"--delta": (args.delta, "-cg"), "--inner-tol": (args.inner_tol, "grid-")}
+    for flag, (value, mark) in readers.items():
+        if value is not None and not any(mark in m for m in methods):
+            raise ValueError(f"{flag} is not read by {' or '.join(methods)}")
+    if args.init == "omega" and args.init_tol is not None:
+        raise ValueError("--init-tol is read by --init newton, not by --init omega")
 
 
 def min_feasible_K(method: str, lambda_min: float, lambda_max: float) -> int:
@@ -207,6 +221,7 @@ def _write_diagnostics(path, report, diag_out: str) -> None:
 
 
 def cmd_run(args) -> int:
+    _check_solver_flags(args, [args.method])
     problem, meta = build_problem(args)
     x0 = initialize_x0(problem, args, args.eps)
     path, report = run_one(problem, meta, args.method, args.K, args, args.eps, x0)
@@ -219,19 +234,20 @@ def cmd_run(args) -> int:
 
 
 def cmd_doubling(args) -> int:
-    """An attempt after the first that runs out of memory ends the loop: the
+    """An attempt after the first that fails (EXIT_3_FAILURES) ends the loop: the
     summary lists the finished attempts, not passed, and main exits 3."""
+    _check_solver_flags(args, [args.method])
     problem, meta = build_problem(args)
     x0 = initialize_x0(problem, args, args.eps)
-    reports, out_of_memory = [], None
+    reports, failure = [], None
     try:
         K, path, _, passed = run_doubling(
             problem, meta, args.method, args.eps, args.K0, args.max_doublings, args, x0, reports
         )
-    except MemoryError as exc:
+    except EXIT_3_FAILURES as exc:
         if not reports:
             raise
-        K, passed, out_of_memory = reports[-1].K, False, exc
+        K, passed, failure = reports[-1].K, False, exc
         reports[-1].status = "accuracy-not-met"
     payload = {
         "method": args.method,
@@ -242,8 +258,8 @@ def cmd_doubling(args) -> int:
         "reports": [r.as_dict() for r in reports],
     }
     _write_or_print(json_text(payload), args.out, "doubling summary")
-    if out_of_memory is not None:
-        raise out_of_memory
+    if failure is not None:
+        raise failure
     if args.path_out:
         paths.export_path_csv(path, args.path_out)
     if not passed:
@@ -263,6 +279,10 @@ def _constants_from_args(args) -> tuple[problems.TheoryConstants, float]:
         else:
             f_gap = bounds.estimate_f_gap(problem, problem.base_point(), args.samples, args.seed)
         return constants, f_gap
+    sources = ("data", "synthetic", "standardize")
+    given = [f"--{name}" for name in sources if getattr(args, name) not in (None, False)]
+    if given:
+        raise ValueError(f"theory reads {' '.join(given)} only with --estimate")
     missing = [f"--{name}" for name in ("mu", "sigma", "L", "G") if getattr(args, name) is None]
     if missing:
         raise ValueError(
@@ -317,7 +337,6 @@ def _clean_note(text: str) -> str:
 
 
 def cmd_sweep(args) -> int:
-    problem, meta = build_problem(args)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for m in methods:
         if m not in ALL_METHODS:
@@ -325,6 +344,8 @@ def cmd_sweep(args) -> int:
     eps_list = args.eps_list
     if not methods or not eps_list:
         raise ValueError("sweep needs nonempty --methods and --eps-list")
+    _check_solver_flags(args, methods)
+    problem, meta = build_problem(args)
     x0 = initialize_x0(problem, args, min(eps_list))
     all_rows: list[str] = []
     for method in methods:
@@ -384,7 +405,7 @@ _nonnegative_int = _checked(int, "an integer", lambda v: v >= 0, ">= 0")
 def _add_solver_flags(sub):
     sub.add_argument(
         "--delta",
-        type=lambda text: None if text == "auto" else _positive_float(text),
+        type=lambda text: text if text == "auto" else _positive_float(text),
         default=None,
         help="CG tolerance, or 'auto' for eps/4",
     )
@@ -515,15 +536,9 @@ def main(argv=None) -> int:
         if "lambda_min" in vars(args):  # every verb that takes a path range
             problems.check_lambda_range(args.lambda_min, args.lambda_max)
         return args.func(args)
-    except (  # ahead of ValueError, which NotPositiveDefiniteError subclasses
-        steppers.PathRunError,
-        steppers.MaxIterationsError,
-        NotPositiveDefiniteError,
-    ) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 3
-    except MemoryError as exc:  # e.g. a K whose schedule or path cannot be allocated
-        print(f"out of memory: {exc}", file=sys.stderr)
+    except EXIT_3_FAILURES as exc:  # ahead of ValueError: NotPositiveDefiniteError subclasses it
+        kind = "out of memory" if isinstance(exc, MemoryError) else "solver failure"
+        print(f"{kind}: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:  # bad arguments, malformed data, degenerate problems
         print(f"error: {exc}", file=sys.stderr)

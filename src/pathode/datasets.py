@@ -13,7 +13,7 @@ import json
 import numpy as np
 from scipy.special import expit
 
-from .reports import json_text
+from .reports import json_text, write_json_atomic
 
 
 class DatasetFormatError(ValueError):
@@ -134,8 +134,7 @@ def save_moment_json(w: np.ndarray, x_true: np.ndarray, n_moments: int, path: st
         "x_true": [float(v) for v in x_true],
         "n_moments": int(n_moments),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json_text(payload))
+    write_json_atomic(json_text(payload), path)
 
 
 def load_moment_json(path: str) -> tuple[np.ndarray, np.ndarray, int]:

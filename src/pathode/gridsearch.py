@@ -22,9 +22,7 @@ from .problems import DomainError, ProblemOracle, check_lambda_range
 from .reports import OracleCounters, RunReport
 from .steppers import RUN_FAILURES, MaxIterationsError, PathRunError, lambda_schedule, newton_solve
 
-INNER_SOLVERS = ("newton", "agd")
-DEFAULT_NEWTON_CAP = 200
-DEFAULT_AGD_CAP = 2_000_000
+AGD_CAP = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -41,7 +39,7 @@ class GridSearchConfig:
         if self.num_points < 2:
             raise ValueError("num_points must be at least 2 (both endpoints)")
         if self.inner_solver not in INNER_SOLVERS:
-            raise ValueError(f"inner_solver must be one of {INNER_SOLVERS}")
+            raise ValueError(f"inner_solver must be one of {tuple(INNER_SOLVERS)}")
         if not self.inner_tol > 0.0:
             raise ValueError("inner_tol must be positive")
         check_lambda_range(self.lambda_min, self.lambda_max)
@@ -53,7 +51,6 @@ def agd_inner(
     x: np.ndarray,
     tol: float,
     counters: OracleCounters,
-    cap: int = DEFAULT_AGD_CAP,
 ) -> Iterator[tuple[np.ndarray, int, float]]:
     """Constant-momentum accelerated gradient descent down lams; yields (point, iters, gnorm).
 
@@ -62,12 +59,12 @@ def agd_inner(
     kappa = L_eff/mu_eff.  Each lambda starts from the previous exit, reusing
     only its gradients, and stops when the gradient norm at the extrapolated
     point x reaches tol.  Each gradient made charges one pair to counters.
-    Raises ValueError without a Lipschitz certificate, for tol <= 0 or when
-    mu_eff <= 0, and MaxIterationsError after cap iterations.
+    Raises ValueError without a Lipschitz certificate, for tol not > 0 or
+    when mu_eff <= 0, and MaxIterationsError above tol after AGD_CAP steps.
     """
     if problem.lipschitz is None:
         raise ValueError("agd needs a Lipschitz certificate for its step size")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     fg = og = None
     for lam in map(float, lams):
@@ -78,7 +75,7 @@ def agd_inner(
         kappa = L_eff / mu_eff
         beta = (math.sqrt(kappa) - 1.0) / (math.sqrt(kappa) + 1.0)
         x_prev = x
-        for it in range(cap + 1):
+        for it in range(AGD_CAP + 1):
             if fg is None:
                 fg, og = problem.f_grad(x), problem.omega_grad(x)
                 counters.grad_f += 1
@@ -87,6 +84,8 @@ def agd_inner(
             gnorm = float(np.linalg.norm(g))
             if gnorm <= tol:
                 break
+            if it == AGD_CAP:
+                raise MaxIterationsError(f"agd inner solver exceeded {it} iterations")
             x_next = x - g / L_eff
             if not problem.domain_check(x_next):
                 raise DomainError("accelerated gradient left the domain")
@@ -95,9 +94,10 @@ def agd_inner(
                 raise DomainError("accelerated gradient extrapolation left the domain")
             x_prev = x_next
             fg = og = None
-        else:
-            raise MaxIterationsError(f"agd inner solver exceeded {cap} iterations")
         yield x, it, gnorm
+
+
+INNER_SOLVERS = {"newton": newton_solve, "agd": agd_inner}
 
 
 def solve_grid(
@@ -121,10 +121,7 @@ def solve_grid(
     x = problem.checked_start(x0, allow_degenerate)
     counters = OracleCounters()
     lams = lambda_schedule(config.lambda_min, config.lambda_max, config.num_points - 1)
-    if config.inner_solver == "newton":
-        points = newton_solve(problem, lams, x, config.inner_tol, DEFAULT_NEWTON_CAP, counters)
-    else:
-        points = agd_inner(problem, lams, x, config.inner_tol, counters)
+    points = INNER_SOLVERS[config.inner_solver](problem, lams, x, config.inner_tol, counters)
     X = np.empty((len(lams), problem.dim))
     res = np.empty(len(lams))
     iterations: list[int] = []

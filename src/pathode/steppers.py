@@ -29,6 +29,7 @@ from .reports import OracleCounters, RunReport
 
 METHODS = ("euler", "trapezoid", "rk4")
 MAX_DOMAIN_BACKOFFS = 30
+NEWTON_CAP = 200
 STEPSIZE_ROOT_TOL = 1e-14
 # -ln of the quartic decay polynomial's minimum, 0.2704 at h = 1.5961: the
 # largest lambda contraction one rk4 step can make
@@ -344,16 +345,14 @@ def initialize_from_omega(problem: ProblemOracle, lambda_max: float):
 
 
 def initialize_by_newton(problem: ProblemOracle, lambda_max: float, tol: float) -> np.ndarray:
-    """Damped Newton (newton_solve, 100 steps at most) on F_{lambda_max} to gradient norm tol.
+    """Damped Newton (newton_solve) on F_{lambda_max} to gradient norm tol.
 
     Starts from the Omega minimizer, else zero; its work is not charged to any run.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
     x = problem.base_point()
     if not problem.domain_check(x):
         raise DomainError("starting point violates the problem domain")
-    return next(newton_solve(problem, (lambda_max,), x, tol, 100, OracleCounters()))[0]
+    return next(newton_solve(problem, (lambda_max,), x, tol, OracleCounters()))[0]
 
 
 def newton_solve(
@@ -361,7 +360,6 @@ def newton_solve(
     lams: Iterable[float],
     x: np.ndarray,
     tol: float,
-    max_iters: int,
     counters: OracleCounters,
 ) -> Iterator[tuple[np.ndarray, int, float]]:
     """Damped Newton on F_lam for each lam to ||grad F_lam|| <= tol; yields (x, iters, gnorm).
@@ -371,13 +369,15 @@ def newton_solve(
     the iterate stays in the domain and F_lam does not increase; an accepted
     point keeps its values and its gradients are made at the next iteration.
     Each gradient made charges grad_f and grad_omega to counters, and each
-    step one Hessian build and one linear solve.  Raises MaxIterationsError
-    when no halving is acceptable or the gradient is still above tol after
-    max_iters steps.
+    step one Hessian build and one linear solve.  Raises ValueError unless
+    tol > 0, and MaxIterationsError when no halving is acceptable or the
+    gradient is still above tol after NEWTON_CAP steps.
     """
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
     fg = og = fv = ov = None
     for lam in map(float, lams):
-        for it in range(max_iters + 1):
+        for it in range(NEWTON_CAP + 1):
             if fg is None:
                 fg, og = problem.f_grad(x), problem.omega_grad(x)
                 counters.grad_f += 1
@@ -386,7 +386,7 @@ def newton_solve(
             gnorm = float(np.linalg.norm(g))
             if gnorm <= tol:
                 break
-            if it == max_iters:
+            if it == NEWTON_CAP:
                 raise MaxIterationsError(f"newton stalled above tol = {tol} after {it} iterations")
             d = problem.hessian(x, lam).solve(g).direction
             counters.hess_builds += 1

@@ -33,14 +33,14 @@ def call(capsys, argv):
     return rc, captured.out, captured.err
 
 
-def fail_run_one_on_call(monkeypatch, n):
-    """cli.run_one raises MemoryError on its n-th call and runs as before otherwise."""
+def fail_run_one_on_call(monkeypatch, n, exc=MemoryError("Unable to allocate 8.00 PiB")):
+    """cli.run_one raises exc on its n-th call and runs as before otherwise."""
     real, calls = cli.run_one, []
 
     def run_one(*args):
         calls.append(args)
         if len(calls) == n:
-            raise MemoryError("Unable to allocate 8.00 PiB")
+            raise exc
         return real(*args)
 
     monkeypatch.setattr(cli, "run_one", run_one)
@@ -72,6 +72,9 @@ class TestRunVerb:
         assert c["hessvec"] == c["cg_iters_total"] == 0
         assert c["metric_evals"] == 3 * 40 + 2
         assert 0.0 < rep["accuracy_midpoint"] < 0.1
+
+    def test_schema_method_enum_is_all_methods(self):
+        assert tuple(report_schema()["properties"]["method"]["enum"]) == cli.ALL_METHODS
 
     def test_all_methods_validate_against_schema(self, capsys):
         schema = report_schema()
@@ -261,6 +264,29 @@ class TestDoublingVerb:
         assert [r["K"] for r in d["reports"]] == [400]
         assert d["reports"][0]["status"] == "accuracy-not-met"
         assert d["reports"][0]["accuracy_midpoint"] > 1e-4
+
+    @pytest.mark.parametrize(
+        "exc",
+        [
+            pathode.PathRunError("step 3 failed: injected", [], [], [], [], 3),
+            pathode.MaxIterationsError("injected cap"),
+            pathode.NotPositiveDefiniteError("injected: not positive definite"),
+        ],
+        ids=lambda exc: type(exc).__name__,
+    )
+    def test_later_attempt_failure_keeps_the_finished_attempts(
+        self, capsys, tmp_path, monkeypatch, exc
+    ):
+        # every exit-3 failure ends the loop as running out of memory does
+        fail_run_one_on_call(monkeypatch, 2, exc)
+        summary = tmp_path / "d.json"
+        argv = ["doubling", "--method", "euler", "--eps", "1e-4", "--K0", "400"]
+        rc, _, err = call(capsys, argv + QUAD + ["--out", str(summary)])
+        assert rc == 3
+        assert f"solver failure: {exc}" in err and "Traceback" not in err
+        d = json.loads(summary.read_text())
+        assert d["passed"] is False and d["K_final"] == 400
+        assert [(r["K"], r["status"]) for r in d["reports"]] == [(400, "accuracy-not-met")]
 
 
 class TestMinFeasibleK:
@@ -465,6 +491,16 @@ class TestGenVerbs:
         assert len(w) == 7 and len(x_true) == 7 and m == 4
         assert w[-1] == 0.0
 
+    def test_gen_moment_out_keeps_a_symlink(self, capsys, tmp_path):
+        target, link = tmp_path / "m.json", tmp_path / "link.json"
+        target.write_text("old")
+        link.symlink_to(target)
+        rc, _, _ = call(capsys, ["gen-moment", "--p", "4", "--n-moments", "3", "--out", str(link)])
+        assert rc == 0
+        assert link.is_symlink() and link.readlink() == target
+        assert load_moment_json(str(target))[2] == 3
+        assert sorted(tmp_path.iterdir()) == [link, target]
+
     @pytest.mark.parametrize("n_moments", ["0", "31"])
     def test_gen_moment_rejects_what_run_would(self, capsys, tmp_path, n_moments):
         path = tmp_path / "m.json"
@@ -475,6 +511,60 @@ class TestGenVerbs:
 
 
 class TestExitCodes:
+    UNREAD = {
+        "run-delta": (["run", "--method", "euler", "--K", "40", "--delta", "1e-6"], "--delta"),
+        "run-delta-auto": (["run", "--method", "euler", "--K", "40", "--delta", "auto"], "--delta"),
+        "grid-delta": (
+            ["run", "--method", "grid-newton", "--K", "5", "--eps", "1e-3", "--delta", "1e-6"],
+            "--delta is not read by grid-newton",
+        ),
+        "cg-inner-tol": (
+            ["run", "--method", "euler-cg", "--K", "40", "--inner-tol", "1e-3"],
+            "--inner-tol is not read by euler-cg",
+        ),
+        "doubling-inner-tol": (
+            ["doubling", "--method", "rk4", "--eps", "1e-3", "--inner-tol", "1e-3"],
+            "--inner-tol is not read by rk4",
+        ),
+        "omega-init-tol": (
+            ["run", "--method", "euler", "--K", "40", "--init", "omega", "--init-tol", "1e-9"],
+            "--init-tol is read by --init newton, not by --init omega",
+        ),
+        "sweep-delta": (
+            ["sweep", "--methods", "euler,grid-agd", "--eps-list", "1e-3", "--delta", "1e-6"],
+            "--delta is not read by euler or grid-agd",
+        ),
+        "theory-data": (
+            ["theory", "--method", "euler", "--eps", "1e-3", "--data", "/nonexistent.csv"],
+            "theory reads --data only with --estimate",
+        ),
+        "theory-synthetic-standardize": (
+            ["theory", "--method", "grid", "--eps", "1e-3", "--synthetic", "n=3", "--standardize"],
+            "theory reads --synthetic --standardize only with --estimate",
+        ),
+    }  # fmt: skip
+
+    @pytest.mark.parametrize("case", list(UNREAD))
+    def test_unread_flag_exits_2_before_any_work(self, capsys, tmp_path, monkeypatch, case):
+        # run --method euler --delta 1e-6 once exited 0 with "delta": null
+        def no_work(*args):
+            pytest.fail("work started despite a flag the run does not read")
+
+        monkeypatch.setattr(cli, "build_problem", no_work)
+        argv, message = self.UNREAD[case]
+        out = tmp_path / "out"
+        rc, _, err = call(capsys, argv + ["--out", str(out)])
+        assert rc == 2
+        assert f"error: {message}" in err
+        assert not out.exists()
+
+    def test_sweep_flag_read_by_one_listed_method(self, capsys, tmp_path):
+        argv = [
+            "sweep", "--methods", "euler,grid-newton", "--eps-list", "1e-2",
+            "--inner-tol", "1e-6", "--out", str(tmp_path / "s.csv"),
+        ] + QUAD
+        assert call(capsys, argv)[0] == 0
+
     def test_unknown_method(self, capsys):
         # argparse checks the names of --method and --problem before any work
         for argv in (

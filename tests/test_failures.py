@@ -109,10 +109,11 @@ def test_failed_grid_search_keeps_the_finished_points(n):
 @pytest.mark.parametrize("method", ["euler", "trapezoid-cg", "rk4", "grid-newton"])
 def test_cli_exits_3_on_a_failed_run(method, n, monkeypatch, capsys):
     # --init omega asks for one handle, so n = 1 fails the start point and
-    # n = 3 the run's second direction
+    # n = 3 the run's second direction; each method gets the tolerance it reads
     faulty = failing_on_call(QUAD30, n)
     monkeypatch.setattr(cli, "build_problem", lambda args: (faulty, {"problem": "quadratic"}))
     argv = ["run", "--method", method, "--K", str(K), "--init", "omega"]
-    argv += ["--delta", "1e-6", "--inner-tol", "1e-8"]
+    tolerance = {"trapezoid-cg": ["--delta", "1e-6"], "grid-newton": ["--inner-tol", "1e-8"]}
+    argv += tolerance.get(method, [])
     assert cli.main(argv) == 3
     assert "solver failure" in capsys.readouterr().err

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathode import gridsearch
+from pathode import gridsearch, steppers
 from pathode import (
     DegenerateProblemError,
     GridSearchConfig,
@@ -19,6 +19,7 @@ from pathode import (
     agd_inner,
     build_moment_problem,
     generate_synthetic_moment_data,
+    initialize_by_newton,
     k_grid,
     lambda_schedule,
     make_logistic_reweighted,
@@ -105,7 +106,7 @@ class TestNewtonInner:
         warm_total = sum(rep.inner_iterations)
         cold_total = 0
         for lam in lambda_schedule(0.01, 10.0, 9):
-            cold = newton_solve(problem, (lam,), np.zeros(20), 1e-10, 50, OracleCounters())
+            cold = newton_solve(problem, (lam,), np.zeros(20), 1e-10, OracleCounters())
             cold_total += next(cold)[1]
         assert warm_total <= cold_total
 
@@ -128,10 +129,18 @@ class TestNewtonInner:
 
     def test_inner_cap_exceeded_names_the_point(self, quad30, monkeypatch):
         _, _, problem = quad30
-        monkeypatch.setattr(gridsearch, "DEFAULT_NEWTON_CAP", 0)
+        monkeypatch.setattr(steppers, "NEWTON_CAP", 0)
         with pytest.raises(PathRunError) as err:
             solve_grid(problem, np.ones(20), quad_config(5, tol=1e-14))
         assert err.value.step_index == 0
+
+    def test_one_newton_cap_serves_initializer_and_grid(self, quad30, monkeypatch):
+        _, _, problem = quad30
+        monkeypatch.setattr(steppers, "NEWTON_CAP", 0)
+        with pytest.raises(MaxIterationsError, match="after 0 iterations"):
+            initialize_by_newton(problem, 10.0, 1e-10)
+        with pytest.raises(PathRunError, match="after 0 iterations"):
+            solve_grid(problem, np.ones(20), quad_config(5))
 
     def test_piecewise_constant_path_type(self, quad30):
         _, _, problem = quad30
@@ -139,9 +148,9 @@ class TestNewtonInner:
         assert isinstance(path, PiecewiseConstantPath)
 
 
-def agd_point(problem, lam, x, tol=1e-8, counters=None, cap=gridsearch.DEFAULT_AGD_CAP):
+def agd_point(problem, lam, x, tol=1e-8, counters=None):
     """agd_inner's exit at one lambda."""
-    return next(agd_inner(problem, (lam,), x, tol, counters or OracleCounters(), cap))
+    return next(agd_inner(problem, (lam,), x, tol, counters or OracleCounters()))
 
 
 class TestAgdInner:
@@ -165,7 +174,7 @@ class TestAgdInner:
 
     def test_gradient_norm_at_return_meets_tol(self, quad30):
         _, _, problem = quad30
-        x, _, _ = agd_point(problem, 1.0, np.zeros(20), 1e-6, cap=100000)
+        x, _, _ = agd_point(problem, 1.0, np.zeros(20), 1e-6)
         assert np.linalg.norm(problem.total_grad(x, 1.0)) <= 1e-6
 
     def test_invalid_strong_convexity_rejected(self):
@@ -177,9 +186,10 @@ class TestAgdInner:
         with pytest.raises(ValueError, match="Lipschitz certificate"):
             agd_point(uncertified, 1.0, np.zeros(1))
 
-    def test_cap_exceeded_raises(self):
+    def test_cap_exceeded_raises(self, monkeypatch):
+        monkeypatch.setattr(gridsearch, "AGD_CAP", 0)
         with pytest.raises(MaxIterationsError, match="exceeded 0 iterations"):
-            agd_point(self.SCALAR, 1.0, np.ones(1), cap=0)
+            agd_point(self.SCALAR, 1.0, np.ones(1))
 
 
 class TestSolveGridModes:
@@ -268,13 +278,9 @@ def _reference_grid(problem, x, config):
     """solve_grid's path from one inner solve per lambda, each carrying nothing over."""
     lams = lambda_schedule(config.lambda_min, config.lambda_max, config.num_points - 1)
     X, res, iterations = [], [], []
+    solve = gridsearch.INNER_SOLVERS[config.inner_solver]
     for lam in lams:
-        if config.inner_solver == "newton":
-            x, iters, r = next(newton_solve(
-                problem, (lam,), x, config.inner_tol, gridsearch.DEFAULT_NEWTON_CAP, OracleCounters()
-            ))
-        else:
-            x, iters, r = agd_point(problem, lam, x, config.inner_tol)
+        x, iters, r = next(solve(problem, (lam,), x, config.inner_tol, OracleCounters()))
         X.append(x)
         res.append(r)
         iterations.append(iters)
@@ -310,9 +316,9 @@ class TestTermsCarriedAcrossLambda:
         problem, x0, (lo, hi) = INSTANCES[name]
         lams = (hi, float(np.sqrt(lo * hi)))
         chained, walked = OracleCounters(), OracleCounters()
-        first = next(newton_solve(problem, lams[:1], x0, 1e-10, 50, chained))
-        ref = next(newton_solve(problem, lams[1:], first[0], 1e-10, 50, chained))
-        got = list(newton_solve(problem, lams, x0, 1e-10, 50, walked))
+        first = next(newton_solve(problem, lams[:1], x0, 1e-10, chained))
+        ref = next(newton_solve(problem, lams[1:], first[0], 1e-10, chained))
+        got = list(newton_solve(problem, lams, x0, 1e-10, walked))
         assert ref[1] >= 1
         assert np.array_equal(got[0][0], first[0]) and got[0][1:] == first[1:]
         assert np.array_equal(got[1][0], ref[0]) and got[1][1:] == ref[1:]
@@ -323,7 +329,7 @@ class TestTermsCarriedAcrossLambda:
     def test_newton_start_meeting_tol_charges_nothing(self, name):
         problem, x0, (lo, hi) = INSTANCES[name]
         counters = OracleCounters()
-        solver = newton_solve(problem, (hi, hi), x0, 1e-10, 50, counters)
+        solver = newton_solve(problem, (hi, hi), x0, 1e-10, counters)
         x, _, gnorm = next(solver)
         spent = dataclasses.replace(counters)
         out = next(solver)
@@ -341,3 +347,39 @@ class TestTermsCarriedAcrossLambda:
         assert np.array_equal(got[0][0], first[0]) and got[0][1:] == first[1:]
         assert np.array_equal(got[1][0], ref[0]) and got[1][1:] == ref[1:]
         assert walked.grad_f == walked.grad_omega == chained.grad_f - 1
+
+
+class TestInnerSolverContract:
+    """newton_solve and agd_inner share one stop rule: the gradient is checked
+    after every step, and the cap-th step's check is the last."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(INSTANCES)),
+        solver=st.sampled_from(sorted(gridsearch.INNER_SOLVERS)),
+        cap=st.integers(0, 5),
+    )
+    def test_cap_is_exactly_that_many_steps(self, name, solver, cap):
+        problem, x0, (lo, hi) = INSTANCES[name]
+        if solver == "agd" and problem.lipschitz is None:
+            solver = "newton"
+        checks = []
+
+        def domain_check(x):
+            checks.append(x)
+            return problem.domain_check(x)
+
+        counted = dataclasses.replace(problem, domain_check=domain_check)
+        counters = OracleCounters()
+        unreachable = float(np.nextafter(0.0, 1.0))  # only a zero gradient meets it
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(steppers, "NEWTON_CAP", cap)
+            mp.setattr(gridsearch, "AGD_CAP", cap)
+            solve = gridsearch.INNER_SOLVERS[solver]
+            with pytest.raises(MaxIterationsError, match=f"{cap} iterations"):
+                next(solve(counted, (hi,), x0, unreachable, counters))
+        if solver == "newton":
+            assert counters.hess_builds == counters.linear_solves == cap
+        else:
+            assert len(checks) == 2 * cap and counters.hess_builds == 0
+        assert counters.grad_f == counters.grad_omega == cap + 1

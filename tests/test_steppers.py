@@ -34,6 +34,7 @@ from pathode import (
     stepsize,
 )
 from pathode.cli import _write_diagnostics, min_feasible_K
+from pathode.gridsearch import INNER_SOLVERS
 from pathode.steppers import METHODS, SCHEMES, newton_solve, take_step
 from pathode.datasets import generate_synthetic_logistic, generate_synthetic_quadratic
 
@@ -762,8 +763,15 @@ class TestInitializers:
 
     @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan])
     def test_newton_rejects_nonpositive_tol(self, quad30, tol):
+        # so do both inner solvers, on their first next() and before any oracle call
+        problem = quad30[2]
         with pytest.raises(ValueError, match="tol must be positive"):
-            initialize_by_newton(quad30[2], 10.0, tol)
+            initialize_by_newton(problem, 10.0, tol)
+        for solve in INNER_SOLVERS.values():
+            counters = OracleCounters()
+            with pytest.raises(ValueError, match="tol must be positive"):
+                next(solve(problem, (10.0,), np.ones(20), tol, counters))
+            assert counters == OracleCounters()
 
     def test_newton_reaches_tight_tolerance(self, quad30):
         _, _, problem = quad30
@@ -776,7 +784,7 @@ class TestInitializers:
 
         exact = quadratic_path_point(A, b, 10.0)
         counters = OracleCounters()
-        x0, iters, _ = next(newton_solve(problem, (10.0,), exact, 1e-8, 100, counters))
+        x0, iters, _ = next(newton_solve(problem, (10.0,), exact, 1e-8, counters))
         assert np.array_equal(x0, exact) and iters == 0  # already optimal, returned as-is
         assert (counters.grad_f, counters.hess_builds, counters.linear_solves) == (1, 0, 0)
 
