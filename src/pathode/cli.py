@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import functools
 import json
 import math
 import os
@@ -22,7 +23,8 @@ from . import bounds, datasets, gridsearch, paths, problems, steppers
 from .linsolve import NotPositiveDefiniteError
 from .reports import OracleCounters, json_text, write_json_atomic
 
-ODE_METHODS = steppers.METHODS + tuple(f"{m}-cg" for m in steppers.METHODS)
+CG_METHODS = tuple(f"{m}-cg" for m in steppers.METHODS)
+ODE_METHODS = steppers.METHODS + CG_METHODS
 GRID_METHODS = tuple(f"grid-{s}" for s in gridsearch.INNER_SOLVERS)
 ALL_METHODS = ODE_METHODS + GRID_METHODS
 PROBLEMS = ("quadratic", "logistic", "logistic-reweighted", "moment")
@@ -120,10 +122,14 @@ def _tolerance(method: str, args, eps: float | None) -> float:
 
 
 def _check_solver_flags(args, methods) -> None:
-    """Reject, before any work, a solver flag that no method in methods reads."""
-    readers = {"--delta": (args.delta, "-cg"), "--inner-tol": (args.inner_tol, "grid-")}
-    for flag, (value, mark) in readers.items():
-        if value is not None and not any(mark in m for m in methods):
+    """Reject, before any work, a method-specific flag that no method in methods reads."""
+    readers = {
+        "--delta": (args.delta, CG_METHODS),
+        "--inner-tol": (args.inner_tol, GRID_METHODS),
+        "--diag-out": (vars(args).get("diag_out"), ODE_METHODS),  # a run flag only
+    }
+    for flag, (value, read_by) in readers.items():
+        if value is not None and not any(m in read_by for m in methods):
             raise ValueError(f"{flag} is not read by {' or '.join(methods)}")
     if args.init == "omega" and args.init_tol is not None:
         raise ValueError("--init-tol is read by --init newton, not by --init omega")
@@ -145,7 +151,7 @@ def min_feasible_K(method: str, lambda_min: float, lambda_max: float) -> int:
             K += 1
 
 
-def run_one(problem, meta, method, K, args, eps: float | None, x0) -> tuple:
+def run_one(problem, meta, method, K, args, eps: float | None, x0, steps=None) -> tuple:
     """One run of any method at a fixed K, with the midpoint accuracy evaluated."""
     if method in GRID_METHODS:
         solve = gridsearch.solve_grid
@@ -157,14 +163,13 @@ def run_one(problem, meta, method, K, args, eps: float | None, x0) -> tuple:
             lambda_max=args.lambda_max,
         )
     else:
-        solve = steppers.run_path
+        solve = functools.partial(steppers.run_path, steps=steps)
         config = steppers.StepperConfig(
             method=method.removesuffix("-cg"),
             K=K,
             lambda_min=args.lambda_min,
             lambda_max=args.lambda_max,
             delta=_tolerance(method, args, eps) if method.endswith("-cg") else None,
-            record_diagnostics=bool(getattr(args, "diag_out", None)),
         )
     path, report = solve(problem, x0, config, allow_degenerate=args.allow_degenerate)
     report.accuracy_midpoint = paths.accuracy_midpoint(problem, path, report.counters)
@@ -203,12 +208,12 @@ def _write_or_print(text: str, out: str | None, label: str) -> None:
         sys.stdout.write(text)
 
 
-def _write_diagnostics(path, report, diag_out: str) -> None:
-    """One JSON line per recorded step: its knot, read from the path, and its stages' scalars."""
+def _write_diagnostics(lams, residuals, steps, diag_out: str) -> None:
+    """One JSON line per step record: its knot (lams[k], residuals[k]) and its stages' scalars."""
     lines = []
-    for k, d in enumerate(report.step_diagnostics):
+    for k, d in enumerate(steps):
         line = dict(
-            k=k, lambda_k=float(path.lams[k]), residual_r_k=float(path.residuals[k]),
+            k=k, lambda_k=float(lams[k]), residual_r_k=float(residuals[k]),
             stage_lambdas=d.stage_lambdas, domain_backoffs=d.domain_backoffs,
             direction_norms=[float(np.linalg.norm(r.direction)) for r in d.stages],
             cg_iterations=[r.inner_iterations for r in d.stages],
@@ -217,16 +222,23 @@ def _write_diagnostics(path, report, diag_out: str) -> None:
         )
         lines.append(json.dumps(line, sort_keys=True))
     write_json_atomic("\n".join(lines) + ("\n" if lines else ""), diag_out)
-    report.diagnostics_path = diag_out
 
 
 def cmd_run(args) -> int:
+    """A run that fails at step k still writes the k finished steps to --diag-out."""
     _check_solver_flags(args, [args.method])
     problem, meta = build_problem(args)
     x0 = initialize_x0(problem, args, args.eps)
-    path, report = run_one(problem, meta, args.method, args.K, args, args.eps, x0)
-    if getattr(args, "diag_out", None):
-        _write_diagnostics(path, report, args.diag_out)
+    steps = [] if args.diag_out else None
+    try:
+        path, report = run_one(problem, meta, args.method, args.K, args, args.eps, x0, steps)
+    except steppers.PathRunError as exc:
+        if steps is not None:
+            _write_diagnostics(exc.lams, exc.residuals, steps, args.diag_out)
+        raise
+    if steps is not None:
+        _write_diagnostics(path.lams, path.residuals, steps, args.diag_out)
+        report.diagnostics_path = args.diag_out
     if args.path_out:
         paths.export_path_csv(path, args.path_out)
     _write_or_print(report.to_json(), args.out, "report")
@@ -269,7 +281,21 @@ def cmd_doubling(args) -> int:
 
 
 def _constants_from_args(args) -> tuple[problems.TheoryConstants, float]:
+    """The constants --mu --sigma --L --G as given, or estimated from a problem by --estimate.
+
+    Each mode rejects the other's flags before any work: on theory's parser
+    they all default to None, so a given one shows.
+    """
+    stated = ("mu", "sigma", "L", "G")
+    estimate_only = ("problem", "data", "synthetic", "seed", "standardize", "samples")
+    unread = stated if args.estimate else estimate_only
+    given = [f"--{name}" for name in unread if getattr(args, name) is not None]
+    if given:
+        mode = "without" if args.estimate else "with"
+        raise ValueError(f"theory reads {' '.join(given)} only {mode} --estimate")
     if args.estimate:
+        defaults = {"problem": "quadratic", "seed": 0, "samples": 64}
+        vars(args).update({k: v for k, v in defaults.items() if getattr(args, k) is None})
         problem, _ = build_problem(args)
         constants = bounds.estimate_constants(
             problem, (args.lambda_min, args.lambda_max), args.samples, args.seed
@@ -279,16 +305,12 @@ def _constants_from_args(args) -> tuple[problems.TheoryConstants, float]:
         else:
             f_gap = bounds.estimate_f_gap(problem, problem.base_point(), args.samples, args.seed)
         return constants, f_gap
-    sources = ("data", "synthetic", "standardize")
-    given = [f"--{name}" for name in sources if getattr(args, name) not in (None, False)]
-    if given:
-        raise ValueError(f"theory reads {' '.join(given)} only with --estimate")
-    missing = [f"--{name}" for name in ("mu", "sigma", "L", "G") if getattr(args, name) is None]
+    missing = [f"--{name}" for name in stated if getattr(args, name) is None]
     if missing:
         raise ValueError(
             f"theory needs {' '.join(missing)} (or --estimate with a problem source)"
         )
-    inputs = ("mu", "sigma", "L", "G", "lambda_min", "lambda_max")
+    inputs = (*stated, "lambda_min", "lambda_max")
     constants = problems.TheoryConstants(**{name: getattr(args, name) for name in inputs})
     return constants, (args.f_gap if args.f_gap is not None else 0.0)
 
@@ -377,7 +399,6 @@ def _add_problem_flags(sub):
     sub.add_argument("--synthetic", default=None, help="e.g. n=200,p=30,seed=1")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--standardize", action="store_true")
-    sub.add_argument("--allow-degenerate", action="store_true")
     sub.add_argument("--lambda-min", type=float, default=0.01)
     sub.add_argument("--lambda-max", type=float, default=10.0)
 
@@ -403,6 +424,7 @@ _nonnegative_int = _checked(int, "an integer", lambda v: v >= 0, ">= 0")
 
 
 def _add_solver_flags(sub):
+    sub.add_argument("--allow-degenerate", action="store_true")
     sub.add_argument(
         "--delta",
         type=lambda text: text if text == "auto" else _positive_float(text),
@@ -450,6 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     theory = subs.add_parser("theory", help="evaluate iteration bounds")
     _add_problem_flags(theory)
+    theory.set_defaults(problem=None, seed=None, standardize=None)  # see _constants_from_args
     theory.add_argument("--method", required=True, choices=tuple(bounds.K_BOUNDS))
     theory.add_argument("--eps", type=_positive_float, required=True)
     theory.add_argument("--mu", type=float, default=None)
@@ -458,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     theory.add_argument("--G", type=float, default=None)
     theory.add_argument("--f-gap", type=float, default=None)
     theory.add_argument("--estimate", action="store_true")
-    theory.add_argument("--samples", type=int, default=64)
+    theory.add_argument("--samples", type=int, default=None, help="with --estimate (default 64)")
     theory.add_argument("--out", default=None)
     theory.set_defaults(func=cmd_theory)
 

@@ -133,7 +133,7 @@ def solve_grid(
         idx = len(iterations)
         raise PathRunError(
             f"grid point {idx} (lambda = {lams[idx]:g}) failed: {exc}",
-            lams[:idx], X[:idx], res[:idx], [], idx,
+            lams[:idx], X[:idx], res[:idx], idx,
         ) from exc
     report = RunReport(
         method=f"grid-{config.inner_solver}",

@@ -11,7 +11,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 SCHEMA_VERSION = 1
 
@@ -43,12 +43,7 @@ class OracleCounters:
 
 @dataclass
 class RunReport:
-    """Summary of one solver run, serializable to the versioned JSON schema.
-
-    ``step_diagnostics`` holds in-memory per-step records when the run was
-    configured to collect them; it is not serialized (the CLI writes the
-    records to ``diagnostics_path`` instead).
-    """
+    """Summary of one solver run, serializable to the versioned JSON schema."""
 
     method: str
     K: int
@@ -65,10 +60,9 @@ class RunReport:
     seed: int | None = None
     status: str = "ok"
     inner_iterations: list[int] | None = None
-    step_diagnostics: list = field(default_factory=list, repr=False, compare=False)
 
     def as_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "step_diagnostics"}
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
         out.update(schema_version=SCHEMA_VERSION, counters=self.counters.as_dict())
         return out
 

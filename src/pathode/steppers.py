@@ -41,16 +41,14 @@ class MaxIterationsError(RuntimeError):
 
 
 class PathRunError(RuntimeError):
-    """A path or grid run failed; carries the knots (lams, X, residuals) and diagnostics so far.
+    """A path or grid run failed; carries the knots (lams, X, residuals) finished so far.
 
-    step_index is the failed step of an ODE run or grid point of a grid run;
-    grid runs record no diagnostics.
+    step_index is the failed step of an ODE run or grid point of a grid run.
     """
 
-    def __init__(self, message: str, lams, X, residuals, diagnostics, step_index: int):
+    def __init__(self, message: str, lams, X, residuals, step_index: int):
         super().__init__(message)
         self.lams, self.X, self.residuals = lams, X, residuals
-        self.diagnostics = diagnostics
         self.step_index = step_index
 
 
@@ -130,7 +128,6 @@ class StepperConfig:
     lambda_min: float
     lambda_max: float
     delta: float | None = None
-    record_diagnostics: bool = False
     h: float = field(init=False)
 
     def __post_init__(self):
@@ -144,8 +141,8 @@ class StepperConfig:
 class StepDiagnostics:
     """Per-step record: the stages of step k's take_step, in stage order.
 
-    Step k's knot is the path's lams[k], X[k] and residuals[k].
-    Runs build these only when they record diagnostics, since the stage
+    Step k's knot is the path's lams[k], X[k] and residuals[k].  run_path
+    builds these only for a caller that passes a steps list, since the stage
     DirectionResults and points hold O(p) vectors.
     """
 
@@ -275,14 +272,16 @@ def run_path(
     config: StepperConfig,
     *,
     allow_degenerate: bool = False,
+    steps: list[StepDiagnostics] | None = None,
 ) -> tuple[PiecewiseLinearPath, RunReport]:
     """Run K steps of the configured scheme from (x0, lambda_max).
 
     Returns the piecewise-linear path over the K + 1 knots and a report whose
     counters tally every oracle call the run made.  The knot residuals are
     computed in one batch after the last step and charged to the metric
-    counter, not to solver gradients.  A failed step raises PathRunError
-    carrying the partial knots and diagnostics.
+    counter, not to solver gradients.  When steps is a list, each finished
+    step's StepDiagnostics is appended to it, so the caller keeps them when a
+    later step raises PathRunError, which carries the partial knots.
     """
     x0 = problem.checked_start(x0, allow_degenerate)
     counters = OracleCounters()
@@ -290,7 +289,6 @@ def run_path(
     scheme = SCHEMES[config.method]
     lams = lambda_schedule(config.lambda_min, config.lambda_max, config.K)
     X = np.empty((config.K + 1, problem.dim))
-    diags = []
     t0 = time.perf_counter()
     x, warm = x0, None
     X[0] = x
@@ -300,10 +298,10 @@ def run_path(
         except RUN_FAILURES as exc:
             res = residuals(problem, X[: k + 1], lams[: k + 1], counters)
             raise PathRunError(
-                f"step {k} failed: {exc}", lams[: k + 1], X[: k + 1], res, diags, k
+                f"step {k} failed: {exc}", lams[: k + 1], X[: k + 1], res, k
             ) from exc
-        if config.record_diagnostics:
-            diags.append(StepDiagnostics(*stages))
+        if steps is not None:
+            steps.append(StepDiagnostics(*stages))
         X[k + 1] = x
     res = residuals(problem, X, lams, counters)
     report = RunReport(
@@ -316,7 +314,6 @@ def run_path(
         lambda_min=config.lambda_min,
         lambda_max=config.lambda_max,
         problem=problem.name,
-        step_diagnostics=diags,
     )
     return PiecewiseLinearPath(lams, X, res), report
 

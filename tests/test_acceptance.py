@@ -224,11 +224,11 @@ def _min_step_slack(problem, x0, lo, hi, K, delta):
                 lambda_min=lo,
                 lambda_max=hi,
                 delta=delta if mode == "cg" else None,
-                record_diagnostics=True,
             )
-            path, rep = run_path(problem, x0, cfg)
+            steps = []
+            path, rep = run_path(problem, x0, cfg, steps=steps)
             c = _measured_constants(problem, path)
-            for k, d in enumerate(rep.step_diagnostics):
+            for k, d in enumerate(steps):
                 lam_k, lam_n = path.lams[k], path.lams[k + 1]
                 r_k = path.residuals[k]
                 if method == "euler":
@@ -338,11 +338,11 @@ def test_c06_cg_variants_reach_eps_within_iteration_bounds(small_quad, criterion
             lambda_min=0.5,
             lambda_max=5.0,
             delta=delta,
-            record_diagnostics=True,
         )
-        path, rep = run_path(problem, x0, cfg)
+        steps = []
+        path, rep = run_path(problem, x0, cfg, steps=steps)
         results[method] = (K, accuracy_midpoint(problem, path))
-        for d in rep.step_diagnostics:
+        for d in steps:
             for lam_s, r in zip(d.stage_lambdas, d.stages):
                 kappa = (eigs[-1] + lam_s) / (eigs[0] + lam_s)
                 if r.inner_iterations > cg_iteration_bound(kappa, r.initial_residual, delta):

@@ -268,7 +268,7 @@ class TestDoublingVerb:
     @pytest.mark.parametrize(
         "exc",
         [
-            pathode.PathRunError("step 3 failed: injected", [], [], [], [], 3),
+            pathode.PathRunError("step 3 failed: injected", [], [], [], 3),
             pathode.MaxIterationsError("injected cap"),
             pathode.NotPositiveDefiniteError("injected: not positive definite"),
         ],
@@ -541,6 +541,28 @@ class TestExitCodes:
         "theory-synthetic-standardize": (
             ["theory", "--method", "grid", "--eps", "1e-3", "--synthetic", "n=3", "--standardize"],
             "theory reads --synthetic --standardize only with --estimate",
+        ),
+        "grid-diag-out": (
+            ["run", "--method", "grid-newton", "--K", "8", "--eps", "1e-2", "--diag-out", "d.jsonl"],
+            "--diag-out is not read by grid-newton",
+        ),
+        "grid-agd-diag-out": (
+            ["run", "--method", "grid-agd", "--K", "8", "--eps", "1e-2", "--diag-out", "d.jsonl"],
+            "--diag-out is not read by grid-agd",
+        ),
+        "theory-estimate-constants": (
+            ["theory", "--method", "euler", "--eps", "1e-3", "--estimate", "--mu", "1"]
+            + ["--sigma", "1", "--L", "1", "--G", "1"],
+            "theory reads --mu --sigma --L --G only without --estimate",
+        ),
+        "theory-estimate-zero-mu": (
+            ["theory", "--method", "euler", "--eps", "1e-3", "--estimate", "--mu", "0"],
+            "theory reads --mu only without --estimate",
+        ),
+        "theory-samples-problem-seed": (
+            ["theory", "--method", "euler", "--eps", "1e-3", "--mu", "1", "--sigma", "1"]
+            + ["--L", "1", "--G", "1", "--samples", "4", "--problem", "quadratic", "--seed", "0"],
+            "theory reads --problem --seed --samples only with --estimate",
         ),
     }  # fmt: skip
 
@@ -829,11 +851,11 @@ class TestVerbFlags:
         "--synthetic": (None, False),
         "--seed": (0, False),
         "--standardize": (False, False),
-        "--allow-degenerate": (False, False),
         "--lambda-min": (0.01, False),
         "--lambda-max": (10.0, False),
     }
     SOLVER = {
+        "--allow-degenerate": (False, False),
         "--delta": (None, False),
         "--inner-tol": (None, False),
         "--init": ("newton", False),
@@ -855,10 +877,12 @@ class TestVerbFlags:
         },
         "theory": {
             **PROBLEM,
+            # read only with --estimate, so a given one shows
+            "--problem": (None, False), "--seed": (None, False), "--standardize": (None, False),
             "--method": (None, True), "--eps": (None, True),
             "--mu": (None, False), "--sigma": (None, False), "--L": (None, False),
             "--G": (None, False), "--f-gap": (None, False), "--estimate": (False, False),
-            "--samples": (64, False), "--out": (None, False),
+            "--samples": (None, False), "--out": (None, False),
         },
     }  # fmt: skip
 

@@ -3,6 +3,7 @@
 import json
 import os
 import stat
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -59,16 +60,9 @@ def test_report_optional_fields_serialize_as_null():
         assert payload[key] is None
 
 
-def test_step_diagnostics_never_serialized():
-    rep = RunReport(
-        method="euler",
-        K=1,
-        h=0.1,
-        counters=OracleCounters(),
-        wall_time_seconds=0.0,
-        step_diagnostics=[object()],
-    )
-    assert "step_diagnostics" not in rep.as_dict()
+def test_as_dict_serializes_every_field():
+    rep = RunReport(method="euler", K=1, h=0.1, counters=OracleCounters(), wall_time_seconds=0.0)
+    assert set(rep.as_dict()) == {f.name for f in fields(RunReport)} | {"schema_version"}
 
 
 def test_json_is_stable_under_key_sort():

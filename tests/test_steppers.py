@@ -221,9 +221,9 @@ class TestDomainBackoff:
         _, diag = one_step(method, problem, np.array([0.9]), 1e-6, 0.5)
         assert diag.domain_backoffs >= 1
         assert diag.stage_lambdas == [f * 1e-6 for f in SCHEMES[method].stage_factors(0.5)]
-        cfg = StepperConfig(method, 16, 1e-6, 1e-3, record_diagnostics=True)
-        path, rep = run_path(problem, np.array([0.9]), cfg)
-        assert sum(d.domain_backoffs for d in rep.step_diagnostics) > 0
+        cfg, steps = StepperConfig(method, 16, 1e-6, 1e-3), []
+        path, _ = run_path(problem, np.array([0.9]), cfg, steps=steps)
+        assert sum(d.domain_backoffs for d in steps) > 0
         assert np.array_equal(path.lams, lambda_schedule(1e-6, 1e-3, 16))
 
     def test_unrecoverable_step_raises(self):
@@ -373,10 +373,10 @@ class TestCgWarmStartChain:
         x0 = initialize_by_newton(logistic_small, 10.0, 1e-10)
         cfg = StepperConfig(
             method=method, K=12, lambda_min=0.1, lambda_max=10.0,
-            delta=1e-8, record_diagnostics=True,
+            delta=1e-8,
         )
-        _, rep = run_path(logistic_small, x0, cfg)
-        diags = rep.step_diagnostics
+        diags = []
+        run_path(logistic_small, x0, cfg, steps=diags)
         assert diags[0].stages[0].initial_residual == pytest.approx(
             float(np.linalg.norm(logistic_small.f_grad(x0))), rel=1e-12
         )
@@ -499,10 +499,11 @@ class TestRunPath:
         delta = 1e-5
         cfg = StepperConfig(
             method="trapezoid", K=16, lambda_min=0.01, lambda_max=10.0,
-            delta=delta, record_diagnostics=True,
+            delta=delta,
         )
-        _, rep = run_path(problem, quad30_start, cfg)
-        for diag in rep.step_diagnostics:
+        steps = []
+        run_path(problem, quad30_start, cfg, steps=steps)
+        for diag in steps:
             assert len(diag.stages) == 2  # one per stage
             for r in diag.stages:
                 assert r.residual_norm <= delta * (1.0 + 1e-12)
@@ -510,22 +511,25 @@ class TestRunPath:
     def test_diagnostics_stage_counts(self, quad30, quad30_start):
         _, _, problem = quad30
         for method, stages in (("euler", 1), ("trapezoid", 2), ("rk4", 4)):
-            cfg = StepperConfig(
-                method=method, K=12, lambda_min=0.01, lambda_max=10.0,
-                record_diagnostics=True,
-            )
-            path, rep = run_path(problem, quad30_start, cfg)
-            assert len(rep.step_diagnostics) == 12
+            cfg = StepperConfig(method=method, K=12, lambda_min=0.01, lambda_max=10.0)
+            steps = []
+            path, _ = run_path(problem, quad30_start, cfg, steps=steps)
+            assert len(steps) == 12
             assert np.isfinite(path.residuals).all()
-            for diag in rep.step_diagnostics:
+            for diag in steps:
                 assert len(diag.stage_lambdas) == stages
                 assert len(diag.stages) == len(diag.stage_points) == stages
 
-    def test_no_diagnostics_by_default(self, quad30, quad30_start):
+    def test_steps_appends_to_the_callers_list(self, quad30, quad30_start):
+        # the caller owns the list: a second run appends its records after the first's
         _, _, problem = quad30
         cfg = StepperConfig(method="euler", K=5, lambda_min=0.01, lambda_max=10.0)
-        _, rep = run_path(problem, quad30_start, cfg)
-        assert rep.step_diagnostics == []
+        steps = []
+        run_path(problem, quad30_start, cfg, steps=steps)
+        first = list(steps)
+        run_path(problem, quad30_start, cfg, steps=steps)
+        assert len(steps) == 10 and all(a is b for a, b in zip(steps, first))
+        assert [d.stage_lambdas for d in steps[5:]] == [d.stage_lambdas for d in first]
 
     @pytest.mark.parametrize("mode", ["exact", "cg"])
     @pytest.mark.parametrize("method", ["euler", "trapezoid", "rk4"])
@@ -534,32 +538,31 @@ class TestRunPath:
         # the backoff-1d instance is TestDomainBackoff's; its steps halve.
         # Each --diag-out line takes its knot from the path and lists its
         # record's stage results, and no record shares memory with the caller's x0.
+        # A run without a steps list matches one with it.
         if instance == "logistic":
             problem, lam_min, lam_max = logistic_small, 0.1, 10.0
         else:
             problem = make_moment_matching(np.array([[0.5]]), np.array([0.6]))
             lam_min, lam_max = 1e-4, 1.0
         x0 = initialize_by_newton(problem, lam_max, 1e-10)
-        runs = {}
-        for record in (False, True):
-            cfg = StepperConfig(
-                method=method, K=20, lambda_min=lam_min, lambda_max=lam_max,
-                delta=1e-6 if mode == "cg" else None,
-                record_diagnostics=record,
-            )
-            runs[record] = run_path(problem, x0, cfg)
-        (quiet_path, quiet), (loud_path, loud) = runs[False], runs[True]
-        assert quiet.step_diagnostics == [] and len(loud.step_diagnostics) == 20
+        cfg = StepperConfig(
+            method=method, K=20, lambda_min=lam_min, lambda_max=lam_max,
+            delta=1e-6 if mode == "cg" else None,
+        )
+        steps = []
+        quiet_path, quiet = run_path(problem, x0, cfg)
+        loud_path, loud = run_path(problem, x0, cfg, steps=steps)
+        assert len(steps) == 20
         for field in ("lams", "X", "residuals"):
             assert np.array_equal(getattr(quiet_path, field), getattr(loud_path, field))
         assert quiet.counters.as_dict() == loud.counters.as_dict()
         if instance == "backoff-1d":
-            assert sum(d.domain_backoffs for d in loud.step_diagnostics) > 0
+            assert sum(d.domain_backoffs for d in steps) > 0
         diag_out = tmp_path / "steps.jsonl"
-        _write_diagnostics(loud_path, loud, str(diag_out))
+        _write_diagnostics(loud_path.lams, loud_path.residuals, steps, str(diag_out))
         lines = [json.loads(line) for line in diag_out.read_text().splitlines()]
-        assert len(lines) == len(loud.step_diagnostics)
-        for k, (line, d) in enumerate(zip(lines, loud.step_diagnostics)):
+        assert len(lines) == len(steps)
+        for k, (line, d) in enumerate(zip(lines, steps)):
             assert line["k"] == k
             assert line["lambda_k"] == loud_path.lams[k]
             assert line["residual_r_k"] == loud_path.residuals[k]
@@ -567,9 +570,9 @@ class TestRunPath:
             assert line["cg_iterations"] == [r.inner_iterations for r in d.stages]
             assert line["direction_residuals"] == [r.residual_norm for r in d.stages]
             assert line["cg_initial_residuals"] == [r.initial_residual for r in d.stages]
-        points = [np.array(p) for d in loud.step_diagnostics for p in d.stage_points]
+        points = [np.array(p) for d in steps for p in d.stage_points]
         x0 += 1.0
-        kept = [p for d in loud.step_diagnostics for p in d.stage_points]
+        kept = [p for d in steps for p in d.stage_points]
         assert all(np.array_equal(a, b) for a, b in zip(points, kept, strict=True))
 
     def test_domain_violating_start_rejected(self):
