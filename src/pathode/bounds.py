@@ -2,9 +2,10 @@
 
 Every calculator here is a pure function of its inputs and totals: out-of-range
 inputs that merely void a guarantee produce a warning inside the returned
-report, never an exception.  The per-step bounds return right-hand sides of
-the corresponding one-step inequalities so invariant checkers can compare
-measured runs against them.
+report, never an exception, while inputs that overflow a term raise
+ValueError.  The per-step bounds return right-hand sides of the corresponding
+one-step inequalities so invariant checkers can compare measured runs against
+them.
 """
 
 from __future__ import annotations
@@ -34,26 +35,26 @@ class BoundReport:
     inputs_echo: dict
     warnings: list[str] = field(default_factory=list)
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
     def to_json(self) -> str:
-        return json_text(self.as_dict())
+        return json_text(asdict(self))
+
+
+def _pow(base: float, exponent: float) -> float:
+    """base ** exponent, or inf where the float power overflows, as a product would."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
 
 
 def _finish(
     method: str, terms: dict[str, float], echo: dict, warns: list[str], K_min: int = 1
 ) -> BoundReport:
+    for name, value in terms.items():  # an inf term binds; a nan one would lose the max
+        if not math.isfinite(value):
+            raise ValueError(f"{method} bound term {name} = {value}: the inputs overflow it")
     binding = max(terms, key=terms.get)
-    K = max(K_min, math.ceil(terms[binding]))
-    return BoundReport(
-        method=method,
-        K_required=K,
-        binding_term=binding,
-        terms=terms,
-        inputs_echo=echo,
-        warnings=warns,
-    )
+    return BoundReport(method, max(K_min, math.ceil(terms[binding])), binding, terms, echo, warns)
 
 
 def _echo(c: TheoryConstants, eps: float, f_gap: float) -> dict:
@@ -62,7 +63,7 @@ def _echo(c: TheoryConstants, eps: float, f_gap: float) -> dict:
         raise ValueError(f"eps must be finite and positive, got {eps}")
     if not (f_gap >= 0.0 and math.isfinite(f_gap)):
         raise ValueError(f"f_gap must be finite and nonnegative, got {f_gap}")
-    return {"constants": c.as_dict(), "eps": float(eps), "f_gap": float(f_gap)}
+    return {"constants": asdict(c), "eps": float(eps), "f_gap": float(f_gap)}
 
 
 def k_euler(c: TheoryConstants, eps: float, f_gap: float = 0.0) -> BoundReport:
@@ -94,8 +95,8 @@ def k_trapezoid(c: TheoryConstants, eps: float, f_gap: float = 0.0) -> BoundRepo
     terms = {
         "horizon": 10.0 * T,
         "conditioning": 8.0 * c.L * T * onepg / c.mu_tilde,
-        "third_order": 6.0 * math.sqrt(c.L) * onepg**1.5 * T / math.sqrt(eps),
-        "fourth_order": 5.0 * c.tau ** (2.0 / 3.0) * c.L * onepg ** (4.0 / 3.0) * T / eps ** (1.0 / 3.0),
+        "third_order": 6.0 * math.sqrt(c.L) * _pow(onepg, 1.5) * T / math.sqrt(eps),
+        "fourth_order": 5.0 * c.tau ** (2.0 / 3.0) * c.L * _pow(onepg, 4.0 / 3.0) * T / eps ** (1.0 / 3.0),
     }
     return _finish("trapezoid", terms, echo, [])
 
@@ -144,8 +145,8 @@ def k_trapezoid_approx(c: TheoryConstants, eps: float, f_gap: float = 0.0) -> Bo
     terms = {
         "horizon": 10.0 * T,
         "conditioning": 8.0 * c.L * T * twopg / c.mu_tilde,
-        "third_order": 6.0 * math.sqrt(c.L) * twopg**1.5 * T / math.sqrt(eps),
-        "fourth_order": 6.0 * c.L * c.tau ** (2.0 / 3.0) * twopg ** (4.0 / 3.0) * T / eps ** (1.0 / 3.0),
+        "third_order": 6.0 * math.sqrt(c.L) * _pow(twopg, 1.5) * T / math.sqrt(eps),
+        "fourth_order": 6.0 * c.L * c.tau ** (2.0 / 3.0) * _pow(twopg, 4.0 / 3.0) * T / eps ** (1.0 / 3.0),
     }
     return _finish("trapezoid-cg", terms, echo, warns)
 

@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -98,13 +98,14 @@ def build_problem(args) -> tuple[problems.ProblemOracle, dict]:
 
 
 def initialize_x0(problem, args, eps: float | None) -> np.ndarray:
-    """Starting point at lambda_max per the --init flag (default damped Newton)."""
+    """Start at lambda_max per --init (default damped Newton), passed through checked_start."""
     if args.init == "omega":
-        x0, _ = steppers.initialize_from_omega(problem, args.lambda_max)
-        return x0
-    default_tol = 1e-12 if eps is None else min(eps / 4.0, 1e-12)
-    tol = default_tol if args.init_tol is None else args.init_tol
-    return steppers.initialize_by_newton(problem, args.lambda_max, tol)
+        x0 = steppers.initialize_from_omega(problem, args.lambda_max)[0]
+    else:
+        default_tol = 1e-12 if eps is None else min(eps / 4.0, 1e-12)
+        tol = default_tol if args.init_tol is None else args.init_tol
+        x0 = steppers.initialize_by_newton(problem, args.lambda_max, tol)
+    return problem.checked_start(x0, args.allow_degenerate)
 
 
 def _tolerance(method: str, args, eps: float | None) -> float:
@@ -196,7 +197,6 @@ def run_doubling(problem, meta, method, eps, K0, max_doublings, args, x0, report
             return K, path, reports, True
         if attempt < max_doublings:
             K *= 2
-    reports[-1].status = "accuracy-not-met"
     return K, path, reports, False
 
 
@@ -260,7 +260,6 @@ def cmd_doubling(args) -> int:
         if not reports:
             raise
         K, passed, failure = reports[-1].K, False, exc
-        reports[-1].status = "accuracy-not-met"
     payload = {
         "method": args.method,
         "eps": args.eps,
@@ -322,12 +321,13 @@ def cmd_theory(args) -> int:
     return 0
 
 
-def _sweep_row(method: str, eps: float, status: str, report=None, note: str = "") -> str:
+def _sweep_row(method: str, eps: float, report=None, note: str = "") -> str:
     """One CSV line over SWEEP_COLUMNS; a failed row, with no report, leaves its columns empty."""
-    values = {"method": method, "eps": f"{eps:g}", "status": status, "note": note}
+    values = {"method": method, "eps": f"{eps:g}", "status": "failed", "note": note}
     if report is not None:
         values.update(
-            report.counters.as_dict(),
+            asdict(report.counters),
+            status=report.status,
             K=report.K,
             accuracy_midpoint=f"{report.accuracy_midpoint:.17g}",
             wall_time_seconds=f"{report.wall_time_seconds:.6g}",
@@ -346,16 +346,12 @@ def _sweep_method_rows(problem, meta, method, eps_list, args, x0) -> list[str]:
             )
         except (RuntimeError, ValueError, MemoryError) as exc:
             note = f"out of memory: {exc}" if isinstance(exc, MemoryError) else str(exc)
-            rows.append(_sweep_row(method, eps, "failed", note=_clean_note(note)))
+            rows.append(_sweep_row(method, eps, note=note.replace(",", ";").replace("\n", " ")[:200]))
             continue
         if passed:
             carried_K0 = K
-        rows.append(_sweep_row(method, eps, "ok" if passed else "accuracy-not-met", reports[-1]))
+        rows.append(_sweep_row(method, eps, reports[-1]))
     return rows
-
-
-def _clean_note(text: str) -> str:
-    return text.replace(",", ";").replace("\n", " ")[:200]
 
 
 def cmd_sweep(args) -> int:

@@ -113,7 +113,7 @@ def solve_grid(
     lists the inner iteration count per grid point.  The inner solver walks
     the whole grid, each point starting from the previous exit with the
     gradients made there, so grad_f = grad_omega = sum(iterations) + 1; Newton
-    also charges Hessian builds and solves.  Knot residuals reuse the inner
+    also charges Hessian builds.  Knot residuals reuse the inner
     solver's exit gradient norm, so no extra metric evaluations are made
     here.  A failed inner solve raises PathRunError carrying the points
     finished before it.

@@ -28,7 +28,7 @@ moment       Woodbury on diag(lam / y) + V V', V = [A' | sqrt(lam / (1 - sum y))
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
@@ -48,9 +48,11 @@ class DegenerateProblemError(ValueError):
 
 
 def check_lambda_range(lambda_min: float, lambda_max: float) -> None:
-    """Raise ValueError unless 0 < lambda_min < lambda_max < inf (NaN fails)."""
+    """Raise ValueError unless 0 < lambda_min < lambda_max < inf (NaN fails) with a finite ratio."""
     if not (0.0 < lambda_min < lambda_max < math.inf):
         raise ValueError(f"need 0 < lambda_min < lambda_max < inf, got [{lambda_min}, {lambda_max}]")
+    if lambda_max / lambda_min == math.inf:
+        raise ValueError(f"lambda_max / lambda_min overflows, got [{lambda_min}, {lambda_max}]")
 
 
 @dataclass(frozen=True)
@@ -258,9 +260,6 @@ class TheoryConstants:
             ("mu_tilde", mu_tilde),
         ):
             object.__setattr__(self, name, value)
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def _spectral_norm(M: Array) -> float:

@@ -13,7 +13,7 @@ import json
 import os
 from dataclasses import asdict, dataclass, fields
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -22,8 +22,8 @@ class OracleCounters:
 
     grad_f / grad_omega count gradient evaluations performed for solver
     work (directions, inner stopping rules).  hess_builds counts Hessian
-    builds, one per exact direction or Newton step however the problem's
-    Hessian handle solves it.  hessvec counts
+    builds, one per exact direction or Newton step, each solved once by the
+    problem's Hessian handle.  hessvec counts
     Hessian-vector products (CG work).  metric_evals counts residual
     evaluations made for accuracy reporting, which are deliberately kept
     out of the solver budget.
@@ -33,12 +33,8 @@ class OracleCounters:
     grad_omega: int = 0
     hess_builds: int = 0
     hessvec: int = 0
-    linear_solves: int = 0
     cg_iters_total: int = 0
     metric_evals: int = 0
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -58,12 +54,18 @@ class RunReport:
     lambda_max: float | None = None
     problem: str | None = None
     seed: int | None = None
-    status: str = "ok"
     inner_iterations: list[int] | None = None
 
+    @property
+    def status(self) -> str:
+        """accuracy-not-met when eps_target is set and accuracy_midpoint is not <= it, else ok."""
+        acc, eps = self.accuracy_midpoint, self.eps_target
+        return "ok" if eps is None or (acc is not None and acc <= eps) else "accuracy-not-met"
+
     def as_dict(self) -> dict:
+        # shallow, unlike asdict, which would copy a grid run's K inner_iterations one by one
         out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out.update(schema_version=SCHEMA_VERSION, counters=self.counters.as_dict())
+        out.update(counters=asdict(self.counters), schema_version=SCHEMA_VERSION, status=self.status)
         return out
 
     def to_json(self) -> str:

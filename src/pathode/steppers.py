@@ -66,9 +66,12 @@ def lambda_schedule(lambda_min: float, lambda_max: float, intervals: int) -> np.
 
     Closed form, so ODE and grid paths over the same range and interval
     count share their knots; the ends are exactly lambda_max and lambda_min.
+    Raises ValueError when two consecutive knots round to one float.
     """
     lams = lambda_max * (lambda_min / lambda_max) ** (np.arange(intervals + 1) / intervals)
     lams[0], lams[-1] = lambda_max, lambda_min
+    if not np.all(lams[1:] < lams[:-1]):
+        raise ValueError(f"{intervals} intervals on [{lambda_min}, {lambda_max}] make two knots coincide")
     return lams
 
 
@@ -156,7 +159,7 @@ def direction_oracle(problem: ProblemOracle, counters: OracleCounters, delta: fl
     """direction(x, lam, warm): the DirectionResult of the ODE's vector field at (x, lam).
 
     delta None solves exactly through the problem's Hessian handle, charging
-    a gradient, a Hessian build and a linear solve; warm is ignored.
+    a gradient and a Hessian build; warm is ignored.
     delta > 0 runs CG from warm (zero when None) to residual delta, charging
     a gradient, each Hessian-vector product and the iterations, and raises
     MaxIterationsError after 20 dim iterations.
@@ -170,7 +173,6 @@ def direction_oracle(problem: ProblemOracle, counters: OracleCounters, delta: fl
         if delta is None:
             result = hess.solve(g)
             counters.hess_builds += 1
-            counters.linear_solves += 1
             return result
 
         def hessvec(v):
@@ -366,9 +368,9 @@ def newton_solve(
     the iterate stays in the domain and F_lam does not increase; an accepted
     point keeps its values and its gradients are made at the next iteration.
     Each gradient made charges grad_f and grad_omega to counters, and each
-    step one Hessian build and one linear solve.  Raises ValueError unless
-    tol > 0, and MaxIterationsError when no halving is acceptable or the
-    gradient is still above tol after NEWTON_CAP steps.
+    step one Hessian build.  Raises ValueError unless tol > 0, and
+    MaxIterationsError when no halving is acceptable or the gradient is
+    still above tol after NEWTON_CAP steps.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -387,7 +389,6 @@ def newton_solve(
                 raise MaxIterationsError(f"newton stalled above tol = {tol} after {it} iterations")
             d = problem.hessian(x, lam).solve(g).direction
             counters.hess_builds += 1
-            counters.linear_solves += 1
             if fv is None:
                 fv, ov = problem.f_value(x), problem.omega_value(x)
             f0 = fv + lam * ov

@@ -3,6 +3,7 @@
 import json
 import math
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -65,6 +66,21 @@ class TestInputChecks:
         # the calculators without a gap term once ignored it
         with pytest.raises(ValueError, match="f_gap must be finite and nonnegative"):
             calculator(tau_one_euler(), 1e-3, f_gap)
+
+
+    @pytest.mark.parametrize("method", list(K_BOUNDS))
+    def test_overflowing_term_rejected(self, method):
+        # an infinite binding term once ended in math.ceil's OverflowError
+        c = TheoryConstants(mu=1.0, sigma=1.0, L=1e308, G=1e308, lambda_min=0.1, lambda_max=1.0)
+        with pytest.raises(ValueError, match=rf"^{method} bound term \w+ = inf: the inputs overflow it$"):
+            K_BOUNDS[method](c, 1e-3, 0.0)
+
+    def test_nan_term_rejected(self):
+        # tau = 1.01 / 1e-320 overflows, so tau G and f_gap tau are nan; the
+        # horizon term once won the max over them and the report held nan
+        c = TheoryConstants(mu=1e-320, sigma=0.0, L=1.0, G=0.0, lambda_min=0.01, lambda_max=10.0)
+        with pytest.raises(ValueError, match="^euler bound term curvature = nan: the inputs"):
+            k_euler(c, 1e-3, 0.0)
 
 
 class TestKEuler:
@@ -279,7 +295,7 @@ class TestEstimators:
         _, _, problem = quad30
         a = estimate_constants(problem, (0.01, 10.0), sample_count=16, seed=9)
         b = estimate_constants(problem, (0.01, 10.0), sample_count=16, seed=9)
-        assert a.as_dict() == b.as_dict()
+        assert asdict(a) == asdict(b)
 
     def test_f_gap_is_a_nonnegative_lower_bound(self, quad30, quad30_start):
         A, b, problem = quad30

@@ -7,6 +7,7 @@ is skipped where it is absent.
 """
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -68,7 +69,7 @@ class TestRunVerb:
         # one direction per step; knot residuals K+1 plus the 2K+1 point
         # midpoint accuracy scan
         c = rep["counters"]
-        assert c["grad_f"] == c["hess_builds"] == c["linear_solves"] == 40
+        assert c["grad_f"] == c["hess_builds"] == 40
         assert c["hessvec"] == c["cg_iters_total"] == 0
         assert c["metric_evals"] == 3 * 40 + 2
         assert 0.0 < rep["accuracy_midpoint"] < 0.1
@@ -146,7 +147,17 @@ class TestRunVerb:
         assert rep["delta"] == pytest.approx(2.5e-4)
         assert rep["counters"]["hessvec"] > 0
         assert rep["counters"]["hess_builds"] == 0
-        assert rep["counters"]["linear_solves"] == 0
+
+    @pytest.mark.parametrize("method", ["euler", "rk4", "trapezoid-cg", "grid-newton"])
+    def test_missed_target_reads_accuracy_not_met(self, capsys, method):
+        # K = 40 reaches 1.1e-2 (0.55 for grid-newton); the report once read "ok"
+        argv = ["run", "--method", method, "--K", "40", "--eps", "1e-3"] + QUAD
+        rc, out, _ = call(capsys, argv)
+        assert rc == 0
+        rep = json.loads(out)
+        jsonschema.validate(rep, report_schema())
+        assert rep["accuracy_midpoint"] > 1e-2
+        assert rep["status"] == "accuracy-not-met"
 
     @pytest.mark.parametrize("K", [1, 2, 5])
     def test_rk4_below_its_smallest_K_is_an_argument_error(self, capsys, K):
@@ -234,6 +245,20 @@ class TestDoublingVerb:
         assert rc == 0
         d = json.loads(out)
         assert d["K0"] == d["reports"][0]["K"] == 10
+
+    def test_each_attempt_reads_its_own_status(self, capsys):
+        # K = 100, 200 and 400 miss 1e-4 (1.9e-3, 4.9e-4, 1.2e-4) and once read "ok"
+        argv = ["doubling", "--method", "euler", "--eps", "1e-4", "--K0", "100"] + QUAD
+        rc, out, _ = call(capsys, argv)
+        assert rc == 0
+        d = json.loads(out)
+        for rep in d["reports"]:
+            jsonschema.validate(rep, report_schema())
+        assert d["passed"] is True
+        assert [(r["K"], r["status"]) for r in d["reports"]] == [
+            (100, "accuracy-not-met"), (200, "accuracy-not-met"), (400, "accuracy-not-met"),
+            (800, "ok"),
+        ]  # fmt: skip
 
     def test_cap_exhaustion_exits_3(self, capsys):
         argv = [
@@ -402,7 +427,7 @@ class TestSweepVerb:
         lines = out_csv.read_text().splitlines()
         assert lines[0] == ",".join(SWEEP_COLUMNS) == (
             "method,eps,status,K,accuracy_midpoint,grad_f,grad_omega,hess_builds,"
-            "hessvec,linear_solves,cg_iters_total,metric_evals,wall_time_seconds,note"
+            "hessvec,cg_iters_total,metric_evals,wall_time_seconds,note"
         )
         assert len(lines) == 5
         n_cols = len(SWEEP_COLUMNS)
@@ -692,32 +717,41 @@ class TestExitCodes:
         assert "must be finite and > 0" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["run", "--method", "euler", "--K", "20"],
-            ["run", "--method", "grid-newton", "--K", "5", "--eps", "1e-3"],
-            ["doubling", "--method", "euler", "--eps", "1e-3"],
-            ["sweep", "--methods", "euler", "--eps-list", "1e-3"],
-            ["theory", "--method", "trapezoid", "--eps", "1e-3"]
-            + ["--mu", "1", "--sigma", "1", "--L", "1", "--G", "5"],
-            ["theory", "--method", "euler", "--eps", "1e-3", "--estimate"],
-        ],
-        ids=["run-euler", "run-grid-newton", "doubling", "sweep", "theory", "theory-estimate"],
-    )
+    RANGE_VERBS = {
+        "run-euler": ["run", "--method", "euler", "--K", "20"],
+        "run-grid-newton": ["run", "--method", "grid-newton", "--K", "5", "--eps", "1e-3"],
+        "doubling": ["doubling", "--method", "euler", "--eps", "1e-3"],
+        "sweep": ["sweep", "--methods", "euler", "--eps-list", "1e-3"],
+        "theory": ["theory", "--method", "trapezoid", "--eps", "1e-3"]
+        + ["--mu", "1", "--sigma", "1", "--L", "1", "--G", "5"],
+        "theory-estimate": ["theory", "--method", "euler", "--eps", "1e-3", "--estimate"],
+    }
+    BAD_RANGES = {
+        "": (["--lambda-max", "inf"], "need 0 < lambda_min < lambda_max < inf, got [0.01, inf]"),
+        "-ratio": (
+            ["--lambda-min", "1e-300", "--lambda-max", "1e300"],
+            "lambda_max / lambda_min overflows, got [1e-300, 1e+300]",
+        ),
+    }
+    RANGE_CASES = list(itertools.product(RANGE_VERBS, BAD_RANGES))
+
+    @pytest.mark.parametrize("verb, bound", RANGE_CASES, ids=[v + b for v, b in RANGE_CASES])
     def test_infinite_lambda_max_exits_2_before_any_solve(
-        self, capsys, tmp_path, monkeypatch, argv
+        self, capsys, tmp_path, monkeypatch, verb, bound
     ):
         # run once died mid-path (euler) or in the start point's Newton solve
-        # (grid-newton) with "non-finite entries in linear system"
+        # (grid-newton) with "non-finite entries in linear system"; on the
+        # finite [1e-300, 1e300], whose ratio overflows, trapezoid died with a
+        # ZeroDivisionError traceback, rk4 in math.log and euler at its last step
         def no_work(*args):
             pytest.fail("work started on an invalid lambda range")
 
         monkeypatch.setattr(cli, "build_problem", no_work)
         out = tmp_path / "out"
-        rc, _, err = call(capsys, argv + ["--lambda-max", "inf", "--out", str(out)] + QUAD)
+        flags, message = self.BAD_RANGES[bound]
+        rc, _, err = call(capsys, self.RANGE_VERBS[verb] + flags + ["--out", str(out)] + QUAD)
         assert rc == 2
-        assert "need 0 < lambda_min < lambda_max < inf, got [0.01, inf]" in err
+        assert message in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -810,6 +844,27 @@ class TestExitPaths:
             2,
             "moment has none",
         ),
+        # each row once caught the degenerate-problem error and wrote a failed row
+        "sweep-degenerate": (
+            ["sweep", "--methods", "euler,grid-newton", "--eps-list", "1e-2", "--out", "{tmp}/rw.csv"]
+            + ["--problem", "logistic-reweighted", "--synthetic", "n=60,p=5"],
+            2,
+            "error: Omega is not strongly convex (sigma = 0); pass allow_degenerate=True",
+        ),
+        # 1000 knots on a range of 4.5 ulps: all 1000 steps ran before the path rejected them
+        "knots-coincide": (
+            ["run", "--method", "euler", "--K", "1000"]
+            + ["--lambda-min", "1", "--lambda-max", "1.000000000000001"] + QUAD,
+            2,
+            "error: 1000 intervals on [1.0, 1.000000000000001] make two knots coincide",
+        ),
+        # sqrt(L G) overflows: int(inf) once ended in an OverflowError traceback
+        "theory-term-overflows": (
+            ["theory", "--method", "euler", "--eps", "1e-3"]
+            + ["--mu", "1", "--sigma", "1", "--L", "1e308", "--G", "1e308"],
+            2,
+            "error: euler bound term curvature = inf: the inputs overflow it",
+        ),
     }  # fmt: skip
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -826,6 +881,7 @@ class TestExitPaths:
         assert "Traceback" not in err
         assert message in (out if code == 0 else err)
         assert not (tmp_path / "missing").exists()
+        assert not (tmp_path / "rw.csv").exists()
         if case == "doubling-path-out":
             assert (tmp_path / "p.csv").read_text().startswith("lambda,x_1,")
 

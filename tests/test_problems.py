@@ -707,7 +707,7 @@ class TestTheoryConstants:
 
     def test_inputs_stored_as_float(self):
         c = TheoryConstants(mu=1, sigma=np.float64(1.0), L=2, G=3, lambda_min=1, lambda_max=10)
-        assert all(type(v) is float for k, v in c.as_dict().items() if k != "estimated")
+        assert all(type(v) is float for k, v in dataclasses.asdict(c).items() if k != "estimated")
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -781,14 +781,18 @@ class TestFrozenConfigs:
 class TestLambdaRange:
     """Every consumer of a path range rejects the same ranges with the same message."""
 
+    ORDER = "need 0 < lambda_min < lambda_max < inf"
+    RATIO = "lambda_max / lambda_min overflows"
     BAD = {
-        "lambda_max=inf": (0.01, math.inf),
-        "lambda_min=nan": (math.nan, 10.0),
-        "lambda_max=nan": (0.01, math.nan),
-        "lambda_min=lambda_max": (10.0, 10.0),
-        "lambda_min>lambda_max": (10.0, 0.01),
-        "lambda_min=0": (0.0, 10.0),
-        "lambda_min<0": (-1.0, 10.0),
+        "lambda_max=inf": (0.01, math.inf, ORDER),
+        "lambda_min=nan": (math.nan, 10.0, ORDER),
+        "lambda_max=nan": (0.01, math.nan, ORDER),
+        "lambda_min=lambda_max": (10.0, 10.0, ORDER),
+        "lambda_min>lambda_max": (10.0, 0.01, ORDER),
+        "lambda_min=0": (0.0, 10.0, ORDER),
+        "lambda_min<0": (-1.0, 10.0, ORDER),
+        # a finite range whose ratio is not: its schedule's rho underflows to 0
+        "ratio=inf": (1e-300, 1e300, RATIO),
     }
     CONSUMERS = {
         "StepperConfig": lambda lo, hi: StepperConfig("euler", 20, lo, hi),
@@ -803,8 +807,8 @@ class TestLambdaRange:
     @pytest.mark.parametrize("consumer", list(CONSUMERS))
     def test_rejected_with_one_message(self, consumer, bad):
         # StepperConfig("euler", 20, 0.01, inf) once got h = 1.0
-        lo, hi = self.BAD[bad]
-        message = f"need 0 < lambda_min < lambda_max < inf, got [{lo}, {hi}]"
+        lo, hi, requirement = self.BAD[bad]
+        message = f"{requirement}, got [{lo}, {hi}]"
         with pytest.raises(ValueError) as exc:
             self.CONSUMERS[consumer](lo, hi)
         assert str(exc.value) == message

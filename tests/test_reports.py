@@ -1,9 +1,10 @@
 """Counter bookkeeping and run-report serialization."""
 
 import json
+import math
 import os
 import stat
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from pathode.reports import SCHEMA_VERSION, write_json_atomic
 
 def test_counters_default_to_zero():
     c = OracleCounters()
-    assert all(v == 0 for v in c.as_dict().values())
+    assert all(v == 0 for v in asdict(c).values())
 
 
 def test_report_round_trip_carries_everything():
@@ -30,7 +31,7 @@ def test_report_round_trip_carries_everything():
         method="trapezoid",
         K=40,
         h=0.05,
-        counters=OracleCounters(grad_f=80, hess_builds=80, linear_solves=80, metric_evals=41),
+        counters=OracleCounters(grad_f=80, hess_builds=80, metric_evals=41),
         wall_time_seconds=0.125,
         eps_target=1e-3,
         delta=2.5e-4,
@@ -45,7 +46,10 @@ def test_report_round_trip_carries_everything():
     assert payload["schema_version"] == SCHEMA_VERSION
     assert payload["method"] == "trapezoid"
     assert payload["K"] == 40
-    assert payload["counters"]["linear_solves"] == 80
+    assert payload["counters"] == {
+        "grad_f": 80, "grad_omega": 0, "hess_builds": 80, "hessvec": 0,
+        "cg_iters_total": 0, "metric_evals": 41,
+    }  # fmt: skip
     assert payload["accuracy_midpoint"] == 7.7e-4
     assert payload["inner_iterations"] == [2, 3]
     assert payload["status"] == "ok"
@@ -62,7 +66,31 @@ def test_report_optional_fields_serialize_as_null():
 
 def test_as_dict_serializes_every_field():
     rep = RunReport(method="euler", K=1, h=0.1, counters=OracleCounters(), wall_time_seconds=0.0)
-    assert set(rep.as_dict()) == {f.name for f in fields(RunReport)} | {"schema_version"}
+    assert set(rep.as_dict()) == {f.name for f in fields(RunReport)} | {"schema_version", "status"}
+
+
+@pytest.mark.parametrize(
+    "eps_target, accuracy, status",
+    [
+        (1e-3, 5e-4, "ok"),
+        (1e-3, 1e-3, "ok"),
+        (1e-3, 2e-3, "accuracy-not-met"),
+        (1e-3, math.nan, "accuracy-not-met"),
+        (None, 2e-3, "ok"),
+        (1e-3, None, "accuracy-not-met"),
+        (None, None, "ok"),
+    ],
+    ids=["below", "equal", "above", "nan", "no-target", "no-accuracy", "neither"],
+)
+def test_status_is_derived_from_accuracy_and_target(eps_target, accuracy, status):
+    rep = RunReport(
+        method="euler", K=1, h=0.1, counters=OracleCounters(), wall_time_seconds=0.0,
+        eps_target=eps_target, accuracy_midpoint=accuracy,
+    )  # fmt: skip
+    assert rep.status == status
+    assert json.loads(rep.to_json())["status"] == status
+    with pytest.raises(AttributeError):
+        rep.status = "ok"
 
 
 def test_json_is_stable_under_key_sort():
