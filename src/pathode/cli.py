@@ -344,7 +344,7 @@ def _sweep_method_rows(problem, meta, method, eps_list, args, x0) -> list[str]:
             K, _, reports, passed = run_doubling(
                 problem, meta, method, eps, carried_K0, args.max_doublings, args, x0
             )
-        except (RuntimeError, ValueError, MemoryError) as exc:
+        except EXIT_3_FAILURES as exc:  # an argument error exits 2 and writes no CSV
             note = f"out of memory: {exc}" if isinstance(exc, MemoryError) else str(exc)
             rows.append(_sweep_row(method, eps, note=note.replace(",", ";").replace("\n", " ")[:200]))
             continue

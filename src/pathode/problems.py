@@ -18,7 +18,9 @@ Every second-order use reaches hess F_lambda(x) only through
 ProblemOracle.hessian(x, lam), a handle with grad_f(), solve(g), matvec(v),
 f_hess() and omega_hess() that does its per-point work once:
 quadratic    one eigh of A'A per problem, then O(p^2) per solve
-logistic     the sigmoid once per point; solve assembles B'B + lam I by syrk,
+logistic     the sigmoid once per point, by the in-place kernel
+             _sigmoid_of_negated (numpy's exp, margins clipped at 709) that
+             the gradients share; solve assembles B'B + lam I by syrk,
              B = A sqrt(w / n)
 reweighted   two logistic handles (the +1 rows as f, the -1 rows as Omega);
              solve assembles their sum
@@ -32,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
-from scipy.special import expit
 
 from .linsolve import solve_diag_lowrank, solve_shifted_eigh, solve_spd
 
@@ -140,12 +141,25 @@ class _QuadraticHessian:
         return self.Q @ v + self.lam * v
 
 
+def _sigmoid_of_negated(z: Array) -> Array:
+    """1 / (1 + e^z) = expit(-z), computed in z's own storage: pass a fresh product.
+
+    numpy's SIMD exp is about 3x faster than scipy's expit loop.  Clipping z at
+    709 keeps e^z finite, so no overflow warning needs an errstate: for z > 709
+    the result is 1 / (1 + e^709) ~ 1.2e-308 where expit gives 0 to 1.2e-308.
+    """
+    np.minimum(z, 709.0, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    return np.reciprocal(z, out=z)
+
+
 class _LogisticHessian:
     """Mean logistic loss f'' = A' diag(w) A / n (+ lam I), with s and w = s (1 - s) taken once."""
 
     def __init__(self, A, Ab, x, lam):
         self.A, self.Ab, self.lam = A, Ab, lam
-        self.s = expit(-(Ab @ x))
+        self.s = _sigmoid_of_negated(Ab @ x)
         self.w = self.s * (1.0 - self.s)
 
     def grad_f(self):
@@ -392,16 +406,16 @@ def _logistic_pieces(A: Array, labels: Array):
 
     def value(x: Array) -> float:
         z = -(Ab @ x)
-        return float(np.mean(np.logaddexp(0.0, z)))
+        return float(np.logaddexp(0.0, z).sum()) / n  # np.mean's bits without its wrapper
 
     def grad(X: Array) -> Array:
         if np.ndim(X) == 1:
-            return -(Ab.T @ expit(-(Ab @ X))) / n
+            return -(Ab.T @ _sigmoid_of_negated(Ab @ X)) / n
         # row points, blocked so the (rows, n) sigmoid intermediate stays bounded
         rows = max(1, (1 << 22) // max(1, n))
         out = np.empty((X.shape[0], A.shape[1]))
         for start in range(0, X.shape[0], rows):
-            S = expit(-(X[start : start + rows] @ Ab.T))  # (rows, n)
+            S = _sigmoid_of_negated(X[start : start + rows] @ Ab.T)  # (rows, n)
             out[start : start + rows] = -(S @ Ab) / n
         return out
 

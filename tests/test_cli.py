@@ -444,22 +444,18 @@ class TestSweepVerb:
             assert ks[1] >= ks[0]  # tighter eps never needs fewer steps
 
     def test_method_failure_becomes_failed_row(self, capsys, tmp_path):
-        mj = tmp_path / "m.json"
-        call(capsys, ["gen-moment", "--p", "4", "--seed", "1", "--n-moments", "3", "--out", str(mj)])
+        # no CG solve reaches delta = 1e-300: euler-cg's first direction stops at
+        # its 20 p cap, a solver failure; the euler row still runs
         out_csv = tmp_path / "sweep.csv"
         argv = [
-            "sweep", "--methods", "grid-agd", "--eps-list", "1e-2",
-            "--problem", "moment", "--data", str(mj),
-            "--lambda-min", "0.1", "--lambda-max", "10",
+            "sweep", "--methods", "euler-cg,euler", "--eps-list", "1e-2", "--delta", "1e-300",
             "--out", str(out_csv),
-        ]
+        ] + QUAD
         rc, _, _ = call(capsys, argv)
         assert rc == 0  # the sweep completes; the row records the failure
-        row = out_csv.read_text().splitlines()[1]
-        fields = row.split(",")
-        assert fields[0] == "grid-agd"
-        assert fields[2] == "failed"
-        assert fields[-1] != ""  # note carries the reason, comma-free
+        rows = [line.split(",") for line in out_csv.read_text().splitlines()[1:]]
+        assert [(r[0], r[2]) for r in rows] == [("euler-cg", "failed"), ("euler", "ok")]
+        assert rows[0][-1].startswith("step 0 failed: CG stopped at 400 iterations")
 
     def test_row_out_of_memory_becomes_failed_row(self, capsys, tmp_path, monkeypatch):
         # eps = 1e-3 passes at K0 = 400; the 1e-4 attempt runs out of memory,
@@ -850,6 +846,20 @@ class TestExitPaths:
             + ["--problem", "logistic-reweighted", "--synthetic", "n=60,p=5"],
             2,
             "error: Omega is not strongly convex (sigma = 0); pass allow_degenerate=True",
+        ),
+        # a sweep row once caught each of these two argument errors as a failed row
+        "sweep-knots-coincide": (
+            ["sweep", "--methods", "euler", "--eps-list", "1e-2", "--K0", "1000"]
+            + ["--lambda-min", "1", "--lambda-max", "1.000000000000001", "--out", "{tmp}/rw.csv"]
+            + QUAD,
+            2,
+            "error: 1000 intervals on [1.0, 1.000000000000001] make two knots coincide",
+        ),
+        "sweep-agd-without-lipschitz": (
+            ["sweep", "--methods", "grid-agd", "--eps-list", "1e-2", "--out", "{tmp}/rw.csv"]
+            + ["--problem", "moment", "--synthetic", "p=6,seed=1"],
+            2,
+            "error: agd needs a Lipschitz certificate for its step size",
         ),
         # 1000 knots on a range of 4.5 ulps: all 1000 steps ran before the path rejected them
         "knots-coincide": (

@@ -1,5 +1,7 @@
 """CSV and JSON dataset IO plus the synthetic generators."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,23 @@ class TestSyntheticLogistic:
     def test_rejects_tiny(self):
         with pytest.raises(ValueError):
             generate_synthetic_logistic(1, 3, seed=0)
+
+    # The benchmark's logistic instances, on which criteria 8 and 9 also rest.
+    # Each label compares a uniform draw with an expit probability, so a sigmoid
+    # one ulp off (a faster kernel in place of expit) can flip a label; this
+    # fails when one does, or when the stream or its order changes.
+    @pytest.mark.parametrize(
+        "n, p, digest",
+        [
+            (200, 30, "09ac46a3d069745f9e8ed719a203a017a0e76d187fcf40442a0582153e214898"),
+            (1000, 250, "4a5a627f8ac41836263bbf01f12255f4105a178b4cdfaa80aeef4c1cd78ab4f6"),
+        ],
+    )
+    def test_seed_11_stream_is_pinned(self, n, p, digest):
+        sha = hashlib.sha256()
+        for a in generate_synthetic_logistic(n, p, seed=11):
+            sha.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        assert sha.hexdigest() == digest
 
 
 class TestSyntheticQuadratic:

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.special import expit
 
 from pathode import (
     DegenerateProblemError,
@@ -33,6 +35,7 @@ from pathode import (
 )
 from pathode.cli import min_feasible_K
 from pathode.datasets import generate_synthetic_logistic, generate_synthetic_quadratic
+from pathode.problems import _sigmoid_of_negated
 
 from conftest import with_dense_solve
 
@@ -489,6 +492,77 @@ class TestMomentHessianStructure:
 
 
 # ------------------------------------------------------ Hessian handles
+
+
+# margins at the kernel's edges: the clip (709), past exp's overflow (709.78),
+# past expit's underflow to 0 (745), the smallest normal and subnormals
+SIGMOID_SPECIALS = [
+    math.inf, -math.inf, math.nan, 800.0, -800.0, 709.5, -709.5, 709.0,
+    2.2250738585072014e-308, 1e-310, 5e-324, -5e-324, 0.0, -0.0,
+]  # fmt: skip
+
+
+@st.composite
+def logistic_instances(draw):
+    """(problem, Ab, points) for a logistic ridge whose margins reach past the clip at scale 16."""
+    p, rows = draw(st.integers(1, 25)), draw(st.integers(2, 60))
+    seed = draw(st.integers(0, 2**16))
+    scale = draw(st.sampled_from([0.1, 1.0, 16.0]))
+    X, y = generate_synthetic_logistic(rows, p, seed)
+    points = scale * np.random.Generator(np.random.Philox(seed)).normal(size=(3, p))
+    return make_logistic_ridge(scale * X, y), y[:, None] * (scale * X), points
+
+
+class TestSigmoidKernel:
+    """The logistic family's one sigmoid is expit(-z) on numpy's exp, in place."""
+
+    @PROPERTY_SETTINGS
+    @given(
+        hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=1, max_dims=2, max_side=8),
+            elements=st.one_of(st.sampled_from(SIGMOID_SPECIALS), st.floats()),
+        )
+    )
+    def test_is_expit_of_negated_in_place(self, z):
+        ref = expit(-z)
+        given_z = z.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = _sigmoid_of_negated(given_z)
+        assert out is given_z  # the input is overwritten: callers pass a fresh product
+        nan = np.isnan(z)
+        assert np.array_equal(np.isnan(out), nan)
+        err, clipped = np.abs(out - ref), z > 709.0
+        assert np.all(err[clipped] <= 2e-308)
+        kept = ~nan & ~clipped
+        assert np.all(err[kept] <= 4.0 * np.spacing(ref[kept]))
+
+    @PROPERTY_SETTINGS
+    @given(logistic_instances())
+    def test_gradients_match_an_expit_reference(self, case):
+        # the kernel is 4 ulp from expit (2e-308 past the clip), and each
+        # product rounds within gamma |Ab|' s / n
+        problem, Ab, points = case
+        n, dim = Ab.shape
+        gamma = 2.0 * (n + dim + 8) * EPS
+
+        def bar(s):
+            return gamma * np.linalg.norm(np.abs(Ab).T @ s) / n + 2e-308 * np.abs(Ab).sum() / n
+
+        for x in points:
+            s = expit(-(Ab @ x))
+            assert np.linalg.norm(problem.f_grad(x) - (-(Ab.T @ s) / n)) <= bar(s)
+        S = expit(-(points @ Ab.T))
+        for row, ref, s in zip(problem.f_grad(points), -(S @ Ab) / n, S):
+            assert np.linalg.norm(row - ref) <= bar(s)
+
+    @PROPERTY_SETTINGS
+    @given(logistic_instances())
+    def test_value_has_the_bits_of_np_mean(self, case):
+        problem, Ab, points = case
+        for x in points:
+            assert problem.f_value(x) == float(np.mean(np.logaddexp(0.0, -(Ab @ x))))
 
 
 def fd_jacobian(grad, x, h=1e-6):
