@@ -59,6 +59,14 @@ def _parse_synthetic(spec: str, keys: tuple[str, ...]) -> dict[str, int]:
     return out
 
 
+def _synthetic_spec(args) -> dict[str, int]:
+    """The --synthetic keys of args.problem; {} with --data, which --synthetic may not join."""
+    if args.data and args.synthetic is not None:
+        raise ValueError("--synthetic is not read with --data")
+    keys = ("p", "seed", "n_moments") if args.problem == "moment" else ("n", "p", "seed")
+    return {} if args.data else _parse_synthetic(args.synthetic or "", keys)
+
+
 def build_problem(args) -> tuple[problems.ProblemOracle, dict]:
     """Construct the problem oracle named by --problem from --data or --synthetic."""
     name = args.problem
@@ -69,9 +77,8 @@ def build_problem(args) -> tuple[problems.ProblemOracle, dict]:
         )
     if args.standardize and name in ("quadratic", "moment"):
         raise ValueError(f"--standardize rescales logistic features; {name} has none")
-    keys = ("p", "seed", "n_moments") if name == "moment" else ("n", "p", "seed")
-    spec = {} if args.data else _parse_synthetic(args.synthetic or "", keys)
-    meta = {"seed": spec.get("seed", args.seed)}
+    spec = _synthetic_spec(args)
+    meta = {"seed": spec.get("seed", args.seed or 0)}  # --seed defaults to None
     if name == "moment":
         if args.data:
             w, x_true, n_moments = datasets.load_moment_json(args.data)
@@ -122,8 +129,10 @@ def _tolerance(method: str, args, eps: float | None) -> float:
     return eps / divisor
 
 
-def _check_solver_flags(args, methods) -> None:
-    """Reject, before any work, a method-specific flag that no method in methods reads."""
+def _check_unread_flags(args, methods) -> None:
+    """Reject, before any work, a method, data-source or seed flag the run never reads."""
+    if "seed" in _synthetic_spec(args) and args.seed is not None:  # --data with --synthetic too
+        raise ValueError("--seed is not read when --synthetic names a seed")
     readers = {
         "--delta": (args.delta, CG_METHODS),
         "--inner-tol": (args.inner_tol, GRID_METHODS),
@@ -226,7 +235,7 @@ def _write_diagnostics(lams, residuals, steps, diag_out: str) -> None:
 
 def cmd_run(args) -> int:
     """A run that fails at step k still writes the k finished steps to --diag-out."""
-    _check_solver_flags(args, [args.method])
+    _check_unread_flags(args, [args.method])
     problem, meta = build_problem(args)
     x0 = initialize_x0(problem, args, args.eps)
     steps = [] if args.diag_out else None
@@ -248,7 +257,7 @@ def cmd_run(args) -> int:
 def cmd_doubling(args) -> int:
     """An attempt after the first that fails (EXIT_3_FAILURES) ends the loop: the
     summary lists the finished attempts, not passed, and main exits 3."""
-    _check_solver_flags(args, [args.method])
+    _check_unread_flags(args, [args.method])
     problem, meta = build_problem(args)
     x0 = initialize_x0(problem, args, args.eps)
     reports, failure = [], None
@@ -362,7 +371,7 @@ def cmd_sweep(args) -> int:
     eps_list = args.eps_list
     if not methods or not eps_list:
         raise ValueError("sweep needs nonempty --methods and --eps-list")
-    _check_solver_flags(args, methods)
+    _check_unread_flags(args, methods)
     problem, meta = build_problem(args)
     x0 = initialize_x0(problem, args, min(eps_list))
     all_rows: list[str] = []
@@ -393,7 +402,7 @@ def _add_problem_flags(sub):
     sub.add_argument("--problem", default="quadratic", choices=PROBLEMS)
     sub.add_argument("--data", default=None, help="CSV dataset or moment JSON path")
     sub.add_argument("--synthetic", default=None, help="e.g. n=200,p=30,seed=1")
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=int, default=None, help="default 0")
     sub.add_argument("--standardize", action="store_true")
     sub.add_argument("--lambda-min", type=float, default=0.01)
     sub.add_argument("--lambda-max", type=float, default=10.0)
@@ -468,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     theory = subs.add_parser("theory", help="evaluate iteration bounds")
     _add_problem_flags(theory)
-    theory.set_defaults(problem=None, seed=None, standardize=None)  # see _constants_from_args
+    theory.set_defaults(problem=None, standardize=None)  # see _constants_from_args
     theory.add_argument("--method", required=True, choices=tuple(bounds.K_BOUNDS))
     theory.add_argument("--eps", type=_positive_float, required=True)
     theory.add_argument("--mu", type=float, default=None)

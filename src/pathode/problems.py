@@ -157,23 +157,24 @@ def _sigmoid_of_negated(z: Array) -> Array:
 class _LogisticHessian:
     """Mean logistic loss f'' = A' diag(w) A / n (+ lam I), with s and w = s (1 - s) taken once."""
 
-    def __init__(self, A, Ab, x, lam):
-        self.A, self.Ab, self.lam = A, Ab, lam
+    def __init__(self, Ab, x, lam):
+        # f'' and f'' v take each labelled row b_i a_i twice, so its sign cancels exactly
+        self.Ab, self.lam = Ab, lam
         self.s = _sigmoid_of_negated(Ab @ x)
         self.w = self.s * (1.0 - self.s)
 
     def grad_f(self):
-        return -(self.Ab.T @ self.s) / self.A.shape[0]
+        return -(self.Ab.T @ self.s) / self.Ab.shape[0]
 
     def f_hess(self):
-        B = self.A * np.sqrt(self.w / self.A.shape[0])[:, None]
+        B = self.Ab * np.sqrt(self.w / self.Ab.shape[0])[:, None]
         return B.T @ B  # a matrix times its own transpose: numpy calls BLAS syrk
 
     def omega_hess(self):
-        return np.eye(self.A.shape[1])
+        return np.eye(self.Ab.shape[1])
 
     def f_hessvec(self, v):
-        return self.A.T @ (self.w * (self.A @ v)) / self.A.shape[0]
+        return self.Ab.T @ (self.w * (self.Ab @ v)) / self.Ab.shape[0]
 
     def solve(self, g):
         H = self.f_hess()
@@ -291,6 +292,35 @@ def _ridge_omega(p: int) -> dict:
     )
 
 
+def _least_squares(A: Array, b: Array):
+    """(A, Q = A'A, A'b, value, grad) of f = 0.5 ||A x - b||^2, once Q and A'b are finite.
+
+    A NaN or inf in A reaches Q's diagonal, one in b all of A'b.  grad takes a point or row
+    points, through Q (p^2 per point) when A has more rows than columns, else A' and A (2 n p).
+    """
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.shape[0]:
+        raise ValueError(f"shape mismatch: A {A.shape}, b {b.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        Q, Atb = A.T @ A, A.T @ b
+    if not (np.isfinite(Q).all() and np.isfinite(Atb).all()):
+        raise ValueError("A and b must be finite, and A'A and A'b must not overflow")
+
+    def value(x: Array) -> float:
+        r = A @ x - b
+        return 0.5 * float(r @ r)
+
+    if A.shape[0] > A.shape[1]:
+        def grad(X: Array) -> Array:
+            return X @ Q - Atb  # Q is symmetric, so this is Q x - A'b for a point too
+    else:
+        def grad(X: Array) -> Array:
+            return (X @ A.T - b) @ A
+
+    return A, Q, Atb, value, grad
+
+
 # ---------------------------------------------------------------------------
 # quadratic ridge
 
@@ -304,26 +334,11 @@ def make_quadratic_ridge(A: Array, b: Array) -> ProblemOracle:
     moduli bind.  Both come from the one eigh of A'A that backs the
     handle's solves.
     """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.shape[0]:
-        raise ValueError(f"shape mismatch: A {A.shape}, b {b.shape}")
-    if not (np.isfinite(A).all() and np.isfinite(b).all()):
-        raise ValueError("A and b must be finite")
-    n, p = A.shape
-    Q = A.T @ A
-    Atb = A.T @ b
+    _, Q, _, f_value, f_grad = _least_squares(A, b)
+    p = Q.shape[0]
     eig = np.linalg.eigh(Q)
     mu = max(0.0, float(eig[0][0]))
     L = max(float(np.abs(eig[0]).max()), 1.0)
-
-    def f_value(x: Array) -> float:
-        r = A @ x - b
-        return 0.5 * float(r @ r)
-
-    def f_grad(X: Array) -> Array:
-        return X @ Q - Atb  # Q is symmetric, so this is Q x - A'b for a point too
-
     return ProblemOracle(
         name="quadratic",
         dim=p,
@@ -338,9 +353,8 @@ def make_quadratic_ridge(A: Array, b: Array) -> ProblemOracle:
 
 def quadratic_path_point(A: Array, b: Array, lam: float) -> Array:
     """Closed-form minimizer (A'A + lam I)^-1 A'b of the ridge objective."""
-    A = np.asarray(A, dtype=float)
-    p = A.shape[1]
-    return np.linalg.solve(A.T @ A + lam * np.eye(p), A.T @ np.asarray(b, dtype=float))
+    _, Q, Atb, _, _ = _least_squares(A, b)
+    return np.linalg.solve(Q + lam * np.eye(Q.shape[0]), Atb)
 
 
 def quadratic_theory_constants(
@@ -353,19 +367,13 @@ def quadratic_theory_constants(
     R = sqrt(2 f(x0)) we get ||grad f|| <= ||A|| R, and full column rank
     gives ||x|| <= ||x*|| + (R + R*) / sqrt(mu) for the Omega gradient.
     """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
-    Q = A.T @ A
+    A, Q, _, f_value, _ = _least_squares(A, b)
     mu = float(np.linalg.eigvalsh(Q)[0])
     if mu <= 0.0:
         raise ValueError("analytic gradient bound needs full column rank (mu > 0)")
     L = max(_spectral_norm(Q), 1.0)
     x_star, *_ = np.linalg.lstsq(A, b, rcond=None)
-    r0 = A @ x0 - b
-    f0 = 0.5 * float(r0 @ r0)
-    r_star = A @ x_star - b
-    f_star = 0.5 * float(r_star @ r_star)
+    f0, f_star = f_value(np.asarray(x0, dtype=float)), f_value(x_star)
     f_gap = max(0.0, f0 - f_star)
     R = math.sqrt(2.0 * f0)
     R_star = math.sqrt(2.0 * f_star)
@@ -420,7 +428,7 @@ def _logistic_pieces(A: Array, labels: Array):
         return out
 
     # the handle of the ridge oracle, Omega = 0.5 ||x||^2
-    return value, grad, lambda x, lam: _LogisticHessian(A, Ab, x, lam)
+    return value, grad, lambda x, lam: _LogisticHessian(Ab, x, lam)
 
 
 def _check_design(features: Array, labels: Array) -> tuple[Array, Array]:
@@ -521,8 +529,10 @@ def build_moment_problem(w: Array, x_true: Array, n_moments: int) -> tuple[Array
         raise ValueError("x_true must lie on the probability simplex")
     if not (1 <= n_moments <= MAX_MOMENTS):
         raise ValueError(f"n_moments must be in [1, {MAX_MOMENTS}]")
-    powers = np.arange(1, n_moments + 1)[:, None]
-    A = w[None, :] ** powers
+    with np.errstate(over="ignore"):
+        A = w[None, :] ** np.arange(1, n_moments + 1)[:, None]
+    if not np.isfinite(A).all():
+        raise ValueError(f"the atom powers w ** k, k <= {n_moments}, overflow")
     b = A @ x_true
     A_red = A[:, :-1] - A[:, -1:]
     b_red = b - A[:, -1]
@@ -556,17 +566,13 @@ def make_moment_matching(A_reduced: Array, b_reduced: Array) -> ProblemOracle:
     hence lipschitz is None; estimate constants numerically downstream.
 
     A'A has rank at most n_moments, so mu = 0 exactly when there are fewer
-    moments than coordinates.  The f side is applied in factored form,
-    O(p n_moments) per point; the p x p Q = A'A backs only the handle's
-    f_hess.  The total Hessian is diag(lam / y) + V V' with
+    moments than coordinates.  Up to p moments _least_squares applies the f
+    side in factored form, O(p n_moments) per point, and Q = A'A backs only
+    the handle's f_hess.  The total Hessian is diag(lam / y) + V V' with
     V = [A' | sqrt(lam / (1 - sum y)) 1], which the handle solves by Woodbury.
     """
-    A = np.asarray(A_reduced, dtype=float)
-    b = np.asarray(b_reduced, dtype=float)
-    if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.shape[0]:
-        raise ValueError(f"shape mismatch: A {A.shape}, b {b.shape}")
+    A, Q, _, f_value, f_grad = _least_squares(A_reduced, b_reduced)
     n, p = A.shape
-    Q = A.T @ A
     mu = max(0.0, float(np.linalg.eigvalsh(Q)[0])) if n >= p else 0.0
     # column-major, so the per-call copy and the write of its last column stay contiguous
     V_base = np.asfortranarray(np.hstack([A.T, np.ones((p, 1))]))
@@ -596,13 +602,6 @@ def make_moment_matching(A_reduced: Array, b_reduced: Array) -> ProblemOracle:
         if not (Y.shape[-1] == p and np.all(Y > 0.0) and np.all(rest > 0.0)):
             raise DomainError(OFF_SIMPLEX)
         return np.log(Y / rest)
-
-    def f_value(y: Array) -> float:
-        r = A @ y - b
-        return 0.5 * float(r @ r)
-
-    def f_grad(Y: Array) -> Array:
-        return (Y @ A.T - b) @ A
 
     return ProblemOracle(
         name="moment",

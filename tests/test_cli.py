@@ -12,10 +12,13 @@ import json
 import math
 import os
 import pathlib
+import re
 import shutil
 import signal
+import shlex
 import subprocess
 import sys
+import warnings
 
 import jsonschema
 import numpy as np
@@ -73,6 +76,24 @@ class TestRunVerb:
         assert c["hessvec"] == c["cg_iters_total"] == 0
         assert c["metric_evals"] == 3 * 40 + 2
         assert 0.0 < rep["accuracy_midpoint"] < 0.1
+
+    def test_seed_is_read_from_one_flag(self, capsys, tmp_path):
+        # --seed defaults to none, so that a given one shows; none given reads as 0
+        csv = tmp_path / "d.csv"
+        call(capsys, ["gen-logistic", "--n", "40", "--p", "4", "--out", str(csv)])
+        run = ["run", "--method", "euler", "--K", "5"]
+        for flags, seed in (
+            (QUAD, 1),
+            (["--seed", "4", "--synthetic", "n=30,p=20"], 4),
+            ([], 0),
+            (["--problem", "logistic", "--data", str(csv), "--seed", "5"], 5),  # the benchmark's use
+        ):
+            rc, out, _ = call(capsys, run + flags)
+            assert rc == 0 and json.loads(out)["seed"] == seed
+        # --seed builds the instance that the spec's seed key builds
+        by_flag = json.loads(call(capsys, run + ["--seed", "4", "--synthetic", "n=30,p=20"])[1])
+        by_spec = json.loads(call(capsys, run + ["--synthetic", "n=30,p=20,seed=4"])[1])
+        assert by_flag["accuracy_midpoint"] == by_spec["accuracy_midpoint"]
 
     def test_schema_method_enum_is_all_methods(self):
         assert tuple(report_schema()["properties"]["method"]["enum"]) == cli.ALL_METHODS
@@ -555,6 +576,25 @@ class TestExitCodes:
             ["sweep", "--methods", "euler,grid-agd", "--eps-list", "1e-3", "--delta", "1e-6"],
             "--delta is not read by euler or grid-agd",
         ),
+        "run-data-synthetic": (
+            ["run", "--method", "euler", "--K", "20", "--problem", "logistic", "--data", "l.csv"]
+            + ["--synthetic", "n=999,p=7,seed=9"],
+            "--synthetic is not read with --data",
+        ),
+        "run-data-synthetic-bogus": (
+            ["run", "--method", "euler", "--K", "20", "--problem", "logistic", "--data", "l.csv"]
+            + ["--synthetic", "bogus"],
+            "--synthetic is not read with --data",
+        ),
+        "run-seed-synthetic-seed": (
+            ["run", "--method", "euler", "--K", "20", "--seed", "5", "--synthetic", "n=30,p=20,seed=1"],
+            "--seed is not read when --synthetic names a seed",
+        ),
+        "sweep-seed-synthetic-seed": (
+            ["sweep", "--methods", "euler", "--eps-list", "1e-3", "--seed", "5"]
+            + ["--problem", "moment", "--synthetic", "p=6,seed=1"],
+            "--seed is not read when --synthetic names a seed",
+        ),
         "theory-data": (
             ["theory", "--method", "euler", "--eps", "1e-3", "--data", "/nonexistent.csv"],
             "theory reads --data only with --estimate",
@@ -600,6 +640,23 @@ class TestExitCodes:
         assert rc == 2
         assert f"error: {message}" in err
         assert not out.exists()
+
+    def test_overflowing_moment_atoms_exit_2_before_the_start(self, capsys, tmp_path, monkeypatch):
+        # once three RuntimeWarnings, then the start's Newton solve, then exit 2
+        def no_start(*args):
+            pytest.fail("the start point was computed for an overflowing design")
+
+        monkeypatch.setattr(cli.steppers, "initialize_by_newton", no_start)
+        data = tmp_path / "m.json"
+        data.write_text(json.dumps({"w": [1e200, 0.5, 0.0], "x_true": [0.3, 0.3, 0.4], "n_moments": 3}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc, _, err = call(
+                capsys, ["run", "--method", "euler", "--K", "20", "--problem", "moment", "--data", str(data)]
+            )
+        assert rc == 2
+        assert "error: the atom powers w ** k, k <= 3, overflow" in err
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
     def test_sweep_flag_read_by_one_listed_method(self, capsys, tmp_path):
         argv = [
@@ -823,7 +880,7 @@ class TestExitPaths:
             RUN5 + ["--out", "{tmp}/missing/r.json"], 2, "missing/r.json'"
         ),
         "nonfinite-csv-feature": (
-            RUN5 + ["--problem", "logistic", "--data", "{tmp}/d.csv"],
+            ["run", "--method", "euler", "--K", "5", "--problem", "logistic", "--data", "{tmp}/d.csv"],
             2,
             "d.csv: line 3: features must be finite",
         ),
@@ -915,7 +972,7 @@ class TestVerbFlags:
         "--problem": ("quadratic", False),
         "--data": (None, False),
         "--synthetic": (None, False),
-        "--seed": (0, False),
+        "--seed": (None, False),
         "--standardize": (False, False),
         "--lambda-min": (0.01, False),
         "--lambda-max": (10.0, False),
@@ -944,7 +1001,7 @@ class TestVerbFlags:
         "theory": {
             **PROBLEM,
             # read only with --estimate, so a given one shows
-            "--problem": (None, False), "--seed": (None, False), "--standardize": (None, False),
+            "--problem": (None, False), "--standardize": (None, False),
             "--method": (None, True), "--eps": (None, True),
             "--mu": (None, False), "--sigma": (None, False), "--L": (None, False),
             "--G": (None, False), "--f-gap": (None, False), "--estimate": (False, False),
@@ -955,6 +1012,33 @@ class TestVerbFlags:
     @pytest.mark.parametrize("verb", sorted(EXPECTED))
     def test_flag_set(self, verb):
         assert _verb_flags(verb) == self.EXPECTED[verb]
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands() -> list[str]:
+    """Each `pathode ...` line of README's fenced blocks, backslash continuations joined."""
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [line.strip() for line in lines if line.strip().startswith("pathode ")]
+
+
+class TestReadmeExamples:
+    """A renamed or newly required flag fails here before a reader meets it."""
+
+    def test_every_verb_has_an_example(self):
+        verbs = {shlex.split(command)[1] for command in readme_commands()}
+        assert verbs == {"run", "doubling", "theory", "sweep", "gen-logistic", "gen-moment"}
+
+    @pytest.mark.parametrize(
+        "command", readme_commands(), ids=lambda command: shlex.split(command)[1]
+    )
+    def test_example_parses(self, capsys, command):
+        try:
+            build_parser().parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"{command}\n{capsys.readouterr().err}")
 
 
 _BLAS_THREADS_SCRIPT = """

@@ -313,6 +313,8 @@ class TestMomentMatching:
         assert not problem.domain_check(np.array([0.0, 0.3]))  # zero coordinate
         assert not problem.domain_check(np.array([0.6, 0.4]))  # last weight zero
         assert not problem.domain_check(np.array([0.7, 0.5]))  # leaves the simplex
+        assert not problem.domain_check(np.array([0.2, 0.3, 0.1]))  # wrong shape
+        assert not problem.domain_check(np.array([[0.2, 0.3]]))  # row points, not a point
 
     def test_domain_errors_raised_exactly_off_domain(self):
         w, x_true = generate_synthetic_moment_data(2, 4)
@@ -355,6 +357,13 @@ class TestMomentMatching:
     def test_unpinned_closing_atom_rejected(self):
         with pytest.raises(ValueError):
             build_moment_problem(np.array([0.5, 0.6]), np.array([0.5, 0.5]), 1)
+
+    def test_overflowing_atom_powers_rejected_without_a_warning(self):
+        # w ** 2 = 1e400 once printed three overflow warnings before the run failed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"the atom powers w \*\* k, k <= 3, overflow"):
+                build_moment_problem(np.array([1e200, 0.5, 0.0]), np.array([0.3, 0.3, 0.4]), 3)
 
 
     @pytest.mark.parametrize("p", [6, 50])
@@ -820,13 +829,70 @@ class TestTheoryConstants:
         lambda v: make_logistic_reweighted(np.array([[1.0], [v]]), np.array([1.0, -1.0])),
         lambda v: build_moment_problem(np.array([0.5, v, 0.0]), np.full(3, 1 / 3), 2),
         lambda v: build_moment_problem(np.array([0.5, 0.2, 0.0]), np.array([0.5, 0.5, v]), 2),
+        lambda v: make_moment_matching(np.array([[1.0, v]]), np.ones(1)),
+        lambda v: make_moment_matching(np.ones((1, 2)), np.array([v])),
     ],
-    ids=["quadratic-A", "quadratic-b", "logistic", "logistic-reweighted", "moment-w", "moment-x"],
+    ids=[
+        "quadratic-A", "quadratic-b", "logistic", "logistic-reweighted", "moment-w", "moment-x",
+        "moment-matching-A", "moment-matching-b",
+    ],
 )
 def test_nonfinite_data_rejected(build, bad):
     # a NaN or infinite entry once reached the eigensolvers, or the simplex checks let it pass
     with pytest.raises(ValueError, match="must be finite"):
         build(bad)
+
+
+# ------------------------------------------------------ least-squares term
+
+
+class TestLeastSquaresTerm:
+    """f = 0.5 ||A x - b||^2 of the quadratic and moment families, and the logistic design."""
+
+    @pytest.mark.parametrize("factory", [make_quadratic_ridge, make_moment_matching])
+    @pytest.mark.parametrize("shape", [(30, 20), (5, 40), (6, 6)])
+    def test_gradient_goes_through_the_gram_matrix_for_tall_designs_only(self, factory, shape):
+        rng = np.random.Generator(np.random.Philox(90))
+        A, b = rng.normal(size=shape), rng.normal(size=shape[0])
+        problem = factory(A, b)
+
+        def rule(X):
+            if shape[0] > shape[1]:
+                return X @ (A.T @ A) - A.T @ b
+            return (X @ A.T - b) @ A
+
+        Y = rng.uniform(0.1, 0.9, size=(3, shape[1])) / shape[1]  # inside the simplex too
+        assert np.array_equal(problem.f_grad(Y), rule(Y))
+        assert np.array_equal(problem.f_grad(Y[0]), rule(Y[0]))
+        r = A @ Y[0] - b
+        assert problem.f_value(Y[0]) == 0.5 * float(r @ r)
+
+    @pytest.mark.parametrize("factory", [make_quadratic_ridge, make_moment_matching])
+    @pytest.mark.parametrize(
+        "A, b", [([[1e200, 1.0]], [1.0]), ([[1.0], [1.0]], [1e308, 1e308])], ids=["AtA", "Atb"]
+    )
+    def test_overflowing_products_rejected_without_a_warning(self, factory, A, b):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="A'A and A'b must not overflow"):
+                factory(np.array(A), np.array(b))
+
+    @pytest.mark.parametrize("n, p, scale", [(60, 8, 1.0), (200, 30, 16.0)])
+    def test_logistic_handle_keeps_one_design_with_the_same_bits(self, n, p, scale):
+        # the handle once held the unlabelled A beside Ab; each row enters f'' and
+        # f'' v twice, so Ab gives A's bits, also from the CSV loader's strided view
+        X, y = generate_synthetic_logistic(n, p, 11)
+        data = np.hstack([y[:, None], scale * X])
+        A = data[:, 1:]
+        problem = make_logistic_ridge(A, data[:, 0])
+        rng = np.random.Generator(np.random.Philox(91))
+        for _ in range(3):
+            handle = problem.hessian(rng.normal(size=p) / scale, 0.5)
+            assert not hasattr(handle, "A")
+            B = A * np.sqrt(handle.w / n)[:, None]
+            assert np.array_equal(handle.f_hess(), B.T @ B)
+            v = rng.normal(size=p)
+            assert np.array_equal(handle.f_hessvec(v), A.T @ (handle.w * (A @ v)) / n)
 
 
 class TestFrozenConfigs:
