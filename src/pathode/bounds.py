@@ -316,8 +316,6 @@ def estimate_constants(
         raise ValueError("sample_count must be at least 1")
     lambda_min, lambda_max = lambda_range
     base = problem.base_point()
-    if not problem.domain_check(base):
-        raise ValueError("base point violates the problem domain")
     f_base = problem.f_value(base)
     points = [base] + [
         x

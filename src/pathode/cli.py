@@ -21,7 +21,7 @@ import numpy as np
 
 from . import bounds, datasets, gridsearch, paths, problems, steppers
 from .linsolve import NotPositiveDefiniteError
-from .reports import OracleCounters, json_text, write_json_atomic
+from .reports import OracleCounters, json_text, write_atomic
 
 CG_METHODS = tuple(f"{m}-cg" for m in steppers.METHODS)
 ODE_METHODS = steppers.METHODS + CG_METHODS
@@ -211,7 +211,7 @@ def run_doubling(problem, meta, method, eps, K0, max_doublings, args, x0, report
 
 def _write_or_print(text: str, out: str | None, label: str) -> None:
     if out:
-        write_json_atomic(text, out)
+        write_atomic(out, lambda fh: fh.write(text))
         print(f"wrote {label} to {out}")
     else:
         sys.stdout.write(text)
@@ -230,7 +230,7 @@ def _write_diagnostics(lams, residuals, steps, diag_out: str) -> None:
             cg_initial_residuals=[r.initial_residual for r in d.stages],
         )
         lines.append(json.dumps(line, sort_keys=True))
-    write_json_atomic("\n".join(lines) + ("\n" if lines else ""), diag_out)
+    write_atomic(diag_out, lambda fh: fh.writelines(line + "\n" for line in lines))
 
 
 def cmd_run(args) -> int:
@@ -378,7 +378,7 @@ def cmd_sweep(args) -> int:
     for method in methods:
         all_rows.extend(_sweep_method_rows(problem, meta, method, eps_list, args, x0))
     text = ",".join(SWEEP_COLUMNS) + "\n" + "\n".join(all_rows) + "\n"
-    write_json_atomic(text, args.out)
+    write_atomic(args.out, lambda fh: fh.write(text))
     print(f"wrote {len(all_rows)} sweep rows to {args.out}")
     return 0
 

@@ -1,9 +1,10 @@
 """Dataset loading and seeded synthetic generators.
 
 CSV contract: optional header row; column 1 is the label (+1/-1), columns
-2..p+1 are features; comma-separated, '.' decimal point, UTF-8.  Moment
-problems travel as JSON objects {"w": [...], "x_true": [...], "n_moments": k}.
-All generators use counter-based streams (Philox) keyed by a single seed.
+2..p+1 are features; comma-separated, '.' decimal point, UTF-8 (a byte-order
+mark is skipped).  Moment problems travel as JSON objects
+{"w": [...], "x_true": [...], "n_moments": k}.  All generators use
+counter-based streams (Philox) keyed by a single seed.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import numpy as np
 from scipy.special import expit
 
-from .reports import json_text, write_json_atomic
+from .reports import json_text, write_atomic
 
 
 class DatasetFormatError(ValueError):
@@ -36,7 +37,7 @@ def load_csv_dataset(path: str) -> tuple[np.ndarray, np.ndarray]:
     """
     rows: list[list[float]] = []
     linenos: list[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise DatasetFormatError(f"{path}: empty file")
@@ -82,12 +83,13 @@ def standardize_features(features: np.ndarray) -> np.ndarray:
 
 
 def save_csv_dataset(features: np.ndarray, labels: np.ndarray, path: str) -> None:
-    """Write a labelled dataset in the CSV contract (with a header row)."""
+    """Write a labelled dataset in the CSV contract (with a header row), atomically."""
     features = np.asarray(features, dtype=float)
     p = features.shape[1]
     header = "label," + ",".join(f"f_{j}" for j in range(1, p + 1))
     data = np.column_stack([np.asarray(labels, dtype=float), features])
-    np.savetxt(path, data, fmt=["%d"] + ["%.17g"] * p, delimiter=",", header=header, comments="")
+    kw = dict(fmt=["%d"] + ["%.17g"] * p, delimiter=",", header=header, comments="")
+    write_atomic(path, lambda fh: np.savetxt(fh, data, **kw))
 
 
 def generate_synthetic_logistic(
@@ -134,12 +136,12 @@ def save_moment_json(w: np.ndarray, x_true: np.ndarray, n_moments: int, path: st
         "x_true": [float(v) for v in x_true],
         "n_moments": int(n_moments),
     }
-    write_json_atomic(json_text(payload), path)
+    write_atomic(path, lambda fh: fh.write(json_text(payload)))
 
 
 def load_moment_json(path: str) -> tuple[np.ndarray, np.ndarray, int]:
     """(w, x_true, n_moments) of a moment JSON: two equal-length lists and an integer."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             payload = json.load(fh)
             w = np.asarray(payload["w"], dtype=float)

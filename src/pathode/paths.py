@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .problems import ProblemOracle
-from .reports import OracleCounters
+from .reports import OracleCounters, write_atomic
 
 DENSE_BLOCK_BYTES = 131072  # per (points x dim) array of a residual sweep: glibc's mmap threshold
 
@@ -168,7 +168,8 @@ def accuracy_dense(
 
 
 def export_path_csv(path: _PathBase, file_path: str) -> None:
-    """Write knots as CSV with header lambda,x_1,...,x_p at 17 significant digits."""
+    """Write knots as CSV with header lambda,x_1,...,x_p at 17 significant digits, atomically."""
     header = "lambda," + ",".join(f"x_{j}" for j in range(1, path.X.shape[1] + 1))
     data = np.column_stack([path.lams, path.X])
-    np.savetxt(file_path, data, fmt="%.17g", delimiter=",", header=header, comments="")
+    kw = dict(fmt="%.17g", delimiter=",", header=header, comments="")
+    write_atomic(file_path, lambda fh: np.savetxt(fh, data, **kw))

@@ -99,10 +99,12 @@ class ProblemOracle:
         return hess.f_hess() + lam * hess.omega_hess()
 
     def base_point(self) -> Array:
-        """A fresh copy of the Omega minimizer, or zero when the problem has none."""
-        if self.omega_minimizer is None:
-            return np.zeros(self.dim)
-        return np.array(self.omega_minimizer, dtype=float, copy=True)
+        """A fresh copy of the Omega minimizer, else zero; DomainError when it is off the domain."""
+        x = self.omega_minimizer
+        x = np.zeros(self.dim) if x is None else np.array(x, dtype=float)
+        if not self.domain_check(x):
+            raise DomainError("base point violates the problem domain")
+        return x
 
     def checked_start(self, x0: Array, allow_degenerate: bool) -> Array:
         """A fresh float copy of x0, once it and the problem pass the path solvers' entry checks."""
@@ -277,10 +279,6 @@ class TheoryConstants:
             object.__setattr__(self, name, value)
 
 
-def _spectral_norm(M: Array) -> float:
-    return float(np.linalg.norm(M, 2))
-
-
 def _ridge_omega(p: int) -> dict:
     """The ProblemOracle fields of Omega = 0.5 ||x||^2 on all of R^p (sigma = 1)."""
     return dict(
@@ -368,16 +366,17 @@ def quadratic_theory_constants(
     gives ||x|| <= ||x*|| + (R + R*) / sqrt(mu) for the Omega gradient.
     """
     A, Q, _, f_value, _ = _least_squares(A, b)
-    mu = float(np.linalg.eigvalsh(Q)[0])
+    evals = np.linalg.eigvalsh(Q)  # ||A'A||_2 = evals[-1], ||A||_2 = sqrt(evals[-1])
+    mu = float(evals[0])
     if mu <= 0.0:
         raise ValueError("analytic gradient bound needs full column rank (mu > 0)")
-    L = max(_spectral_norm(Q), 1.0)
+    L = max(float(evals[-1]), 1.0)
     x_star, *_ = np.linalg.lstsq(A, b, rcond=None)
     f0, f_star = f_value(np.asarray(x0, dtype=float)), f_value(x_star)
     f_gap = max(0.0, f0 - f_star)
     R = math.sqrt(2.0 * f0)
     R_star = math.sqrt(2.0 * f_star)
-    g_f = _spectral_norm(A) * R
+    g_f = math.sqrt(evals[-1]) * R
     g_omega = float(np.linalg.norm(x_star)) + (R + R_star) / math.sqrt(mu)
     constants = TheoryConstants(
         mu=mu,
@@ -394,17 +393,17 @@ def quadratic_theory_constants(
 # logistic ridge
 
 
-def _logistic_constants(A: Array) -> dict[str, float]:
-    # Mean logistic loss over rows a_i: derivative bounds of the sigmoid give
-    # |l'| <= 1, |l''| <= 1/4, |l'''| <= 1/(6 sqrt 3), |l''''| <= 1/4.
+def _logistic_lipschitz(A: Array) -> float:
+    # Mean logistic loss over rows a_i: the sigmoid's bounds |l'| <= 1, |l''| <= 1/4,
+    # |l'''| <= 1/(6 sqrt 3), |l''''| <= 1/4 give four Lipschitz moduli; returns the largest
     n = A.shape[0]
     norms = np.linalg.norm(A, axis=1)
-    return {
-        "value": float(np.mean(norms)),
-        "grad": _spectral_norm(A.T @ A) / (4.0 * n),
-        "hess": float(np.mean(norms**3)) / (6.0 * math.sqrt(3.0)),
-        "third": float(np.mean(norms**4)) / 4.0,
-    }
+    return max(
+        float(np.mean(norms)),
+        float(np.linalg.eigvalsh(A.T @ A)[-1]) / (4.0 * n),
+        float(np.mean(norms**3)) / (6.0 * math.sqrt(3.0)),
+        float(np.mean(norms**4)) / 4.0,
+    )
 
 
 def _logistic_pieces(A: Array, labels: Array):
@@ -449,15 +448,13 @@ def make_logistic_ridge(features: Array, labels: Array) -> ProblemOracle:
     A, labels = _check_design(features, labels)
     p = A.shape[1]
     value, grad, hessian = _logistic_pieces(A, labels)
-    cs = _logistic_constants(A)
-    L = max(1.0, cs["value"], cs["grad"], cs["hess"], cs["third"])
     return ProblemOracle(
         name="logistic",
         dim=p,
         f_value=value,
         f_grad=grad,
         mu=0.0,
-        lipschitz=L,
+        lipschitz=max(1.0, _logistic_lipschitz(A)),
         hessian=hessian,
         **_ridge_omega(p),
     )
@@ -479,10 +476,6 @@ def make_logistic_reweighted(features: Array, labels: Array) -> ProblemOracle:
     p = A.shape[1]
     fv, fg, fh = _logistic_pieces(A[pos], labels[pos])
     ov, og, oh = _logistic_pieces(A[neg], labels[neg])
-    cs_pos = _logistic_constants(A[pos])
-    cs_neg = _logistic_constants(A[neg])
-    L = max(*cs_pos.values(), *cs_neg.values())
-
     return ProblemOracle(
         name="logistic-reweighted",
         dim=p,
@@ -494,7 +487,7 @@ def make_logistic_reweighted(features: Array, labels: Array) -> ProblemOracle:
         omega_minimizer=None,
         mu=0.0,
         sigma=0.0,
-        lipschitz=L,
+        lipschitz=max(_logistic_lipschitz(A[pos]), _logistic_lipschitz(A[neg])),
         hessian=lambda x, lam: _ReweightedHessian(fh(x, 0.0), oh(x, 0.0), lam),
     )
 

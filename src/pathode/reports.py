@@ -77,23 +77,25 @@ def json_text(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def write_json_atomic(text: str, path: str) -> None:
-    """Write text to path via a temporary file and rename.
+def write_atomic(path: str, write) -> None:
+    """Write path via a temporary file and rename; write(fh) fills the open text file.
 
-    A symlink is followed, so the link stays and its target gets the text; a
-    target that is not a regular file (a device, a FIFO) is written in place,
-    as a rename would replace the node.  A failed write leaves no temporary file,
-    and its OSError names the path given, not the temporary file.
+    np.savetxt streams its rows into fh, so a CSV is never held in memory as
+    one string.  A symlink is followed, so the link stays and its target gets
+    the text; a target that is not a regular file (a device, a FIFO) is
+    written in place, as a rename would replace the node.  A failed write
+    leaves the old file and no temporary file, and its OSError names the path
+    given, not the temporary file.
     """
     target, path = path, os.path.realpath(path)
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            write(fh)
         return
     tmp = path + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            write(fh)
         os.replace(tmp, path)
     except BaseException as exc:
         with contextlib.suppress(OSError):

@@ -27,7 +27,6 @@ from .paths import PiecewiseLinearPath, residuals
 from .problems import DomainError, ProblemOracle, check_lambda_range
 from .reports import OracleCounters, RunReport
 
-METHODS = ("euler", "trapezoid", "rk4")
 MAX_DOMAIN_BACKOFFS = 30
 NEWTON_CAP = 200
 STEPSIZE_ROOT_TOL = 1e-14
@@ -228,6 +227,7 @@ SCHEMES = {
         (0.5, 0.5, 1.0), (2.0, 2.0, 1.0), 6.0, 4,
     ),
 }
+METHODS = tuple(SCHEMES)
 
 
 def take_step(scheme, problem, x_k, lambda_k, h, direction, warm=None):
@@ -330,17 +330,15 @@ def initialize_from_omega(problem: ProblemOracle, lambda_max: float):
     """
     if problem.omega_minimizer is None:
         raise ValueError("problem has no omega_minimizer to initialize from")
-    x_om = np.array(problem.omega_minimizer, dtype=float, copy=True)
-    hess = problem.hessian(x_om, lambda_max)
-    g = hess.grad_f()
-    x0 = x_om + hess.solve(g).direction
-    gnorm = float(np.linalg.norm(g))
+    x_om = problem.base_point()
+    result = direction_oracle(problem, OracleCounters(), None)(x_om, lambda_max)
+    gnorm = result.initial_residual  # an exact solve starts from y = 0: ||grad f(x_omega)||
     denom = problem.mu + lambda_max * problem.sigma
     if problem.lipschitz is None or denom <= 0.0:
         bound = math.inf
     else:
         bound = problem.lipschitz * (1.0 + lambda_max) * gnorm**2 / (2.0 * denom**2)
-    return x0, float(bound)
+    return x_om + result.direction, float(bound)
 
 
 def initialize_by_newton(problem: ProblemOracle, lambda_max: float, tol: float) -> np.ndarray:
@@ -348,10 +346,7 @@ def initialize_by_newton(problem: ProblemOracle, lambda_max: float, tol: float) 
 
     Starts from the Omega minimizer, else zero; its work is not charged to any run.
     """
-    x = problem.base_point()
-    if not problem.domain_check(x):
-        raise DomainError("starting point violates the problem domain")
-    return next(newton_solve(problem, (lambda_max,), x, tol, OracleCounters()))[0]
+    return next(newton_solve(problem, (lambda_max,), problem.base_point(), tol, OracleCounters()))[0]
 
 
 def newton_solve(

@@ -552,6 +552,40 @@ class TestGenVerbs:
         assert not path.exists()
 
 
+# runs main() with the file-size limit set, so a write past it fails with EFBIG (Python ignores SIGXFSZ)
+_SIZE_LIMITED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, {limit}))
+from pathode.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+class TestFailedWrites:
+    LIMIT = 40_960
+
+    @pytest.mark.parametrize("verb", ["run-path-out", "gen-logistic"])
+    def test_file_size_limit_keeps_the_previous_file(self, capsys, tmp_path, verb):
+        # np.savetxt onto the target once truncated a good file to the limit's 40,960 bytes
+        target = tmp_path / "out.csv"
+        argv = {
+            "run-path-out": ["run", "--method", "euler", "--K", "200", "--path-out", str(target)] + QUAD,
+            "gen-logistic": ["gen-logistic", "--out", str(target)],
+        }[verb]
+        assert call(capsys, argv)[0] == 0
+        previous = target.read_bytes()
+        assert len(previous) > self.LIMIT
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(pathode.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _SIZE_LIMITED_MAIN.format(limit=self.LIMIT), *argv],
+            capture_output=True, text=True, timeout=120, env=env, cwd=tmp_path,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("io error: ") and "Traceback" not in proc.stderr
+        assert target.read_bytes() == previous
+        assert list(tmp_path.iterdir()) == [target]
+
+
 class TestExitCodes:
     UNREAD = {
         "run-delta": (["run", "--method", "euler", "--K", "40", "--delta", "1e-6"], "--delta"),

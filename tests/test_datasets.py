@@ -34,6 +34,19 @@ class TestLoadCsv:
         assert X.shape == (2, 2)
         assert y[0] == 1.0
 
+    @pytest.mark.parametrize("header", ["", "label,f_1,f_2\n"], ids=["headerless", "header"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, header):
+        # a BOM once made a headerless first row unparseable, and it was dropped as a header
+        text = header + "1,0.5,0.2\n-1,1.5,-3.0\n1,2.5,4.0\n"
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text)
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        X, y = load_csv_dataset(str(bom))
+        np.testing.assert_array_equal(y, [1.0, -1.0, 1.0])
+        np.testing.assert_array_equal(X, [[0.5, 0.2], [1.5, -3.0], [2.5, 4.0]])
+        X2, y2 = load_csv_dataset(str(plain))
+        assert np.array_equal(X2, X) and np.array_equal(y2, y)
+
     def test_blank_lines_ignored(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("1,0.5\n\n-1,1.5\n\n")
@@ -188,6 +201,14 @@ class TestMomentJson:
         np.testing.assert_array_equal(w2, w)
         np.testing.assert_array_equal(x2, x_true)
         assert m2 == 4
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        w, x_true = generate_synthetic_moment_data(5, seed=3)
+        plain, bom = tmp_path / "m.json", tmp_path / "bom.json"
+        save_moment_json(w, x_true, 4, str(plain))
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for got, want in zip(load_moment_json(str(bom)), load_moment_json(str(plain))):
+            np.testing.assert_array_equal(got, want)
 
     def test_missing_field(self, tmp_path):
         path = tmp_path / "m.json"

@@ -21,6 +21,7 @@ from pathode import (
     estimate_constants,
     estimate_f_gap,
     initialize_by_newton,
+    initialize_from_omega,
     make_moment_matching,
     make_quadratic_ridge,
     quadratic_theory_constants,
@@ -31,6 +32,8 @@ from pathode.steppers import newton_solve
 
 QUAD30 = make_quadratic_ridge(*generate_synthetic_quadratic(30, 20, 1))
 ZERO = np.zeros(QUAD30.dim)
+# the one message of ProblemOracle.base_point, which every start from the base point goes through
+BASE_OFF_DOMAIN = "base point violates the problem domain"
 
 
 def domain_taking(points):
@@ -61,9 +64,13 @@ CASES = {
         lambda: first_exit(agd_inner, domain_taking(1)),
         DomainError, "accelerated gradient extrapolation left the domain",
     ),
+    "base-point": (
+        lambda: domain_taking(0).base_point(),
+        DomainError, BASE_OFF_DOMAIN,
+    ),
     "newton-start": (
         lambda: initialize_by_newton(domain_taking(0), 10.0, 1e-10),
-        DomainError, "starting point violates the problem domain",
+        DomainError, BASE_OFF_DOMAIN,
     ),
     "checked-start-shape": (
         lambda: QUAD30.checked_start(np.zeros(3), False),
@@ -109,7 +116,11 @@ CASES = {
     ),
     "estimate-constants-base": (
         lambda: estimate_constants(domain_taking(0), (0.01, 10.0), 4, 1),
-        ValueError, "base point violates the problem domain",
+        DomainError, BASE_OFF_DOMAIN,
+    ),
+    "omega-start-base": (
+        lambda: initialize_from_omega(domain_taking(0), 10.0),
+        DomainError, BASE_OFF_DOMAIN,
     ),
     "path-nonpositive-lambda": (
         lambda: PiecewiseLinearPath(np.array([1.0, 0.0]), np.zeros((2, 1)), np.zeros(2)),

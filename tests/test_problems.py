@@ -144,6 +144,24 @@ class TestQuadraticRidge:
         fstar = 0.5 * np.linalg.norm(A @ x_ls - b) ** 2
         assert f_gap == pytest.approx(f0 - fstar, rel=1e-12)
 
+    @pytest.mark.parametrize("n, p, seed, scale", [(30, 20, 1, 1.0), (30, 20, 1, 10.0), (50, 5, 4, 1.0)])
+    def test_certified_constants_match_an_svd_reference(self, n, p, seed, scale):
+        # one eigvalsh of A'A gives mu, L and ||A||_2 = sqrt(lambda_max(A'A))
+        A, b = generate_synthetic_quadratic(n, p, seed)
+        A, b = scale * A, scale * b
+        x0 = np.full(p, 0.1)
+        cons, f_gap = quadratic_theory_constants(A, b, x0, 0.01, 10.0)
+        sv = np.linalg.svd(A, compute_uv=False)
+        x_ls = np.linalg.lstsq(A, b, rcond=None)[0]
+        f0 = 0.5 * np.linalg.norm(A @ x0 - b) ** 2
+        fstar = 0.5 * np.linalg.norm(A @ x_ls - b) ** 2
+        R, R_star = math.sqrt(2.0 * f0), math.sqrt(2.0 * fstar)
+        g_omega = np.linalg.norm(x_ls) + (R + R_star) / sv[-1]
+        reference = dict(mu=sv[-1] ** 2, L=max(sv[0] ** 2, 1.0), G=max(sv[0] * R, g_omega))
+        for name, value in reference.items():
+            assert getattr(cons, name) == pytest.approx(value, rel=1e-13, abs=0.0), name
+        assert f_gap == pytest.approx(f0 - fstar, rel=1e-12)
+
 
 # ------------------------------------------------------------ logistic ridge
 
@@ -195,6 +213,27 @@ class TestLogisticRidge:
         assert G.shape == P.shape
         for i in (0, 11, 22):
             assert np.allclose(G[i], problem.f_grad(P[i]), rtol=1e-12, atol=1e-14)
+
+    # the benchmark's logistic-sweep (x16) and logistic-large instances and the CLI default;
+    # the fourth-moment term binds on each, well above the gradient term
+    @pytest.mark.parametrize(
+        "n, p, seed, scale, fourth, grad",
+        [(200, 30, 11, 16.0, 1.603e7, 114.0), (1000, 250, 11, 1.0, 15823.0, 0.556), (569, 30, 0, 1.0, 240.0, 0.376)],
+        ids=["logistic-sweep", "logistic-large", "cli-default"],
+    )
+    def test_lipschitz_is_the_largest_modulus(self, n, p, seed, scale, fourth, grad):
+        X, y = generate_synthetic_logistic(n, p, seed)
+        A = scale * X
+        norms = np.linalg.norm(A, axis=1)
+        terms = [
+            float(np.mean(norms)),
+            float(np.linalg.svd(A, compute_uv=False)[0]) ** 2 / (4.0 * n),
+            float(np.mean(norms**3)) / (6.0 * math.sqrt(3.0)),
+            float(np.mean(norms**4)) / 4.0,
+        ]
+        assert make_logistic_ridge(A, y).lipschitz == max(1.0, *terms)
+        assert terms[3] == max(terms) == pytest.approx(fourth, rel=1e-3)
+        assert terms[1] == pytest.approx(grad, rel=2e-3)
 
     def test_hessian_psd_floor(self, logistic_small):
         problem = logistic_small

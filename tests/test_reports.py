@@ -1,5 +1,6 @@
 """Counter bookkeeping and run-report serialization."""
 
+import errno
 import json
 import math
 import os
@@ -18,7 +19,7 @@ from pathode import (
     run_path,
     solve_grid,
 )
-from pathode.reports import SCHEMA_VERSION, write_json_atomic
+from pathode.reports import SCHEMA_VERSION, write_atomic
 
 
 def test_counters_default_to_zero():
@@ -102,38 +103,42 @@ def test_json_is_stable_under_key_sort():
     assert keys == sorted(keys)
 
 
-def test_write_json_atomic_leaves_no_tmp(tmp_path):
+def write_text(path, text):
+    write_atomic(path, lambda fh: fh.write(text))
+
+
+def test_write_atomic_leaves_no_tmp(tmp_path):
     target = tmp_path / "r.json"
-    write_json_atomic('{"a": 1}\n', str(target))
+    write_text(str(target), '{"a": 1}\n')
     assert target.read_text() == '{"a": 1}\n'
     assert list(tmp_path.iterdir()) == [target]
 
 
-def test_write_json_atomic_overwrites(tmp_path):
+def test_write_atomic_overwrites(tmp_path):
     target = tmp_path / "r.json"
     target.write_text("old")
-    write_json_atomic("new", str(target))
+    write_text(str(target), "new")
     assert target.read_text() == "new"
 
 
-def test_write_json_atomic_keeps_a_symlink(tmp_path):
+def test_write_atomic_keeps_a_symlink(tmp_path):
     target = tmp_path / "r.json"
     target.write_text("old")
     link = tmp_path / "link.json"
     link.symlink_to(target)
-    write_json_atomic("new", str(link))
+    write_text(str(link), "new")
     assert link.is_symlink() and link.readlink() == target
     assert target.read_text() == "new"
     assert sorted(tmp_path.iterdir()) == [link, target]
 
 
-def test_write_json_atomic_keeps_a_fifo(tmp_path):
+def test_write_atomic_keeps_a_fifo(tmp_path):
     # a reader opened first lets the writer open the FIFO without blocking
     fifo = tmp_path / "pipe"
     os.mkfifo(fifo)
     reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
     try:
-        write_json_atomic('{"a": 1}\n', str(fifo))
+        write_text(str(fifo), '{"a": 1}\n')
         assert os.read(reader, 64) == b'{"a": 1}\n'
     finally:
         os.close(reader)
@@ -141,21 +146,36 @@ def test_write_json_atomic_keeps_a_fifo(tmp_path):
     assert list(tmp_path.iterdir()) == [fifo]
 
 
-def test_write_json_atomic_removes_tmp_when_rename_fails(tmp_path, monkeypatch):
+def test_write_atomic_failed_write_keeps_the_old_file(tmp_path):
+    # a write that stops part way (a full disk, a file-size limit) must not replace the target
+    target = tmp_path / "path.csv"
+    target.write_text("old")
+
+    def write(fh):
+        fh.write("lambda,x_1\n" * 10_000)
+        raise OSError(errno.EFBIG, "File too large")
+
+    with pytest.raises(OSError, match="File too large"):
+        write_atomic(str(target), write)
+    assert target.read_text() == "old"
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_write_atomic_removes_tmp_when_rename_fails(tmp_path, monkeypatch):
     def fail(src, dst):
         raise OSError("rename failed")
 
     monkeypatch.setattr(os, "replace", fail)
     with pytest.raises(OSError, match="rename failed"):
-        write_json_atomic("new", str(tmp_path / "r.json"))
+        write_text(str(tmp_path / "r.json"), "new")
     assert list(tmp_path.iterdir()) == []
 
 
-def test_write_json_atomic_error_names_the_target(tmp_path):
+def test_write_atomic_error_names_the_target(tmp_path):
     # the message once named the temporary r.json.tmp, a path nobody typed
     target = str(tmp_path / "missing" / "r.json")
     with pytest.raises(FileNotFoundError) as exc:
-        write_json_atomic("x", target)
+        write_text(target, "x")
     assert exc.value.filename == target
     assert ".tmp" not in str(exc.value)
 

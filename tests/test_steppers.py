@@ -768,6 +768,30 @@ class TestInitializers:
         assert measured <= bound + 1e-10
         assert measured <= 1e-10
 
+    @pytest.mark.parametrize("family", ["quadratic", "logistic", "moment"])
+    def test_from_omega_is_one_exact_direction(self, quad30, logistic_small, family):
+        # x0 and the bound's ||grad f(x_omega)|| come from one exact direction, bit for bit
+        w, x_true = generate_synthetic_moment_data(12, 2)
+        problem = {
+            "quadratic": quad30[2],
+            "logistic": logistic_small,
+            "moment": make_moment_matching(*build_moment_problem(w, x_true, 5)),
+        }[family]
+        lam = 10.0
+        x_om = problem.omega_minimizer
+        g = problem.f_grad(x_om)
+        x0, bound = initialize_from_omega(problem, lam)
+        assert np.array_equal(x0, x_om + problem.hessian(x_om, lam).solve(g).direction)
+        counters = OracleCounters()
+        assert np.array_equal(x0, x_om + direction_oracle(problem, counters, None)(x_om, lam).direction)
+        assert (counters.grad_f, counters.hess_builds) == (1, 1)
+        denom = problem.mu + lam * problem.sigma
+        if problem.lipschitz is None:
+            assert bound == math.inf
+        else:
+            gnorm = float(np.linalg.norm(g))
+            assert bound == problem.lipschitz * (1.0 + lam) * gnorm**2 / (2.0 * denom**2)
+
     def test_from_omega_zero_gradient_start(self):
         # b = 0 puts the Omega minimizer on the path; the bound collapses to 0
         problem = make_quadratic_ridge(np.array([[1.0]]), np.array([0.0]))
