@@ -6,7 +6,11 @@ Between knots the continuous surrogate is piecewise linear in lambda for
 ODE methods and piecewise constant for grid search.  Accuracy is always the
 gradient-norm residual ||grad F_lambda(x(lambda))||, computed for a batch of
 points by `residuals` and charged to a metric counter separate from solver
-work.
+work.  Both accuracy metrics sweep the path in blocks of whole intervals: a
+linear block's points come from one stacked matmul of the weights
+[alpha, 1 - alpha] against the intervals' end knots, every row norm from one
+einsum, and a NaN residual anywhere makes the metric NaN, so it never meets
+a target.
 """
 
 from __future__ import annotations
@@ -69,21 +73,25 @@ class _PathBase:
 class PiecewiseLinearPath(_PathBase):
     """Linear-in-lambda interpolation between consecutive knots."""
 
-    def _interpolate(self, lam: np.ndarray, k, k1) -> np.ndarray:
-        # between knots k and k1: index arrays, or slices with a trailing None for a block
+    def _alpha(self, lam: np.ndarray, k, k1) -> np.ndarray:
+        # weight of knot k against k1: index arrays, or slices with a trailing None for a block
         hi, lo = self.lams[k], self.lams[k1]
-        alpha = ((lam - lo) / (hi - lo))[..., None]
-        return alpha * self.X[k] + (1.0 - alpha) * self.X[k1]
+        return (lam - lo) / (hi - lo)
 
     def query_batch(self, lam: np.ndarray) -> np.ndarray:
         lam = np.asarray(lam, dtype=float)
         self._check_range(lam)
         k = np.minimum(self._held_knot(lam), len(self.lams) - 2)
-        return self._interpolate(lam, k, k + 1)
+        alpha = self._alpha(lam, k, k + 1)[..., None]
+        return alpha * self.X[k] + (1.0 - alpha) * self.X[k + 1]
 
     def block_residuals(self, problem: ProblemOracle, start: int, lam: np.ndarray) -> np.ndarray:
+        # weights [alpha, 1 - alpha] (I, T, 2) @ end knots (I, 2, p) as one stacked matmul, not
+        # broadcasts whose inner loops are p long; the weights [1, 0] at t = 0 give x_k exactly
         stop = start + len(lam)
-        X = self._interpolate(lam, np.s_[start:stop, None], np.s_[start + 1 : stop + 1, None])
+        alpha = self._alpha(lam, np.s_[start:stop, None], np.s_[start + 1 : stop + 1, None])
+        ends = np.stack([self.X[start:stop], self.X[start + 1 : stop + 1]], axis=1)
+        X = np.stack([alpha, 1.0 - alpha], axis=-1) @ ends
         return residuals(problem, X.reshape(lam.size, -1), lam.ravel())
 
 
@@ -100,8 +108,7 @@ class PiecewiseConstantPath(_PathBase):
         knots = self.X[start : start + lam.shape[0] + 1]
         lam = lam.ravel()
         k = self._held_knot(lam) - start
-        G = problem.f_grad(knots)[k] + lam[:, None] * problem.omega_grad(knots)[k]
-        return np.linalg.norm(G, axis=1)
+        return _row_norms(problem.f_grad(knots)[k] + lam[:, None] * problem.omega_grad(knots)[k])
 
 
 def residuals(
@@ -113,7 +120,12 @@ def residuals(
     """||grad f(x_i) + lam_i grad Omega(x_i)|| for each row x_i of X, charged to metric_evals."""
     if counters is not None:
         counters.metric_evals += len(lams)
-    return np.linalg.norm(problem.total_grad(X, lams[:, None]), axis=1)
+    return _row_norms(problem.total_grad(X, lams[:, None]))
+
+
+def _row_norms(G: np.ndarray) -> np.ndarray:
+    # one kernel for the row sums of squares; like np.linalg.norm it does not rescale
+    return np.sqrt(np.einsum("ij,ij->i", G, G))
 
 
 def _max_over_intervals(
@@ -123,6 +135,7 @@ def _max_over_intervals(
 
     Evaluated in blocks of whole intervals whose (points x dim) arrays fit in
     DENSE_BLOCK_BYTES; an interval with more points is split across blocks.
+    A NaN residual in any block makes the maximum NaN.
     """
     lams = path.lams
     n_int = len(lams) - 1
@@ -134,7 +147,7 @@ def _max_over_intervals(
         hi, lo = lams[start:stop, None], lams[start + 1 : stop + 1, None]
         for col in range(0, len(t), block_points):
             grid = hi + (lo - hi) * t[None, col : col + block_points]
-            worst = max(worst, float(np.max(path.block_residuals(problem, start, grid))))
+            worst = float(np.maximum(worst, np.max(path.block_residuals(problem, start, grid))))
             if counters is not None:
                 counters.metric_evals += grid.size
     return worst
@@ -148,7 +161,7 @@ def accuracy_midpoint(
     """Max residual over all knots and arithmetic midpoints of knot intervals."""
     worst = _max_over_intervals(problem, path, np.array([0.0, 0.5]), counters)
     last = residuals(problem, path.X[-1:], path.lams[-1:], counters)
-    return max(worst, float(last[0]))
+    return float(np.maximum(worst, last[0]))
 
 
 def accuracy_dense(

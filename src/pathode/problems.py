@@ -284,7 +284,7 @@ def _ridge_omega(p: int) -> dict:
     return dict(
         omega_value=lambda x: 0.5 * float(x @ x),
         omega_grad=lambda x: np.array(x, dtype=float, copy=True),
-        domain_check=lambda x: bool(np.all(np.isfinite(x))),
+        domain_check=lambda x: bool(np.isfinite(x).all()),
         omega_minimizer=np.zeros(p),
         sigma=1.0,
     )
@@ -483,7 +483,7 @@ def make_logistic_reweighted(features: Array, labels: Array) -> ProblemOracle:
         f_grad=fg,
         omega_value=ov,
         omega_grad=og,
-        domain_check=lambda x: bool(np.all(np.isfinite(x))),
+        domain_check=lambda x: bool(np.isfinite(x).all()),
         omega_minimizer=None,
         mu=0.0,
         sigma=0.0,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import tempfile
 from dataclasses import asdict, dataclass, fields
 
 SCHEMA_VERSION = 2
@@ -83,23 +84,30 @@ def write_atomic(path: str, write) -> None:
     np.savetxt streams its rows into fh, so a CSV is never held in memory as
     one string.  A symlink is followed, so the link stays and its target gets
     the text; a target that is not a regular file (a device, a FIFO) is
-    written in place, as a rename would replace the node.  A failed write
-    leaves the old file and no temporary file, and its OSError names the path
-    given, not the temporary file.
+    written in place, as a rename would replace the node.  The temporary file
+    has a name of its own next to the target, so no other file is touched, and
+    gets the mode a plain open(path, "w") gives a new file (0666 less the
+    umask).  A failed write or rename leaves the old file and no temporary
+    file, and its OSError names the path given, never the temporary file.
     """
     target, path = path, os.path.realpath(path)
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8") as fh:
             write(fh)
         return
-    tmp = path + ".tmp"
+    tmp = None
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        fd, tmp = tempfile.mkstemp(".tmp", os.path.basename(path) + ".", os.path.dirname(path))
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            umask = os.umask(0o022)  # reading the umask means setting it: put it straight back
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
             write(fh)
         os.replace(tmp, path)
     except BaseException as exc:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        if isinstance(exc, OSError) and exc.filename == tmp:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:
             raise OSError(exc.errno, exc.strerror, target) from exc
         raise

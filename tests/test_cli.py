@@ -582,6 +582,7 @@ class TestFailedWrites:
         )
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("io error: ") and "Traceback" not in proc.stderr
+        assert str(target) in proc.stderr
         assert target.read_bytes() == previous
         assert list(tmp_path.iterdir()) == [target]
 

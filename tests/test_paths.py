@@ -30,6 +30,7 @@ from pathode import (
 from pathode.datasets import generate_synthetic_logistic, generate_synthetic_quadratic
 from pathode import paths as paths_mod
 from pathode.paths import residuals
+from pathode.reports import RunReport
 
 
 def two_knot_scalar_path():
@@ -255,6 +256,90 @@ class TestDenseBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+
+def family_path(family, scheme, K):
+    """The family's problem and its K-interval path on [0.1, 10]: linear, or constant for grid."""
+    problem, x0 = dense_instance(family)
+    if scheme == "grid":
+        return problem, solve_grid(problem, x0, GridSearchConfig(K + 1, "newton", 1e-9, 0.1, 10.0))[0]
+    return problem, run_path(problem, x0, StepperConfig(scheme, K, 0.1, 10.0))[0]
+
+
+class TestSweepKernel:
+    """Each block of the sweep is residuals over query_batch at its points; knot points are the knots."""
+
+    @PROPERTY_SETTINGS
+    @given(
+        family=st.sampled_from(["quadratic", "logistic", "moment"]),
+        scheme=st.sampled_from(["euler", "grid"]),  # rk4 and trapezoid need more than 2 intervals here
+        K=st.integers(2, 60),
+        ppi=st.integers(2, 40),
+        shrink=st.booleans(),
+    )
+    @example("quadratic", "euler", 2, 2, False)
+    @example("moment", "euler", 60, 40, True)
+    def test_blocks_match_query_batch(self, family, scheme, K, ppi, shrink):
+        problem, path = family_path(family, scheme, K)
+        blocks, points = [], []
+        kernel = path.block_residuals
+
+        def block_residuals(problem, start, lam):
+            out = kernel(problem, start, lam)
+            blocks.append((lam.ravel(), out))
+            return out
+
+        def recorded(problem, X, lams, counters=None):
+            points.append((X, lams))
+            return residuals(problem, X, lams, counters)
+
+        c_mid, c_dense = OracleCounters(), OracleCounters()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(path, "block_residuals", block_residuals)
+            mp.setattr(paths_mod, "residuals", recorded)
+            if shrink:
+                mp.setattr(paths_mod, "DENSE_BLOCK_BYTES", 5 * 8 * problem.dim)
+            accuracy_midpoint(problem, path, c_mid)
+            accuracy_dense(problem, path, ppi, c_dense)
+        assert (c_mid.metric_evals, c_dense.metric_evals) == (2 * K + 1, ppi * K)
+        assert sum(lam.size for lam, _ in blocks) == 2 * K + ppi * K
+        for lam, got in blocks:
+            # the bottom interval's t = 1 point may round an ulp below lambda_min
+            X = path.query_batch(np.maximum(lam, path.lambda_min))
+            # the floor covers residuals near float noise (grid knots at the Newton floor, moment
+            # points whose residual moves 1e-14 per ulp of x), where the two interpolations'
+            # one-ulp differences or another BLAS batch shape are much of the value
+            assert got == pytest.approx(residuals(problem, X, lam), rel=1e-12, abs=1e-13)
+        knot = {lam: k for k, lam in enumerate(path.lams)}
+        at_knots = [(x, knot[lam]) for X, lams in points for x, lam in zip(X, lams) if lam in knot]
+        assert len(at_knots) >= (K + 1 if scheme != "grid" else 1)
+        for x, k in at_knots:
+            assert np.array_equal(x, path.X[k])
+
+
+class TestNanResidual:
+    """One NaN residual makes both metrics NaN, so no target is met."""
+
+    @pytest.mark.parametrize("scheme", ["euler", "grid"])
+    @pytest.mark.parametrize("knot", [0, 7, 20])
+    @pytest.mark.parametrize("block_points", [None, 5])
+    def test_nan_knot_makes_both_metrics_nan(
+        self, quad30, quad30_start, monkeypatch, scheme, knot, block_points
+    ):
+        _, _, problem = quad30
+        if scheme == "grid":
+            path, _ = solve_grid(problem, quad30_start, GridSearchConfig(21, "newton", 1e-9, 0.01, 10.0))
+        else:
+            path, _ = run_path(problem, quad30_start, StepperConfig("euler", 20, 0.01, 10.0))
+        X = path.X.copy()
+        X[knot] = np.nan
+        broken = type(path)(path.lams, X, path.residuals)
+        if block_points is not None:
+            monkeypatch.setattr(paths_mod, "DENSE_BLOCK_BYTES", block_points * 8 * problem.dim)
+        mid, dense = accuracy_midpoint(problem, broken), accuracy_dense(problem, broken, 5)
+        assert np.isnan(mid) and np.isnan(dense)
+        report = RunReport("euler", 20, None, OracleCounters(), 0.0, eps_target=1.0, accuracy_midpoint=mid)
+        assert report.status == "accuracy-not-met"
 
 
 class TestQueryProperty:

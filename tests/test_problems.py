@@ -292,6 +292,25 @@ class TestReweightedLogistic:
             assert np.linalg.norm(g - gfd) <= 1e-5 * (1.0 + np.linalg.norm(g))
 
 
+@pytest.mark.parametrize("family", ["quadratic", "logistic", "reweighted"])
+@pytest.mark.parametrize(
+    "value, inside",
+    [(0.25, True), (1e308, True), (math.nan, False), (math.inf, False), (-math.inf, False)],
+    ids=["finite", "1e308", "nan", "+inf", "-inf"],
+)
+def test_unconstrained_domain_is_the_finite_points(family, value, inside):
+    # the ridge and reweighted oracles accept every finite point and nothing else
+    X, y = generate_synthetic_logistic(12, 3, 5)
+    problem = {
+        "quadratic": lambda: make_quadratic_ridge(*generate_synthetic_quadratic(12, 3, 5)),
+        "logistic": lambda: make_logistic_ridge(X, y),
+        "reweighted": lambda: make_logistic_reweighted(X, y),
+    }[family]()
+    x = np.full(3, 0.25)
+    x[1] = value
+    assert problem.domain_check(x) is inside
+
+
 # ------------------------------------------------------------ moment match
 
 

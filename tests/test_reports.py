@@ -121,6 +121,32 @@ def test_write_atomic_overwrites(tmp_path):
     assert target.read_text() == "new"
 
 
+def test_write_atomic_keeps_a_file_named_like_a_temporary(tmp_path):
+    # the temporary file's name is unique, so a user's file of the plain <target>.tmp name stays
+    notes = tmp_path / "r.json.tmp"
+    notes.write_text("my notes")
+    target = tmp_path / "r.json"
+    write_text(str(target), "new")
+    assert target.read_text() == "new"
+    assert notes.read_text() == "my notes"
+    assert sorted(tmp_path.iterdir()) == [target, notes]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_write_atomic_gives_the_mode_of_a_plain_open(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        with open(tmp_path / "plain", "w") as fh:
+            fh.write("x")
+        write_text(str(tmp_path / "atomic"), "x")
+        assert os.umask(umask) == umask  # reading the umask put it back
+    finally:
+        os.umask(old)
+    mode = stat.S_IMODE(os.stat(tmp_path / "plain").st_mode)
+    assert mode == 0o666 & ~umask
+    assert stat.S_IMODE(os.stat(tmp_path / "atomic").st_mode) == mode
+
+
 def test_write_atomic_keeps_a_symlink(tmp_path):
     target = tmp_path / "r.json"
     target.write_text("old")
@@ -168,6 +194,18 @@ def test_write_atomic_removes_tmp_when_rename_fails(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "replace", fail)
     with pytest.raises(OSError, match="rename failed"):
         write_text(str(tmp_path / "r.json"), "new")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_atomic_rename_error_names_the_target(tmp_path, monkeypatch):
+    def fail(src, dst):
+        raise PermissionError(errno.EACCES, "Permission denied", src, dst)
+
+    monkeypatch.setattr(os, "replace", fail)
+    target = str(tmp_path / "r.json")
+    with pytest.raises(PermissionError) as exc:
+        write_text(target, "new")
+    assert exc.value.filename == target and ".tmp" not in str(exc.value)
     assert list(tmp_path.iterdir()) == []
 
 
