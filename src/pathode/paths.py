@@ -7,10 +7,10 @@ ODE methods and piecewise constant for grid search.  Accuracy is always the
 gradient-norm residual ||grad F_lambda(x(lambda))||, computed for a batch of
 points by `residuals` and charged to a metric counter separate from solver
 work.  Both accuracy metrics sweep the path in blocks of whole intervals: a
-linear block's points come from one stacked matmul of the weights
-[alpha, 1 - alpha] against the intervals' end knots, every row norm from one
-einsum, and a NaN residual anywhere makes the metric NaN, so it never meets
-a target.
+linear path's points, in a block or from query_batch, come from one stacked
+matmul of the weights [alpha, 1 - alpha] against the intervals' end knots,
+every row norm from one einsum, and a NaN residual anywhere makes the metric
+NaN, so it never meets a target.
 """
 
 from __future__ import annotations
@@ -73,25 +73,23 @@ class _PathBase:
 class PiecewiseLinearPath(_PathBase):
     """Linear-in-lambda interpolation between consecutive knots."""
 
-    def _alpha(self, lam: np.ndarray, k, k1) -> np.ndarray:
-        # weight of knot k against k1: index arrays, or slices with a trailing None for a block
-        hi, lo = self.lams[k], self.lams[k1]
-        return (lam - lo) / (hi - lo)
+    def _interpolate(self, lam: np.ndarray, k, k1) -> np.ndarray:
+        # points at lam[..., t] between knots k and k1 (index arrays, or slices for a block) as one
+        # stacked matmul, weights [alpha, 1 - alpha] @ end knots; the weights [1, 0] give x_k exactly
+        hi, lo = self.lams[k][..., None], self.lams[k1][..., None]
+        alpha = (lam - lo) / (hi - lo)
+        ends = np.stack([self.X[k], self.X[k1]], axis=-2)
+        return np.stack([alpha, 1.0 - alpha], axis=-1) @ ends
 
     def query_batch(self, lam: np.ndarray) -> np.ndarray:
         lam = np.asarray(lam, dtype=float)
         self._check_range(lam)
         k = np.minimum(self._held_knot(lam), len(self.lams) - 2)
-        alpha = self._alpha(lam, k, k + 1)[..., None]
-        return alpha * self.X[k] + (1.0 - alpha) * self.X[k + 1]
+        return self._interpolate(lam[..., None], k, k + 1)[..., 0, :]
 
     def block_residuals(self, problem: ProblemOracle, start: int, lam: np.ndarray) -> np.ndarray:
-        # weights [alpha, 1 - alpha] (I, T, 2) @ end knots (I, 2, p) as one stacked matmul, not
-        # broadcasts whose inner loops are p long; the weights [1, 0] at t = 0 give x_k exactly
         stop = start + len(lam)
-        alpha = self._alpha(lam, np.s_[start:stop, None], np.s_[start + 1 : stop + 1, None])
-        ends = np.stack([self.X[start:stop], self.X[start + 1 : stop + 1]], axis=1)
-        X = np.stack([alpha, 1.0 - alpha], axis=-1) @ ends
+        X = self._interpolate(lam, np.s_[start:stop], np.s_[start + 1 : stop + 1])
         return residuals(problem, X.reshape(lam.size, -1), lam.ravel())
 
 

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
-import tempfile
+import uuid
 from dataclasses import asdict, dataclass, fields
 
 SCHEMA_VERSION = 2
@@ -67,6 +68,8 @@ class RunReport:
         # shallow, unlike asdict, which would copy a grid run's K inner_iterations one by one
         out = {f.name: getattr(self, f.name) for f in fields(self)}
         out.update(counters=asdict(self.counters), schema_version=SCHEMA_VERSION, status=self.status)
+        if out["accuracy_midpoint"] is not None and not math.isfinite(out["accuracy_midpoint"]):
+            out["accuracy_midpoint"] = None  # JSON has no NaN or Infinity
         return out
 
     def to_json(self) -> str:
@@ -85,9 +88,9 @@ def write_atomic(path: str, write) -> None:
     one string.  A symlink is followed, so the link stays and its target gets
     the text; a target that is not a regular file (a device, a FIFO) is
     written in place, as a rename would replace the node.  The temporary file
-    has a name of its own next to the target, so no other file is touched, and
-    gets the mode a plain open(path, "w") gives a new file (0666 less the
-    umask).  A failed write or rename leaves the old file and no temporary
+    has a unique name next to the target and is opened exclusively, so no other
+    file is touched and it gets the mode a plain open(path, "w") gives a new
+    file.  A failed write or rename leaves the old file and no temporary
     file, and its OSError names the path given, never the temporary file.
     """
     target, path = path, os.path.realpath(path)
@@ -95,19 +98,14 @@ def write_atomic(path: str, write) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             write(fh)
         return
-    tmp = None
+    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
     try:
-        fd, tmp = tempfile.mkstemp(".tmp", os.path.basename(path) + ".", os.path.dirname(path))
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            umask = os.umask(0o022)  # reading the umask means setting it: put it straight back
-            os.umask(umask)
-            os.fchmod(fd, 0o666 & ~umask)
+        with open(tmp, "x", encoding="utf-8") as fh:
             write(fh)
         os.replace(tmp, path)
     except BaseException as exc:
-        if tmp is not None:
-            with contextlib.suppress(OSError):
-                os.remove(tmp)
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
         if isinstance(exc, OSError) and exc.errno is not None:
             raise OSError(exc.errno, exc.strerror, target) from exc
         raise

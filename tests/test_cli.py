@@ -95,6 +95,32 @@ class TestRunVerb:
         by_spec = json.loads(call(capsys, run + ["--synthetic", "n=30,p=20,seed=4"])[1])
         assert by_flag["accuracy_midpoint"] == by_spec["accuracy_midpoint"]
 
+    @pytest.mark.parametrize("verb", ["run", "doubling"])
+    def test_nan_residual_report_is_standard_json(self, capsys, tmp_path, monkeypatch, verb):
+        # a NaN accuracy was once written as the bare token NaN, which jq and JSON.parse reject
+        real = cli.paths._row_norms
+
+        def nan_last(G):
+            out = real(G)
+            out[-1] = np.nan
+            return out
+
+        monkeypatch.setattr(cli.paths, "_row_norms", nan_last)
+        out = tmp_path / "r.json"
+        flags = {"run": ["--K", "20"], "doubling": ["--K0", "20", "--max-doublings", "1"]}[verb]
+        argv = [verb, "--method", "euler", "--eps", "1e-2", *flags, "--out", str(out)] + QUAD
+        call(capsys, argv)
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        doc = json.loads(out.read_text(), parse_constant=reject)
+        reps = doc["reports"] if verb == "doubling" else [doc]
+        assert len(reps) == {"run": 1, "doubling": 2}[verb]
+        for rep in reps:
+            jsonschema.validate(rep, report_schema())
+            assert rep["accuracy_midpoint"] is None and rep["status"] == "accuracy-not-met"
+
     def test_schema_method_enum_is_all_methods(self):
         assert tuple(report_schema()["properties"]["method"]["enum"]) == cli.ALL_METHODS
 

@@ -306,9 +306,9 @@ class TestSweepKernel:
         for lam, got in blocks:
             # the bottom interval's t = 1 point may round an ulp below lambda_min
             X = path.query_batch(np.maximum(lam, path.lambda_min))
+            # BLAS rounds a matmul or gradient batch of another shape differently in the last bit;
             # the floor covers residuals near float noise (grid knots at the Newton floor, moment
-            # points whose residual moves 1e-14 per ulp of x), where the two interpolations'
-            # one-ulp differences or another BLAS batch shape are much of the value
+            # points whose residual moves 1e-14 per ulp of x), where that bit is much of the value
             assert got == pytest.approx(residuals(problem, X, lam), rel=1e-12, abs=1e-13)
         knot = {lam: k for k, lam in enumerate(path.lams)}
         at_knots = [(x, knot[lam]) for X, lams in points for x, lam in zip(X, lams) if lam in knot]

@@ -139,7 +139,7 @@ def test_write_atomic_gives_the_mode_of_a_plain_open(tmp_path, umask):
         with open(tmp_path / "plain", "w") as fh:
             fh.write("x")
         write_text(str(tmp_path / "atomic"), "x")
-        assert os.umask(umask) == umask  # reading the umask put it back
+        assert os.umask(umask) == umask  # the write left the umask as it was
     finally:
         os.umask(old)
     mode = stat.S_IMODE(os.stat(tmp_path / "plain").st_mode)
