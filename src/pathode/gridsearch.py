@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linsolve import vector_norm
 from .paths import PiecewiseConstantPath
 from .problems import DomainError, ProblemOracle, check_lambda_range
 from .reports import OracleCounters, RunReport
@@ -81,7 +82,7 @@ def agd_inner(
                 counters.grad_f += 1
                 counters.grad_omega += 1
             g = fg + lam * og
-            gnorm = float(np.linalg.norm(g))
+            gnorm = vector_norm(g)
             if gnorm <= tol:
                 break
             if it == AGD_CAP:

@@ -46,28 +46,28 @@ class DirectionResult:
 
 
 def solve_spd(H: np.ndarray, g: np.ndarray) -> DirectionResult:
-    """Cholesky solve of H y = -g for symmetric positive definite H.
+    """Cholesky solve of H y = -g for symmetric positive definite H, by one LAPACK posv.
 
-    LAPACK potrf reads only the lower triangle of H and works on a copy, so
-    H (often a problem's shared matrix) is never written.  A non-finite
-    entry anywhere in H or g reaches the residual H y + g, so the O(p^2)
-    finiteness scan runs only when the factorization fails or the residual
-    norm is not finite.
+    posv factors a copy of H's lower triangle by the potrf and potrs that
+    scipy's cho_factor and cho_solve call, so H (often a problem's shared
+    matrix) is never written, and the residual H y + g is taken with the full
+    H.  A non-finite entry anywhere in H or g reaches that residual, so the
+    O(p^2) finiteness scan runs only when the factorization fails or the
+    residual norm is not finite.
     """
     H = np.asarray(H, dtype=float)
     g = np.asarray(g, dtype=float)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"H must be a square matrix, got shape {H.shape}")
-    c, info = lapack.dpotrf(H, lower=1, clean=0)
+    _, y, info = lapack.dposv(H, -g, lower=1)
     if info == 0:
-        y, _ = lapack.dpotrs(c, -g, lower=1)
         with np.errstate(invalid="ignore", over="ignore"):  # inf/NaN in H meets y here
             residual = H @ y + g
-        rnorm = _norm(residual)
+        rnorm = vector_norm(residual)
     if info != 0 or not math.isfinite(rnorm):
         _reject((H, g), info > 0 and f"Cholesky factorization failed: {info}-th leading minor "
                 "of the array is not positive definite")
-    return _exact(y, residual, rnorm, _norm(g))
+    return _exact(y, residual, rnorm, vector_norm(g))
 
 
 def _exact(y, residual, rnorm, gnorm) -> DirectionResult:
@@ -88,7 +88,7 @@ def solve_diag_lowrank(d: np.ndarray, V: np.ndarray, g: np.ndarray) -> Direction
     With D = diag(d) the capacitance matrix C = I + V' D^-1 V is k x k and
     SPD, and y = -(D^-1 g - D^-1 V C^-1 V' D^-1 g) costs O(p k^2) instead of
     the O(p^3) of factoring the assembled matrix (Golub & Van Loan, Matrix
-    Computations, 2.1.4).  C is factored by the LAPACK calls solve_spd makes,
+    Computations, 2.1.4).  C is factored once by potrf and reused by potrs,
     and the certificate is the explicitly evaluated residual
     r = d * y + V (V' y) + g.  That subtraction cancels when C is ill
     conditioned (near the simplex face for the moment family), so when
@@ -117,14 +117,14 @@ def solve_diag_lowrank(d: np.ndarray, V: np.ndarray, g: np.ndarray) -> Direction
                 t, _ = lapack.dpotrs(c, V.T @ z, lower=1)
                 return W @ t - z
 
-            gnorm = _norm(g)
+            gnorm = vector_norm(g)
             y = solve(g)
             residual = d * y + V @ (V.T @ y) + g
-            rnorm = _norm(residual)
+            rnorm = vector_norm(residual)
             if rnorm > REFINE_FLOOR * gnorm:
                 y += solve(residual)
                 residual = d * y + V @ (V.T @ y) + g
-                rnorm = _norm(residual)
+                rnorm = vector_norm(residual)
     if not positive or info != 0 or not math.isfinite(rnorm):
         message = "diagonal part has a nonpositive entry" if not positive else info > 0 and (
             f"Cholesky factorization of the capacitance matrix failed at its {info}-th "
@@ -142,15 +142,16 @@ def solve_shifted_eigh(H, evals, evecs, lam: float, g: np.ndarray) -> DirectionR
     raises ValueError, and evals[0] + lam <= 0 NotPositiveDefiniteError.
     """
     g = np.asarray(g, dtype=float)
-    gnorm = _norm(g)
+    gnorm = vector_norm(g)
     if not (math.isfinite(gnorm) and math.isfinite(lam) and evals[0] + lam > 0.0):
         _reject((g, lam), "shifted matrix has a nonpositive eigenvalue")
     y = evecs @ ((evecs.T @ g) / (-lam - evals))
     residual = H @ y + lam * y + g
-    return _exact(y, residual, _norm(residual), gnorm)
+    return _exact(y, residual, vector_norm(residual), gnorm)
 
 
-def _norm(v) -> float:
+def vector_norm(v) -> float:
+    """||v|| as sqrt(v . v): np.linalg.norm's bits for a vector, without its wrapper."""
     return math.sqrt(float(v @ v))
 
 
@@ -182,7 +183,7 @@ def cg_solve(
         return -g - hessvec(y)  # residual of H y = -g
 
     r = -g.copy() if not y.any() else true_residual()
-    rnorm = float(np.linalg.norm(r))
+    rnorm = vector_norm(r)
     initial = rnorm
     if rnorm <= delta:
         return DirectionResult(y, rnorm, 0, initial, True, -r)
@@ -212,7 +213,7 @@ def cg_solve(
         rs = rs_new
 
     r = true_residual()
-    rnorm = float(np.linalg.norm(r))
+    rnorm = vector_norm(r)
     return DirectionResult(y, rnorm, iters, initial, rnorm <= delta, -r)
 
 

@@ -133,7 +133,7 @@ def _max_over_intervals(
 
     Evaluated in blocks of whole intervals whose (points x dim) arrays fit in
     DENSE_BLOCK_BYTES; an interval with more points is split across blocks.
-    A NaN residual in any block makes the maximum NaN.
+    A NaN residual in any block makes the maximum NaN.  t ascends in [0, 1].
     """
     lams = path.lams
     n_int = len(lams) - 1
@@ -144,7 +144,10 @@ def _max_over_intervals(
         stop = min(start + block_intervals, n_int)
         hi, lo = lams[start:stop, None], lams[start + 1 : stop + 1, None]
         for col in range(0, len(t), block_points):
-            grid = hi + (lo - hi) * t[None, col : col + block_points]
+            ts = t[col : col + block_points]
+            grid = hi + (lo - hi) * ts
+            if ts[-1] == 1.0:
+                grid[:, -1] = lo[:, 0]  # lambda_{k+1} itself: lo - hi rounds once lo < hi / 2
             worst = float(np.maximum(worst, np.max(path.block_residuals(problem, start, grid))))
             if counters is not None:
                 counters.metric_evals += grid.size

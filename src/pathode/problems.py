@@ -20,8 +20,9 @@ f_hess() and omega_hess() that does its per-point work once:
 quadratic    one eigh of A'A per problem, then O(p^2) per solve
 logistic     the sigmoid once per point, by the in-place kernel
              _sigmoid_of_negated (numpy's exp, margins clipped at 709) that
-             the gradients share; solve assembles B'B + lam I by syrk,
-             B = A sqrt(w / n)
+             the gradients share; solve assembles f'' + lam I by one gemm
+             while n p^2 <= GEMM_GRAM_MAX, else by syrk of B = Ab sqrt(w / n),
+             and calls solve_spd, one LAPACK posv
 reweighted   two logistic handles (the +1 rows as f, the -1 rows as Omega);
              solve assembles their sum
 moment       Woodbury on diag(lam / y) + V V', V = [A' | sqrt(lam / (1 - sum y)) 1]
@@ -156,12 +157,25 @@ def _sigmoid_of_negated(z: Array) -> Array:
     return np.reciprocal(z, out=z)
 
 
-class _LogisticHessian:
-    """Mean logistic loss f'' = A' diag(w) A / n (+ lam I), with s and w = s (1 - s) taken once."""
+# f'' by one gemm, (Ab' (w / n)) Ab on a contiguous copy of Ab', while n p^2 stays
+# below this, else by syrk of B = Ab sqrt(w / n): the gemm takes 0.6-0.9x the syrk's
+# time up to it and 1.0-1.6x beyond (one BLAS thread, n 100-2000 by p 16-250); 200 x 30
+# sits below, 1000 x 250 above.  Without the copy, (Ab (w / n)[:, None])' Ab, it takes
+# 1.04-1.1x the copy's time at 200 x 30 and 1.2x at 1000 x 32, where it loses to the syrk.
+# The gemm's f'' is symmetric only to rounding: solve_spd factors its lower triangle
+# and takes the residual with the full matrix, so the certificate holds.
+GEMM_GRAM_MAX = 1 << 20
 
-    def __init__(self, Ab, x, lam):
+
+class _LogisticHessian:
+    """Mean logistic loss f'' = A' diag(w) A / n (+ lam I), with s and w = s (1 - s) taken once.
+
+    AbT is Ab' as a contiguous copy when f'' is assembled by gemm, else None (syrk).
+    """
+
+    def __init__(self, Ab, AbT, x, lam):
         # f'' and f'' v take each labelled row b_i a_i twice, so its sign cancels exactly
-        self.Ab, self.lam = Ab, lam
+        self.Ab, self.AbT, self.lam = Ab, AbT, lam
         self.s = _sigmoid_of_negated(Ab @ x)
         self.w = self.s * (1.0 - self.s)
 
@@ -169,7 +183,10 @@ class _LogisticHessian:
         return -(self.Ab.T @ self.s) / self.Ab.shape[0]
 
     def f_hess(self):
-        B = self.Ab * np.sqrt(self.w / self.Ab.shape[0])[:, None]
+        n = self.Ab.shape[0]
+        if self.AbT is not None:
+            return (self.AbT * (self.w / n)) @ self.Ab  # one gemm, see GEMM_GRAM_MAX
+        B = self.Ab * np.sqrt(self.w / n)[:, None]
         return B.T @ B  # a matrix times its own transpose: numpy calls BLAS syrk
 
     def omega_hess(self):
@@ -294,7 +311,7 @@ def _least_squares(A: Array, b: Array):
     """(A, Q = A'A, A'b, value, grad) of f = 0.5 ||A x - b||^2, once Q and A'b are finite.
 
     A NaN or inf in A reaches Q's diagonal, one in b all of A'b.  grad takes a point or row
-    points, through Q (p^2 per point) when A has more rows than columns, else A' and A (2 n p).
+    points, through Q (p^2 per point) while that is cheaper, p < 2 n, else A' and A (2 n p).
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -309,7 +326,7 @@ def _least_squares(A: Array, b: Array):
         r = A @ x - b
         return 0.5 * float(r @ r)
 
-    if A.shape[0] > A.shape[1]:
+    if 2 * A.shape[0] > A.shape[1]:
         def grad(X: Array) -> Array:
             return X @ Q - Atb  # Q is symmetric, so this is Q x - A'b for a point too
     else:
@@ -408,8 +425,9 @@ def _logistic_lipschitz(A: Array) -> float:
 
 def _logistic_pieces(A: Array, labels: Array):
     """Closures for the mean logistic loss of a labelled design."""
-    n = A.shape[0]
+    n, p = A.shape
     Ab = labels[:, None] * A  # rows b_i a_i
+    AbT = np.ascontiguousarray(Ab.T) if n * p * p <= GEMM_GRAM_MAX else None
 
     def value(x: Array) -> float:
         z = -(Ab @ x)
@@ -420,14 +438,14 @@ def _logistic_pieces(A: Array, labels: Array):
             return -(Ab.T @ _sigmoid_of_negated(Ab @ X)) / n
         # row points, blocked so the (rows, n) sigmoid intermediate stays bounded
         rows = max(1, (1 << 22) // max(1, n))
-        out = np.empty((X.shape[0], A.shape[1]))
+        out = np.empty((X.shape[0], p))
         for start in range(0, X.shape[0], rows):
             S = _sigmoid_of_negated(X[start : start + rows] @ Ab.T)  # (rows, n)
             out[start : start + rows] = -(S @ Ab) / n
         return out
 
     # the handle of the ridge oracle, Omega = 0.5 ||x||^2
-    return value, grad, lambda x, lam: _LogisticHessian(Ab, x, lam)
+    return value, grad, lambda x, lam: _LogisticHessian(Ab, AbT, x, lam)
 
 
 def _check_design(features: Array, labels: Array) -> tuple[Array, Array]:
@@ -559,7 +577,7 @@ def make_moment_matching(A_reduced: Array, b_reduced: Array) -> ProblemOracle:
     hence lipschitz is None; estimate constants numerically downstream.
 
     A'A has rank at most n_moments, so mu = 0 exactly when there are fewer
-    moments than coordinates.  Up to p moments _least_squares applies the f
+    moments than coordinates.  Up to p / 2 moments _least_squares applies the f
     side in factored form, O(p n_moments) per point, and Q = A'A backs only
     the handle's f_hess.  The total Hessian is diag(lam / y) + V V' with
     V = [A' | sqrt(lam / (1 - sum y)) 1], which the handle solves by Woodbury.

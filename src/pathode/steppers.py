@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linsolve import DirectionResult, NotPositiveDefiniteError, cg_solve
+from .linsolve import DirectionResult, NotPositiveDefiniteError, cg_solve, vector_norm
 from .paths import PiecewiseLinearPath, residuals
 from .problems import DomainError, ProblemOracle, check_lambda_range
 from .reports import OracleCounters, RunReport
@@ -377,7 +377,7 @@ def newton_solve(
                 counters.grad_f += 1
                 counters.grad_omega += 1
             g = fg + lam * og
-            gnorm = float(np.linalg.norm(g))
+            gnorm = vector_norm(g)
             if gnorm <= tol:
                 break
             if it == NEWTON_CAP:

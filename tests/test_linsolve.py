@@ -55,8 +55,8 @@ class TestSolveSpd:
 
     @pytest.mark.parametrize("dim", [1, 2, 20, 200])
     def test_bit_identical_to_scipy_cholesky(self, dim):
-        # the raw LAPACK calls are the ones cho_factor/cho_solve make, and the
-        # norms are the dot-product sqrt that np.linalg.norm takes
+        # posv factors and solves by the potrf and potrs that cho_factor/cho_solve
+        # call, and the norms are the dot-product sqrt that np.linalg.norm takes
         for seed in range(40, 45):
             H, g = random_spd(dim, seed + dim)
             res = solve_spd(H, g)

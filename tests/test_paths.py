@@ -21,6 +21,7 @@ from pathode import (
     export_path_csv,
     generate_synthetic_moment_data,
     initialize_by_newton,
+    lambda_schedule,
     make_logistic_ridge,
     make_moment_matching,
     make_quadratic_ridge,
@@ -304,8 +305,7 @@ class TestSweepKernel:
         assert (c_mid.metric_evals, c_dense.metric_evals) == (2 * K + 1, ppi * K)
         assert sum(lam.size for lam, _ in blocks) == 2 * K + ppi * K
         for lam, got in blocks:
-            # the bottom interval's t = 1 point may round an ulp below lambda_min
-            X = path.query_batch(np.maximum(lam, path.lambda_min))
+            X = path.query_batch(lam)
             # BLAS rounds a matmul or gradient batch of another shape differently in the last bit;
             # the floor covers residuals near float noise (grid knots at the Newton floor, moment
             # points whose residual moves 1e-14 per ulp of x), where that bit is much of the value
@@ -315,6 +315,41 @@ class TestSweepKernel:
         assert len(at_knots) >= (K + 1 if scheme != "grid" else 1)
         for x, k in at_knots:
             assert np.array_equal(x, path.X[k])
+
+
+class TestSweepRange:
+    """Every lambda the sweep evaluates lies in the path's range, and t = 1 is the next knot exactly."""
+
+    @PROPERTY_SETTINGS
+    @given(
+        lo=st.floats(1e-6, 1e3),
+        ratio=st.floats(1.001, 1e6),
+        K=st.integers(1, 60),
+        ppi=st.integers(2, 40),
+        constant=st.booleans(),
+        shrink=st.booleans(),
+    )
+    @example(0.1, 100.0, 2, 2, False, False)  # once 0.09999999999999998 at t = 1, an ulp below 0.1
+    def test_swept_lambdas_stay_in_range(self, lo, ratio, K, ppi, constant, shrink):
+        problem, _ = dense_instance("quadratic")
+        lams = lambda_schedule(lo, lo * ratio, K)
+        cls = PiecewiseConstantPath if constant else PiecewiseLinearPath
+        path = cls(lams, np.zeros((K + 1, problem.dim)), np.zeros(K + 1))
+        swept = []
+
+        def block_residuals(problem, start, lam):
+            swept.append(lam.ravel())
+            return np.zeros(lam.shape)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(path, "block_residuals", block_residuals)
+            if shrink:
+                mp.setattr(paths_mod, "DENSE_BLOCK_BYTES", 5 * 8 * problem.dim)
+            accuracy_midpoint(problem, path)
+            accuracy_dense(problem, path, ppi)
+        swept = np.concatenate(swept)
+        assert np.all((path.lambda_min <= swept) & (swept <= path.lambda_max))
+        assert set(lams) <= set(swept)  # the dense grid's t = 0 and t = 1 points are the knots
 
 
 class TestNanResidual:

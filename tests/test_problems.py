@@ -35,7 +35,7 @@ from pathode import (
 )
 from pathode.cli import min_feasible_K
 from pathode.datasets import generate_synthetic_logistic, generate_synthetic_quadratic
-from pathode.problems import _sigmoid_of_negated
+from pathode.problems import GEMM_GRAM_MAX, _LogisticHessian, _sigmoid_of_negated
 
 from conftest import with_dense_solve
 
@@ -632,6 +632,37 @@ class TestSigmoidKernel:
             assert problem.f_value(x) == float(np.mean(np.logaddexp(0.0, -(Ab @ x))))
 
 
+class TestGramKernels:
+    """f'' by gemm or by syrk, on shapes either side of GEMM_GRAM_MAX, is A' diag(w / n) A within rounding."""
+
+    @pytest.mark.parametrize("n, p", [(60, 8), (200, 30), (300, 80), (50, 300)])
+    @pytest.mark.parametrize("kernel", ["gemm", "syrk"])
+    def test_both_kernels_give_f_hess_and_a_certified_solve(self, n, p, kernel):
+        X, y = generate_synthetic_logistic(n, p, 5)
+        handle = make_logistic_ridge(X, y).hessian(np.zeros(p), 1.0)
+        assert (handle.AbT is not None) == (n * p * p <= GEMM_GRAM_MAX)  # the oracle's own rule
+        Ab = y[:, None] * X
+        AbT = np.ascontiguousarray(Ab.T) if kernel == "gemm" else None
+        rng = np.random.Generator(np.random.Philox(n + p))
+        gamma = 2.0 * (n + 8) * EPS
+        for lam in (1e-3, 1.0):
+            handle = _LogisticHessian(Ab, AbT, rng.normal(size=p), lam)
+            H = handle.f_hess()
+            absolute = np.einsum("ij,i,ik->jk", np.abs(X), handle.w / n, np.abs(X))
+            ref = np.einsum("ij,i,ik->jk", X, handle.w / n, X)
+            assert np.all(np.abs(H - ref) <= gamma * absolute)
+            # an exact solve of H + lam I: the certificate is its residual, and Cholesky's is
+            # within gamma_3p (|R'| |R| |y| + |g|) <= gamma_3p p (||H|| ||y|| + ||g||)
+            g = rng.normal(size=p)
+            res = handle.solve(g)
+            total = ref + lam * np.eye(p)
+            ynorm, gnorm = np.linalg.norm(res.direction), np.linalg.norm(g)
+            bar = 6.0 * p * p * EPS * (np.linalg.norm(total) * ynorm + gnorm)
+            assert res.residual_norm <= bar
+            recomputed = np.linalg.norm(total @ res.direction + g)
+            assert abs(res.residual_norm - recomputed) <= gamma * np.sqrt(p) * np.linalg.norm(total) * ynorm + bar
+
+
 def fd_jacobian(grad, x, h=1e-6):
     """Central differences of grad at x, one column per coordinate."""
     cols = []
@@ -908,20 +939,26 @@ class TestLeastSquaresTerm:
     """f = 0.5 ||A x - b||^2 of the quadratic and moment families, and the logistic design."""
 
     @pytest.mark.parametrize("factory", [make_quadratic_ridge, make_moment_matching])
-    @pytest.mark.parametrize("shape", [(30, 20), (5, 40), (6, 6)])
-    def test_gradient_goes_through_the_gram_matrix_for_tall_designs_only(self, factory, shape):
+    @pytest.mark.parametrize("shape", [(30, 20), (5, 40), (6, 6), (20, 30), (5, 8), (5, 12)])
+    def test_gradient_goes_through_the_gram_matrix_while_p_is_below_2n(self, factory, shape):
+        # p^2 flops per point through Q against 2 n p through A' and A; both forms
+        # agree within the rounding of the factored products
         rng = np.random.Generator(np.random.Philox(90))
         A, b = rng.normal(size=shape), rng.normal(size=shape[0])
         problem = factory(A, b)
 
-        def rule(X):
-            if shape[0] > shape[1]:
-                return X @ (A.T @ A) - A.T @ b
+        def gram(X):
+            return X @ (A.T @ A) - A.T @ b
+
+        def factored(X):
             return (X @ A.T - b) @ A
 
+        rule = gram if 2 * shape[0] > shape[1] else factored
         Y = rng.uniform(0.1, 0.9, size=(3, shape[1])) / shape[1]  # inside the simplex too
         assert np.array_equal(problem.f_grad(Y), rule(Y))
         assert np.array_equal(problem.f_grad(Y[0]), rule(Y[0]))
+        bound = 2.0 * sum(shape) * EPS * ((np.abs(Y) @ np.abs(A).T + np.abs(b)) @ np.abs(A))
+        assert np.all(np.abs(gram(Y) - factored(Y)) <= bound)
         r = A @ Y[0] - b
         assert problem.f_value(Y[0]) == 0.5 * float(r @ r)
 
@@ -935,10 +972,11 @@ class TestLeastSquaresTerm:
             with pytest.raises(ValueError, match="A'A and A'b must not overflow"):
                 factory(np.array(A), np.array(b))
 
-    @pytest.mark.parametrize("n, p, scale", [(60, 8, 1.0), (200, 30, 16.0)])
+    @pytest.mark.parametrize("n, p, scale", [(60, 8, 1.0), (200, 30, 16.0), (300, 80, 1.0)])
     def test_logistic_handle_keeps_one_design_with_the_same_bits(self, n, p, scale):
         # the handle once held the unlabelled A beside Ab; each row enters f'' and
-        # f'' v twice, so Ab gives A's bits, also from the CSV loader's strided view
+        # f'' v twice, so Ab gives A's bits, also from the CSV loader's strided view,
+        # by the gemm kernel below GEMM_GRAM_MAX (the first two) and by syrk above it
         X, y = generate_synthetic_logistic(n, p, 11)
         data = np.hstack([y[:, None], scale * X])
         A = data[:, 1:]
@@ -947,8 +985,12 @@ class TestLeastSquaresTerm:
         for _ in range(3):
             handle = problem.hessian(rng.normal(size=p) / scale, 0.5)
             assert not hasattr(handle, "A")
-            B = A * np.sqrt(handle.w / n)[:, None]
-            assert np.array_equal(handle.f_hess(), B.T @ B)
+            if n * p * p <= GEMM_GRAM_MAX:
+                ref = (np.ascontiguousarray(A.T) * (handle.w / n)) @ A
+            else:
+                B = A * np.sqrt(handle.w / n)[:, None]
+                ref = B.T @ B
+            assert np.array_equal(handle.f_hess(), ref)
             v = rng.normal(size=p)
             assert np.array_equal(handle.f_hessvec(v), A.T @ (handle.w * (A @ v)) / n)
 

@@ -12,7 +12,11 @@ code, stdout and stderr) is classified as
              is blanked;
   rounding   the same text and integers (exit codes, counters, K) and strings
              (status, messages) between the numbers, and every other number
-             within RTOL of the other tree's, relative;
+             within RTOL of the other tree's, relative; a certificate of a
+             --diag-out line (residual_r_k, direction_residuals) may instead
+             differ by RTOL times that line's largest cg_initial_residuals, the
+             ||g|| of an exact solve, since a certificate near zero is rounding
+             of the products that make it, not of itself;
   different  anything else, a missing file included.
 
 It prints one row per output, then a count per class and each tree's wall
@@ -149,6 +153,27 @@ def normalize(text: str) -> str:
 
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+CERTIFICATE = re.compile(r'"(?:residual_r_k|direction_residuals)": (?:\[[^]]*\]|[^,}]*)')
+
+
+def floors(text: str) -> list[float]:
+    """Per number of text, the absolute difference that counts as rounding beside RTOL.
+
+    RTOL times its line's largest cg_initial_residuals for a certificate of a --diag-out
+    line, else 0.
+    """
+    out = []
+    for line in text.splitlines():
+        try:
+            record = json.loads(line)
+        except ValueError:
+            record = None
+        spans, floor = [], 0.0
+        if isinstance(record, dict) and record.get("cg_initial_residuals"):
+            floor = RTOL * max(map(abs, record["cg_initial_residuals"]))
+            spans = [m.span() for m in CERTIFICATE.finditer(line)]
+        out += [floor if any(a <= m.start() < b for a, b in spans) else 0.0 for m in NUMBER.finditer(line)]
+    return out
 
 
 def classify(base: str | None, head: str | None) -> tuple[str, str]:
@@ -161,18 +186,22 @@ def classify(base: str | None, head: str | None) -> tuple[str, str]:
     b_nums, h_nums = NUMBER.findall(base), NUMBER.findall(head)
     if NUMBER.split(base) != NUMBER.split(head) or len(b_nums) != len(h_nums):
         return "different", "text or number count differs"
-    worst = 0.0
-    for b, h in zip(b_nums, h_nums):
+    worst, certificates = 0.0, 0
+    for b, h, floor in zip(b_nums, h_nums, map(max, floors(base), floors(head))):
         if b == h:
             continue
         if re.fullmatch(r"[-+]?\d+", b) and re.fullmatch(r"[-+]?\d+", h):
             return "different", f"integer {b} != {h}"
         x, y = float(b), float(h)
         rel = 0.0 if x == y else abs(x - y) / max(abs(x), abs(y))  # "-0.0" and "0.0" are equal
-        if not rel <= RTOL:
+        if rel <= RTOL:
+            worst = max(worst, rel)
+        elif abs(x - y) <= floor:
+            certificates += 1
+        else:
             return "different", f"{b} vs {h} (relative {rel:.1e})"
-        worst = max(worst, rel)
-    return "rounding", f"max relative {worst:.1e}"
+    detail = f", {certificates} certificates within RTOL ||g||" if certificates else ""
+    return "rounding", f"max relative {worst:.1e}{detail}"
 
 
 def compare(base: dict, head: dict) -> list[tuple[str, str, str, str]]:
