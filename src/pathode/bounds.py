@@ -329,7 +329,7 @@ def estimate_constants(
     sigma_hat = math.inf
     hessians_f = []
     for x in points:
-        hess = problem.hessian(x, 0.0)
+        hess = problem.hessian(x)
         Hf = np.asarray(hess.f_hess(), dtype=float)
         Ho = np.asarray(hess.omega_hess(), dtype=float)
         hessians_f.append((x, Hf))

@@ -63,7 +63,7 @@ def solve_spd(H: np.ndarray, g: np.ndarray) -> DirectionResult:
     if info == 0:
         with np.errstate(invalid="ignore", over="ignore"):  # inf/NaN in H meets y here
             residual = H @ y + g
-        rnorm = vector_norm(residual)
+            rnorm = vector_norm(residual)
     if info != 0 or not math.isfinite(rnorm):
         _reject((H, g), info > 0 and f"Cholesky factorization failed: {info}-th leading minor "
                 "of the array is not positive definite")
@@ -78,8 +78,7 @@ def _reject(arrays, message) -> None:
     """Failure contract: ValueError on non-finite input, else NotPositiveDefiniteError(message)."""
     if not all(np.all(np.isfinite(a)) for a in arrays):
         raise ValueError("non-finite entries in linear system")
-    if message:
-        raise NotPositiveDefiniteError(message)
+    raise NotPositiveDefiniteError(message or "the residual certificate ||H y + g|| is not finite")
 
 
 def solve_diag_lowrank(d: np.ndarray, V: np.ndarray, g: np.ndarray) -> DirectionResult:
@@ -139,12 +138,28 @@ def solve_shifted_eigh(H, evals, evecs, lam: float, g: np.ndarray) -> DirectionR
     y = -evecs diag(1 / (evals + lam)) evecs' g is two O(p^2) products, and
     the certificate is the explicitly evaluated H y + lam y + g.  solve_spd's
     failure contract is checked before any product: non-finite lam or g
-    raises ValueError, and evals[0] + lam <= 0 NotPositiveDefiniteError.
+    raises ValueError, and evals[0] + lam <= 0 NotPositiveDefiniteError, as
+    does a certificate that is not finite after the products.
     """
     g = np.asarray(g, dtype=float)
     gnorm = vector_norm(g)
-    if not (math.isfinite(gnorm) and math.isfinite(lam) and evals[0] + lam > 0.0):
+    lo, hi = float(evals[0]), float(evals[-1])
+    # ||y|| <= ||g|| / (lo + lam) and ||H y + lam y|| <= (|lo| + |hi| + |lam|) ||y||, so within
+    # this bound, which NaN, inf and lo + lam <= 0 fail, no product or square overflows; only a
+    # system beyond it pays for the checks, an errstate (2 us, a fifth of a p = 20 solve) and
+    # a certificate check
+    if 0.0 < lo + lam < 1e300 and gnorm * (abs(lo) + abs(hi) + abs(lam)) <= 1e150 * (lo + lam):
+        return _shifted_eigh(H, evals, evecs, lam, g, gnorm)
+    if not (math.isfinite(gnorm) and math.isfinite(lam) and lo + lam > 0.0):
         _reject((g, lam), "shifted matrix has a nonpositive eigenvalue")
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        result = _shifted_eigh(H, evals, evecs, lam, g, gnorm)
+    if not math.isfinite(result.residual_norm):
+        _reject((g, lam), None)
+    return result
+
+
+def _shifted_eigh(H, evals, evecs, lam, g, gnorm) -> DirectionResult:
     y = evecs @ ((evecs.T @ g) / (-lam - evals))
     residual = H @ y + lam * y + g
     return _exact(y, residual, vector_norm(residual), gnorm)

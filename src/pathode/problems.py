@@ -15,8 +15,9 @@ moment matching      f = 0.5 ||A'y - b'||^2,       Omega = simplex entropy
 Hessian handles
 ---------------
 Every second-order use reaches hess F_lambda(x) only through
-ProblemOracle.hessian(x, lam), a handle with grad_f(), solve(g), matvec(v),
-f_hess() and omega_hess() that does its per-point work once:
+ProblemOracle.hessian(x), a handle with grad_f(), f_hess() and omega_hess()
+that does its per-point work once; lam enters only solve(g, lam),
+matvec(v, lam) and the moment handle's lowrank(lam):
 quadratic    one eigh of A'A per problem, then O(p^2) per solve
 logistic     the sigmoid once per point, by the in-place kernel
              _sigmoid_of_negated (numpy's exp, margins clipped at 709) that
@@ -71,11 +72,11 @@ class ProblemOracle:
     Lipschitz moduli of f, its gradient and Hessian, and Omega's; it may
     be None for families without a global certificate (entropy).
 
-    hessian(x, lam) returns the handle on H = f''(x) + lam Omega''(x), the
-    oracle's only second-order interface: grad_f() is f_grad(x), matvec(v)
-    is H v, f_hess() and omega_hess() are the dense f''(x) and Omega''(x),
-    and solve(g) solves H y = -g with an explicit residual and solve_spd's
-    failure contract.  It raises DomainError outside the domain.
+    hessian(x) returns the handle on x, the oracle's only second-order
+    interface: grad_f() is f_grad(x), f_hess() and omega_hess() the dense
+    f''(x) and Omega''(x); with H = f''(x) + lam Omega''(x), matvec(v, lam) is
+    H v and solve(g, lam) solves H y = -g with an explicit residual and
+    solve_spd's failure contract.  It raises DomainError outside the domain.
     """
 
     name: str
@@ -89,14 +90,14 @@ class ProblemOracle:
     mu: float
     sigma: float
     lipschitz: float | None
-    hessian: Callable[[Array, float], Any]
+    hessian: Callable[[Array], Any]
 
     def total_grad(self, x: Array, lam: float | Array) -> Array:
         """grad F_lam at a point, or at row points with lam a column of shape (m, 1)."""
         return self.f_grad(x) + lam * self.omega_grad(x)
 
     def total_hess(self, x: Array, lam: float) -> Array:
-        hess = self.hessian(x, lam)
+        hess = self.hessian(x)
         return hess.f_hess() + lam * hess.omega_hess()
 
     def base_point(self) -> Array:
@@ -125,8 +126,8 @@ class ProblemOracle:
 class _QuadraticHessian:
     """A'A + lam I, solved from the problem's one eigendecomposition of A'A."""
 
-    def __init__(self, Q, eig, f_grad, x, lam):
-        self.Q, self.eig, self.f_grad, self.x, self.lam = Q, eig, f_grad, x, lam
+    def __init__(self, Q, eig, f_grad, x):
+        self.Q, self.eig, self.f_grad, self.x = Q, eig, f_grad, x
 
     def grad_f(self):
         return self.f_grad(self.x)
@@ -137,11 +138,11 @@ class _QuadraticHessian:
     def omega_hess(self):
         return np.eye(self.Q.shape[0])
 
-    def solve(self, g):
-        return solve_shifted_eigh(self.Q, *self.eig, self.lam, g)
+    def solve(self, g, lam):
+        return solve_shifted_eigh(self.Q, *self.eig, lam, g)
 
-    def matvec(self, v):
-        return self.Q @ v + self.lam * v
+    def matvec(self, v, lam):
+        return self.Q @ v + lam * v
 
 
 def _sigmoid_of_negated(z: Array) -> Array:
@@ -173,9 +174,9 @@ class _LogisticHessian:
     AbT is Ab' as a contiguous copy when f'' is assembled by gemm, else None (syrk).
     """
 
-    def __init__(self, Ab, AbT, x, lam):
+    def __init__(self, Ab, AbT, x):
         # f'' and f'' v take each labelled row b_i a_i twice, so its sign cancels exactly
-        self.Ab, self.AbT, self.lam = Ab, AbT, lam
+        self.Ab, self.AbT = Ab, AbT
         self.s = _sigmoid_of_negated(Ab @ x)
         self.w = self.s * (1.0 - self.s)
 
@@ -195,34 +196,34 @@ class _LogisticHessian:
     def f_hessvec(self, v):
         return self.Ab.T @ (self.w * (self.Ab @ v)) / self.Ab.shape[0]
 
-    def solve(self, g):
+    def solve(self, g, lam):
         H = self.f_hess()
-        H.flat[:: H.shape[0] + 1] += self.lam
+        H.flat[:: H.shape[0] + 1] += lam
         return solve_spd(H, g)
 
-    def matvec(self, v):
-        return self.f_hessvec(v) + self.lam * v
+    def matvec(self, v, lam):
+        return self.f_hessvec(v) + lam * v
 
 
 class _ReweightedHessian:
     """f'' + lam Omega'' of the class-split pair, each side a _LogisticHessian; solve assembles."""
 
-    def __init__(self, f, omega, lam):
-        self.f, self.omega, self.lam = f, omega, lam
+    def __init__(self, f, omega):
+        self.f, self.omega = f, omega
         self.grad_f, self.f_hess, self.omega_hess = f.grad_f, f.f_hess, omega.f_hess
 
-    def solve(self, g):
-        return solve_spd(self.f_hess() + self.lam * self.omega_hess(), g)
+    def solve(self, g, lam):
+        return solve_spd(self.f_hess() + lam * self.omega_hess(), g)
 
-    def matvec(self, v):
-        return self.f.f_hessvec(v) + self.lam * self.omega.f_hessvec(v)
+    def matvec(self, v, lam):
+        return self.f.f_hessvec(v) + lam * self.omega.f_hessvec(v)
 
 
 class _MomentHessian:
     """A'A + lam (diag(1/y) + 11'/rest), rest = 1 - sum y, domain checked once."""
 
-    def __init__(self, A, Q, V_base, f_grad, y, lam):
-        self.A, self.Q, self.V_base, self.f_grad, self.y, self.lam = A, Q, V_base, f_grad, y, lam
+    def __init__(self, A, Q, V_base, f_grad, y):
+        self.A, self.Q, self.V_base, self.f_grad, self.y = A, Q, V_base, f_grad, y
         self.rest = 1.0 - float(y.sum())
 
     def grad_f(self):
@@ -234,17 +235,17 @@ class _MomentHessian:
     def omega_hess(self):
         return np.diag(1.0 / self.y) + np.ones((len(self.y), len(self.y))) / self.rest
 
-    def lowrank(self) -> tuple[Array, Array]:
-        """(d, V) with this Hessian = diag(d) + V V'; at lam <= 0, d <= 0 fails the solve."""
+    def lowrank(self, lam) -> tuple[Array, Array]:
+        """(d, V) with the Hessian at lam = diag(d) + V V'; at lam <= 0, d <= 0 fails the solve."""
         V = self.V_base.copy(order="F")
-        V[:, -1] = math.sqrt(max(self.lam, 0.0) / self.rest)
-        return self.lam / self.y, V
+        V[:, -1] = math.sqrt(max(lam, 0.0) / self.rest)
+        return lam / self.y, V
 
-    def solve(self, g):
-        return solve_diag_lowrank(*self.lowrank(), g)
+    def solve(self, g, lam):
+        return solve_diag_lowrank(*self.lowrank(lam), g)
 
-    def matvec(self, v):
-        return self.A.T @ (self.A @ v) + self.lam * (v / self.y + np.sum(v) / self.rest)
+    def matvec(self, v, lam):
+        return self.A.T @ (self.A @ v) + lam * (v / self.y + np.sum(v) / self.rest)
 
 
 @dataclass(frozen=True)
@@ -361,7 +362,7 @@ def make_quadratic_ridge(A: Array, b: Array) -> ProblemOracle:
         f_grad=f_grad,
         mu=mu,
         lipschitz=L,
-        hessian=lambda x, lam: _QuadraticHessian(Q, eig, f_grad, x, lam),
+        hessian=lambda x: _QuadraticHessian(Q, eig, f_grad, x),
         **_ridge_omega(p),
     )
 
@@ -445,7 +446,7 @@ def _logistic_pieces(A: Array, labels: Array):
         return out
 
     # the handle of the ridge oracle, Omega = 0.5 ||x||^2
-    return value, grad, lambda x, lam: _LogisticHessian(Ab, AbT, x, lam)
+    return value, grad, lambda x: _LogisticHessian(Ab, AbT, x)
 
 
 def _check_design(features: Array, labels: Array) -> tuple[Array, Array]:
@@ -506,7 +507,7 @@ def make_logistic_reweighted(features: Array, labels: Array) -> ProblemOracle:
         mu=0.0,
         sigma=0.0,
         lipschitz=max(_logistic_lipschitz(A[pos]), _logistic_lipschitz(A[neg])),
-        hessian=lambda x, lam: _ReweightedHessian(fh(x, 0.0), oh(x, 0.0), lam),
+        hessian=lambda x: _ReweightedHessian(fh(x), oh(x)),
     )
 
 
@@ -626,5 +627,5 @@ def make_moment_matching(A_reduced: Array, b_reduced: Array) -> ProblemOracle:
         mu=mu,
         sigma=1.0,
         lipschitz=None,
-        hessian=lambda y, lam: _MomentHessian(A, Q, V_base, f_grad, _require_domain(y), lam),
+        hessian=lambda y: _MomentHessian(A, Q, V_base, f_grad, _require_domain(y)),
     )

@@ -166,17 +166,17 @@ def direction_oracle(problem: ProblemOracle, counters: OracleCounters, delta: fl
     max_iters = 20 * problem.dim
 
     def direction(x, lam, warm=None):
-        hess = problem.hessian(x, lam)
+        hess = problem.hessian(x)
         g = hess.grad_f()
         counters.grad_f += 1
         if delta is None:
-            result = hess.solve(g)
+            result = hess.solve(g, lam)
             counters.hess_builds += 1
             return result
 
         def hessvec(v):
             counters.hessvec += 1
-            return hess.matvec(v)
+            return hess.matvec(v, lam)
 
         start = warm if warm is not None else np.zeros(problem.dim)
         result = cg_solve(hessvec, g, start, delta, max_iters)
@@ -358,22 +358,23 @@ def newton_solve(
 ) -> Iterator[tuple[np.ndarray, int, float]]:
     """Damped Newton on F_lam for each lam to ||grad F_lam|| <= tol; yields (x, iters, gnorm).
 
-    Each lam starts from the previous exit and reuses the values made there,
-    none of which depends on lam.  Each step is the Newton step, halved until
-    the iterate stays in the domain and F_lam does not increase; an accepted
-    point keeps its values and its gradients are made at the next iteration.
-    Each gradient made charges grad_f and grad_omega to counters, and each
-    step one Hessian build.  Raises ValueError unless tol > 0, and
-    MaxIterationsError when no halving is acceptable or the gradient is
-    still above tol after NEWTON_CAP steps.
+    Each lam starts from the previous exit and reuses the Hessian handle, gradients
+    and values made there, none of which depends on lam.  Each step is the Newton
+    step, halved until the iterate stays in the domain and F_lam does not increase;
+    an accepted point keeps its values, and its handle, whose grad_f() is its f
+    gradient, is made at the next iteration.  Each handle charges grad_f and
+    grad_omega to counters, and each solve one Hessian build.  Raises ValueError
+    unless tol > 0, and MaxIterationsError when no halving is acceptable or the
+    gradient is still above tol after NEWTON_CAP steps.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    fg = og = fv = ov = None
+    hess = og = fv = ov = None
     for lam in map(float, lams):
         for it in range(NEWTON_CAP + 1):
-            if fg is None:
-                fg, og = problem.f_grad(x), problem.omega_grad(x)
+            if hess is None:
+                hess, og = problem.hessian(x), problem.omega_grad(x)
+                fg = hess.grad_f()
                 counters.grad_f += 1
                 counters.grad_omega += 1
             g = fg + lam * og
@@ -382,7 +383,7 @@ def newton_solve(
                 break
             if it == NEWTON_CAP:
                 raise MaxIterationsError(f"newton stalled above tol = {tol} after {it} iterations")
-            d = problem.hessian(x, lam).solve(g).direction
+            d = hess.solve(g, lam).direction
             counters.hess_builds += 1
             if fv is None:
                 fv, ov = problem.f_value(x), problem.omega_value(x)
@@ -393,7 +394,7 @@ def newton_solve(
                 if problem.domain_check(cand):
                     cand_fv, cand_ov = problem.f_value(cand), problem.omega_value(cand)
                     if cand_fv + lam * cand_ov <= f0 + 1e-12 * (1.0 + abs(f0)):
-                        x, fg, og, fv, ov = cand, None, None, cand_fv, cand_ov
+                        x, hess, og, fv, ov = cand, None, None, cand_fv, cand_ov
                         break
                 t *= 0.5
             else:

@@ -5,6 +5,7 @@ everything is seeded, so sharing is safe.
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -63,10 +64,11 @@ class _WrappedHandle:
 
 
 def with_handle_methods(problem, make_methods):
-    """problem whose handle at (x, lam) takes the methods make_methods(problem, x, lam) names."""
+    """problem whose handle at x is problem's, with the methods make_methods(handle, x) names replaced."""
 
-    def hessian(x, lam):
-        return _WrappedHandle(problem.hessian(x, lam), make_methods(problem, x, lam))
+    def hessian(x):
+        handle = problem.hessian(x)
+        return _WrappedHandle(handle, make_methods(handle, x))
 
     return dataclasses.replace(problem, hessian=hessian)
 
@@ -74,9 +76,15 @@ def with_handle_methods(problem, make_methods):
 def with_dense_solve(problem):
     """problem whose handles solve and multiply with the assembled total_hess."""
 
-    def methods(problem, x, lam):
-        H = problem.total_hess(x, lam)
-        return {"solve": lambda g: solve_spd(H, g), "matvec": lambda v: H @ v}
+    def methods(handle, x):
+        @functools.cache
+        def total_hess(lam):  # ProblemOracle.total_hess, assembled once per lam
+            return handle.f_hess() + lam * handle.omega_hess()
+
+        return {
+            "solve": lambda g, lam: solve_spd(total_hess(lam), g),
+            "matvec": lambda v, lam: total_hess(lam) @ v,
+        }
 
     return with_handle_methods(problem, methods)
 

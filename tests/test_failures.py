@@ -3,7 +3,8 @@
 Faults are injected through the oracle's Hessian handle: the n-th handle
 the run asks for raises NotPositiveDefiniteError from its solve and its
 products, as a factorization of a non-SPD Hessian would.  quad30 never
-backs off from its domain, so every direction asks for exactly one handle.
+backs off from its domain, so every direction asks for exactly one handle,
+and Newton one per iterate, whose solve takes the step from that iterate.
 """
 
 import dataclasses
@@ -38,7 +39,7 @@ class _BrokenHandle:
     def __init__(self, handle):
         self.grad_f = handle.grad_f
 
-    def solve(self, g):
+    def solve(self, g, lam):
         raise NotPositiveDefiniteError("injected: Hessian is not positive definite")
 
     matvec = solve
@@ -48,10 +49,10 @@ def failing_on_call(problem, n):
     """problem, except that its n-th Hessian handle (counting from 1) is broken."""
     calls = 0
 
-    def hessian(x, lam):
+    def hessian(x):
         nonlocal calls
         calls += 1
-        handle = problem.hessian(x, lam)
+        handle = problem.hessian(x)
         return _BrokenHandle(handle) if calls == n else handle
 
     return dataclasses.replace(problem, hessian=hessian)
@@ -103,7 +104,9 @@ def test_failed_path_run_keeps_the_finished_knots(method, mode, record, data):
 @settings(max_examples=15, deadline=None)
 @given(n=st.integers(1, 6))
 def test_failed_grid_search_keeps_the_finished_points(n):
-    # Newton is exact on a quadratic: one handle, one iteration per grid point
+    # Newton is exact on a quadratic: one step per grid point.  Its handles are the
+    # start's and each grid point's exit's, which takes the next point's step, so the
+    # n-th handle fails grid point n - 1
     cfg = GridSearchConfig(
         num_points=6, inner_solver="newton", inner_tol=1e-8, lambda_min=0.01, lambda_max=10.0
     )

@@ -13,6 +13,7 @@ from pathode import (
     cg_iteration_bound,
     cg_solve,
     solve_diag_lowrank,
+    solve_shifted_eigh,
     solve_spd,
 )
 
@@ -226,6 +227,36 @@ class TestSolveDiagLowrankFailures:
         d, V, g = random_diag_lowrank(20, 4, 74)
         res = self._call(d, np.asarray(V, order=order), g)
         assert np.isfinite(res.residual_norm)
+
+
+# H = diag(1e-300, 1) is SPD and factors, but y_0 = -1e10 / 1e-300 overflows, so the
+# certificate ||H y + g|| is not finite and no solver may return the direction as converged
+OVERFLOWING_SOLVES = {
+    "solve_spd": lambda H, g: solve_spd(H, g),
+    "solve_diag_lowrank": lambda H, g: solve_diag_lowrank(np.diag(H), np.zeros((2, 1)), g),
+    "solve_shifted_eigh": lambda H, g: solve_shifted_eigh(H, *np.linalg.eigh(H), 0.0, g),
+}
+
+
+@pytest.mark.parametrize("solver", list(OVERFLOWING_SOLVES))
+def test_overflowing_certificate_is_rejected_without_warning(solver):
+    H, g = np.diag([1e-300, 1.0]), np.array([1e10, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotPositiveDefiniteError, match="certificate .* is not finite"):
+            OVERFLOWING_SOLVES[solver](H, g)
+
+
+@pytest.mark.parametrize("solver", list(OVERFLOWING_SOLVES))
+def test_large_but_finite_solution_is_certified(solver):
+    # ||g|| / lambda_min(H) = 1e160 is past solve_shifted_eigh's errstate bound, yet every
+    # product stays finite: the direction is exact and its certificate is kept
+    H, g = np.diag([1e-20, 1.0]), np.array([1e140, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = OVERFLOWING_SOLVES[solver](H, g)
+    assert res.converged and np.isfinite(res.residual_norm)
+    assert np.allclose(res.direction, [-1e160, -1.0], rtol=1e-15, atol=0.0)
 
 
 class TestCgSolve:

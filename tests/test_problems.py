@@ -6,6 +6,7 @@ against central finite differences at seeded interior points.
 
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -50,11 +51,11 @@ def fd_gradient(fn, x, h=1e-6):
 
 
 def f_hess(problem, x):
-    return problem.hessian(x, 0.0).f_hess()
+    return problem.hessian(x).f_hess()
 
 
 def omega_hess(problem, x):
-    return problem.hessian(x, 0.0).omega_hess()
+    return problem.hessian(x).omega_hess()
 
 
 def interior_moment_points(problem, rng, count):
@@ -114,10 +115,10 @@ class TestQuadraticRidge:
         _, _, problem = quad30
         rng = np.random.Generator(np.random.Philox(78))
         x = rng.normal(size=problem.dim)
-        handle = problem.hessian(x, 0.0)
+        handle = problem.hessian(x)
         for _ in range(5):
             v = rng.normal(size=problem.dim)
-            assert np.allclose(handle.matvec(v), handle.f_hess() @ v, rtol=1e-12, atol=1e-12)
+            assert np.allclose(handle.matvec(v, 0.0), handle.f_hess() @ v, rtol=1e-12, atol=1e-12)
 
     def test_batch_gradients_match_loop(self, quad30):
         _, _, problem = quad30
@@ -199,9 +200,9 @@ class TestLogisticRidge:
         problem = logistic_small
         rng = np.random.Generator(np.random.Philox(81))
         x = rng.normal(size=problem.dim)
-        handle = problem.hessian(x, 0.0)
+        handle = problem.hessian(x)
         v = rng.normal(size=problem.dim)
-        assert np.allclose(handle.matvec(v), handle.f_hess() @ v, rtol=1e-12, atol=1e-14)
+        assert np.allclose(handle.matvec(v, 0.0), handle.f_hess() @ v, rtol=1e-12, atol=1e-14)
 
     def test_batch_gradient_blocks_agree(self):
         # exercise the internal row blocking with a batch larger than one block
@@ -379,7 +380,7 @@ class TestMomentMatching:
         A, b = build_moment_problem(w, x_true, 1)
         problem = make_moment_matching(A, b)
         bad = np.array([-0.1, 0.5])
-        for fn in (problem.omega_value, problem.omega_grad, lambda y: problem.hessian(y, 1.0)):
+        for fn in (problem.omega_value, problem.omega_grad, problem.hessian):
             with pytest.raises(DomainError):
                 fn(bad)
         good = np.array([0.4, 0.3])
@@ -447,9 +448,9 @@ class TestMomentMatching:
         for y in Y:
             v = rng.normal(size=40)
             assert np.allclose(problem.f_grad(y), Q @ y - A.T @ b, rtol=1e-12, atol=1e-14)
-            handle = problem.hessian(y, 0.0)
+            handle = problem.hessian(y)
             assert np.allclose(handle.f_hess(), Q, rtol=1e-12, atol=1e-14)
-            assert np.allclose(handle.matvec(v), Q @ v, rtol=1e-12, atol=1e-14)
+            assert np.allclose(handle.matvec(v, 0.0), Q @ v, rtol=1e-12, atol=1e-14)
         G = problem.f_grad(Y)
         assert G.shape == Y.shape
         for i, y in enumerate(Y):
@@ -460,7 +461,7 @@ class TestMomentMatching:
         problem = make_moment_matching(*build_moment_problem(w, x_true, 1))
         for bad in ([-0.1, 0.5], [0.6, 0.4], [np.nan, 0.1]):
             with pytest.raises(DomainError):
-                problem.hessian(np.array(bad), 1.0)
+                problem.hessian(np.array(bad))
 
     @pytest.mark.parametrize("bad", [[np.nan, 0.1], [0.0, 0.3], [0.6, 0.4], [0.7, 0.5]])
     def test_batch_omega_gradient_raises_where_a_point_does(self, bad):
@@ -515,7 +516,7 @@ class TestMomentHessianStructure:
     @given(moment_points())
     def test_factored_form_is_the_total_hessian(self, case):
         problem, lam, y, _ = case
-        d, V = problem.hessian(y, lam).lowrank()
+        d, V = problem.hessian(y).lowrank(lam)
         H = problem.total_hess(y, lam)
         assert d.shape == (problem.dim,) and V.shape[0] == problem.dim
         assert np.linalg.norm(np.diag(d) + V @ V.T - H) <= 1e-12 * np.linalg.norm(H)
@@ -525,14 +526,14 @@ class TestMomentHessianStructure:
     def test_direction_matches_cholesky_within_conditioning(self, case):
         problem, lam, y, g = case
         H = problem.total_hess(y, lam)
-        res = problem.hessian(y, lam).solve(g)
+        res = problem.hessian(y).solve(g, lam)
         ref = solve_spd(H, g).direction
         # Cholesky's forward error scales with cond(H); Woodbury's also with
         # the cancellation in D^-1 g - D^-1 V C^-1 V' D^-1 g, which grows with
         # the norm of the capacitance matrix C = I + V' D^-1 V
         evals = np.linalg.eigvalsh(H)
         kappa = evals[-1] / evals[0] if evals[0] > 0.0 else np.inf
-        d, V = problem.hessian(y, lam).lowrank()
+        d, V = problem.hessian(y).lowrank(lam)
         cap = np.eye(V.shape[1]) + V.T @ (V / d[:, None])
         scale = max(kappa, np.linalg.norm(cap, 2))
         assert np.linalg.norm(res.direction - ref) <= 32.0 * scale * EPS * np.linalg.norm(ref)
@@ -541,8 +542,8 @@ class TestMomentHessianStructure:
     @given(moment_points())
     def test_certificate_is_the_dense_residual(self, case):
         problem, lam, y, g = case
-        res = problem.hessian(y, lam).solve(g)
-        d, V = problem.hessian(y, lam).lowrank()
+        res = problem.hessian(y).solve(g, lam)
+        d, V = problem.hessian(y).lowrank(lam)
         H = problem.total_hess(y, lam)
         x = res.direction
         # both residuals are rounded evaluations of H x + g: they agree to
@@ -639,14 +640,14 @@ class TestGramKernels:
     @pytest.mark.parametrize("kernel", ["gemm", "syrk"])
     def test_both_kernels_give_f_hess_and_a_certified_solve(self, n, p, kernel):
         X, y = generate_synthetic_logistic(n, p, 5)
-        handle = make_logistic_ridge(X, y).hessian(np.zeros(p), 1.0)
+        handle = make_logistic_ridge(X, y).hessian(np.zeros(p))
         assert (handle.AbT is not None) == (n * p * p <= GEMM_GRAM_MAX)  # the oracle's own rule
         Ab = y[:, None] * X
         AbT = np.ascontiguousarray(Ab.T) if kernel == "gemm" else None
         rng = np.random.Generator(np.random.Philox(n + p))
         gamma = 2.0 * (n + 8) * EPS
         for lam in (1e-3, 1.0):
-            handle = _LogisticHessian(Ab, AbT, rng.normal(size=p), lam)
+            handle = _LogisticHessian(Ab, AbT, rng.normal(size=p))
             H = handle.f_hess()
             absolute = np.einsum("ij,i,ik->jk", np.abs(X), handle.w / n, np.abs(X))
             ref = np.einsum("ij,i,ik->jk", X, handle.w / n, X)
@@ -654,7 +655,7 @@ class TestGramKernels:
             # an exact solve of H + lam I: the certificate is its residual, and Cholesky's is
             # within gamma_3p (|R'| |R| |y| + |g|) <= gamma_3p p (||H|| ||y|| + ||g||)
             g = rng.normal(size=p)
-            res = handle.solve(g)
+            res = handle.solve(g, lam)
             total = ref + lam * np.eye(p)
             ynorm, gnorm = np.linalg.norm(res.direction), np.linalg.norm(g)
             bar = 6.0 * p * p * EPS * (np.linalg.norm(total) * ynorm + gnorm)
@@ -696,7 +697,7 @@ HANDLE_FD_CASES = {name: (problem, points) for name, problem, points in _handle_
 def test_handle_hessians_are_the_gradients_derivatives(family):
     problem, points = HANDLE_FD_CASES[family]
     for x in points:
-        handle = problem.hessian(x, 1.0)
+        handle = problem.hessian(x)
         for H, grad in ((handle.f_hess(), problem.f_grad), (handle.omega_hess(), problem.omega_grad)):
             fd = fd_jacobian(grad, x)
             assert np.linalg.norm(H - fd) <= 1e-6 * (1.0 + np.linalg.norm(H))
@@ -712,7 +713,7 @@ def oracle_points(draw):
     family = draw(st.sampled_from(["quadratic", "logistic", "moment", "reweighted"]))
     if family == "moment":
         problem, lam, x, _ = draw(moment_points())
-        rows = problem.hessian(x, lam).lowrank()[1].shape[1]
+        rows = problem.hessian(x).lowrank(lam)[1].shape[1]
     else:
         p, rows = draw(st.integers(1, 25)), draw(st.integers(2, 60))
         seed = draw(st.integers(0, 2**16))
@@ -743,14 +744,14 @@ class TestHessianHandles:
     @given(oracle_points())
     def test_grad_is_f_grad_and_matvec_is_total_hess(self, case):
         problem, rows, lam, x, _, v = case
-        handle = problem.hessian(x, lam)
+        handle = problem.hessian(x)
         assert np.array_equal(handle.grad_f(), problem.f_grad(x))
         # both products round within gamma |A'| |A| |v| (or |H| |v|), and the
         # trace of the PSD f'' <= trace H bounds || |A'| |A| ||_2 <= sqrt(p) ||H||_F
         H = problem.total_hess(x, lam)
         gamma = 2.0 * (rows + problem.dim + 8) * EPS
         bar = gamma * np.sqrt(problem.dim) * np.linalg.norm(H) * np.linalg.norm(v)
-        assert np.linalg.norm(handle.matvec(v) - H @ v) <= bar
+        assert np.linalg.norm(handle.matvec(v, lam) - H @ v) <= bar
         # a row of a batch gradient is its point's gradient up to the rounding of a
         # differently blocked product, within gamma (sqrt(p) ||H_term|| ||y|| + ||g||);
         # the base point and the midpoint keep the moment rows inside the simplex
@@ -760,16 +761,40 @@ class TestHessianHandles:
             G = grad(X)
             assert G.shape == X.shape
             for row, y in zip(G, X):
-                g, H_term = grad(y), getattr(problem.hessian(y, lam), term)()
+                g, H_term = grad(y), getattr(problem.hessian(y), term)()
                 size = np.sqrt(problem.dim) * np.linalg.norm(H_term) * np.linalg.norm(y)
                 assert np.linalg.norm(row - g) <= gamma * (size + np.linalg.norm(g))
+
+    @PROPERTY_SETTINGS
+    @given(oracle_points(), st.data())
+    def test_one_handle_answers_any_lambdas_like_fresh_handles(self, case, data):
+        # a handle holds only its point's data: any sequence of lambdas, repeats and
+        # any order included, gets from it the bits a fresh handle per call gives
+        problem, _, lam, x, g, v = case
+        pool = [lam, 10.0 ** data.draw(st.floats(-3.0, 3.0)), 10.0 ** data.draw(st.floats(-3.0, 3.0))]
+        lams = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6), label="lams")
+        handle = problem.hessian(x)
+        for mu in lams:
+            assert np.array_equal(handle.matvec(v, mu), problem.hessian(x).matvec(v, mu))
+            try:
+                res = handle.solve(g, mu)
+            except NotPositiveDefiniteError as exc:  # the reweighted f'' + mu Omega'' may be singular
+                with pytest.raises(NotPositiveDefiniteError, match=re.escape(str(exc))):
+                    problem.hessian(x).solve(g, mu)
+                continue
+            fresh = problem.hessian(x).solve(g, mu)
+            assert np.array_equal(res.direction, fresh.direction)
+            assert np.array_equal(res.residual_vector, fresh.residual_vector)
+            assert (res.residual_norm, res.initial_residual, res.converged) == (
+                fresh.residual_norm, fresh.initial_residual, fresh.converged
+            )
 
     @PROPERTY_SETTINGS
     @given(oracle_points())
     def test_solve_matches_cholesky_of_total_hess(self, case):
         problem, rows, lam, x, g, _ = case
         H = problem.total_hess(x, lam)
-        res = problem.hessian(x, lam).solve(g)
+        res = problem.hessian(x).solve(g, lam)
         ref = solve_spd(H, g)
         y, dim = res.direction, problem.dim
         assert res.converged and res.inner_iterations == 0
@@ -799,7 +824,7 @@ class TestHessianHandles:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match="non-finite") as info:
-                    variant.hessian(x, lam).solve(g)
+                    variant.hessian(x).solve(g, lam)
             assert not isinstance(info.value, NotPositiveDefiniteError)
 
     @PROPERTY_SETTINGS
@@ -814,7 +839,7 @@ class TestHessianHandles:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(NotPositiveDefiniteError):
-                    variant.hessian(x, lam).solve(g)
+                    variant.hessian(x).solve(g, lam)
 
     @pytest.mark.parametrize("bad", [[-0.1, 0.5], [0.6, 0.4], [np.nan, 0.1], [np.inf, 0.1]])
     def test_out_of_domain_point_raises(self, bad):
@@ -824,17 +849,17 @@ class TestHessianHandles:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(DomainError):
-                    variant.hessian(np.array(bad), 1.0).solve(np.ones(2))
+                    variant.hessian(np.array(bad)).solve(np.ones(2), 1.0)
 
     def test_refinement_recovers_the_direction_near_the_face(self):
         # y = 0.9999 leaves 1 - sum y = 1e-4: the rank-one entropy term is 1e4
         # and Woodbury alone cancels to 2.5e-12 relative
         problem = make_moment_matching(np.array([[0.5]]), np.array([0.6]))
         y = np.array([0.9999])
-        handle = problem.hessian(y, 1.0)
+        handle = problem.hessian(y)
         g = handle.grad_f()
         ref = solve_spd(problem.total_hess(y, 1.0), g).direction
-        assert np.linalg.norm(handle.solve(g).direction - ref) <= 1e-14 * np.linalg.norm(ref)
+        assert np.linalg.norm(handle.solve(g, 1.0).direction - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
 # --------------------------------------------------------- TheoryConstants
@@ -983,7 +1008,7 @@ class TestLeastSquaresTerm:
         problem = make_logistic_ridge(A, data[:, 0])
         rng = np.random.Generator(np.random.Philox(91))
         for _ in range(3):
-            handle = problem.hessian(rng.normal(size=p) / scale, 0.5)
+            handle = problem.hessian(rng.normal(size=p) / scale)
             assert not hasattr(handle, "A")
             if n * p * p <= GEMM_GRAM_MAX:
                 ref = (np.ascontiguousarray(A.T) * (handle.w / n)) @ A

@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -51,7 +51,7 @@ def one_step(method, problem, x_k, lambda_k, h):
 
 def direction(problem, x, lam):
     """The exact ODE direction -(hess F_lam(x))^{-1} grad f(x), uncounted."""
-    return problem.hessian(x, lam).solve(problem.f_grad(x)).direction
+    return problem.hessian(x).solve(problem.f_grad(x), lam).direction
 
 
 @pytest.fixture(scope="module")
@@ -675,6 +675,34 @@ class TestCounterContract:
         assert c.grad_f == c.grad_omega == sum(iters) + 1  # warm starts reuse the exit gradient
         assert c.hessvec == c.metric_evals == 0
 
+    @pytest.mark.parametrize("family", list(FAMILY_INSTANCES))
+    def test_newton_asks_one_handle_per_iterate_and_one_solve_per_step(self, family):
+        # each iterate's handle gives its f gradient, so problem.f_grad is never called,
+        # and the exit point's handle takes the next lambda's first step
+        problem, _, (lo, hi), _ = FAMILY_INSTANCES[family]()
+        lams = lambda_schedule(lo, hi, 12)
+        tally = {"handles": 0, "solves": 0}
+
+        def methods(handle, x):
+            tally["handles"] += 1
+
+            def solve(g, lam):
+                tally["solves"] += 1
+                return handle.solve(g, lam)
+
+            return {"solve": solve}
+
+        counted = replace(with_handle_methods(problem, methods), f_grad=refuse)
+        x0, counters, ref_counters = problem.base_point(), OracleCounters(), OracleCounters()
+        out = list(newton_solve(counted, lams, x0, 1e-9, counters))
+        ref = list(newton_solve(problem, lams, x0, 1e-9, ref_counters))
+        for (x, iters, gnorm), (x_ref, iters_ref, gnorm_ref) in zip(out, ref, strict=True):
+            assert np.array_equal(x, x_ref) and (iters, gnorm) == (iters_ref, gnorm_ref)
+        assert counters == ref_counters
+        iterations = sum(iters for _, iters, _ in out)
+        assert tally["handles"] == counters.grad_f == counters.grad_omega == iterations + 1
+        assert tally["solves"] == counters.hess_builds == iterations > 0
+
 
 def _permuted_instances(family, perm):
     """(problem, permuted problem) whose features, or atoms, are permuted by perm."""
@@ -781,7 +809,7 @@ class TestInitializers:
         x_om = problem.omega_minimizer
         g = problem.f_grad(x_om)
         x0, bound = initialize_from_omega(problem, lam)
-        assert np.array_equal(x0, x_om + problem.hessian(x_om, lam).solve(g).direction)
+        assert np.array_equal(x0, x_om + problem.hessian(x_om).solve(g, lam).direction)
         counters = OracleCounters()
         assert np.array_equal(x0, x_om + direction_oracle(problem, counters, None)(x_om, lam).direction)
         assert (counters.grad_f, counters.hess_builds) == (1, 1)

@@ -43,6 +43,12 @@ PROBLEMS = {
     "logistic": ["--problem", "logistic", "--data", "logistic.csv"],
     "moment": ["--problem", "moment", "--data", "moment.json", "--lambda-min", "1e-3", "--lambda-max", "1"],
 }
+# the one family whose handle is made of two handles; its Omega has sigma = 0, so the path
+# commands run it with --allow-degenerate, a flag theory does not take: theory keeps PROBLEMS
+PATH_PROBLEMS = {
+    **PROBLEMS,
+    "logistic-reweighted": ["--problem", "logistic-reweighted", "--data", "logistic.csv", "--allow-degenerate"],
+}
 METHODS = ("euler", "trapezoid-cg", "rk4", "grid-newton")
 RUN5 = ["run", "--method", "euler", "--K", "5"] + QUAD
 STATED = ["--mu", "0.5", "--sigma", "1", "--L", "2", "--G", "3", "--f-gap", "0.1"]
@@ -54,7 +60,7 @@ def matrix() -> dict[str, list[str]]:
         "gen-logistic": ["gen-logistic", "--n", "60", "--p", "8", "--seed", "3", "--out", "{out}/d.csv"],
         "gen-moment": ["gen-moment", "--p", "12", "--seed", "2", "--out", "{out}/m.json"],
     }
-    for prob, flags in PROBLEMS.items():
+    for prob, flags in PATH_PROBLEMS.items():
         flags = flags + (["--init-tol", "1e-10"] if prob == "moment" else [])
         for method in METHODS:
             diag = [] if method.startswith("grid-") else ["--diag-out", "{out}/diag.jsonl"]
