@@ -338,7 +338,7 @@ def estimate_constants(
         L_hat = max(L_hat, _sym_norm(evals_f), _sym_norm(evals_o))
         G_hat = max(
             G_hat,
-            float(np.linalg.norm(problem.f_grad(x))),
+            float(np.linalg.norm(hess.grad_f())),
             float(np.linalg.norm(problem.omega_grad(x))),
         )
         mu_hat = min(mu_hat, float(evals_f[0]))

@@ -3,7 +3,7 @@
 import json
 import math
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, astuple, replace
 
 import numpy as np
 import pytest
@@ -11,13 +11,17 @@ import pytest
 from pathode import (
     K_BOUNDS,
     TheoryConstants,
+    build_moment_problem,
     estimate_constants,
     estimate_f_gap,
     k_euler,
     k_euler_approx,
     k_trapezoid,
     k_trapezoid_approx,
+    generate_synthetic_moment_data,
+    make_logistic_reweighted,
     make_logistic_ridge,
+    make_moment_matching,
     step_bound_euler,
     step_bound_euler_approx,
     step_bound_trapezoid,
@@ -25,6 +29,8 @@ from pathode import (
     stepsize_bounds,
 )
 from pathode.datasets import generate_synthetic_logistic
+
+from conftest import with_handle_methods
 
 
 def tau_one_euler():
@@ -279,6 +285,29 @@ class TestEstimators:
         exact = float(np.linalg.norm(problem.hessian(np.zeros(30)).f_hess(), 2))
         assert cons.L >= exact * (1.0 - 1e-14)
 
+    @pytest.mark.parametrize("family", ["quad30", "logistic-sweep", "reweighted", "moment"])
+    def test_G_takes_the_gradient_from_the_handle_with_the_oracles_bits(self, family, quad30):
+        # G-hat's f gradient once came from problem.f_grad beside the handle at each sample;
+        # the handle's grad_f() gives the same constants, bit for bit, without that call
+        if family == "quad30":
+            problem, lams = quad30[2], (0.01, 10.0)
+        elif family == "logistic-sweep":
+            X, y = generate_synthetic_logistic(200, 30, 11)
+            problem, lams = make_logistic_ridge(16.0 * X, y), (1e-2, 1e2)
+        elif family == "reweighted":
+            problem, lams = make_logistic_reweighted(*generate_synthetic_logistic(60, 8, 3)), (0.01, 10.0)
+        else:
+            w, x_true = generate_synthetic_moment_data(12, 2)
+            problem, lams = make_moment_matching(*build_moment_problem(w, x_true, 5)), (1e-3, 1.0)
+
+        def refuse(x):
+            raise AssertionError("problem.f_grad called")
+
+        beside = with_handle_methods(problem, lambda handle, x: {"grad_f": lambda: problem.f_grad(x)})
+        new = estimate_constants(replace(problem, f_grad=refuse), lams, sample_count=16, seed=4)
+        old = estimate_constants(beside, lams, sample_count=16, seed=4)
+        assert np.array_equal(astuple(new), astuple(old))
+
     def test_sigma_identity_regularizer(self, quad30):
         _, _, problem = quad30
         cons = estimate_constants(problem, (0.01, 10.0), sample_count=8, seed=3)
@@ -310,8 +339,6 @@ class TestEstimators:
         assert est > 0.0
 
     def test_moment_estimation_respects_domain(self):
-        from pathode import build_moment_problem, generate_synthetic_moment_data, make_moment_matching
-
         w, x_true = generate_synthetic_moment_data(6, 3)
         A, b = build_moment_problem(w, x_true, 3)
         problem = make_moment_matching(A, b)

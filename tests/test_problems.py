@@ -6,7 +6,12 @@ against central finite differences at seeded interior points.
 
 import dataclasses
 import math
+import os
 import re
+import signal
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -36,7 +41,8 @@ from pathode import (
 )
 from pathode.cli import min_feasible_K
 from pathode.datasets import generate_synthetic_logistic, generate_synthetic_quadratic
-from pathode.problems import GEMM_GRAM_MAX, _LogisticHessian, _sigmoid_of_negated
+from pathode import problems
+from pathode.problems import GEMM_GRAM_MAX, SPLIT_GRAM_MIN, _LogisticHessian, _on_halves, _sigmoid_of_negated
 
 from conftest import with_dense_solve
 
@@ -512,6 +518,18 @@ PROPERTY_SETTINGS = settings(
 class TestMomentHessianStructure:
     """diag(d) + V V' is the moment Hessian, and Woodbury solves it like Cholesky."""
 
+    def test_matvec_has_the_bits_of_its_formula(self):
+        # the CG product sums v by v.sum(), np.sum's bits without numpy's wrapper
+        w, x_true = generate_synthetic_moment_data(12, 2)
+        A, b = build_moment_problem(w, x_true, 5)
+        problem = make_moment_matching(A, b)
+        rng = np.random.Generator(np.random.Philox(95))
+        for y in interior_moment_points(problem, rng, 4):
+            handle, rest = problem.hessian(y), 1.0 - float(np.sum(y))
+            for lam in (1e-3, 0.7, 40.0):
+                v = rng.normal(size=12) * 10.0 ** rng.uniform(-3, 3, size=12)
+                assert np.array_equal(handle.matvec(v, lam), A.T @ (A @ v) + lam * (v / y + np.sum(v) / rest))
+
     @PROPERTY_SETTINGS
     @given(moment_points())
     def test_factored_form_is_the_total_hessian(self, case):
@@ -662,6 +680,110 @@ class TestGramKernels:
             assert res.residual_norm <= bar
             recomputed = np.linalg.norm(total @ res.direction + g)
             assert abs(res.residual_norm - recomputed) <= gamma * np.sqrt(p) * np.linalg.norm(total) * ynorm + bar
+
+
+class TestTwoHalves:
+    """From n p^2 = SPLIT_GRAM_MIN on, f'' and batched gradients are two half-design products."""
+
+    N, P = 300, 170  # 8.67e6, just above SPLIT_GRAM_MIN
+
+    def large(self, monkeypatch, threaded):
+        monkeypatch.setattr(problems, "_two_cpus", lambda: threaded)
+        X, y = generate_synthetic_logistic(self.N, self.P, 5)
+        return X, y, make_logistic_ridge(X, y)
+
+    def test_the_rule_splits_only_large_designs(self):
+        # logistic-sweep's 200 x 30 and the bit-pinned 300 x 80 below, logistic-large above
+        assert 300 * 80 * 80 < SPLIT_GRAM_MIN <= self.N * self.P**2 < 1000 * 250 * 250
+        for n, p in [(200, 30), (300, 80), (self.N, self.P)]:
+            X, y = generate_synthetic_logistic(n, p, 5)
+            handle = make_logistic_ridge(X, y).hessian(np.zeros(p))
+            assert (handle.halves is None) == (n * p * p < SPLIT_GRAM_MIN)
+
+    @pytest.mark.parametrize("threaded", [True, False], ids=["worker", "one-cpu"])
+    def test_f_hess_and_row_gradients_match_the_single_product(self, monkeypatch, threaded):
+        X, y, problem = self.large(monkeypatch, threaded)
+        n = self.N
+        Ab = y[:, None] * X
+        gamma = 2.0 * (n + 8) * EPS  # TestGramKernels' bound
+        rng = np.random.Generator(np.random.Philox(93))
+        handle = problem.hessian(rng.normal(size=self.P) / np.sqrt(self.P))
+        assert handle.halves is not None and handle.AbT is None
+        absolute = np.einsum("ij,i,ik->jk", np.abs(X), handle.w / n, np.abs(X))
+        ref = np.einsum("ij,i,ik->jk", X, handle.w / n, X)
+        assert np.all(np.abs(handle.f_hess() - ref) <= gamma * absolute)
+        # each margin within gamma |P| |Ab|', so each sigmoid within a quarter of that
+        P = rng.normal(size=(37, self.P)) / np.sqrt(self.P)
+        S = _sigmoid_of_negated(P @ Ab.T)
+        bound = gamma * ((S + 0.25 * np.abs(P) @ np.abs(Ab).T) @ np.abs(Ab)) / n
+        assert np.all(np.abs(problem.f_grad(P) - (-(S @ Ab) / n)) <= bound)
+
+    def test_worker_and_one_cpu_give_the_same_bits(self, monkeypatch):
+        *_, worker = self.large(monkeypatch, True)
+        *_, alone = self.large(monkeypatch, False)
+        rng = np.random.Generator(np.random.Philox(94))
+        for m in (1, 2, 37):
+            P = rng.normal(size=(m, self.P)) / np.sqrt(self.P)
+            assert np.array_equal(worker.f_grad(P), alone.f_grad(P))
+        x, g = rng.normal(size=self.P), rng.normal(size=self.P)
+        a, b = worker.hessian(x), alone.hessian(x)
+        assert np.array_equal(a.f_hess(), b.f_hess())
+        assert np.array_equal(a.solve(g, 0.1).direction, b.solve(g, 0.1).direction)
+
+    @pytest.mark.parametrize("failing", ["top", "bottom"])
+    def test_a_failing_half_raises_after_the_other_finishes(self, failing):
+        finished = []
+
+        def fn(rows):
+            if (rows.start == 0) == (failing == "top"):
+                raise RuntimeError(failing)
+            time.sleep(0.05)
+            finished.append((rows, threading.current_thread() is threading.main_thread()))
+            return rows
+
+        with pytest.raises(RuntimeError, match=failing):
+            _on_halves(fn, 0, 10, threaded=True)
+        # the top half runs on the caller's thread, the bottom on the worker
+        assert finished == ([(slice(5, 10), False)] if failing == "top" else [(slice(0, 5), True)])
+        assert _on_halves(lambda rows: (rows.start, rows.stop), 3, 12, threaded=True) == ((3, 7), (7, 12))
+
+    def test_callers_on_many_threads_share_the_worker(self, monkeypatch):
+        # more callers than CPUs, switching often: each batch keeps the bits of a lone call
+        *_, problem = self.large(monkeypatch, True)
+        rng = np.random.Generator(np.random.Philox(96))
+        batches = [rng.normal(size=(9, self.P)) / np.sqrt(self.P) for _ in range(4)]
+        expected = [problem.f_grad(P) for P in batches]
+        results = [[] for _ in batches]
+
+        def caller(i):
+            for _ in range(5):
+                results[i].append(problem.f_grad(batches[i]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, args=(i,)) for i in range(len(batches))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got, want in zip(results, expected):
+            assert len(got) == 5 and all(np.array_equal(g, want) for g in got)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_gets_its_own_worker(self):
+        # the parent's worker thread is not copied into the child; a child still holding the
+        # parent's executor waits for it forever, and the alarm ends it with SIGALRM
+        assert _on_halves(lambda rows: rows.stop, 0, 2, threaded=True) == (1, 2)
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - the child reports by its exit status
+            signal.alarm(10)
+            os._exit(0 if _on_halves(lambda rows: rows.stop, 0, 2, threaded=True) == (1, 2) else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 def fd_jacobian(grad, x, h=1e-6):

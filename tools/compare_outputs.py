@@ -50,6 +50,14 @@ PATH_PROBLEMS = {
     "logistic-reweighted": ["--problem", "logistic-reweighted", "--data", "logistic.csv", "--allow-degenerate"],
 }
 METHODS = ("euler", "trapezoid-cg", "rk4", "grid-newton")
+# a design above problems.SPLIT_GRAM_MIN, whose f'' and batched gradients run as two halves
+LARGE = ["--problem", "logistic", "--data", "large.csv"]
+# {generator case: (the file it writes, the name the later cases read it by)}
+DATA_FILES = {
+    "gen-logistic": ("d.csv", "logistic.csv"),
+    "gen-moment": ("m.json", "moment.json"),
+    "gen-logistic-large": ("d.csv", "large.csv"),
+}
 RUN5 = ["run", "--method", "euler", "--K", "5"] + QUAD
 STATED = ["--mu", "0.5", "--sigma", "1", "--L", "2", "--G", "3", "--f-gap", "0.1"]
 
@@ -59,7 +67,13 @@ def matrix() -> dict[str, list[str]]:
     cases = {
         "gen-logistic": ["gen-logistic", "--n", "60", "--p", "8", "--seed", "3", "--out", "{out}/d.csv"],
         "gen-moment": ["gen-moment", "--p", "12", "--seed", "2", "--out", "{out}/m.json"],
+        "gen-logistic-large": ["gen-logistic", "--n", "600", "--p", "160", "--seed", "4", "--out", "{out}/d.csv"],
     }
+    for method in ("euler", "trapezoid-cg"):
+        cases[f"run/logistic-large/{method}"] = (
+            ["run", "--method", method, "--K", "16", "--eps", "1e-3", "--out", "{out}/run.json"]
+            + ["--path-out", "{out}/path.csv", "--diag-out", "{out}/diag.jsonl"] + LARGE
+        )
     for prob, flags in PATH_PROBLEMS.items():
         flags = flags + (["--init-tol", "1e-10"] if prob == "moment" else [])
         for method in METHODS:
@@ -136,10 +150,9 @@ def run_tree(tree: str, workdir: str) -> None:
                 with open(path, encoding="utf-8", errors="replace") as fh:
                     files[os.path.relpath(path, out_dir)] = fh.read()
         results[case] = {"exit": str(code), "stdout": stdout.getvalue(), "stderr": stderr.getvalue(), **files}
-        if case == "gen-logistic":
-            os.replace(os.path.join(out_dir, "d.csv"), "logistic.csv")
-        if case == "gen-moment":
-            os.replace(os.path.join(out_dir, "m.json"), "moment.json")
+        if case in DATA_FILES:
+            written, read = DATA_FILES[case]
+            os.replace(os.path.join(out_dir, written), read)
     with open("outputs.json", "w", encoding="utf-8") as fh:
         json.dump(results, fh)
 
