@@ -535,7 +535,7 @@ def _pin_blas_threads() -> None:
     A count set through OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is kept.
     numpy and scipy each load their own OpenBLAS with its own thread pool;
     the exact runs assemble each Hessian in one and factor it in the other,
-    and two multi-threaded pools taking turns stall.  Without /proc, or for a
+    and two pools of several threads taking turns stall.  Without /proc, or for a
     library without a known setter, the pools are left alone.
     """
     if "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ:

@@ -25,7 +25,7 @@ logistic     the sigmoid once per point, by the in-place kernel
              while n p^2 <= GEMM_GRAM_MAX, else by syrk of B = Ab sqrt(w / n),
              and calls solve_spd, one LAPACK posv; from n p^2 = SPLIT_GRAM_MIN
              on, f'' and the batched gradients are two half-design products,
-             the second half on a worker thread when two CPUs are usable
+             the second half on a worker thread on every machine
 reweighted   two logistic handles (the +1 rows as f, the -1 rows as Omega);
              solve assembles their sum
 moment       Woodbury on diag(lam / y) + V V', V = [A' | sqrt(lam / (1 - sum y)) 1]
@@ -173,21 +173,33 @@ def _sigmoid_of_negated(z: Array) -> Array:
 GEMM_GRAM_MAX = 1 << 20
 
 # From n p^2 = SPLIT_GRAM_MIN on, f'' is the top half-design's syrk plus the bottom half's, and
-# each row block of a batched gradient is two half blocks; with two usable CPUs the bottom half
-# runs on a one-worker thread beside the top, as two one-thread BLAS calls.  The split f'' takes
-# 0.5-0.96x the one syrk's time from here on for n >= 200, and 0.7-1.5x between 2e6 and here, more
-# below, where the worker's 32-51 us round trip dominates (minimum of 60 runs, one BLAS thread,
-# n 50-2000 by p 16-400); wide designs, n <= 150 by p >= 250, take 0.8-1.25x either side, their
-# p x p sum costing what the half syrk saves.  200 x 30 and 300 x 80 sit below, 600 x 160 and
-# 1000 x 250 above.  On one CPU the same halves run in turn, so the bits do not depend on it.
+# each row block of a batched gradient is two half blocks, the bottom half on a one-worker thread
+# beside the top, as two one-thread BLAS calls.  The split f'' takes 0.5-0.96x the one syrk's time
+# from here on for n >= 200, and 0.7-1.5x between 2e6 and here, more below, where the worker's
+# 32-51 us round trip dominates (minimum of 60 runs, one BLAS thread, n 50-2000 by p 16-400); wide
+# designs, n <= 150 by p >= 250, take 0.8-1.25x either side, their p x p sum costing what the half
+# syrk saves.  200 x 30 and 300 x 80 sit below, 600 x 160 and 1000 x 250 above.  Every machine
+# runs the same two halves, so the bits do not depend on its CPU count.
 SPLIT_GRAM_MIN = 1 << 23
 
 
-def _two_cpus() -> bool:
-    try:
-        return len(os.sched_getaffinity(0)) >= 2
-    except AttributeError:  # no affinity call on this platform
-        return (os.cpu_count() or 1) >= 2
+def _gram_kernel(Ab: Array, split: bool) -> Callable[[Array], Array]:
+    """gram(w) = Ab' diag(w / n) Ab by the rules above; split says n p^2 >= SPLIT_GRAM_MIN."""
+    n, p = Ab.shape
+    if n * p * p <= GEMM_GRAM_MAX:
+        AbT = np.ascontiguousarray(Ab.T)
+        return lambda w: (AbT * (w / n)) @ Ab
+
+    def syrk(w, rows=slice(None)):
+        B = Ab[rows] * np.sqrt(w[rows] / n)[:, None]
+        return B.T @ B  # a matrix times its own transpose: numpy calls BLAS syrk
+
+    def halves(w):
+        top, bottom = _on_halves(functools.partial(syrk, w), 0, n)
+        top += bottom
+        return top
+
+    return halves if split else syrk
 
 
 @functools.cache
@@ -200,53 +212,34 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_half_worker.cache_clear)
 
 
-def _on_halves(fn, start, stop, threaded):
-    """(fn(top), fn(bottom)) on the row slices [start, mid) and [mid, stop).
+def _on_halves(fn, start, stop):
+    """(fn(top), fn(bottom)) on the row slices [start, mid) and [mid, stop), bottom on the worker.
 
-    threaded runs the bottom half on the one worker thread beside the top;
-    either way both halves have finished when this returns or raises.
+    Both halves have finished when this returns or raises.
     """
     mid = (start + stop) // 2
-    top, bottom = slice(start, mid), slice(mid, stop)
-    if not threaded:
-        return fn(top), fn(bottom)
-    future = _half_worker().submit(fn, bottom)
+    future = _half_worker().submit(fn, slice(mid, stop))
     try:
-        first = fn(top)
+        first = fn(slice(start, mid))
     finally:
         future.exception()  # waits for the bottom half
     return first, future.result()
 
 
 class _LogisticHessian:
-    """Mean logistic loss f'' = A' diag(w) A / n (+ lam I), with s and w = s (1 - s) taken once.
+    """Mean logistic f'' = A' diag(w) A / n (+ lam I) by gram; s and w = s (1 - s) once."""
 
-    AbT is Ab' as a contiguous copy when f'' is assembled by gemm, else None (syrk);
-    halves is None, or on a design split at SPLIT_GRAM_MIN, _on_halves with its threaded bound.
-    """
-
-    def __init__(self, Ab, AbT, x, halves=None):
+    def __init__(self, Ab, gram, x):
         # f'' and f'' v take each labelled row b_i a_i twice, so its sign cancels exactly
-        self.Ab, self.AbT, self.halves = Ab, AbT, halves
+        self.Ab, self.gram = Ab, gram
         self.s = _sigmoid_of_negated(Ab @ x)
         self.w = self.s * (1.0 - self.s)
 
     def grad_f(self):
         return -(self.Ab.T @ self.s) / self.Ab.shape[0]
 
-    def _syrk(self, rows):
-        B = self.Ab[rows] * np.sqrt(self.w[rows] / self.Ab.shape[0])[:, None]
-        return B.T @ B  # a matrix times its own transpose: numpy calls BLAS syrk
-
     def f_hess(self):
-        n = self.Ab.shape[0]
-        if self.AbT is not None:
-            return (self.AbT * (self.w / n)) @ self.Ab  # one gemm, see GEMM_GRAM_MAX
-        if self.halves is None:
-            return self._syrk(slice(None))
-        top, bottom = self.halves(self._syrk, 0, n)
-        top += bottom
-        return top
+        return self.gram(self.w)
 
     def omega_hess(self):
         return np.eye(self.Ab.shape[1])
@@ -486,10 +479,8 @@ def _logistic_pieces(A: Array, labels: Array):
     """Closures for the mean logistic loss of a labelled design."""
     n, p = A.shape
     Ab = labels[:, None] * A  # rows b_i a_i
-    AbT = np.ascontiguousarray(Ab.T) if n * p * p <= GEMM_GRAM_MAX else None
-    halves = None
-    if n * p * p >= SPLIT_GRAM_MIN:
-        halves = functools.partial(_on_halves, threaded=_two_cpus())
+    split = n * p * p >= SPLIT_GRAM_MIN
+    gram = _gram_kernel(Ab, split)
 
     def value(x: Array) -> float:
         z = -(Ab @ x)
@@ -506,14 +497,14 @@ def _logistic_pieces(A: Array, labels: Array):
         rows = max(1, (1 << 22) // max(1, n))
         out = np.empty((X.shape[0], p))
         for start in range(0, X.shape[0], rows):
-            if halves is None:
-                fill(X, out, slice(start, start + rows))
+            if split:
+                _on_halves(functools.partial(fill, X, out), start, min(start + rows, X.shape[0]))
             else:
-                halves(functools.partial(fill, X, out), start, min(start + rows, X.shape[0]))
+                fill(X, out, slice(start, start + rows))
         return out
 
     # the handle of the ridge oracle, Omega = 0.5 ||x||^2
-    return value, grad, lambda x: _LogisticHessian(Ab, AbT, x, halves)
+    return value, grad, lambda x: _LogisticHessian(Ab, gram, x)
 
 
 def _check_design(features: Array, labels: Array) -> tuple[Array, Array]:

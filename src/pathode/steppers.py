@@ -16,6 +16,7 @@ through the problem's per-point Hessian handle (ProblemOracle.hessian).
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
@@ -60,13 +61,21 @@ def decay_polynomial(h: float) -> float:
     return 1.0 - h + h * h / 2.0 - h**3 / 6.0 + h**4 / 24.0
 
 
+def _check_count(K: int) -> None:
+    """Raise ValueError unless K is an integer >= 1; numpy integers pass."""
+    if not isinstance(K, numbers.Integral) or K < 1:
+        raise ValueError("K must be a positive integer")
+
+
 def lambda_schedule(lambda_min: float, lambda_max: float, intervals: int) -> np.ndarray:
     """The knots lambda_max rho^(k/intervals), k = 0..intervals, rho = lambda_min/lambda_max.
 
     Closed form, so ODE and grid paths over the same range and interval
     count share their knots; the ends are exactly lambda_max and lambda_min.
-    Raises ValueError when two consecutive knots round to one float.
+    Raises ValueError unless intervals is an integer >= 1, and when two
+    consecutive knots round to one float.
     """
+    _check_count(intervals)
     lams = lambda_max * (lambda_min / lambda_max) ** (np.arange(intervals + 1) / intervals)
     lams[0], lams[-1] = lambda_max, lambda_min
     if not np.all(lams[1:] < lams[:-1]):
@@ -84,8 +93,7 @@ def stepsize(method: str, K: int, lambda_min: float, lambda_max: float) -> float
                root-finding on its log with initial guess 1 - rho^(1/K),
                which only exists for K > ln(lambda_max/lambda_min)/1.3079.
     """
-    if K < 1:
-        raise ValueError("K must be a positive integer")
+    _check_count(K)
     check_lambda_range(lambda_min, lambda_max)
     rho = lambda_min / lambda_max
     ratio = rho ** (1.0 / K)

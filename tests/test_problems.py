@@ -5,10 +5,12 @@ against central finite differences at seeded interior points.
 """
 
 import dataclasses
+import json
 import math
 import os
 import re
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -42,7 +44,7 @@ from pathode import (
 from pathode.cli import min_feasible_K
 from pathode.datasets import generate_synthetic_logistic, generate_synthetic_quadratic
 from pathode import problems
-from pathode.problems import GEMM_GRAM_MAX, SPLIT_GRAM_MIN, _LogisticHessian, _on_halves, _sigmoid_of_negated
+from pathode.problems import GEMM_GRAM_MAX, SPLIT_GRAM_MIN, _on_halves, _sigmoid_of_negated
 
 from conftest import with_dense_solve
 
@@ -651,22 +653,53 @@ class TestSigmoidKernel:
             assert problem.f_value(x) == float(np.mean(np.logaddexp(0.0, -(Ab @ x))))
 
 
+def gram_reference(kernel, Ab, w):
+    """f'' = Ab' diag(w / n) Ab by the named kernel's own products, for comparing bits."""
+    n = Ab.shape[0]
+    if kernel == "gemm":
+        return (np.ascontiguousarray(Ab.T) * (w / n)) @ Ab
+
+    def syrk(rows):
+        B = Ab[rows] * np.sqrt(w[rows] / n)[:, None]
+        return B.T @ B
+
+    if kernel == "syrk":
+        return syrk(slice(None))
+    return syrk(slice(0, n // 2)) + syrk(slice(n // 2, n))
+
+
 class TestGramKernels:
-    """f'' by gemm or by syrk, on shapes either side of GEMM_GRAM_MAX, is A' diag(w / n) A within rounding."""
+    """f'' by gemm, syrk or two half syrks, forced on shapes either side of the rules, is
+    A' diag(w / n) A within rounding; the oracle picks the kernel by n p^2."""
+
+    KERNELS = ("gemm", "syrk", "split")
+
+    @pytest.mark.parametrize("n, p, kernel", [(200, 30, "gemm"), (300, 80, "syrk"), (300, 170, "split")])
+    def test_the_oracle_picks_the_kernel_by_shape(self, n, p, kernel):
+        # logistic-sweep's 200 x 30 and the bit-pinned 300 x 80 stay whole, logistic-large splits
+        assert 200 * 30 * 30 <= GEMM_GRAM_MAX < 300 * 80 * 80
+        assert 300 * 80 * 80 < SPLIT_GRAM_MIN <= 300 * 170 * 170 < 1000 * 250 * 250
+        X, y = generate_synthetic_logistic(n, p, 5)
+        handle = make_logistic_ridge(X, y).hessian(np.random.Generator(np.random.Philox(92)).normal(size=p))
+        H, Ab = handle.f_hess(), y[:, None] * X
+        assert [k for k in self.KERNELS if np.array_equal(H, gram_reference(k, Ab, handle.w))] == [kernel]
 
     @pytest.mark.parametrize("n, p", [(60, 8), (200, 30), (300, 80), (50, 300)])
-    @pytest.mark.parametrize("kernel", ["gemm", "syrk"])
-    def test_both_kernels_give_f_hess_and_a_certified_solve(self, n, p, kernel):
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_each_kernel_gives_f_hess_and_a_certified_solve(self, monkeypatch, n, p, kernel):
+        # (GEMM_GRAM_MAX, SPLIT_GRAM_MIN) that force the kernel on any shape
+        gemm_max, split_min = {"gemm": (math.inf, math.inf), "syrk": (0, math.inf), "split": (0, 0)}[kernel]
+        monkeypatch.setattr(problems, "GEMM_GRAM_MAX", gemm_max)
+        monkeypatch.setattr(problems, "SPLIT_GRAM_MIN", split_min)
         X, y = generate_synthetic_logistic(n, p, 5)
-        handle = make_logistic_ridge(X, y).hessian(np.zeros(p))
-        assert (handle.AbT is not None) == (n * p * p <= GEMM_GRAM_MAX)  # the oracle's own rule
+        problem = make_logistic_ridge(X, y)
         Ab = y[:, None] * X
-        AbT = np.ascontiguousarray(Ab.T) if kernel == "gemm" else None
         rng = np.random.Generator(np.random.Philox(n + p))
         gamma = 2.0 * (n + 8) * EPS
         for lam in (1e-3, 1.0):
-            handle = _LogisticHessian(Ab, AbT, rng.normal(size=p))
+            handle = problem.hessian(rng.normal(size=p))
             H = handle.f_hess()
+            assert np.array_equal(H, gram_reference(kernel, Ab, handle.w))
             absolute = np.einsum("ij,i,ik->jk", np.abs(X), handle.w / n, np.abs(X))
             ref = np.einsum("ij,i,ik->jk", X, handle.w / n, X)
             assert np.all(np.abs(H - ref) <= gamma * absolute)
@@ -682,33 +715,44 @@ class TestGramKernels:
             assert abs(res.residual_norm - recomputed) <= gamma * np.sqrt(p) * np.linalg.norm(total) * ynorm + bar
 
 
+# prints the CPUs it may run on and the SHA-256 of three results on TestTwoHalves' design;
+# argv[1] is a CPU to confine the process to before pathode and numpy load, or "inherited"
+_CPU_COUNT_SCRIPT = """
+import hashlib, json, os, sys
+if sys.argv[1] != "inherited":
+    os.sched_setaffinity(0, {{int(sys.argv[1])}})
+import numpy as np
+from pathode import make_logistic_ridge
+from pathode.datasets import generate_synthetic_logistic
+
+X, y = generate_synthetic_logistic({n}, {p}, 5)
+problem = make_logistic_ridge(X, y)
+rng = np.random.Generator(np.random.Philox(94))
+x, g = rng.normal(size={p}), rng.normal(size={p})
+handle = problem.hessian(x)
+P = rng.normal(size=(37, {p})) / np.sqrt({p})
+outs = (handle.f_hess(), handle.solve(g, 0.1).direction, problem.f_grad(P))
+digests = [hashlib.sha256(np.ascontiguousarray(out).tobytes()).hexdigest() for out in outs]
+print(json.dumps({{"cpus": len(os.sched_getaffinity(0)), "digests": digests}}))
+"""
+
+
 class TestTwoHalves:
     """From n p^2 = SPLIT_GRAM_MIN on, f'' and batched gradients are two half-design products."""
 
     N, P = 300, 170  # 8.67e6, just above SPLIT_GRAM_MIN
 
-    def large(self, monkeypatch, threaded):
-        monkeypatch.setattr(problems, "_two_cpus", lambda: threaded)
+    def large(self):
         X, y = generate_synthetic_logistic(self.N, self.P, 5)
         return X, y, make_logistic_ridge(X, y)
 
-    def test_the_rule_splits_only_large_designs(self):
-        # logistic-sweep's 200 x 30 and the bit-pinned 300 x 80 below, logistic-large above
-        assert 300 * 80 * 80 < SPLIT_GRAM_MIN <= self.N * self.P**2 < 1000 * 250 * 250
-        for n, p in [(200, 30), (300, 80), (self.N, self.P)]:
-            X, y = generate_synthetic_logistic(n, p, 5)
-            handle = make_logistic_ridge(X, y).hessian(np.zeros(p))
-            assert (handle.halves is None) == (n * p * p < SPLIT_GRAM_MIN)
-
-    @pytest.mark.parametrize("threaded", [True, False], ids=["worker", "one-cpu"])
-    def test_f_hess_and_row_gradients_match_the_single_product(self, monkeypatch, threaded):
-        X, y, problem = self.large(monkeypatch, threaded)
+    def test_f_hess_and_row_gradients_match_the_single_product(self):
+        X, y, problem = self.large()
         n = self.N
         Ab = y[:, None] * X
         gamma = 2.0 * (n + 8) * EPS  # TestGramKernels' bound
         rng = np.random.Generator(np.random.Philox(93))
         handle = problem.hessian(rng.normal(size=self.P) / np.sqrt(self.P))
-        assert handle.halves is not None and handle.AbT is None
         absolute = np.einsum("ij,i,ik->jk", np.abs(X), handle.w / n, np.abs(X))
         ref = np.einsum("ij,i,ik->jk", X, handle.w / n, X)
         assert np.all(np.abs(handle.f_hess() - ref) <= gamma * absolute)
@@ -718,17 +762,22 @@ class TestTwoHalves:
         bound = gamma * ((S + 0.25 * np.abs(P) @ np.abs(Ab).T) @ np.abs(Ab)) / n
         assert np.all(np.abs(problem.f_grad(P) - (-(S @ Ab) / n)) <= bound)
 
-    def test_worker_and_one_cpu_give_the_same_bits(self, monkeypatch):
-        *_, worker = self.large(monkeypatch, True)
-        *_, alone = self.large(monkeypatch, False)
-        rng = np.random.Generator(np.random.Philox(94))
-        for m in (1, 2, 37):
-            P = rng.normal(size=(m, self.P)) / np.sqrt(self.P)
-            assert np.array_equal(worker.f_grad(P), alone.f_grad(P))
-        x, g = rng.normal(size=self.P), rng.normal(size=self.P)
-        a, b = worker.hessian(x), alone.hessian(x)
-        assert np.array_equal(a.f_hess(), b.f_hess())
-        assert np.array_equal(a.solve(g, 0.1).direction, b.solve(g, 0.1).direction)
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+    def test_the_bits_do_not_depend_on_the_cpu_count(self):
+        # two fresh interpreters with one-thread OpenBLAS: one confined to a single CPU, one not
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(problems.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        script = _CPU_COUNT_SCRIPT.format(n=self.N, p=self.P)
+        runs = []
+        for cpus in (str(min(os.sched_getaffinity(0))), "inherited"):
+            proc = subprocess.run(
+                [sys.executable, "-c", script, cpus], capture_output=True, text=True, timeout=120, env=env
+            )
+            assert proc.returncode == 0, proc.stderr
+            runs.append(json.loads(proc.stdout.splitlines()[-1]))
+        assert runs[0]["cpus"] == 1 and len(runs[0]["digests"]) == 3
+        assert runs[0]["digests"] == runs[1]["digests"]
 
     @pytest.mark.parametrize("failing", ["top", "bottom"])
     def test_a_failing_half_raises_after_the_other_finishes(self, failing):
@@ -742,14 +791,14 @@ class TestTwoHalves:
             return rows
 
         with pytest.raises(RuntimeError, match=failing):
-            _on_halves(fn, 0, 10, threaded=True)
+            _on_halves(fn, 0, 10)
         # the top half runs on the caller's thread, the bottom on the worker
         assert finished == ([(slice(5, 10), False)] if failing == "top" else [(slice(0, 5), True)])
-        assert _on_halves(lambda rows: (rows.start, rows.stop), 3, 12, threaded=True) == ((3, 7), (7, 12))
+        assert _on_halves(lambda rows: (rows.start, rows.stop), 3, 12) == ((3, 7), (7, 12))
 
-    def test_callers_on_many_threads_share_the_worker(self, monkeypatch):
+    def test_callers_on_many_threads_share_the_worker(self):
         # more callers than CPUs, switching often: each batch keeps the bits of a lone call
-        *_, problem = self.large(monkeypatch, True)
+        *_, problem = self.large()
         rng = np.random.Generator(np.random.Philox(96))
         batches = [rng.normal(size=(9, self.P)) / np.sqrt(self.P) for _ in range(4)]
         expected = [problem.f_grad(P) for P in batches]
@@ -777,11 +826,11 @@ class TestTwoHalves:
     def test_a_forked_child_gets_its_own_worker(self):
         # the parent's worker thread is not copied into the child; a child still holding the
         # parent's executor waits for it forever, and the alarm ends it with SIGALRM
-        assert _on_halves(lambda rows: rows.stop, 0, 2, threaded=True) == (1, 2)
+        assert _on_halves(lambda rows: rows.stop, 0, 2) == (1, 2)
         pid = os.fork()
         if pid == 0:  # pragma: no cover - the child reports by its exit status
             signal.alarm(10)
-            os._exit(0 if _on_halves(lambda rows: rows.stop, 0, 2, threaded=True) == (1, 2) else 1)
+            os._exit(0 if _on_halves(lambda rows: rows.stop, 0, 2) == (1, 2) else 1)
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
 
@@ -1132,12 +1181,8 @@ class TestLeastSquaresTerm:
         for _ in range(3):
             handle = problem.hessian(rng.normal(size=p) / scale)
             assert not hasattr(handle, "A")
-            if n * p * p <= GEMM_GRAM_MAX:
-                ref = (np.ascontiguousarray(A.T) * (handle.w / n)) @ A
-            else:
-                B = A * np.sqrt(handle.w / n)[:, None]
-                ref = B.T @ B
-            assert np.array_equal(handle.f_hess(), ref)
+            kernel = "gemm" if n * p * p <= GEMM_GRAM_MAX else "syrk"
+            assert np.array_equal(handle.f_hess(), gram_reference(kernel, A, handle.w))
             v = rng.normal(size=p)
             assert np.array_equal(handle.f_hessvec(v), A.T @ (handle.w * (A @ v)) / n)
 

@@ -115,6 +115,19 @@ class TestStepsize:
         lams = lambda_schedule(0.01, 10.0, K)
         assert np.allclose(lams[1:] / lams[:-1], factor[method], rtol=1e-13, atol=0.0)
 
+    @pytest.mark.parametrize("K", [0, -1, 2.5])
+    def test_interval_counts_that_are_not_positive_integers_are_rejected(self, K):
+        # 0 once gave the one knot [0.01] after a divide-by-zero warning, -1 an IndexError,
+        # and 2.5 four uneven knots and a step size of 0.937 instead of an error
+        for call in (lambda: lambda_schedule(0.01, 10.0, K), lambda: stepsize("euler", K, 0.01, 10.0)):
+            with pytest.raises(ValueError, match="^K must be a positive integer$"):
+                call()
+
+    def test_numpy_integer_counts_give_the_bits_of_python_ints(self):
+        assert np.array_equal(lambda_schedule(0.01, 10.0, np.int64(4)), lambda_schedule(0.01, 10.0, 4))
+        for method in METHODS:
+            assert stepsize(method, np.int64(400), 0.01, 10.0) == stepsize(method, 400, 0.01, 10.0)
+
 
 # ------------------------------------------------------------- vector field
 
