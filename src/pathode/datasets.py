@@ -2,19 +2,25 @@
 
 CSV contract: optional header row; column 1 is the label (+1/-1), columns
 2..p+1 are features; comma-separated, '.' decimal point, UTF-8 (a byte-order
-mark is skipped).  Moment problems travel as JSON objects
+mark is skipped); an unparseable first line is a header.  numpy's C reader
+(np.loadtxt) parses a file whose data lines are plain ASCII and pass the label
+and finiteness checks; any other file goes through the line checker, which
+gives the same arrays and messages as before the C reader.  save_csv_dataset
+refuses what the loader refuses.  Moment problems travel as JSON objects
 {"w": [...], "x_true": [...], "n_moments": k}.  All generators use
 counter-based streams (Philox) keyed by a single seed.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
 from .problems import _sigmoid_of_negated
-from .reports import json_text, write_atomic
+from .reports import json_text, write_atomic, write_csv
 
 
 class DatasetFormatError(ValueError):
@@ -28,13 +34,47 @@ def _try_parse_row(fields: list[str]) -> list[float] | None:
         return None
 
 
-def load_csv_dataset(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Parse a labelled CSV into (features, labels).
+# ASCII characters that numpy's float parser strips as space where float() refuses
+# them, or at which str.splitlines breaks a line
+_ODD_CHARS = "\x0b\x0c\x1c\x1d\x1e\x1f"
 
-    An unparseable first row is treated as a header.  Labels must be exactly
-    +1 or -1 and features finite; any malformed later row raises with its
-    1-based line number.
+
+def _plain_lines(lines: Iterable[str]) -> Iterator[str]:
+    """lines less the whitespace-only ones; ValueError at one the C reader may read otherwise."""
+    for line in lines:
+        if line.isspace():
+            continue
+        if not line.isascii() or any(c in line for c in _ODD_CHARS):
+            raise ValueError("not a plain ASCII line")
+        yield line
+
+
+def _read_rows(path: str) -> np.ndarray | None:
+    """The (label, features) rows of a CSV by numpy's C reader, or None if it cannot tell.
+
+    None leaves the file to the line checker: numpy refused it, it has no data rows or a
+    line that is not plain, or a label or feature fails its check.
     """
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        try:
+            first = fh.readline()
+            if len(first.splitlines()) != 1:
+                return None  # an empty file, or a line break that only str.splitlines sees
+            header = _try_parse_row(first.split(",")) is None
+            lines = _plain_lines(fh if header else itertools.chain([first], fh))
+            head = next(lines, None)
+            if head is None:
+                return None  # no data rows, on which loadtxt would warn
+            data = np.loadtxt(itertools.chain([head], lines), delimiter=",", comments=None, ndmin=2)
+        except ValueError:  # numpy's refusals, a line that is not plain, an undecodable byte
+            return None
+    if data.shape[1] < 2 or not np.all(np.abs(data[:, 0]) == 1.0) or not np.isfinite(data[:, 1:]).all():
+        return None
+    return data
+
+
+def _check_lines(path: str) -> np.ndarray:
+    """The (label, features) rows of a CSV, parsed line by line; raises naming the first bad line."""
     rows: list[list[float]] = []
     linenos: list[int] = []
     with open(path, "r", encoding="utf-8-sig") as fh:
@@ -70,6 +110,19 @@ def load_csv_dataset(path: str) -> tuple[np.ndarray, np.ndarray]:
     if not finite.all():
         lineno = linenos[int(np.argmin(finite))]
         raise DatasetFormatError(f"{path}: line {lineno}: features must be finite")
+    return data
+
+
+def load_csv_dataset(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """Parse a labelled CSV into (features, labels).
+
+    An unparseable first row is treated as a header.  Labels must be exactly
+    +1 or -1 and features finite; any malformed later row raises with its
+    1-based line number.
+    """
+    data = _read_rows(path)
+    if data is None:
+        data = _check_lines(path)
     return data[:, 1:], data[:, 0]
 
 
@@ -83,13 +136,24 @@ def standardize_features(features: np.ndarray) -> np.ndarray:
 
 
 def save_csv_dataset(features: np.ndarray, labels: np.ndarray, path: str) -> None:
-    """Write a labelled dataset in the CSV contract (with a header row), atomically."""
+    """Write a labelled dataset in the CSV contract (with a header row), atomically.
+
+    Raises ValueError, and writes nothing, where load_csv_dataset would refuse
+    the file: a label other than +1 or -1, or a non-finite feature.
+    """
     features = np.asarray(features, dtype=float)
+    labels = np.asarray(labels, dtype=float)
+    if features.ndim != 2 or labels.shape != (len(features),):
+        raise ValueError("need 2-d features and one label per row")
+    bad = np.flatnonzero(np.abs(labels) != 1.0)
+    if bad.size:
+        raise ValueError(f"labels[{bad[0]}] must be +1 or -1, got {labels[bad[0]]:g}")
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad.size:
+        raise ValueError(f"features row {bad[0]} is not finite")
     p = features.shape[1]
     header = "label," + ",".join(f"f_{j}" for j in range(1, p + 1))
-    data = np.column_stack([np.asarray(labels, dtype=float), features])
-    kw = dict(fmt=["%d"] + ["%.17g"] * p, delimiter=",", header=header, comments="")
-    write_atomic(path, lambda fh: np.savetxt(fh, data, **kw))
+    write_csv(path, header, [labels, features], ["%d"] + ["%.17g"] * p)
 
 
 def generate_synthetic_logistic(

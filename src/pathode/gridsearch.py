@@ -11,6 +11,7 @@ interval below it.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -37,6 +38,8 @@ class GridSearchConfig:
     lambda_max: float
 
     def __post_init__(self):
+        if not isinstance(self.num_points, numbers.Integral):  # numpy integers pass
+            raise ValueError(f"num_points must be an integer, got {self.num_points!r}")
         if self.num_points < 2:
             raise ValueError("num_points must be at least 2 (both endpoints)")
         if self.inner_solver not in INNER_SOLVERS:

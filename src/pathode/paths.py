@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .problems import ProblemOracle
-from .reports import OracleCounters, write_atomic
+from .reports import OracleCounters, write_csv
 
 DENSE_BLOCK_BYTES = 131072  # per (points x dim) array of a residual sweep: glibc's mmap threshold
 
@@ -183,7 +183,6 @@ def accuracy_dense(
 
 def export_path_csv(path: _PathBase, file_path: str) -> None:
     """Write knots as CSV with header lambda,x_1,...,x_p at 17 significant digits, atomically."""
-    header = "lambda," + ",".join(f"x_{j}" for j in range(1, path.X.shape[1] + 1))
-    data = np.column_stack([path.lams, path.X])
-    kw = dict(fmt="%.17g", delimiter=",", header=header, comments="")
-    write_atomic(file_path, lambda fh: np.savetxt(fh, data, **kw))
+    p = path.X.shape[1]
+    header = "lambda," + ",".join(f"x_{j}" for j in range(1, p + 1))
+    write_csv(file_path, header, [path.lams, path.X], ["%.17g"] * (p + 1))

@@ -13,7 +13,10 @@ import json
 import math
 import os
 import uuid
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, fields
+
+import numpy as np
 
 SCHEMA_VERSION = 2
 
@@ -84,14 +87,15 @@ def json_text(payload) -> str:
 def write_atomic(path: str, write) -> None:
     """Write path via a temporary file and rename; write(fh) fills the open text file.
 
-    np.savetxt streams its rows into fh, so a CSV is never held in memory as
-    one string.  A symlink is followed, so the link stays and its target gets
-    the text; a target that is not a regular file (a device, a FIFO) is
-    written in place, as a rename would replace the node.  The temporary file
-    has a unique name next to the target and is opened exclusively, so no other
-    file is touched and it gets the mode a plain open(path, "w") gives a new
-    file.  A failed write or rename leaves the old file and no temporary
-    file, and its OSError names the path given, never the temporary file.
+    write_csv streams a CSV into fh a block of rows at a time, so a CSV is
+    never held in memory as one string.  A symlink is followed, so the link
+    stays and its target gets the text; a target that is not a regular file (a
+    device, a FIFO) is written in place, as a rename would replace the node.
+    The temporary file has a unique name next to the target and is opened
+    exclusively, so no other file is touched and it gets the mode a plain
+    open(path, "w") gives a new file.  A failed write or rename leaves the old
+    file and no temporary file, and its OSError names the path given, never
+    the temporary file.
     """
     target, path = path, os.path.realpath(path)
     if os.path.exists(path) and not os.path.isfile(path):
@@ -109,3 +113,26 @@ def write_atomic(path: str, write) -> None:
         if isinstance(exc, OSError) and exc.errno is not None:
             raise OSError(exc.errno, exc.strerror, target) from exc
         raise
+
+
+CSV_BLOCK_ROWS = 64
+
+
+def write_csv(path: str, header: str, columns: Sequence[np.ndarray], fmt: Sequence[str]) -> None:
+    """Write a header line and the rows of the stacked columns as a CSV, atomically.
+
+    columns are arrays with one entry (1-d) or one row (2-d) per CSV row, and fmt
+    holds one % format per CSV column; the bytes are np.savetxt's with delimiter ","
+    and comments "".  One % operation formats a block of CSV_BLOCK_ROWS rows from
+    Python floats, so the writer holds one block's text, never the whole file, and
+    makes no numpy scalar per field.
+    """
+    line = ",".join(fmt) + "\n"
+
+    def write(fh) -> None:
+        fh.write(header + "\n")
+        for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+            block = np.column_stack([c[start : start + CSV_BLOCK_ROWS] for c in columns])
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
+
+    write_atomic(path, write)

@@ -66,6 +66,15 @@ class TestGridGeometry:
         with pytest.raises(ValueError):
             quad_config(1)
 
+    @pytest.mark.parametrize("K", [3.5, 3.0, "3", None])
+    def test_num_points_must_be_an_integer(self, K):
+        # 3.5 was once accepted, and solve_grid then failed naming K
+        with pytest.raises(ValueError, match="num_points must be an integer"):
+            quad_config(K)
+
+    def test_numpy_integer_num_points(self):
+        assert grid_lams(quad_config(np.int64(3))).tolist() == grid_lams(quad_config(3)).tolist()
+
     @pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan")])
     def test_nonpositive_inner_tol_rejected(self, tol):
         with pytest.raises(ValueError, match="inner_tol must be positive"):

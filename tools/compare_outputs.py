@@ -59,6 +59,20 @@ DATA_FILES = {
     "gen-logistic-large": ("d.csv", "large.csv"),
 }
 RUN5 = ["run", "--method", "euler", "--K", "5"] + QUAD
+# CSV-contract files written beside the generated data, {case: (file name, text)}; each case
+# runs euler at K = 5 on its file: bom-crlf-header-blank and underscore-field (through the
+# line checker) load, the others exit 2 naming the file and line
+CSV_CASES = {
+    "exit/nonfinite-csv-feature": ("nonfinite.csv", "label,f_1\n1,0.5\n-1,nan\n"),
+    "csv/bom-crlf-header-blank": (
+        "bom-crlf.csv", "\ufefflabel,f_1,f_2\r\n1,0.5,0.25\r\n-1,1.5,-0.5\r\n \t\r\n1,-0.75,2\r\n-1,0.125,1\r\n",
+    ),
+    "csv/underscore-field": ("underscore.csv", "1,1_0,0.5\n-1,0.25,2\n1,-1,0.5\n-1,3,1\n"),
+    "csv/bad-label": ("bad-label.csv", "label,f_1\n1,0.5\n0,1.5\n"),
+    "csv/width-mismatch": ("width.csv", "1,0.5,1.0\n-1,1.5\n"),
+    "csv/unparseable-later-row": ("unparseable.csv", "1,0.5\n-1,0.25\nouch,0.5\n"),
+    "csv/header-only": ("header-only.csv", "label,f_1\n"),
+}
 STATED = ["--mu", "0.5", "--sigma", "1", "--L", "2", "--G", "3", "--f-gap", "0.1"]
 
 
@@ -104,8 +118,6 @@ def matrix() -> dict[str, list[str]]:
         "exit/non-numeric-tolerance": RUN5 + ["--eps", "abc"],
         "exit/zero-K": RUN5 + ["--method", "grid-newton", "--K", "0", "--eps", "1e-3"],
         "exit/out-into-missing-directory": RUN5 + ["--out", "{out}/missing/r.json"],
-        "exit/nonfinite-csv-feature": ["run", "--method", "euler", "--K", "5", "--problem", "logistic",
-                                       "--data", "nonfinite.csv"],
         "exit/run-K-out-of-memory": RUN5 + ["--K", str(10**15)],
         "exit/standardize-quadratic": RUN5 + ["--standardize"],
         "exit/sweep-degenerate": ["sweep", "--methods", "euler,grid-newton", "--eps-list", "1e-2",
@@ -116,6 +128,8 @@ def matrix() -> dict[str, list[str]]:
         "exit/theory-term-overflows": ["theory", "--method", "euler", "--eps", "1e-3", "--mu", "1",
                                        "--sigma", "1", "--L", "1e308", "--G", "1e308"],
     })  # fmt: skip
+    for case, (name, _) in CSV_CASES.items():
+        cases[case] = ["run", "--method", "euler", "--K", "5", "--problem", "logistic", "--data", name]
     return cases
 
 
@@ -128,8 +142,9 @@ def run_tree(tree: str, workdir: str) -> None:
     if not os.path.realpath(cli.__file__).startswith(src + os.sep):
         raise SystemExit(f"pathode imported from {cli.__file__}, not from {src}")
     os.chdir(workdir)
-    with open("nonfinite.csv", "w", encoding="utf-8") as fh:
-        fh.write("label,f_1\n1,0.5\n-1,nan\n")
+    for name, text in CSV_CASES.values():
+        with open(name, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
     results = {}
     for case, argv in matrix().items():
         out_dir = os.path.join("out", case)
